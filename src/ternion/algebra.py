@@ -37,17 +37,12 @@ __all__ = [
     "J",
     "J2",
     "THETA_PERIOD",
-    "EPS_ROUNDTRIP",
-    "add",
-    "sub",
-    "neg",
     "scale",
     "mul",
     "cubic_form",
     "norm_cubed",
     "norm",
     "singular_tolerance",
-    "is_singular",
     "tilde_product",
     "inverse",
     "bar",
@@ -66,9 +61,6 @@ SQRT3 = math.sqrt(3.0)
 
 #: Canonical reduction interval for the compact angle theta is [0, THETA_PERIOD).
 THETA_PERIOD = 2.0 * math.pi / SQRT3
-
-#: Relative tolerance used by round-trip contracts (exp/log, polar).
-EPS_ROUNDTRIP = 1e-10
 
 #: Coefficient of the singularity cutoff; the cutoff scales cubically because
 #: the norm is cubic in the components.
@@ -130,18 +122,6 @@ E0 = Ternary(2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0)
 I_UNIT = Ternary(0.0, 1.0 / SQRT3, -1.0 / SQRT3)
 
 
-def add(z: Ternary, w: Ternary) -> Ternary:
-    return z + w
-
-
-def sub(z: Ternary, w: Ternary) -> Ternary:
-    return z - w
-
-
-def neg(z: Ternary) -> Ternary:
-    return -z
-
-
 def scale(z: Ternary, c: float) -> Ternary:
     return Ternary(c * z.x0, c * z.x1, c * z.x2)
 
@@ -179,11 +159,6 @@ def norm(z: Ternary) -> float:
 
 def singular_tolerance(z: Ternary) -> float:
     return EPS_SINGULAR * (1.0 + z.max_abs()) ** 3
-
-
-def is_singular(z: Ternary) -> bool:
-    """True when z lies (numerically) in one of the two ideals."""
-    return abs(norm_cubed(z)) <= singular_tolerance(z)
 
 
 def tilde_product(z: Ternary) -> Ternary:

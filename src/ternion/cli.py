@@ -1,10 +1,10 @@
 """Command-line front end: verify / simulate / scatter / integrate-form.
 
-All commands are deterministic given their config and seed; simulation and
-scattering emit CSV plus a JSON manifest recording every tolerance, so rerun
-from the manifest reproduces the bytes.  Exit codes: 0 success, 1 failed
-properties or singular stop, 2 bad usage or config, 3 scatter grid entirely
-failed.
+All commands are deterministic: verify given its seed, the others given
+their config; simulation and scattering emit CSV plus a JSON manifest
+recording every tolerance, so rerun from the manifest reproduces the bytes.
+Exit codes: 0 success, 1 failed properties or singular stop, 2 bad usage,
+config or unwritable output, 3 scatter grid entirely failed.
 """
 
 from __future__ import annotations
@@ -12,32 +12,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import algebra as ta
 from . import calculus as tc
 from . import dynamics as td
 from .algebra import Ternary
 from .config import ConfigError, FormConfig, load_config, write_manifest
-from .errors import (
-    JacobianSingular,
-    NoSecondSolution,
-    SingularApproach,
-    TernionError,
-)
+from .errors import SingularApproach, TernionError
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TERNION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # --------------------------------------------------------------------------
@@ -83,30 +68,10 @@ def _simulate_run(cfg):
     return sol, s0, t_end
 
 
-def _write_trajectory(path, traj, closed_form=None):
-    header = td.TRAJECTORY_HEADER + (",r1_closed" if closed_form is not None else "")
-    max_dev = 0.0
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, y, m, e in zip(traj.times, traj.states, traj.m_ledger, traj.energy):
-            cells = [t, *y, *m, e]
-            if closed_form is not None:
-                r1c = closed_form(y)
-                max_dev = max(max_dev, abs(r1c - y[1]) / max(1e-300, abs(y[1])))
-                cells.append(r1c)
-            fh.write(",".join(repr(float(c)) for c in cells) + "\n")
-    return max_dev
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, "simulate")
-    overrides = {}
     if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+        cfg = dataclasses.replace(cfg, tol=args.tol)
     if args.compare_closed_form and cfg.kind != "planar":
         raise ConfigError("--compare-closed-form needs a planar config")
 
@@ -119,17 +84,20 @@ def _cmd_simulate(args) -> int:
         status = "singular-stop"
         print(f"singular approach: {exc}", file=sys.stderr)
 
-    closed = None
-    if args.compare_closed_form and sol is not None:
-        closed = lambda y: sol.r1(y[0] / y[1])  # noqa: E731
-    max_dev = _write_trajectory(args.out, traj, closed)
+    extra, max_dev = None, 0.0
+    if args.compare_closed_form:
+        closed = [sol.r1(y[0] / y[1]) for y in traj.states]
+        devs = (abs(c - y[1]) / max(1e-300, abs(y[1])) for c, y in zip(closed, traj.states))
+        max_dev = max(0.0, *devs)
+        extra = ("r1_closed", closed)
+    td.write_trajectory_csv(traj, args.out, extra)
 
     drift = traj.max_m_drift()
     print(
         f"{len(traj)} samples ({traj.n_accepted} accepted / {traj.n_rejected} rejected steps), "
         f"M drift ({drift[0]:.3e}, {drift[1]:.3e}, {drift[2]:.3e}), |dE| = {traj.energy_change():.3e}"
     )
-    if closed is not None:
+    if extra is not None:
         print(f"max relative deviation from closed-form r1(z): {max_dev:.3e}")
 
     if args.manifest:
@@ -140,7 +108,7 @@ def _cmd_simulate(args) -> int:
             },
             "steps": {"accepted": traj.n_accepted, "rejected": traj.n_rejected},
         }
-        if closed is not None:
+        if extra is not None:
             extras["closed_form_max_rel_dev"] = max_dev
         if status == "singular-stop":
             extras["truncated"] = "stopped at the singular-approach guard"
@@ -160,25 +128,13 @@ def _scatter_row(cfg, m1, m2):
             td.ScatteringSetup(g=cfg.g, y1=cfg.y1, z1=cfg.z1, v1_inf=cfg.v1_inf, m1=m1, m2=m2)
         )
         return (m1, m2, res, "ok")
-    except NoSecondSolution:
-        return (m1, m2, None, "NoSecondSolution")
-    except JacobianSingular:
-        return (m1, m2, None, "JacobianSingular")
     except TernionError as exc:
         return (m1, m2, None, type(exc).__name__)
 
 
 def _cmd_scatter(args) -> int:
     cfg = load_config(args.config, "scatter")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    points = [(m1, m2) for m1 in cfg.m1_grid for m2 in cfg.m2_grid]
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda p: _scatter_row(cfg, *p), points))
-    else:
-        rows = [_scatter_row(cfg, *p) for p in points]
+    rows = [_scatter_row(cfg, m1, m2) for m1 in cfg.m1_grid for m2 in cfg.m2_grid]
     td.write_scatter_csv(rows, args.out)
     n_ok = sum(1 for r in rows if r[3] == "ok")
     print(f"{n_ok}/{len(rows)} grid points solved -> {args.out}")
@@ -248,12 +204,9 @@ def _cmd_form(args) -> int:
                 params[key] = [float(v) for v in val.split(",")]
         if args.box is not None:
             params["box"] = [float(v) for v in args.box.split(",")]
-        cfg = FormConfig(
-            kind=args.kind,
-            preset=args.preset,
-            field_name=args.field,
-            tol=args.tol if args.tol is not None else 1e-9,
-            params=params,
+        flags = {"kind": args.kind, "preset": args.preset, "field_name": args.field, "tol": args.tol}
+        cfg = FormConfig.from_dict(
+            {"params": params, **{k: v for k, v in flags.items() if v is not None}}
         )
     if cfg.field_name not in _FIELDS:
         raise ConfigError(f"unknown field {cfg.field_name!r}; choose from {sorted(_FIELDS)}")
@@ -304,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="trajectory.csv")
     p.add_argument("--manifest", help="write a JSON run manifest here")
     p.add_argument("--tol", type=float, default=None, help="override the config tolerance")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--allow-singular-stop", action="store_true")
     p.add_argument(
         "--compare-closed-form",
@@ -317,14 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="scatter.csv")
     p.add_argument("--manifest")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("integrate-form", help="line/surface/volume form integrals")
     p.add_argument("kind", choices=FormConfig.KINDS, nargs="?")
     p.add_argument("--config", help="JSON config (overrides the flag parameters)")
     p.add_argument("--preset")
-    p.add_argument("--field", default="inverse-conjugate", choices=sorted(_FIELDS))
+    p.add_argument("--field", choices=sorted(_FIELDS), help="default: inverse-conjugate")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--rho", type=float)
     p.add_argument("--phi", type=float)
@@ -361,6 +312,9 @@ def main(argv=None) -> int:
         return 2
     except (KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except TernionError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -8,7 +8,8 @@ reproduces the output byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import __version__
 
@@ -26,19 +27,32 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-def _take(data: dict, fields: dict, kind: str) -> dict:
-    unknown = set(data) - set(fields)
+#: Keys that 0.1.0 wrote into simulate and scatter configs although no run
+#: read them; they are accepted and dropped so those manifests still rerun.
+_RETIRED_KEYS = {"seed"}
+
+
+def _take(data: dict, cls, kind: str, retired=frozenset()) -> dict:
+    """The keys of data that name fields of cls; the dataclass supplies the
+    defaults of the rest."""
+    known = fields(cls)
+    names = {f.name for f in known}
+    unknown = set(data) - names - retired
     if unknown:
         raise ConfigError(f"unknown {kind} config keys: {sorted(unknown)}")
-    out = {}
-    for key, (required, default) in fields.items():
-        if key in data:
-            out[key] = data[key]
-        elif required:
-            raise ConfigError(f"missing {kind} config key: {key!r}")
-        else:
-            out[key] = default
-    return out
+    for f in known:
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing {kind} config key: {f.name!r}")
+    return {key: value for key, value in data.items() if key in names}
+
+
+def _number(key: str, value, positive: bool = False):
+    """value itself if it is a finite int or float (not a bool), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{key!r} must be > 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -53,7 +67,6 @@ class SimulateConfig:
     kind: str
     g: float = 1.0
     tol: float = 1e-10
-    seed: int = 0
     max_step: float | None = None
     m2: float | None = None
     z0: float | None = None
@@ -64,13 +77,18 @@ class SimulateConfig:
     t_end: float | None = None
 
     def __post_init__(self):
+        for key in ("g", "tol", "max_step", "m2", "z0", "z1", "z_start", "z_stop", "t_end"):
+            if getattr(self, key) is not None:
+                _number(key, getattr(self, key), positive=key in ("tol", "max_step", "t_end"))
         if self.kind == "planar":
             for key in ("m2", "z0", "z1", "z_start", "z_stop"):
                 if getattr(self, key) is None:
                     raise ConfigError(f"planar simulate config needs {key!r}")
         elif self.kind == "state":
-            if self.state is None or len(self.state) != 6:
+            if not isinstance(self.state, (list, tuple)) or len(self.state) != 6:
                 raise ConfigError("state simulate config needs a 6-component 'state'")
+            for value in self.state:
+                _number("state", value)
             if self.t_end is None:
                 raise ConfigError("state simulate config needs 't_end'")
         else:
@@ -78,21 +96,7 @@ class SimulateConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SimulateConfig":
-        fields = {
-            "kind": (True, None),
-            "g": (False, 1.0),
-            "tol": (False, 1e-10),
-            "seed": (False, 0),
-            "max_step": (False, None),
-            "m2": (False, None),
-            "z0": (False, None),
-            "z1": (False, None),
-            "z_start": (False, None),
-            "z_stop": (False, None),
-            "state": (False, None),
-            "t_end": (False, None),
-        }
-        return SimulateConfig(**_take(data, fields, "simulate"))
+        return SimulateConfig(**_take(data, SimulateConfig, "simulate", _RETIRED_KEYS))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -108,24 +112,19 @@ class ScatterConfig:
     v1_inf: float
     m1_grid: list[float]
     m2_grid: list[float]
-    seed: int = 0
 
     def __post_init__(self):
+        for key in ("g", "y1", "z1", "v1_inf"):
+            _number(key, getattr(self, key))
         if not self.m1_grid or not self.m2_grid:
             raise ConfigError("scatter config needs non-empty m1_grid and m2_grid")
+        for key in ("m1_grid", "m2_grid"):
+            for value in getattr(self, key):
+                _number(key, value)
 
     @staticmethod
     def from_dict(data: dict) -> "ScatterConfig":
-        fields = {
-            "g": (True, None),
-            "y1": (True, None),
-            "z1": (True, None),
-            "v1_inf": (True, None),
-            "m1_grid": (True, None),
-            "m2_grid": (True, None),
-            "seed": (False, 0),
-        }
-        got = _take(data, fields, "scatter")
+        got = _take(data, ScatterConfig, "scatter", _RETIRED_KEYS)
         for key in ("m1_grid", "m2_grid"):
             got[key] = _expand_grid(got[key], key)
         return ScatterConfig(**got)
@@ -139,16 +138,17 @@ def _expand_grid(spec, key) -> list[float]:
         missing = {"start", "stop", "num"} - set(spec)
         if missing:
             raise ConfigError(f"{key} range spec needs start/stop/num, missing {sorted(missing)}")
-        num = int(spec["num"])
-        if num < 1:
-            raise ConfigError(f"{key} num must be >= 1")
-        start, stop = float(spec["start"]), float(spec["stop"])
+        num = spec["num"]
+        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
+            raise ConfigError(f"{key} num must be an integer >= 1, got {num!r}")
+        start = float(_number(f"{key} start", spec["start"]))
+        stop = float(_number(f"{key} stop", spec["stop"]))
         if num == 1:
             return [start]
         step = (stop - start) / (num - 1)
         return [start + i * step for i in range(num)]
     if isinstance(spec, (list, tuple)):
-        return [float(v) for v in spec]
+        return [float(_number(key, v)) for v in spec]
     raise ConfigError(f"{key} must be a list or a start/stop/num range")
 
 
@@ -170,19 +170,13 @@ class FormConfig:
     KINDS = ("line", "surface", "volume")
 
     def __post_init__(self):
+        _number("tol", self.tol, positive=True)
         if self.kind not in self.KINDS:
             raise ConfigError(f"form kind must be one of {self.KINDS}, got {self.kind!r}")
 
     @staticmethod
     def from_dict(data: dict) -> "FormConfig":
-        fields = {
-            "kind": (True, None),
-            "preset": (True, None),
-            "field_name": (False, "inverse-conjugate"),
-            "tol": (False, 1e-9),
-            "params": (False, {}),
-        }
-        return FormConfig(**_take(data, fields, "integrate-form"))
+        return FormConfig(**_take(data, FormConfig, "integrate-form"))
 
     def to_dict(self) -> dict:
         return asdict(self)

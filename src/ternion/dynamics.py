@@ -84,12 +84,6 @@ class MonopoleState:
     v2: float
     t: float = 0.0
 
-    def position(self) -> np.ndarray:
-        return np.array([self.l, self.r1, self.r2])
-
-    def velocity(self) -> np.ndarray:
-        return np.array([self.v0, self.v1, self.v2])
-
     def as_tuple(self):
         return (self.l, self.r1, self.r2, self.v0, self.v1, self.v2)
 
@@ -155,11 +149,14 @@ class Trajectory:
         return abs(self.energy[-1] - self.energy[0])
 
 
-def write_trajectory_csv(traj: Trajectory, path):
+def write_trajectory_csv(traj: Trajectory, path, extra=None):
+    """One row per sample; extra = (name, values) appends a column."""
+    header = TRAJECTORY_HEADER if extra is None else f"{TRAJECTORY_HEADER},{extra[0]}"
+    extras = [()] * len(traj) if extra is None else [(v,) for v in extra[1]]
     with open(path, "w") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for t, y, m, e in zip(traj.times, traj.states, traj.m_ledger, traj.energy):
-            cells = (t, *y, *m, e)
+        fh.write(header + "\n")
+        for t, y, m, e, x in zip(traj.times, traj.states, traj.m_ledger, traj.energy, extras):
+            cells = (t, *y, *m, e, *x)
             fh.write(",".join(repr(float(c)) for c in cells) + "\n")
     return len(traj)
 
@@ -293,6 +290,25 @@ def _f_planar(z: float, z0: float) -> float:
     return z * (math.log(abs(z / z0)) - 1.0)
 
 
+def _root_on_grid(fun, grid, scale, what):
+    """Brent on the first sign change of fun along grid, or None if the scan
+    finds none or runs into the pole.  The root must meet |fun| <=
+    ROOT_RESIDUAL * scale(); scale is called only after the solve, so a
+    failed scan costs no extra evaluations."""
+    try:
+        bracket = scan_bracket(fun, grid)
+    except PoleOnRange:
+        return None
+    if bracket is None:
+        return None
+    a, b, fa, fb = bracket
+    root = a if a == b else brent(fun, a, b, fa, fb)
+    res = abs(fun(root))
+    if res > ROOT_RESIDUAL * scale():
+        raise RootFindingFailure(f"{what} residual {res:.3e} above {ROOT_RESIDUAL:.1e} at {root}")
+    return root
+
+
 def asymptote_solve(z0: float, z1: float) -> float:
     """Second solution of  z ln|z/(e z0)| = z1 ln|z1/(e z0)|  besides z = z1.
 
@@ -318,14 +334,9 @@ def asymptote_solve(z0: float, z1: float) -> float:
     else:
         grid = [z0 * 10.0 ** (kk / 16.0) for kk in range(65)]
         grid = [z for z in grid if z <= math.e * z0] + [math.e * z0]
-    bracket = scan_bracket(fun, grid)
-    if bracket is None:
+    root = _root_on_grid(fun, grid, lambda: max(1.0, abs(target)), "asymptote")
+    if root is None:
         raise RootFindingFailure(f"no bracket for the second asymptote near z0 = {z0}")
-    a, b, fa, fb = bracket
-    root = a if a == b else brent(fun, a, b, fa, fb)
-    res = abs(fun(root))
-    if res > ROOT_RESIDUAL * max(1.0, abs(target)):
-        raise RootFindingFailure(f"asymptote residual {res:.3e} above {ROOT_RESIDUAL:.1e}")
     return root
 
 
@@ -603,14 +614,11 @@ def _solve_y0(g, m0, m1, m2, y1, v1_inf):
     for direction in (1.0, -1.0):
         grid = [y1] + _pole_clipped_grid(y1, direction, span, pole)
         try:
-            bracket = scan_bracket(vel_from_y0, grid)
-        except PoleOnRange:
+            root = _root_on_grid(vel_from_y0, grid, lambda: 1.0 + abs(v1_inf), "base-slope")
+        except RootFindingFailure:
             continue
-        if bracket is not None:
-            a, b, fa, fb = bracket
-            root = a if a == b else brent(vel_from_y0, a, b, fa, fb)
-            if abs(vel_from_y0(root)) <= ROOT_RESIDUAL * (1.0 + abs(v1_inf)):
-                return root
+        if root is not None:
+            return root
     raise RootFindingFailure(
         f"no base slope y0 matches v1_inf = {v1_inf} (M1 = {m1}, M2 = {m2})"
     )
@@ -623,21 +631,11 @@ def _solve_ytilde1(sol: GeneralSolution):
     span = 1.0 + abs(y0 - y1)
     grid = [y0] + _pole_clipped_grid(y0, direction, span, sol.pole)
 
-    def fun(y):
-        return sol.psi(y)
-
-    try:
-        bracket = scan_bracket(fun, grid)
-    except PoleOnRange:
-        bracket = None
-    if bracket is None:
+    root = _root_on_grid(sol.psi, grid, lambda: 1.0 + abs(sol.psi(y0)), "exit-slope")
+    if root is None:
         raise NoSecondSolution(
             f"velocity integral has no second zero beyond y0 = {y0} (M1 = {sol.m1}, M2 = {sol.m2})"
         )
-    a, b, fa, fb = bracket
-    root = a if a == b else brent(fun, a, b, fa, fb)
-    if abs(fun(root)) > ROOT_RESIDUAL * (1.0 + abs(fun(y0))):
-        raise RootFindingFailure(f"exit-slope residual above {ROOT_RESIDUAL:.1e}")
     return root
 
 

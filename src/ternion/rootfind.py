@@ -1,8 +1,8 @@
-"""Bracketed root finding: geometric bracket scans plus a Brent-style solve.
+"""Bracketed root finding: bracket scans on a grid plus a Brent-style solve.
 
-The solver is the classic inverse-quadratic/secant/bisection hybrid; callers
-state a residual tolerance and get RootFindingFailure when either no bracket
-exists on the scanned grid or the bracketed solve cannot push |f| below it.
+The solver is the classic inverse-quadratic/secant/bisection hybrid; brent
+raises RootFindingFailure when its interval holds no sign change, and
+callers check the residual of the root they get.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 from .errors import RootFindingFailure
 
-__all__ = ["brent", "scan_bracket", "geometric_grid", "solve_bracketed"]
+__all__ = ["brent", "scan_bracket"]
 
 _EPS = 2.220446049250313e-16
 
@@ -66,23 +66,6 @@ def brent(f, a, b, fa=None, fb=None, xtol=1e-15, maxiter=200):
     return b
 
 
-def geometric_grid(center, decades=4, per_decade=16, direction=+1, limit=None):
-    """Points center * 10^(direction * k/per_decade), k = 0..decades*per_decade.
-
-    For direction=-1 the grid walks inward toward zero.  A positive center is
-    required; an optional hard limit clips the walk.
-    """
-    if center <= 0.0:
-        raise ValueError("geometric grid needs a positive center")
-    pts = []
-    for k in range(decades * per_decade + 1):
-        x = center * 10.0 ** (direction * k / per_decade)
-        if limit is not None and ((direction > 0 and x > limit) or (direction < 0 and x < limit)):
-            break
-        pts.append(x)
-    return pts
-
-
 def scan_bracket(f, points):
     """First sign-change interval of f on consecutive grid points, or None."""
     it = iter(points)
@@ -100,12 +83,3 @@ def scan_bracket(f, points):
         x_prev, f_prev = x, fx
     return None
 
-
-def solve_bracketed(f, bracket, residual_tol=1e-12):
-    """Brent on a scanned bracket, then enforce |f(root)| <= residual_tol."""
-    a, b, fa, fb = bracket
-    root = a if a == b else brent(f, a, b, fa, fb)
-    res = abs(f(root))
-    if res > residual_tol:
-        raise RootFindingFailure(f"residual {res:.3e} above {residual_tol:.1e} at root {root}")
-    return root

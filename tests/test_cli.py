@@ -204,14 +204,101 @@ def test_scatter_mixed_statuses(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_scatter_thread_cap_keeps_bytes(tmp_path, capsys, monkeypatch):
+def test_scatter_pinned_bytes_for_each_row_status(tmp_path, capsys):
+    # one grid point per outcome of the root solves: no base slope y0
+    # (RootFindingFailure), a solved exit slope, and no second zero of psi
+    cfg = write_json(
+        tmp_path / "s.json",
+        {"g": 1.0, "y1": 0.2, "z1": 0.9, "v1_inf": 0.6, "m1_grid": [-2.0], "m2_grid": [-2.0, 0.2, 1.0]},
+    )
+    out = tmp_path / "scatter.csv"
+    assert main(["scatter", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == (
+        "M1,M2,ytilde1,E,J,dsigma,status\n"
+        "-2.0,-2.0,,,,,RootFindingFailure\n"
+        "-2.0,0.2,8.165407992843901,1.4347795384051063,-166.7472863656162,-0.013608502913881347,ok\n"
+        "-2.0,1.0,,,,,NoSecondSolution\n"
+    )
+
+
+def test_scatter_status_counts_on_range_grid(tmp_path, capsys):
+    grid = {"start": -2.0, "stop": 2.0, "num": 12}
+    cfg = write_json(
+        tmp_path / "s.json",
+        {"g": 1.0, "y1": 0.2, "z1": 0.9, "v1_inf": 0.6, "m1_grid": grid, "m2_grid": grid},
+    )
+    out = tmp_path / "scatter.csv"
+    assert main(["scatter", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    statuses = [row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[1:]]
+    counts = {s: statuses.count(s) for s in set(statuses)}
+    assert counts == {"ok": 88, "NoSecondSolution": 31, "RootFindingFailure": 25}
+
+
+def test_manifest_with_seed_key_still_reruns(tmp_path, capsys):
+    # version 0.1.0 wrote an unread "seed": 0 into simulate and scatter configs
     cfg = write_json(tmp_path / "s.json", SCATTER_CFG)
+    old = write_json(
+        tmp_path / "old.json",
+        {
+            "command": "scatter",
+            "config": {**SCATTER_CFG, "seed": 0},
+            "outputs": {"table_csv": "scatter.csv"},
+            "rows_ok": 4,
+            "rows_total": 4,
+            "status": "ok",
+            "tool": "ternion",
+            "version": "0.1.0",
+        },
+    )
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["scatter", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("TERNION_THREADS", "4")
-    assert main(["scatter", "--config", cfg, "--out", str(out2)]) == 0
+    assert main(["scatter", "--config", old, "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+    sim = write_json(tmp_path / "sim.json", {**PLANAR_CFG, "seed": 5})
+    assert load_config(sim, "simulate") == SimulateConfig.from_dict(PLANAR_CFG)
+    assert "seed" not in load_config(old, "scatter").to_dict()
+
+
+STATE_CFG = {"kind": "state", "g": 1.0, "state": [-10.0, -8.0, 0.0, 1.0, 0.5, 0.0], "t_end": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags, message",
+    [
+        ("simulate", {**PLANAR_CFG, "tol": 0}, [], "config error: 'tol' must be > 0"),
+        ("simulate", {**PLANAR_CFG, "g": "1.0"}, [], "config error: 'g' must be a finite number"),
+        ("simulate", {**PLANAR_CFG, "g": True}, [], "config error: 'g' must be a finite number"),
+        ("simulate", {**STATE_CFG, "t_end": float("nan")}, [], "config error: 't_end' must be a finite"),
+        ("simulate", {**STATE_CFG, "t_end": -1.0}, [], "config error: 't_end' must be > 0"),
+        ("simulate", PLANAR_CFG, ["--tol", "0"], "config error: 'tol' must be > 0"),
+        ("simulate", PLANAR_CFG, ["--out", "missing/t.csv"], "cannot write output: "),
+        ("scatter", {**SCATTER_CFG, "g": "1.0"}, [], "config error: 'g' must be a finite number"),
+        ("scatter", {**SCATTER_CFG, "m1_grid": [float("nan")]}, [], "config error: 'm1_grid' must be"),
+        ("scatter", SCATTER_CFG, ["--manifest", "missing/m.json"], "cannot write output: "),
+    ],
+    ids=[
+        "tol-zero",
+        "g-string",
+        "g-bool",
+        "t_end-nan",
+        "t_end-negative",
+        "tol-flag-zero",
+        "simulate-missing-dir",
+        "scatter-g-string",
+        "grid-nan",
+        "manifest-missing-dir",
+    ],
+)
+def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, cfg, flags, message):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", "cfg.json", "--out", "out.csv", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0].startswith(message)
+    assert "Traceback" not in captured.err
 
 
 def test_integrate_form_loop(tmp_path, capsys):
