@@ -3,8 +3,9 @@
 All commands are deterministic: verify given its seed, the others given
 their config; simulation and scattering emit CSV plus a JSON manifest
 recording every tolerance, so rerun from the manifest reproduces the bytes.
-Exit codes: 0 success, 1 failed properties or singular stop, 2 bad usage,
-config or unwritable output, 3 scatter grid entirely failed.
+Exit codes: 0 success, 1 failed properties, singular stop or numerical
+failure, 2 bad usage, config or unwritable output, 3 scatter grid entirely
+failed.
 """
 
 from __future__ import annotations
@@ -167,26 +168,39 @@ _FIELDS = {
 
 def _form_domain(cfg: FormConfig):
     p = cfg.params
+
+    def need(key):
+        if key not in p:
+            raise ConfigError(f"{cfg.kind} preset {cfg.preset!r} needs parameter {key!r}")
+        return p[key]
+
     if cfg.kind == "line":
         if cfg.preset == "trisectrice-loop":
             return tc.trisectrice_loop(p.get("rho", 1.0), p.get("phi", 0.0))
         if cfg.preset == "segment":
-            a = Ternary(*p["from"])
-            b = Ternary(*p["to"])
+            a = Ternary(*need("from"))
+            b = Ternary(*need("to"))
             diff = b - a
             return tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
     elif cfg.kind == "surface":
         if cfg.preset == "cubic-band":
-            return tc.cubic_band_patch(p.get("rho", 1.0), p["a1"], p["a2"])
+            return tc.cubic_band_patch(p.get("rho", 1.0), need("a1"), need("a2"))
         if cfg.preset == "polar-band":
-            return tc.polar_band_patch(p.get("rho", 1.0), p["phi_lo"], p["phi_hi"])
+            return tc.polar_band_patch(p.get("rho", 1.0), need("phi_lo"), need("phi_hi"))
         if cfg.preset == "sphere":
-            return tc.sphere_patch(Ternary(*p["center"]), p["radius"])
+            return tc.sphere_patch(Ternary(*need("center")), need("radius"))
     elif cfg.kind == "volume":
         if cfg.preset == "box":
-            b = p["box"]
+            b = need("box")
             return ((b[0], b[1]), (b[2], b[3]), (b[4], b[5]))
     raise ConfigError(f"unknown {cfg.kind} preset {cfg.preset!r}")
+
+
+def _numbers_flag(key, text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--{key} needs comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_form(args) -> int:
@@ -198,12 +212,10 @@ def _cmd_form(args) -> int:
             val = getattr(args, key.replace("-", "_"))
             if val is not None:
                 params[key] = val
-        for key in ("center", "from", "to"):
+        for key in ("center", "from", "to", "box"):
             val = getattr(args, "from_" if key == "from" else key)
             if val is not None:
-                params[key] = [float(v) for v in val.split(",")]
-        if args.box is not None:
-            params["box"] = [float(v) for v in args.box.split(",")]
+                params[key] = _numbers_flag(key, val)
         flags = {"kind": args.kind, "preset": args.preset, "field_name": args.field, "tol": args.tol}
         cfg = FormConfig.from_dict(
             {"params": params, **{k: v for k, v in flags.items() if v is not None}}
@@ -310,13 +322,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         print("run `ternion --help` for usage", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    except TernionError as exc:
+    except (TernionError, ArithmeticError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

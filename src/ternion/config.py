@@ -168,11 +168,25 @@ class FormConfig:
     params: dict = field(default_factory=dict)
 
     KINDS = ("line", "surface", "volume")
+    #: Params that are points or boxes, by their number of entries; every
+    #: other param is one number.
+    VECTOR_PARAMS = {"center": 3, "from": 3, "to": 3, "box": 6}
 
     def __post_init__(self):
         _number("tol", self.tol, positive=True)
         if self.kind not in self.KINDS:
             raise ConfigError(f"form kind must be one of {self.KINDS}, got {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"'params' must be a JSON object, got {self.params!r}")
+        for key, value in self.params.items():
+            size = self.VECTOR_PARAMS.get(key)
+            if size is None:
+                _number(key, value)
+            elif not isinstance(value, (list, tuple)) or len(value) != size:
+                raise ConfigError(f"{key!r} must have {size} entries, got {value!r}")
+            else:
+                for entry in value:
+                    _number(key, entry)
 
     @staticmethod
     def from_dict(data: dict) -> "FormConfig":

@@ -175,24 +175,22 @@ def newton_rhs(s: MonopoleState, g: float) -> np.ndarray:
     return np.array(_accel(s.l, s.r1, s.r2, g))
 
 
-# Dormand-Prince 5(4) coefficients.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-
-
-def _rhs(y, g):
-    a0, a1, a2 = _accel(y[0], y[1], y[2], g)
-    return (y[3], y[4], y[5], a0, a1, a2)
+# Dormand-Prince 5(4) tableau, zero entries left out.  Row 7 holds the
+# 5th-order weights, so the 7th stage is the slope at the new state: the next
+# step's first stage (first-same-as-last).  _E* are the 5th- minus 4th-order
+# weights of the error estimate.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1 = 35 / 384 - 5179 / 57600
+_E3 = 500 / 1113 - 7571 / 16695
+_E4 = 125 / 192 - 393 / 640
+_E5 = -2187 / 6784 + 92097 / 339200
+_E6 = 11 / 84 - 187 / 2100
+_E7 = -1 / 40
 
 
 def integrate(
@@ -214,28 +212,30 @@ def integrate(
     t = float(s0.t)
     if t_end <= t:
         raise DomainError(f"t_end must exceed the initial time, got {t_end} <= {t}")
-    y = s0.as_tuple()
+    l, r1, r2, v0, v1, v2 = s0.as_tuple()
     scale0 = math.sqrt(s0.l**2 + s0.r1**2 + s0.r2**2)
     guard = SINGULAR_GUARD * scale0**3
     traj = Trajectory(tol)
-    traj.append(t, y)
+    traj.append(t, (l, r1, r2, v0, v1, v2))
 
-    def guarded(yv):
-        if abs(yv[0]) * (yv[1] * yv[1] + yv[2] * yv[2]) < guard:
-            raise OnSingularSet("singular-approach guard tripped")
-
+    # Stage m has slope (u_m, a_m): the velocity and acceleration of its
+    # state.  u_1 is the state's own velocity (v0, v1, v2) and a_1 is carried
+    # over from the previous step.
     try:
-        f = _rhs(y, g)
+        a10, a11, a12 = _accel(l, r1, r2, g)
     except OnSingularSet as exc:
         raise SingularApproach("initial state inadmissible", traj, s0) from exc
 
     span = t_end - t
-    fnorm = math.sqrt(sum(c * c for c in f))
-    ynorm = math.sqrt(sum(c * c for c in y))
+    fnorm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + a10 * a10 + a11 * a11 + a12 * a12)
+    ynorm = math.sqrt(l * l + r1 * r1 + r2 * r2 + v0 * v0 + v1 * v1 + v2 * v2)
     dt = min(span / 100.0, 0.01 * (1.0 + ynorm) / (1.0 + fnorm))
     if max_step is not None:
         dt = min(dt, max_step)
 
+    # Each sum starts at 0.0, so that a sum of zero terms is +0.0 and never
+    # -0.0, and adds its terms in tableau order: the samples' bits, signed
+    # zeros included, are pinned in tests/test_dynamics.py.
     steps = 0
     while t < t_end:
         if steps >= max_steps:
@@ -245,32 +245,87 @@ def integrate(
             raise StepFailure(f"step size underflow at t = {t}", traj)
         steps += 1
         try:
-            k = [f]
-            for row in _A[1:]:
-                yi = tuple(
-                    y[j] + dt * sum(a * k[m][j] for m, a in enumerate(row)) for j in range(6)
-                )
-                k.append(_rhs(yi, g))
-            y5 = tuple(y[j] + dt * sum(b * k[m][j] for m, b in enumerate(_B5)) for j in range(6))
-            guarded(y5)
-            k7 = _rhs(y5, g)
+            u20 = v0 + dt * (0.0 + _A21 * a10)
+            u21 = v1 + dt * (0.0 + _A21 * a11)
+            u22 = v2 + dt * (0.0 + _A21 * a12)
+            a20, a21, a22 = _accel(
+                l + dt * (0.0 + _A21 * v0),
+                r1 + dt * (0.0 + _A21 * v1),
+                r2 + dt * (0.0 + _A21 * v2),
+                g,
+            )
+            u30 = v0 + dt * (0.0 + _A31 * a10 + _A32 * a20)
+            u31 = v1 + dt * (0.0 + _A31 * a11 + _A32 * a21)
+            u32 = v2 + dt * (0.0 + _A31 * a12 + _A32 * a22)
+            a30, a31, a32 = _accel(
+                l + dt * (0.0 + _A31 * v0 + _A32 * u20),
+                r1 + dt * (0.0 + _A31 * v1 + _A32 * u21),
+                r2 + dt * (0.0 + _A31 * v2 + _A32 * u22),
+                g,
+            )
+            u40 = v0 + dt * (0.0 + _A41 * a10 + _A42 * a20 + _A43 * a30)
+            u41 = v1 + dt * (0.0 + _A41 * a11 + _A42 * a21 + _A43 * a31)
+            u42 = v2 + dt * (0.0 + _A41 * a12 + _A42 * a22 + _A43 * a32)
+            a40, a41, a42 = _accel(
+                l + dt * (0.0 + _A41 * v0 + _A42 * u20 + _A43 * u30),
+                r1 + dt * (0.0 + _A41 * v1 + _A42 * u21 + _A43 * u31),
+                r2 + dt * (0.0 + _A41 * v2 + _A42 * u22 + _A43 * u32),
+                g,
+            )
+            u50 = v0 + dt * (0.0 + _A51 * a10 + _A52 * a20 + _A53 * a30 + _A54 * a40)
+            u51 = v1 + dt * (0.0 + _A51 * a11 + _A52 * a21 + _A53 * a31 + _A54 * a41)
+            u52 = v2 + dt * (0.0 + _A51 * a12 + _A52 * a22 + _A53 * a32 + _A54 * a42)
+            a50, a51, a52 = _accel(
+                l + dt * (0.0 + _A51 * v0 + _A52 * u20 + _A53 * u30 + _A54 * u40),
+                r1 + dt * (0.0 + _A51 * v1 + _A52 * u21 + _A53 * u31 + _A54 * u41),
+                r2 + dt * (0.0 + _A51 * v2 + _A52 * u22 + _A53 * u32 + _A54 * u42),
+                g,
+            )
+            u60 = v0 + dt * (0.0 + _A61 * a10 + _A62 * a20 + _A63 * a30 + _A64 * a40 + _A65 * a50)
+            u61 = v1 + dt * (0.0 + _A61 * a11 + _A62 * a21 + _A63 * a31 + _A64 * a41 + _A65 * a51)
+            u62 = v2 + dt * (0.0 + _A61 * a12 + _A62 * a22 + _A63 * a32 + _A64 * a42 + _A65 * a52)
+            a60, a61, a62 = _accel(
+                l + dt * (0.0 + _A61 * v0 + _A62 * u20 + _A63 * u30 + _A64 * u40 + _A65 * u50),
+                r1 + dt * (0.0 + _A61 * v1 + _A62 * u21 + _A63 * u31 + _A64 * u41 + _A65 * u51),
+                r2 + dt * (0.0 + _A61 * v2 + _A62 * u22 + _A63 * u32 + _A64 * u42 + _A65 * u52),
+                g,
+            )
+            # the 5th-order solution (p7, u7) is the 7th stage's state
+            u70 = v0 + dt * (0.0 + _A71 * a10 + _A73 * a30 + _A74 * a40 + _A75 * a50 + _A76 * a60)
+            u71 = v1 + dt * (0.0 + _A71 * a11 + _A73 * a31 + _A74 * a41 + _A75 * a51 + _A76 * a61)
+            u72 = v2 + dt * (0.0 + _A71 * a12 + _A73 * a32 + _A74 * a42 + _A75 * a52 + _A76 * a62)
+            p70 = l + dt * (0.0 + _A71 * v0 + _A73 * u30 + _A74 * u40 + _A75 * u50 + _A76 * u60)
+            p71 = r1 + dt * (0.0 + _A71 * v1 + _A73 * u31 + _A74 * u41 + _A75 * u51 + _A76 * u61)
+            p72 = r2 + dt * (0.0 + _A71 * v2 + _A73 * u32 + _A74 * u42 + _A75 * u52 + _A76 * u62)
+            a70, a71, a72 = _accel(p70, p71, p72, g)
+            if abs(p70) * (p71 * p71 + p72 * p72) < guard:
+                raise OnSingularSet("singular-approach guard tripped")
         except OnSingularSet:
             last = traj.final_state()
             raise SingularApproach(
                 f"approached the singular set near t = {t:.6g}", traj, last
             ) from None
-        k.append(k7)
-        err = 0.0
-        for j in range(6):
-            e = dt * sum(c * k[m][j] for m, c in enumerate(_ERR))
-            sc = tol + tol * max(abs(y[j]), abs(y5[j]))
-            err += (e / sc) ** 2
+        # error estimate per component, RMS-normed against tol (1 + max(|old|, |new|))
+        e0 = dt * (0.0 + _E1 * v0 + _E3 * u30 + _E4 * u40 + _E5 * u50 + _E6 * u60 + _E7 * u70)
+        e1 = dt * (0.0 + _E1 * v1 + _E3 * u31 + _E4 * u41 + _E5 * u51 + _E6 * u61 + _E7 * u71)
+        e2 = dt * (0.0 + _E1 * v2 + _E3 * u32 + _E4 * u42 + _E5 * u52 + _E6 * u62 + _E7 * u72)
+        e3 = dt * (0.0 + _E1 * a10 + _E3 * a30 + _E4 * a40 + _E5 * a50 + _E6 * a60 + _E7 * a70)
+        e4 = dt * (0.0 + _E1 * a11 + _E3 * a31 + _E4 * a41 + _E5 * a51 + _E6 * a61 + _E7 * a71)
+        e5 = dt * (0.0 + _E1 * a12 + _E3 * a32 + _E4 * a42 + _E5 * a52 + _E6 * a62 + _E7 * a72)
+        err = (
+            (e0 / (tol + tol * max(abs(l), abs(p70)))) ** 2
+            + (e1 / (tol + tol * max(abs(r1), abs(p71)))) ** 2
+            + (e2 / (tol + tol * max(abs(r2), abs(p72)))) ** 2
+            + (e3 / (tol + tol * max(abs(v0), abs(u70)))) ** 2
+            + (e4 / (tol + tol * max(abs(v1), abs(u71)))) ** 2
+            + (e5 / (tol + tol * max(abs(v2), abs(u72)))) ** 2
+        )
         err = math.sqrt(err / 6.0)
         if err <= 1.0:
             t += dt
-            y = y5
-            f = k7  # first-same-as-last
-            traj.append(t, y)
+            l, r1, r2, v0, v1, v2 = p70, p71, p72, u70, u71, u72
+            a10, a11, a12 = a70, a71, a72  # first-same-as-last
+            traj.append(t, (l, r1, r2, v0, v1, v2))
             traj.n_accepted += 1
         else:
             traj.n_rejected += 1

@@ -263,6 +263,8 @@ def test_manifest_with_seed_key_still_reruns(tmp_path, capsys):
 
 
 STATE_CFG = {"kind": "state", "g": 1.0, "state": [-10.0, -8.0, 0.0, 1.0, 0.5, 0.0], "t_end": 1.0}
+LOOP_CFG = {"kind": "line", "preset": "trisectrice-loop", "params": {"rho": "1"}}
+SPHERE_CFG = {"kind": "surface", "preset": "sphere", "params": {"center": [0, 0], "radius": 1.0}}
 
 
 @pytest.mark.parametrize(
@@ -278,6 +280,8 @@ STATE_CFG = {"kind": "state", "g": 1.0, "state": [-10.0, -8.0, 0.0, 1.0, 0.5, 0.
         ("scatter", {**SCATTER_CFG, "g": "1.0"}, [], "config error: 'g' must be a finite number"),
         ("scatter", {**SCATTER_CFG, "m1_grid": [float("nan")]}, [], "config error: 'm1_grid' must be"),
         ("scatter", SCATTER_CFG, ["--manifest", "missing/m.json"], "cannot write output: "),
+        ("integrate-form", LOOP_CFG, [], "config error: 'rho' must be a finite number, got '1'"),
+        ("integrate-form", SPHERE_CFG, [], "config error: 'center' must have 3 entries, got [0, 0]"),
     ],
     ids=[
         "tol-zero",
@@ -290,6 +294,8 @@ STATE_CFG = {"kind": "state", "g": 1.0, "state": [-10.0, -8.0, 0.0, 1.0, 0.5, 0.
         "scatter-g-string",
         "grid-nan",
         "manifest-missing-dir",
+        "form-param-string",
+        "sphere-center-2",
     ],
 )
 def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, cfg, flags, message):
@@ -332,6 +338,42 @@ def test_integrate_form_loop(tmp_path, capsys):
 
 def test_integrate_form_requires_domain(capsys):
     assert main(["integrate-form"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["surface", "--preset", "cubic-band", "--rho", "1"],
+            "config error: surface preset 'cubic-band' needs parameter 'a1'",
+        ),
+        (
+            ["surface", "--preset", "sphere", "--center", "0,0,x", "--radius", "1"],
+            "config error: --center needs comma-separated numbers, got '0,0,x'",
+        ),
+    ],
+    ids=["missing-a1", "center-not-numbers"],
+)
+def test_integrate_form_flag_errors_exit_2(capsys, argv, message):
+    assert main(["integrate-form", *argv]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == message
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--phi", "1e308"], "ValueError: non-finite ternary component: inf"),
+        (["--rho", "1e308"], "OverflowError: "),
+    ],
+    ids=["phi-overflow", "rho-overflow"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_numeric_failure_is_not_a_config_error(capsys, flags, message):
+    # valid config values whose integrand overflows: a failed run, not bad input
+    assert main(["integrate-form", "line", "--preset", "trisectrice-loop", *flags]) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith(message) for line in err.splitlines())
+    assert "config error" not in err and "Traceback" not in err
 
 
 def test_config_round_trips():

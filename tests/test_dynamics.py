@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -153,6 +154,62 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,l,r1,r2,v0,v1,v2,M0,M1,M2,E"
     assert len(lines) == n + 1
+
+
+# Start states and end times of two pinned runs, as the closed forms give them:
+# acceptance criterion 9's planar run (z 1.9 -> 0.35 on the (g, M2, z0, z1) =
+# (1, 1, 1, 2) trajectory) and criterion 11's general run at (M1, M2) =
+# (-1, 1) between the radius-400 edges.  Literals, so that the pins below
+# depend on integrate alone.
+PLANAR_PIN = (
+    (-28.455050669473618, -14.976342457617694, 0.0, 1.2862943611198905, 0.6418538861723947, 0.0),
+    34.37286089721492,
+)
+GENERAL_PIN = (
+    (-317.9873143865827, -399.9999999999872, -2.5158570167588787,
+     0.39496835231577765, 0.49369057765447144, -1.986274025063536e-05),
+    1471.1427307016766,
+)
+
+
+def _digest(traj):
+    text = repr((traj.times, traj.states, traj.m_ledger, traj.energy))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_integrate_bits_are_pinned():
+    # every sample of three runs, bit for bit (repr keeps signed zeros)
+    state, t_end = PLANAR_PIN
+    traj = integrate(MonopoleState(*state), 1.0, t_end, tol=1e-10, max_step=t_end / 12000)
+    assert (traj.n_accepted, traj.n_rejected) == (12001, 0)
+    assert _digest(traj) == "69636d853092b5cd88ffd61a0728cc7b7caf7e4314be58e249b9008e9be633a7"
+
+    state, t_end = GENERAL_PIN
+    traj = integrate(MonopoleState(*state), 1.0, t_end, tol=1e-10)
+    assert (traj.n_accepted, traj.n_rejected) == (175, 0)
+    assert _digest(traj) == "80c1ccc72a9c0ff1741e9ea13bf1f80cdb0bde6e7a7e97abecafcea34087c978"
+
+    with pytest.raises(SingularApproach) as info:
+        integrate(MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0), 1.0, 10.0, tol=1e-8)
+    part = info.value.trajectory
+    assert str(info.value) == "approached the singular set near t = 0.711046"
+    assert (len(part), part.n_accepted, part.n_rejected) == (66, 65, 62)
+    assert _digest(part) == "107248426c4a83d9531634971fcad2ea5398d5aba9c6975fe0e7d3730a0c4029"
+
+
+@pytest.mark.parametrize("pin", [PLANAR_PIN, GENERAL_PIN], ids=["planar", "general"])
+def test_integrate_matches_scipy_dop853(pin):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    state, t_end = pin
+
+    def rhs(t, y):
+        return [y[3], y[4], y[5], *newton_rhs(MonopoleState(*y), 1.0)]
+
+    ref = solve_ivp(rhs, (0.0, t_end), state, method="DOP853", rtol=1e-12, atol=1e-12)
+    assert ref.success
+    got = integrate(MonopoleState(*state), 1.0, t_end, tol=1e-10).final_state().as_tuple()
+    for a, b in zip(got, ref.y[:, -1]):
+        assert abs(a - b) <= 1e-7 * abs(b)
 
 
 # --- asymptote equation ------------------------------------------------------
