@@ -12,7 +12,7 @@ holomorphy:
   their product.
 
 All derivative checks are numerical (central differences, two step sizes);
-all integrals are adaptive Gauss-Kronrod with an evaluation budget.
+all integrals are adaptive Gauss-Kronrod (see ternion.quadrature).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     SingularNumber,
     SingularOnPath,
 )
-from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
+from .quadrature import DEFAULT_TOL, adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
 
 __all__ = [
     "TernaryField",
@@ -336,7 +336,7 @@ def _guard_singular(evaluate):
     return wrapped
 
 
-def line_integral(F, curve: Curve, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> Ternary:
+def line_integral(F, curve: Curve, tol: float = DEFAULT_TOL) -> Ternary:
     """Integral of the 1-form F dz along the curve.
 
     The three component 1-forms are exactly the components of the algebra
@@ -346,10 +346,10 @@ def line_integral(F, curve: Curve, tol: float = DEFAULT_TOL, budget: int = DEFAU
 
     @_guard_singular
     def integrand(t):
-        return np.array(mul(F(curve.gamma(t)), curve.velocity(t)).components())
+        return mul(F(curve.gamma(t)), curve.velocity(t)).components()
 
-    value = adaptive_quad(integrand, curve.t_start, curve.t_end, tol, budget)
-    return Ternary(*value)
+    value = adaptive_quad(integrand, curve.t_start, curve.t_end, tol)
+    return Ternary(*value.tolist())
 
 
 class SurfacePatch:
@@ -378,7 +378,7 @@ class SurfacePatch:
         return du, dv
 
 
-def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> Ternary:
+def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL) -> Ternary:
     """Integral over the patch of the three 2-forms attached to Phi.
 
     With the pullback Jacobians J12, J20, J01 (areas on the coordinate
@@ -397,19 +397,18 @@ def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL, b
         j20 = du.x2 * dv.x0 - du.x0 * dv.x2
         j01 = du.x0 * dv.x1 - du.x1 * dv.x0
         f0, f1, f2 = Phi(x).components()
-        return patch.orientation * np.array(
-            [
-                f0 * j12 + f1 * j20 + f2 * j01,
-                f1 * j12 + f2 * j20 + f0 * j01,
-                f2 * j12 + f0 * j20 + f1 * j01,
-            ]
+        o = patch.orientation
+        return (
+            o * (f0 * j12 + f1 * j20 + f2 * j01),
+            o * (f1 * j12 + f2 * j20 + f0 * j01),
+            o * (f2 * j12 + f0 * j20 + f1 * j01),
         )
 
-    value = adaptive_quad_2d(integrand, patch.u_range, patch.v_range, tol, budget)
-    return Ternary(*value)
+    value = adaptive_quad_2d(integrand, patch.u_range, patch.v_range, tol)
+    return Ternary(*value.tolist())
 
 
-def volume_integral_3form(W, box, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> Ternary:
+def volume_integral_3form(W, box, tol: float = DEFAULT_TOL) -> Ternary:
     """Componentwise volume integral of W over a box ((a0,b0),(a1,b1),(a2,b2)).
 
     Each component multiplies the same volume element dx0^dx1^dx2, so the
@@ -418,10 +417,10 @@ def volume_integral_3form(W, box, tol: float = DEFAULT_TOL, budget: int = DEFAUL
 
     @_guard_singular
     def integrand(x0, x1, x2):
-        return np.array(W(Ternary(x0, x1, x2)).components())
+        return W(Ternary(x0, x1, x2)).components()
 
-    value = adaptive_quad_3d(integrand, box, tol, budget)
-    return Ternary(*value)
+    value = adaptive_quad_3d(integrand, box, tol)
+    return Ternary(*value.tolist())
 
 
 @dataclass(frozen=True)
@@ -559,6 +558,8 @@ def polar_band_patch(rho: float, phi_lo: float, phi_hi: float) -> SurfacePatch:
 
 def sphere_patch(center: Ternary, radius: float) -> SurfacePatch:
     """Round sphere (closed surface) with outward orientation."""
+    if not radius > 0.0:
+        raise DomainError(f"sphere radius must be positive, got {radius}")
 
     def param(u, v):
         return Ternary(

@@ -181,7 +181,8 @@ class FormConfig:
         for key, value in self.params.items():
             size = self.VECTOR_PARAMS.get(key)
             if size is None:
-                _number(key, value)
+                # a sphere of radius <= 0 would flip or zero the flux
+                _number(key, value, positive=key == "radius")
             elif not isinstance(value, (list, tuple)) or len(value) != size:
                 raise ConfigError(f"{key!r} must have {size} entries, got {value!r}")
             else:

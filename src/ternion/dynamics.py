@@ -68,6 +68,9 @@ ROOT_RESIDUAL = 1e-12
 #: |J| below this raises JacobianSingular.
 EPS_JACOBIAN = 1e-12
 
+#: Relative step of the central differences in the scattering Jacobian.
+FD_SCALE = 1e-5
+
 #: Allowed imaginary residue in the closed-form velocity (it must be real).
 EPS_IMAG = 1e-12
 
@@ -452,7 +455,7 @@ class PlanarSolution:
             return 0.0
 
         def kernel(u):
-            return np.array([(_f_planar(u, self.z0) - self._c) ** -2.0])
+            return ((_f_planar(u, self.z0) - self._c) ** -2.0,)
 
         val = adaptive_quad(kernel, self.z0, z, tol)
         return -(self.m2**3 / self.g**2) * float(val[0])
@@ -563,7 +566,7 @@ class GeneralSolution:
             return 0.0
 
         def kernel(u):
-            return np.array([self.psi(u) ** -2.0])
+            return (self.psi(u) ** -2.0,)
 
         val = adaptive_quad(kernel, self.y0, y, tol)
         return (self.m0 / self.g**2) * float(val[0])
@@ -709,11 +712,11 @@ def _scatter_point(g, y1, z1, v1_inf, m1, m2):
     return ytilde1, 0.5 * float(v_out @ v_out), v_out, m0, y0
 
 
-def scattering_map(setup: ScatteringSetup, fd_scale: float = 1e-5) -> ScatteringResult:
+def scattering_map(setup: ScatteringSetup) -> ScatteringResult:
     """Exit slope, final energy, and differential cross-section element.
 
     The map (M1, M2) -> (ytilde1, E) is differentiated centrally with steps
-    fd_scale (1 + |Mi|) while the incoming direction and speed stay fixed;
+    FD_SCALE (1 + |Mi|) while the incoming direction and speed stay fixed;
     the cross-section element is
 
         dsigma = d(ytilde1) dE / (J |v0(-inf)| |v(-inf)|).
@@ -721,8 +724,8 @@ def scattering_map(setup: ScatteringSetup, fd_scale: float = 1e-5) -> Scattering
     g, y1, z1, v1_inf = setup.g, setup.y1, setup.z1, setup.v1_inf
     ytilde1, energy, v_out, m0, y0 = _scatter_point(g, y1, z1, v1_inf, setup.m1, setup.m2)
 
-    h1 = fd_scale * (1.0 + abs(setup.m1))
-    h2 = fd_scale * (1.0 + abs(setup.m2))
+    h1 = FD_SCALE * (1.0 + abs(setup.m1))
+    h2 = FD_SCALE * (1.0 + abs(setup.m2))
     yp1, ep1 = _scatter_point(g, y1, z1, v1_inf, setup.m1 + h1, setup.m2)[:2]
     ym1, em1 = _scatter_point(g, y1, z1, v1_inf, setup.m1 - h1, setup.m2)[:2]
     yp2, ep2 = _scatter_point(g, y1, z1, v1_inf, setup.m1, setup.m2 + h2)[:2]

@@ -1,24 +1,31 @@
 """Adaptive Gauss-Kronrod quadrature for vector-valued integrands.
 
-A (G7, K15) embedded pair drives interval/cell subdivision: the value is the
-Kronrod estimate, the error estimate is |K15 - G7| (per component, reduced by
-max).  All routines share an evaluation budget and raise QuadratureFailure
-when the requested absolute tolerance cannot be met within it.
+One tensor rule and one refinement loop serve 1D and 2D.  A cell is a box of
+d axes, evaluated on its 15^d (G7, K15) tensor nodes: its value is the K15
+estimate, its error on an axis is max |value - the rule with G7 on that axis|,
+and the worst cell is bisected on its worst axis until the summed error is
+<= the absolute tolerance.  Volume integrals iterate a 1D rule over 2D ones.
+
+Each public call owns one budget of 10**6 integrand evaluations, shared with
+the inner rules of a volume integral.  QuadratureFailure is raised when the
+budget runs out, a cell stalls (see _integrate) or the integrand is not finite.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["adaptive_quad", "adaptive_quad_2d", "adaptive_quad_3d", "DEFAULT_TOL", "DEFAULT_BUDGET"]
+__all__ = ["adaptive_quad", "adaptive_quad_2d", "adaptive_quad_3d", "DEFAULT_TOL", "BUDGET"]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_BUDGET = 10**6
+#: Integrand evaluations allowed per public call.
+BUDGET = 10**6
 
 # Kronrod-15 abscissae (positive half) and weights; the Gauss-7 subset sits at
 # every second node.
@@ -59,123 +66,98 @@ for _i, _w in zip((1, 3, 5), _WG[:3]):
 WEIGHTS_G[7] = _WG[3]
 
 
-class _Budget:
-    __slots__ = ("left",)
+# per dimension: the tensor Kronrod weights, and per axis the weights with G7
+# on that axis, flattened in itertools.product order
+_RULES = {
+    1: (WEIGHTS_K, [WEIGHTS_G]),
+    2: (
+        np.outer(WEIGHTS_K, WEIGHTS_K).ravel(),
+        [np.outer(WEIGHTS_G, WEIGHTS_K).ravel(), np.outer(WEIGHTS_K, WEIGHTS_G).ravel()],
+    ),
+}
 
-    def __init__(self, n):
-        self.left = n
 
-    def spend(self, n):
-        self.left -= n
-        if self.left < 0:
-            raise QuadratureFailure("quadrature evaluation budget exhausted")
+def _weighted_sum(weights, vals):
+    # accumulate adds the rows one after another, as sum() does; reduce would
+    # sum a one-column array pairwise and change the last bits
+    return np.add.accumulate(weights[:, None] * vals)[-1]
 
 
-def _eval_panel(f, a, b, budget):
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    budget.spend(15)
-    vals = [np.asarray(f(c + h * x), dtype=float) for x in NODES]
-    k = h * sum(w * v for w, v in zip(WEIGHTS_K, vals))
-    g = h * sum(w * v for w, v in zip(WEIGHTS_G, vals) if w != 0.0)
+def _span(box) -> str:
+    return " x ".join(f"[{lo}, {hi}]" for lo, hi in box)
+
+
+def _cell(f, box, budget):
+    """Kronrod value, error estimate and split axis of f on a box.
+
+    budget is a one-item list holding the evaluations left.
+    """
+    d = len(box)
+    budget[0] -= 15**d
+    if budget[0] < 0:
+        raise QuadratureFailure("quadrature evaluation budget exhausted")
+    halves = [0.5 * (hi - lo) for lo, hi in box]
+    axes = [[0.5 * (lo + hi) + h * x for x in NODES] for (lo, hi), h in zip(box, halves)]
+    vals = np.array([f(*p) for p in itertools.product(*axes)], dtype=float).reshape(15**d, -1)
+    k_weights, g_weights = _RULES[d]
+    scale = math.prod(halves)
+    k = scale * _weighted_sum(k_weights, vals)
     if not np.all(np.isfinite(k)):
-        raise QuadratureFailure(f"non-finite integrand on [{a}, {b}]")
-    return k, float(np.max(np.abs(k - g)))
+        raise QuadratureFailure(f"non-finite integrand on {_span(box)}")
+    errs = [float(np.max(np.abs(k - scale * _weighted_sum(w, vals)))) for w in g_weights]
+    err = max(errs)
+    return k, err, errs.index(err)
 
 
-def adaptive_quad(f, a, b, tol=DEFAULT_TOL, budget=None):
+def _integrate(f, box, tol, budget):
+    """Bisect the worst cell until the summed error estimate is <= tol.
+
+    Reversed 1D limits flip the sign; a reversed 2D axis gets a negative
+    half-width, which also gives the oriented value.  A cell stalls,
+    and the integral fails, when its error is 0 or its split axis is no wider
+    than |lo| 1e-15 + 1e-300.
+    """
+    if len(box) == 1 and box[0][1] < box[0][0]:
+        return -_integrate(f, (box[0][::-1],), tol, budget)
+    order = itertools.count()
+    val, err, axis = _cell(f, box, budget)
+    heap = [(-err, next(order), box, val, err, axis)]
+    total_err = err
+    while total_err > tol:
+        _, _, box, val, err, axis = heapq.heappop(heap)
+        lo, hi = box[axis]
+        if err <= 0.0 or abs(hi - lo) <= abs(lo) * 1e-15 + 1e-300:
+            raise QuadratureFailure(f"cell {_span(box)} stalled with error {err:.3e} (tol {tol:.1e})")
+        mid = 0.5 * (lo + hi)
+        total_err -= err
+        for part in ((lo, mid), (mid, hi)):
+            half = box[:axis] + (part,) + box[axis + 1 :]
+            hval, herr, haxis = _cell(f, half, budget)
+            total_err += herr
+            heapq.heappush(heap, (-herr, next(order), half, hval, herr, haxis))
+    return sum(item[3] for item in heap)
+
+
+def adaptive_quad(f, a, b, tol=DEFAULT_TOL):
     """Integrate vector-valued f over [a, b] to absolute tolerance tol.
 
     Reversed limits flip the sign, as usual.
     """
-    if b < a:
-        return -adaptive_quad(f, b, a, tol, budget)
-    budget = budget if isinstance(budget, _Budget) else _Budget(budget or DEFAULT_BUDGET)
-    counter = itertools.count()
-    val, err = _eval_panel(f, a, b, budget)
-    heap = [(-err, next(counter), a, b, val, err)]
-    total_err = err
-    while total_err > tol:
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if perr <= 0.0 or pb - pa <= abs(pa) * 1e-15 + 1e-300:
-            # cannot refine further; put it back and give up
-            heapq.heappush(heap, (neg_err, next(counter), pa, pb, pval, perr))
-            raise QuadratureFailure(
-                f"interval [{pa}, {pb}] stalled with error {perr:.3e} (tol {tol:.1e})"
-            )
-        pm = 0.5 * (pa + pb)
-        lv, le = _eval_panel(f, pa, pm, budget)
-        rv, re = _eval_panel(f, pm, pb, budget)
-        total_err += le + re - perr
-        heapq.heappush(heap, (-le, next(counter), pa, pm, lv, le))
-        heapq.heappush(heap, (-re, next(counter), pm, pb, rv, re))
-    return sum(item[4] for item in heap)
+    return _integrate(f, ((a, b),), tol, [BUDGET])
 
 
-def _eval_cell(f, u0, u1, v0, v1, budget):
-    cu, hu = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
-    cv, hv = 0.5 * (v0 + v1), 0.5 * (v1 - v0)
-    budget.spend(225)
-    grid = [[np.asarray(f(cu + hu * xu, cv + hv * xv), dtype=float) for xv in NODES] for xu in NODES]
-    scale = hu * hv
-    kk = scale * sum(
-        WEIGHTS_K[i] * WEIGHTS_K[j] * grid[i][j] for i in range(15) for j in range(15)
-    )
-    gk = scale * sum(
-        WEIGHTS_G[i] * WEIGHTS_K[j] * grid[i][j]
-        for i in range(15)
-        for j in range(15)
-        if WEIGHTS_G[i] != 0.0
-    )
-    kg = scale * sum(
-        WEIGHTS_K[i] * WEIGHTS_G[j] * grid[i][j]
-        for i in range(15)
-        for j in range(15)
-        if WEIGHTS_G[j] != 0.0
-    )
-    if not np.all(np.isfinite(kk)):
-        raise QuadratureFailure("non-finite integrand on a surface cell")
-    err_u = float(np.max(np.abs(kk - gk)))
-    err_v = float(np.max(np.abs(kk - kg)))
-    return kk, max(err_u, err_v), err_u >= err_v
-
-
-def adaptive_quad_2d(f, u_range, v_range, tol=DEFAULT_TOL, budget=None):
+def adaptive_quad_2d(f, u_range, v_range, tol=DEFAULT_TOL):
     """Integrate vector-valued f(u, v) over a rectangle to absolute tol."""
-    budget = budget if isinstance(budget, _Budget) else _Budget(budget or DEFAULT_BUDGET)
-    counter = itertools.count()
-    u0, u1 = u_range
-    v0, v1 = v_range
-    val, err, split_u = _eval_cell(f, u0, u1, v0, v1, budget)
-    heap = [(-err, next(counter), (u0, u1, v0, v1), val, err, split_u)]
-    total_err = err
-    while total_err > tol:
-        neg_err, _, cell, cval, cerr, csplit_u = heapq.heappop(heap)
-        a0, a1, b0, b1 = cell
-        if cerr <= 0.0 or (a1 - a0 < 1e-13 and b1 - b0 < 1e-13):
-            heapq.heappush(heap, (neg_err, next(counter), cell, cval, cerr, csplit_u))
-            raise QuadratureFailure(f"surface cell {cell} stalled with error {cerr:.3e}")
-        if csplit_u:
-            mid = 0.5 * (a0 + a1)
-            halves = ((a0, mid, b0, b1), (mid, a1, b0, b1))
-        else:
-            mid = 0.5 * (b0 + b1)
-            halves = ((a0, a1, b0, mid), (a0, a1, mid, b1))
-        total_err -= cerr
-        for h in halves:
-            hv, he, hs = _eval_cell(f, *h, budget)
-            total_err += he
-            heapq.heappush(heap, (-he, next(counter), h, hv, he, hs))
-    return sum(item[3] for item in heap)
+    return _integrate(f, (u_range, v_range), tol, [BUDGET])
 
 
-def adaptive_quad_3d(f, ranges, tol=DEFAULT_TOL, budget=None):
+def adaptive_quad_3d(f, ranges, tol=DEFAULT_TOL):
     """Integrate vector-valued f(x0, x1, x2) over a box (iterated 1D/2D)."""
-    budget = budget if isinstance(budget, _Budget) else _Budget(budget or DEFAULT_BUDGET)
     (a0, b0), r1, r2 = ranges
-    span = max(b0 - a0, 1.0)
-    inner_tol = tol / (4.0 * span)
+    inner_tol = tol / (4.0 * max(b0 - a0, 1.0))
+    budget = [BUDGET]
 
     def outer(x0):
-        return adaptive_quad_2d(lambda x1, x2: f(x0, x1, x2), r1, r2, inner_tol, budget)
+        return _integrate(lambda x1, x2: f(x0, x1, x2), (r1, r2), inner_tol, budget)
 
-    return adaptive_quad(outer, a0, b0, tol, budget)
+    return _integrate(outer, ((a0, b0),), tol, budget)

@@ -14,9 +14,12 @@ from .errors import RootFindingFailure
 __all__ = ["brent", "scan_bracket"]
 
 _EPS = 2.220446049250313e-16
+# absolute x tolerance and iteration cap of brent
+_XTOL = 1e-15
+_MAXITER = 200
 
 
-def brent(f, a, b, fa=None, fb=None, xtol=1e-15, maxiter=200):
+def brent(f, a, b, fa=None, fb=None):
     """Root of f in the sign-change interval [a, b]."""
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
@@ -28,11 +31,11 @@ def brent(f, a, b, fa=None, fb=None, xtol=1e-15, maxiter=200):
         raise RootFindingFailure(f"no sign change on [{a}, {b}]: f = ({fa:.3e}, {fb:.3e})")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        tol = 2.0 * _EPS * abs(b) + 0.5 * _XTOL
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b

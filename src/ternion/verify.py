@@ -497,7 +497,7 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
     worst, ce = 0.0, None
     for y in (0.2, 0.5, 1.2):
         quad = g * float(
-            adaptive_quad(lambda u: np.array([1.0 / ((1 + u * u) * (m1 + m2 * u))]), 0.9, y, 1e-13)[0]
+            adaptive_quad(lambda u: (1.0 / ((1 + u * u) * (m1 + m2 * u)),), 0.9, y, 1e-13)[0]
         )
         r = abs(gsol.v1(y) - quad)
         if r > worst:

@@ -262,6 +262,22 @@ def test_surface_closed_non_enclosing_is_zero():
     assert got.max_abs() <= 1e-8
 
 
+def test_sphere_radius_must_be_positive():
+    for radius in (-0.5, 0.0):
+        with pytest.raises(DomainError, match="radius"):
+            sphere_patch(Ternary(0.0, 0.0, 2.0), radius)
+
+
+def test_form_integrals_hold_python_floats():
+    values = [
+        line_integral(reciprocal_field, trisectrice_loop(rho=1.0), tol=1e-9),
+        surface_integral_2form(inverse_conjugate_field(), polar_band_patch(1.0, -0.2, 0.3), tol=1e-9),
+        volume_integral_3form(one_field, ((0, 1), (0, 1), (0, 1)), tol=1e-9),
+    ]
+    for value in values:
+        assert all(type(c) is float for c in value.components())
+
+
 def test_volume_unit_cube():
     got = volume_integral_3form(one_field, ((0, 1), (0, 1), (0, 1)), tol=1e-10)
     assert ternary_close(got, ta.ONE, 1e-9)

@@ -265,6 +265,7 @@ def test_manifest_with_seed_key_still_reruns(tmp_path, capsys):
 STATE_CFG = {"kind": "state", "g": 1.0, "state": [-10.0, -8.0, 0.0, 1.0, 0.5, 0.0], "t_end": 1.0}
 LOOP_CFG = {"kind": "line", "preset": "trisectrice-loop", "params": {"rho": "1"}}
 SPHERE_CFG = {"kind": "surface", "preset": "sphere", "params": {"center": [0, 0], "radius": 1.0}}
+SPHERE_AT = {"kind": "surface", "preset": "sphere", "field_name": "identity"}
 
 
 @pytest.mark.parametrize(
@@ -282,6 +283,18 @@ SPHERE_CFG = {"kind": "surface", "preset": "sphere", "params": {"center": [0, 0]
         ("scatter", SCATTER_CFG, ["--manifest", "missing/m.json"], "cannot write output: "),
         ("integrate-form", LOOP_CFG, [], "config error: 'rho' must be a finite number, got '1'"),
         ("integrate-form", SPHERE_CFG, [], "config error: 'center' must have 3 entries, got [0, 0]"),
+        (
+            "integrate-form",
+            {**SPHERE_AT, "params": {"center": [0, 0, 2], "radius": -0.5}},
+            [],
+            "config error: 'radius' must be > 0, got -0.5",
+        ),
+        (
+            "integrate-form",
+            {**SPHERE_AT, "params": {"center": [0, 0, 2], "radius": 0}},
+            [],
+            "config error: 'radius' must be > 0, got 0",
+        ),
     ],
     ids=[
         "tol-zero",
@@ -296,6 +309,8 @@ SPHERE_CFG = {"kind": "surface", "preset": "sphere", "params": {"center": [0, 0]
         "manifest-missing-dir",
         "form-param-string",
         "sphere-center-2",
+        "sphere-radius-negative",
+        "sphere-radius-zero",
     ],
 )
 def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, cfg, flags, message):

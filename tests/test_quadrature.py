@@ -1,0 +1,83 @@
+import hashlib
+import math
+
+import pytest
+
+from ternion import algebra as ta
+from ternion.calculus import (
+    TernaryField,
+    cubic_band_patch,
+    line_integral,
+    polar_band_patch,
+    sphere_patch,
+    surface_integral_2form,
+    trisectrice_loop,
+    volume_integral_3form,
+)
+from ternion.dynamics import general_solution, planar_solution
+from ternion.errors import QuadratureFailure
+from ternion.quadrature import adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
+
+reciprocal = TernaryField(ta.inverse, name="1/z")
+inverse_conjugate = TernaryField(lambda z: ta.scale(z, 1.0 / ta.norm_cubed(z)), name="z/||z||^3")
+identity = TernaryField(lambda z: z, name="z")
+C0, C1 = ta.Ternary(0.3, -0.7, 0.2), ta.Ternary(-0.4, 0.9, 0.6)
+quadratic = TernaryField(lambda z: ta.mul(C1, ta.mul(z, z)) + C0, name="c1 z^2 + c0")
+
+
+def _floats(value):
+    return tuple(float(c) for c in value.components())
+
+
+def test_quadrature_bits_are_pinned():
+    # every quadrature path, bit for bit (repr keeps signed zeros and the
+    # last bits); the values below sum cells in the order the refinement
+    # leaves them, so a change of rule, sum order or loop shows here
+    values = [
+        _floats(line_integral(reciprocal, trisectrice_loop(1.3, 0.2), tol=1e-9)),
+        _floats(surface_integral_2form(inverse_conjugate, cubic_band_patch(1.1, 0.8, 2.0), tol=1e-9)),
+        _floats(surface_integral_2form(inverse_conjugate, polar_band_patch(0.9, -0.3, 0.2), tol=1e-9)),
+        _floats(surface_integral_2form(identity, sphere_patch(ta.Ternary(0.0, 0.0, 2.0), 0.5), tol=1e-9)),
+        _floats(volume_integral_3form(quadratic, ((-0.5, 0.4), (0.1, 1.2), (-1.0, 0.3)), tol=1e-9)),
+        planar_solution(1.0, 1.0, 1.0, 2.0).t(1.25),
+        general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1).t(1.0),
+    ]
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "ab67e836da0e0b23921ec42e1336d5106c8c7393389cb51b117f5346e06f6004"
+
+
+def test_non_finite_integrand_fails_1d():
+    with pytest.raises(QuadratureFailure, match="non-finite integrand"):
+        adaptive_quad(lambda x: (math.inf,), 0.0, 1.0)
+
+
+def test_non_finite_integrand_fails_2d():
+    with pytest.raises(QuadratureFailure, match="non-finite integrand"):
+        adaptive_quad_2d(lambda u, v: (1.0, math.nan), (0.0, 1.0), (0.0, 1.0))
+
+
+def _counting(f):
+    def counted(*args):
+        counted.n += 1
+        return f(*args)
+
+    counted.n = 0
+    return counted
+
+
+def test_budget_exhaustion_fails():
+    # far too fast an oscillation to resolve: the evaluation budget ends it,
+    # 15 evaluations per interval, never more than 10**6
+    f = _counting(lambda x: (math.sin(1e8 * x),))
+    with pytest.raises(QuadratureFailure, match="budget"):
+        adaptive_quad(f, 0.0, 1.0, 1e-10)
+    assert f.n == 10**6 // 15 * 15
+
+
+def test_volume_budget_is_shared_by_the_inner_rules():
+    # each inner 2D rule converges at once; the outer 1D rule never does, so
+    # only a budget shared with the inner rules stops it near 10**6
+    f = _counting(lambda x0, x1, x2: (math.sin(1e8 * x0),))
+    with pytest.raises(QuadratureFailure, match="budget"):
+        adaptive_quad_3d(f, ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), 1e-10)
+    assert 9 * 10**5 < f.n <= 10**6
