@@ -41,7 +41,6 @@ __all__ = [
     "HoloType1Report",
     "HoloType2Report",
     "EPS_FD",
-    "EPS_FD3",
     "EPS_GEO",
     "wirtinger_partials",
     "check_holo_type1",
@@ -65,20 +64,14 @@ _FD1 = 2.220446049250313e-16 ** (1.0 / 3.0)
 _FD3 = 2.220446049250313e-16 ** (1.0 / 5.0)
 
 EPS_FD = 1e-6     # absolute tolerance for first-derivative identities on O(1) inputs
-EPS_FD3 = 1e-3    # same for third-derivative identities
 EPS_GEO = 1e-9    # closed-curve / on-surface geometric tolerance
 
 
 class TernaryField:
-    """A map R^3 -> ternary numbers, with an optional analytic derivative.
+    """A named map R^3 -> ternary numbers; func takes and returns Ternary."""
 
-    func takes and returns Ternary; derivative (optional) returns dF/dz for
-    fields that have one (used by conformal_jacobian oracles).
-    """
-
-    def __init__(self, func, derivative=None, name=None):
+    def __init__(self, func, name=None):
         self.func = func
-        self.derivative = derivative
         self.name = name or getattr(func, "__name__", "field")
 
     def __call__(self, p: Ternary) -> Ternary:
@@ -94,22 +87,32 @@ def _shift(p: Ternary, axis: int, d: float) -> Ternary:
     return Ternary(*c)
 
 
-def _component_partials(F, p: Ternary, h: float) -> np.ndarray:
-    """3x3 matrix d f_i / d x_j of central differences at step h."""
-    out = np.empty((3, 3))
-    for j in range(3):
-        plus = F(_shift(p, j, h)).components()
-        minus = F(_shift(p, j, -h)).components()
-        for i in range(3):
-            out[i, j] = (plus[i] - minus[i]) / (2.0 * h)
-    return out
+def _partials(fun, coords, steps) -> np.ndarray:
+    """Matrix d fun_i / d coords_j of central differences, step steps[j] along j.
+
+    fun takes a list of coordinates and returns a sequence of components.
+    """
+    columns = []
+    for j, h in enumerate(steps):
+        up = list(coords)
+        dn = list(coords)
+        up[j] += h
+        dn[j] -= h
+        plus, minus = fun(up), fun(dn)
+        columns.append([(a - b) / (2.0 * h) for a, b in zip(plus, minus)])
+    return np.array(columns).T
 
 
 def _checked_partials(F, p: Ternary) -> np.ndarray:
-    """Component partials with a two-step consistency check."""
+    """Component partials d f_i / d x_j with a two-step consistency check."""
     h = _FD1 * (1.0 + p.max_abs())
-    fine = _component_partials(F, p, h)
-    coarse = _component_partials(F, p, 2.0 * h)
+
+    def components(c):
+        return F(Ternary(*c)).components()
+
+    x = p.components()
+    fine = _partials(components, x, (h, h, h))
+    coarse = _partials(components, x, (2.0 * h, 2.0 * h, 2.0 * h))
     scale = 1.0 + np.max(np.abs(fine))
     if np.max(np.abs(fine - coarse)) > EPS_FD * scale:
         raise NumericalBreakdown(
@@ -150,7 +153,6 @@ def wirtinger_partials(F, p: Ternary):
 class HoloType1Report:
     """Residuals of the first-kind Cauchy-Riemann system at a point."""
 
-    tol: float
     max_cartesian: float
     max_polar: float | None
     residuals_cartesian: np.ndarray = field(repr=False)
@@ -161,38 +163,16 @@ class HoloType1Report:
         worst = self.max_cartesian
         if self.max_polar is not None:
             worst = max(worst, self.max_polar)
-        return worst <= self.tol
+        return worst <= EPS_FD
 
 
-def _polar_partials(F, p: Ternary):
-    """Partials of h(rho, phi1, phi2) = components of z F(z) at p's polar coords."""
-    pol = ta.to_polar(p)
-    coords = [pol.rho, pol.phi1, pol.phi2]
-
-    def h(c):
-        z = ta.from_polar(ta.PolarForm(c[0], c[1], c[2]))
-        return mul(z, F(z)).components()
-
-    out = np.empty((3, 3))
-    for j in range(3):
-        hj = _FD1 * (1.0 + abs(coords[j]))
-        up = list(coords)
-        dn = list(coords)
-        up[j] += hj
-        dn[j] -= hj
-        plus, minus = h(up), h(dn)
-        for i in range(3):
-            out[i, j] = (plus[i] - minus[i]) / (2.0 * hj)
-    return pol.rho, out
-
-
-def check_holo_type1(F, p: Ternary, tol: float = EPS_FD) -> HoloType1Report:
+def check_holo_type1(F, p: Ternary) -> HoloType1Report:
     """All nine cartesian residuals of the first-kind system
 
         f0,0 = f1,1 = f2,2 ; f0,1 = f1,2 = f2,0 ; f0,2 = f1,0 = f2,1
 
     (f i,j = d f_i/d x_j), plus, when p admits polar coordinates, the nine
-    polar residuals for h = z F(z).  Passes iff every residual <= tol.
+    polar residuals for h = z F(z).  Passes iff every residual <= EPS_FD.
     """
     m = _checked_partials(F, p)
     rows = [
@@ -202,12 +182,19 @@ def check_holo_type1(F, p: Ternary, tol: float = EPS_FD) -> HoloType1Report:
     ]
     cart = np.array([[a - b, b - c, c - a] for a, b, c in rows])
 
+    def h(c):
+        z = ta.from_polar(ta.PolarForm(*c))
+        return mul(z, F(z)).components()
+
     polar = None
     try:
-        rho, hm = _polar_partials(F, p)
+        pol = ta.to_polar(p)
+        coords = (pol.rho, pol.phi1, pol.phi2)
+        hm = _partials(h, coords, [_FD1 * (1.0 + abs(c)) for c in coords])
     except (DomainError, SingularNumber):
-        rho, hm = None, None
-    if hm is not None:
+        pass
+    else:
+        rho = pol.rho
         polar = np.array(
             [
                 [hm[1, 1] - hm[2, 2], rho * hm[2, 0] - hm[0, 1], hm[0, 2] - rho * hm[1, 0]],
@@ -216,7 +203,6 @@ def check_holo_type1(F, p: Ternary, tol: float = EPS_FD) -> HoloType1Report:
             ]
         )
     return HoloType1Report(
-        tol=tol,
         max_cartesian=float(np.max(np.abs(cart))),
         max_polar=None if polar is None else float(np.max(np.abs(polar))),
         residuals_cartesian=cart,
@@ -228,7 +214,6 @@ def check_holo_type1(F, p: Ternary, tol: float = EPS_FD) -> HoloType1Report:
 class HoloType2Report:
     """Residuals of single analyticity and of the extra reality constraints."""
 
-    tol: float
     max_single: float
     max_reality: float
     residuals_single: np.ndarray = field(repr=False)
@@ -236,14 +221,14 @@ class HoloType2Report:
 
     @property
     def passes_single(self) -> bool:
-        return self.max_single <= self.tol
+        return self.max_single <= EPS_FD
 
     @property
     def passes_reality(self) -> bool:
-        return self.passes_single and self.max_reality <= self.tol
+        return self.passes_single and self.max_reality <= EPS_FD
 
 
-def check_holo_type2(F, p: Ternary, tol: float = EPS_FD) -> HoloType2Report:
+def check_holo_type2(F, p: Ternary) -> HoloType2Report:
     """Single analyticity (three summed constraints) plus reality constraints.
 
     Single analyticity:  f0,0 + f1,1 + f2,2 = f0,2 + f1,0 + f2,1
@@ -270,7 +255,6 @@ def check_holo_type2(F, p: Ternary, tol: float = EPS_FD) -> HoloType2Report:
 
     reality = np.array([u_op(2) - w_op(1), u_op(0) - w_op(2), u_op(1) - w_op(0)])
     return HoloType2Report(
-        tol=tol,
         max_single=float(np.max(np.abs(single))),
         max_reality=float(np.max(np.abs(reality))),
         residuals_single=single,
@@ -278,13 +262,13 @@ def check_holo_type2(F, p: Ternary, tol: float = EPS_FD) -> HoloType2Report:
     )
 
 
-def ternary_laplacian(f, p: Ternary, step: float | None = None) -> float:
+def ternary_laplacian(f, p: Ternary) -> float:
     """d^3f/dx0^3 + d^3f/dx1^3 + d^3f/dx2^3 - 3 d^3f/(dx0 dx1 dx2) at p.
 
     f is a scalar callable of Ternary.  Third-order central differences with
     h ~ eps^(1/5) scaled by the point magnitude.
     """
-    h = step if step is not None else _FD3 * (1.0 + p.max_abs())
+    h = _FD3 * (1.0 + p.max_abs())
     total = 0.0
     for axis in range(3):
         total += (
@@ -473,17 +457,17 @@ def cubic_surface_geometry(rho: float, a: float, theta: float) -> CubicSurfaceGe
     return CubicSurfaceGeometry(rho, a, theta, r, point, metric_r, metric_theta, gauss, (j12, j20, j01))
 
 
-def conformal_jacobian(F, p: Ternary, tol: float = EPS_FD) -> float:
+def conformal_jacobian(F, p: Ternary) -> float:
     """Jacobian determinant of (f0, f1, f2) at p for a type-1 holomorphic F.
 
     Equals the cubic norm of dF/dz; raises NotHolomorphic when the type-1
-    residuals at p exceed tol.
+    residuals at p exceed EPS_FD.
     """
-    report = check_holo_type1(F, p, tol)
+    report = check_holo_type1(F, p)
     if not report.passed:
         raise NotHolomorphic(
             f"type-1 residual {max(report.max_cartesian, report.max_polar or 0.0):.3e} "
-            f"exceeds {tol:.1e} at {p}"
+            f"exceeds {EPS_FD:.1e} at {p}"
         )
     return float(np.linalg.det(_checked_partials(F, p)))
 

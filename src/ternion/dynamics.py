@@ -39,7 +39,6 @@ from .rootfind import brent, scan_bracket
 
 __all__ = [
     "MonopoleState",
-    "AngularMomentum",
     "Trajectory",
     "PlanarSolution",
     "GeneralSolution",
@@ -47,6 +46,7 @@ __all__ = [
     "ScatteringResult",
     "TRAJECTORY_HEADER",
     "SCATTER_HEADER",
+    "angular_momentum",
     "newton_rhs",
     "integrate",
     "planar_solution",
@@ -74,6 +74,12 @@ FD_SCALE = 1e-5
 #: Allowed imaginary residue in the closed-form velocity (it must be real).
 EPS_IMAG = 1e-12
 
+#: Accepted plus rejected steps allowed in one integrate call.
+MAX_STEPS = 10**6
+
+#: Tolerance of the time quadratures in PlanarSolution.t and GeneralSolution.t.
+TIME_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MonopoleState:
@@ -91,48 +97,43 @@ class MonopoleState:
         return (self.l, self.r1, self.r2, self.v0, self.v1, self.v2)
 
 
-@dataclass(frozen=True)
-class AngularMomentum:
-    """M = position x velocity in frame coordinates."""
+def angular_momentum(y) -> tuple:
+    """M = position x velocity of a state (l, r1, r2, v0, v1, v2)."""
+    l, r1, r2, v0, v1, v2 = y
+    return (r1 * v2 - r2 * v1, r2 * v0 - l * v2, l * v1 - r1 * v0)
 
-    m0: float
-    m1: float
-    m2: float
 
-    @staticmethod
-    def from_state(s: MonopoleState) -> "AngularMomentum":
-        return AngularMomentum(
-            s.r1 * s.v2 - s.r2 * s.v1,
-            s.r2 * s.v0 - s.l * s.v2,
-            s.l * s.v1 - s.r1 * s.v0,
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m0, self.m1, self.m2])
+def _kinetic_energy(y) -> float:
+    v0, v1, v2 = y[3:]
+    return 0.5 * (v0 * v0 + v1 * v1 + v2 * v2)
 
 
 TRAJECTORY_HEADER = "t,l,r1,r2,v0,v1,v2,M0,M1,M2,E"
 
 
 class Trajectory:
-    """Accepted samples of an integration run plus its conserved-quantity ledger."""
+    """Accepted samples of an integration run; the conserved-quantity ledger
+    is derived from the stored states."""
 
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self):
         self.times: list[float] = []
         self.states: list[tuple] = []
-        self.m_ledger: list[tuple] = []
-        self.energy: list[float] = []
         self.n_accepted = 0
         self.n_rejected = 0
-        self.note = ""
 
     def append(self, t: float, y: tuple):
-        l, r1, r2, v0, v1, v2 = y
         self.times.append(t)
-        self.states.append(tuple(y))
-        self.m_ledger.append((r1 * v2 - r2 * v1, r2 * v0 - l * v2, l * v1 - r1 * v0))
-        self.energy.append(0.5 * (v0 * v0 + v1 * v1 + v2 * v2))
+        self.states.append(y)
+
+    @property
+    def m_ledger(self) -> list[tuple]:
+        """Angular momentum at every sample."""
+        return [angular_momentum(y) for y in self.states]
+
+    @property
+    def energy(self) -> list[float]:
+        """Kinetic energy at every sample."""
+        return [_kinetic_energy(y) for y in self.states]
 
     def __len__(self):
         return len(self.times)
@@ -149,7 +150,7 @@ class Trajectory:
         return np.max(np.abs(ledger - ledger[0]), axis=0)
 
     def energy_change(self) -> float:
-        return abs(self.energy[-1] - self.energy[0])
+        return abs(_kinetic_energy(self.states[-1]) - _kinetic_energy(self.states[0]))
 
 
 def write_trajectory_csv(traj: Trajectory, path, extra=None):
@@ -202,15 +203,13 @@ def integrate(
     t_end: float,
     tol: float = 1e-10,
     max_step: float | None = None,
-    max_steps: int = 10**6,
 ) -> Trajectory:
     """Adaptive Dormand-Prince integration from s0.t to t_end.
 
-    Every accepted step is recorded together with the angular-momentum and
-    kinetic-energy ledger.  The run stops with SingularApproach (carrying the
-    partial trajectory) when |l| |r|^2 falls below SINGULAR_GUARD times the
-    initial scale cubed, rather than chasing the collapse; StepFailure means
-    the controller stalled or ran out of steps.
+    Every accepted step is recorded.  The run stops with SingularApproach
+    (carrying the partial trajectory) when |l| |r|^2 falls below
+    SINGULAR_GUARD times the initial scale cubed, rather than chasing the
+    collapse; StepFailure means the controller stalled or used up MAX_STEPS.
     """
     t = float(s0.t)
     if t_end <= t:
@@ -218,7 +217,7 @@ def integrate(
     l, r1, r2, v0, v1, v2 = s0.as_tuple()
     scale0 = math.sqrt(s0.l**2 + s0.r1**2 + s0.r2**2)
     guard = SINGULAR_GUARD * scale0**3
-    traj = Trajectory(tol)
+    traj = Trajectory()
     traj.append(t, (l, r1, r2, v0, v1, v2))
 
     # Stage m has slope (u_m, a_m): the velocity and acceleration of its
@@ -241,8 +240,8 @@ def integrate(
     # zeros included, are pinned in tests/test_dynamics.py.
     steps = 0
     while t < t_end:
-        if steps >= max_steps:
-            raise StepFailure(f"step budget {max_steps} exhausted at t = {t}", traj)
+        if steps >= MAX_STEPS:
+            raise StepFailure(f"step budget {MAX_STEPS} exhausted at t = {t}", traj)
         dt = min(dt, t_end - t)
         if dt < 1e-14 * max(1.0, abs(t)):
             raise StepFailure(f"step size underflow at t = {t}", traj)
@@ -447,7 +446,7 @@ class PlanarSolution:
         self._check_branch(z)
         return self.m2**2 / (self.g * (_f_planar(z, self.z0) - self._c))
 
-    def t(self, z: float, tol: float = 1e-10) -> float:
+    def t(self, z: float) -> float:
         """Time at slope z, with t(z0) = 0; adaptive quadrature of the
         inverse-square kernel (divergent only at the branch ends)."""
         self._check_branch(z)
@@ -457,7 +456,7 @@ class PlanarSolution:
         def kernel(u):
             return ((_f_planar(u, self.z0) - self._c) ** -2.0,)
 
-        val = adaptive_quad(kernel, self.z0, z, tol)
+        val = adaptive_quad(kernel, self.z0, z, TIME_TOL)
         return -(self.m2**3 / self.g**2) * float(val[0])
 
 
@@ -559,16 +558,24 @@ class GeneralSolution:
             raise DomainError(f"r1 diverges where the velocity integral vanishes (y = {y})")
         return -(self.m0 / self.g) / p
 
-    def t(self, y: float, tol: float = 1e-10) -> float:
-        """Time at slope y with t(y0) = 0; diverges toward y1 and the exit slope."""
+    def t(self, y: float) -> float:
+        """Time at slope y with t(y0) = 0; diverges toward y1 and the exit slope.
+
+        The kernel psi^(-2) has a non-integrable pole at y1, so y must lie
+        strictly on y0's side of y1.
+        """
         self._check_side(y, self.y0)
+        if (y - self.y1) * (self.y0 - self.y1) <= 0.0:
+            raise DomainError(
+                f"t diverges at y1 = {self.y1}; y = {y} is not on the side of y0 = {self.y0}"
+            )
         if y == self.y0:
             return 0.0
 
         def kernel(u):
             return (self.psi(u) ** -2.0,)
 
-        val = adaptive_quad(kernel, self.y0, y, tol)
+        val = adaptive_quad(kernel, self.y0, y, TIME_TOL)
         return (self.m0 / self.g**2) * float(val[0])
 
 

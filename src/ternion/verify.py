@@ -215,7 +215,7 @@ def calculus_suite(seed: int) -> list[CheckResult]:
     )
     for _ in range(20):
         p = _rand_ternary(rng, -1.5, 1.5)
-        rep = tc.check_holo_type1(poly, p, tol=1e-6)
+        rep = tc.check_holo_type1(poly, p)
         r = rep.max_cartesian
         if r > worst:
             worst, ce = r, {"p": p.components(), "coeffs": [c.components() for c in coeffs]}
@@ -301,15 +301,21 @@ def _rand_frame(rng) -> tf.FrameVector:
             return v
 
 
-def _fd_div(fn, v, h=1e-5):
-    total = 0.0
-    for axis in range(3):
-        e = [0.0, 0.0, 0.0]
-        e[axis] = h
-        up = fn(tf.FrameVector(v.l + e[0], v.r1 + e[1], v.r2 + e[2]))
-        dn = fn(tf.FrameVector(v.l - e[0], v.r1 - e[1], v.r2 - e[2]))
-        total += (up[axis] - dn[axis]) / (2 * h)
-    return total
+# central-difference step of the field checks
+_FD_STEPS = (1e-5, 1e-5, 1e-5)
+
+
+def _frame_partials(fn, v):
+    """d fn_i / d x_j at the frame point v, x = (l, r1, r2)."""
+    return tc._partials(lambda c: fn(tf.FrameVector(*c)), (v.l, v.r1, v.r2), _FD_STEPS)
+
+
+def _divergence(m):
+    return sum(m[i, i] for i in range(3))
+
+
+def _fd_div(fn, v):
+    return _divergence(_frame_partials(fn, v))
 
 
 def field_suite(seed: int) -> list[CheckResult]:
@@ -354,22 +360,8 @@ def field_suite(seed: int) -> list[CheckResult]:
     for _ in range(20):
         v = _rand_frame(rng)
         v = tf.FrameVector(abs(v.l), v.r1, v.r2)
-        h = 1e-5
-
-        def partial(axis, comp, fn):
-            e = [0.0, 0.0, 0.0]
-            e[axis] = h
-            up = fn(tf.FrameVector(v.l + e[0], v.r1 + e[1], v.r2 + e[2]))
-            dn = fn(tf.FrameVector(v.l - e[0], v.r1 - e[1], v.r2 - e[2]))
-            return (up[comp] - dn[comp]) / (2 * h)
-
-        curl_a = np.array(
-            [
-                partial(1, 2, tf.vector_potential) - partial(2, 1, tf.vector_potential),
-                partial(2, 0, tf.vector_potential) - partial(0, 2, tf.vector_potential),
-                partial(0, 1, tf.vector_potential) - partial(1, 0, tf.vector_potential),
-            ]
-        )
+        m = _frame_partials(tf.vector_potential, v)
+        curl_a = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
         r = float(np.max(np.abs(curl_a - tf.field_h(v))))
         if r > worst:
             worst, ce = r, {"point": [v.l, v.r1, v.r2]}
@@ -391,16 +383,8 @@ def field_suite(seed: int) -> list[CheckResult]:
         x1, x2, x0 = tf.FRAME_MATRIX.T @ vec
         return np.array([x0, x1, x2])
 
-    def cart_div(fn, z, h=1e-5):
-        total = 0.0
-        for axis in range(3):
-            c = list(z.components())
-            c[axis] += h
-            up = fn(Ternary(*c))
-            c[axis] -= 2 * h
-            dn = fn(Ternary(*c))
-            total += (up[axis] - dn[axis]) / (2 * h)
-        return total
+    def cart_div(fn, z):
+        return _divergence(tc._partials(lambda c: fn(Ternary(*c)), z.components(), _FD_STEPS))
 
     # covariance failure of the rotational part: the transmuted field must
     # NOT be divergence-free (residual bounded away from zero)

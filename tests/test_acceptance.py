@@ -122,18 +122,18 @@ def test_criterion_06_holomorphy_suites(rng):
     for _ in range(100):
         p = sample_o1()
         for f in (square, cube, log_f):
-            rep = tc.check_holo_type1(f, p, tol=1e-6)
+            rep = tc.check_holo_type1(f, p)
             worst_t1 = max(worst_t1, rep.max_cartesian, rep.max_polar or 0.0)
 
     prod_sq = tc.TernaryField(lambda z: ta.mul(ta.tilde_product(z), ta.tilde_product(z)))
     p = Ternary(0.9, 0.4, -0.3)
-    rep_both = tc.check_holo_type2(prod_sq, p, tol=1e-6)
+    rep_both = tc.check_holo_type2(prod_sq, p)
 
     def mixed(z):
         zt, ztt = ta.conjugates(z)
         return (zt * zt * ztt).real_part()
 
-    rep_single = tc.check_holo_type2(tc.TernaryField(mixed), p, tol=1e-6)
+    rep_single = tc.check_holo_type2(tc.TernaryField(mixed), p)
 
     worst_lap = 0.0
     for _ in range(100):

@@ -35,7 +35,7 @@ from oracles import random_admissible, ternary_close
 SQ3 = math.sqrt(3.0)
 
 identity_field = TernaryField(lambda z: z, name="z")
-square_field = TernaryField(lambda z: mul(z, z), derivative=lambda z: scale(z, 2.0), name="z^2")
+square_field = TernaryField(lambda z: mul(z, z), name="z^2")
 cube_field = TernaryField(lambda z: mul(mul(z, z), z), name="z^3")
 x0_field = TernaryField(lambda z: Ternary(z.x0, 0.0, 0.0), name="x0")
 one_field = TernaryField(lambda z: ta.ONE, name="1")
@@ -91,12 +91,12 @@ def test_wirtinger_breakdown_on_rough_field():
 
 
 def test_holo_type1_polynomials_pass():
-    rep = check_holo_type1(square_field, Ternary(1.0, 2.0, 3.0), tol=1e-6)
+    rep = check_holo_type1(square_field, Ternary(1.0, 2.0, 3.0))
     assert rep.passed and rep.max_polar is not None
 
 
 def test_holo_type1_scalar_field_fails():
-    rep = check_holo_type1(x0_field, Ternary(0.5, 0.1, -0.2), tol=1e-6)
+    rep = check_holo_type1(x0_field, Ternary(0.5, 0.1, -0.2))
     assert not rep.passed
     assert rep.max_cartesian == pytest.approx(1.0, abs=1e-6)
 
@@ -104,19 +104,19 @@ def test_holo_type1_scalar_field_fails():
 def test_holo_type1_log_passes(rng):
     for _ in range(5):
         p = random_admissible(rng, lo=0.3, hi=1.8)
-        rep = check_holo_type1(log_field, p, tol=1e-6)
+        rep = check_holo_type1(log_field, p)
         assert rep.passed
 
 
 def test_holo_type2_conjugate_product_passes():
     # (zt ztt)^2 is a function of the conjugate product: both residual sets vanish.
     prod_sq = TernaryField(lambda z: mul(ta.tilde_product(z), ta.tilde_product(z)))
-    rep = check_holo_type2(prod_sq, Ternary(0.9, 0.4, -0.3), tol=1e-6)
+    rep = check_holo_type2(prod_sq, Ternary(0.9, 0.4, -0.3))
     assert rep.passes_single and rep.passes_reality
 
 
 def test_holo_type2_identity_fails():
-    rep = check_holo_type2(identity_field, Ternary(0.9, 0.4, -0.3), tol=1e-6)
+    rep = check_holo_type2(identity_field, Ternary(0.9, 0.4, -0.3))
     assert not rep.passes_single
     # the summed constraint is 3 * dF/dz = 3 for the identity
     assert rep.max_single == pytest.approx(3.0, abs=1e-6)
@@ -126,7 +126,7 @@ def test_holo_type2_mixed_powers_pass_single_only():
     re, im = conjugate_cube_field(2, 1)
     p = Ternary(0.9, 0.4, -0.3)
     for f in (re, im):
-        rep = check_holo_type2(f, p, tol=1e-6)
+        rep = check_holo_type2(f, p)
         assert rep.passes_single
         assert rep.max_reality > 1e-3  # genuinely fails reality
 
@@ -172,7 +172,7 @@ def test_line_integral_constant_field():
 def test_line_integral_primitive_of_z():
     a, b = ta.ONE, Ternary(2.0, 1.0, 0.0)
     # the primitive z^2/2 is itself type-1 holomorphic
-    assert check_holo_type1(square_field, Ternary(1.5, 0.5, 0.0), tol=1e-6).passed
+    assert check_holo_type1(square_field, Ternary(1.5, 0.5, 0.0)).passed
     got = line_integral(identity_field, straight_line(a, b), tol=1e-12)
     expected = scale(mul(b, b) - mul(a, a), 0.5)
     assert ternary_close(got, expected, 1e-10)
@@ -189,7 +189,7 @@ def test_line_integral_primitive_consistency():
     curve = straight_line(a, b)
     for f, primitive in pairs:
         # each primitive is itself type-1 holomorphic
-        assert check_holo_type1(TernaryField(primitive), Ternary(0.8, 0.1, 0.2), tol=1e-6).passed
+        assert check_holo_type1(TernaryField(primitive), Ternary(0.8, 0.1, 0.2)).passed
         got = line_integral(f, curve, tol=1e-12)
         assert ternary_close(got, primitive(b) - primitive(a), 1e-9)
 

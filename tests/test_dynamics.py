@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from ternion import dynamics
 from ternion.dynamics import (
-    AngularMomentum,
     MonopoleState,
     ScatteringSetup,
+    angular_momentum,
     asymptote_solve,
     general_solution,
     integrate,
@@ -138,11 +139,12 @@ def test_singular_approach_detected():
     assert info.value.state is not None
 
 
-def test_step_budget_failure():
+def test_step_budget_failure(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
     sol = make_planar()
     s0 = state_from_planar(sol, 1.9)
     with pytest.raises(StepFailure):
-        integrate(s0, 1.0, s0.t + 30.0, tol=1e-10, max_steps=5)
+        integrate(s0, 1.0, s0.t + 30.0, tol=1e-10)
 
 
 def test_trajectory_csv(tmp_path):
@@ -195,6 +197,16 @@ def test_integrate_bits_are_pinned():
     assert str(info.value) == "approached the singular set near t = 0.711046"
     assert (len(part), part.n_accepted, part.n_rejected) == (66, 65, 62)
     assert _digest(part) == "107248426c4a83d9531634971fcad2ea5398d5aba9c6975fe0e7d3730a0c4029"
+
+
+def test_trajectory_csv_bits_are_pinned(tmp_path):
+    # the writer derives the M and E columns from the states
+    state, t_end = PLANAR_PIN
+    traj = integrate(MonopoleState(*state), 1.0, t_end, tol=1e-10, max_step=t_end / 12000)
+    path = tmp_path / "traj.csv"
+    assert write_trajectory_csv(traj, path) == 12002
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "55c8676387caaed77207aa04dbee13d133529bb002e759b7acff19574452af22"
 
 
 @pytest.mark.parametrize("pin", [PLANAR_PIN, GENERAL_PIN], ids=["planar", "general"])
@@ -292,6 +304,20 @@ def test_general_pole_guard():
         general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 2.0)
 
 
+def test_general_time_refuses_y1_and_beyond(monkeypatch):
+    # psi(y1) = 0, so the kernel psi^-2 has a non-integrable pole at y1
+    sol = general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1)
+    assert math.isfinite(sol.t(0.5))
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(dynamics, "adaptive_quad", no_quadrature)
+    for y in (0.1, -1 / 6):
+        with pytest.raises(DomainError, match="y1 = 0.1"):
+            sol.t(y)
+
+
 def test_general_planar_limit():
     g, m2 = 1.0, 1.0
     psol = planar_solution(g, m2, 1.0, 2.0)
@@ -322,7 +348,7 @@ def test_general_run_matches_ode():
     yb = 0.70
     s0 = state_from_general(sol, ya)
     assert np.allclose(
-        AngularMomentum.from_state(s0).as_array(), [m0, m1, m2], rtol=1e-12, atol=1e-12
+        angular_momentum(s0.as_tuple()), [m0, m1, m2], rtol=1e-12, atol=1e-12
     )
     span = sol.t(yb) - sol.t(ya)
     traj = integrate(s0, g, s0.t + span, tol=1e-10)
