@@ -68,6 +68,9 @@ ROOT_RESIDUAL = 1e-12
 #: |J| below this raises JacobianSingular.
 EPS_JACOBIAN = 1e-12
 
+#: An outward walk toward a branch end at infinity stops this many spans out.
+FAR_SPANS = 1e9
+
 #: Relative step of the central differences in the scattering Jacobian.
 FD_SCALE = 1e-5
 
@@ -347,17 +350,17 @@ def _f_planar(z: float, z0: float) -> float:
     return z * (math.log(abs(z / z0)) - 1.0)
 
 
-def _root_on_grid(fun, grid, scale, what):
-    """Brent on the first sign change of fun along grid, or None if the scan
-    finds none or runs into the pole.  The root must meet |fun| <=
+def _root_on_grid(fun, points, scale, what, missing):
+    """Brent on the first sign change of fun along points; raises missing if
+    the scan finds none or runs into the pole.  The root must meet |fun| <=
     ROOT_RESIDUAL * scale(); scale is called only after the solve, so a
     failed scan costs no extra evaluations."""
     try:
-        bracket = scan_bracket(fun, grid)
+        bracket = scan_bracket(fun, points)
     except PoleOnRange:
-        return None
+        bracket = None
     if bracket is None:
-        return None
+        raise missing
     a, b, fa, fb = bracket
     root = a if a == b else brent(fun, a, b, fa, fb)
     res = abs(fun(root))
@@ -370,31 +373,25 @@ def asymptote_solve(z0: float, z1: float) -> float:
     """Second solution of  z ln|z/(e z0)| = z1 ln|z1/(e z0)|  besides z = z1.
 
     Exists for 0 < z1 < e z0 (the turnaround regime) and lies on the other
-    side of z0; raises NoSecondSolution otherwise.  The bracket comes from a
-    geometric scan around z0, the solve is Brent to a 1e-12 residual.
+    side of z0; raises NoSecondSolution otherwise.  In u = ln(z/z0) the left
+    side z0 e^u (u - 1) falls from 0 at -inf to -z0 at 0 and rises back to 0
+    at 1: one sign change on (-inf, 0) or (0, 1), found by Brent in u (so to
+    a relative tolerance in z) to a residual of 1e-12 z0.
     """
     if z0 <= 0.0 or z1 <= 0.0:
         raise DomainError(f"asymptote equation normalized to z0 > 0, z1 > 0; got ({z0}, {z1})")
     target = _f_planar(z1, z0)
     if target >= 0.0:
         raise NoSecondSolution(f"no second asymptote: z1 = {z1} >= e z0 = {math.e * z0}")
-    if z1 == z0:
-        return z0
 
-    def fun(z):
-        return _f_planar(z, z0) - target
+    def fun(u):
+        return z0 * (math.exp(u) * (u - 1.0)) - target
 
-    if z1 > z0:
-        # the root can sit many decades below z0 when z1 is close to e z0;
-        # walk inward 16 per decade until the sign flips (f -> -C > 0 at 0+)
-        grid = [z0 * 10.0 ** (-kk / 16.0) for kk in range(16 * 12 + 1)]
-    else:
-        grid = [z0 * 10.0 ** (kk / 16.0) for kk in range(65)]
-        grid = [z for z in grid if z <= math.e * z0] + [math.e * z0]
-    root = _root_on_grid(fun, grid, lambda: max(1.0, abs(target)), "asymptote")
-    if root is None:
-        raise RootFindingFailure(f"no bracket for the second asymptote near z0 = {z0}")
-    return root
+    # exp(-750) underflows to 0, the value at u = -inf
+    end = -750.0 if z1 > z0 else 1.0
+    missing = RootFindingFailure(f"no bracket for the second asymptote near z0 = {z0}")
+    u = _root_on_grid(fun, (0.0, end), lambda: z0, "asymptote", missing)
+    return z0 * math.exp(u)
 
 
 class PlanarSolution:
@@ -561,13 +558,16 @@ class GeneralSolution:
     def t(self, y: float) -> float:
         """Time at slope y with t(y0) = 0; diverges toward y1 and the exit slope.
 
-        The kernel psi^(-2) has a non-integrable pole at y1, so y must lie
-        strictly on y0's side of y1.
+        The kernel psi^(-2) has non-integrable poles at the zeros of psi, y1
+        and the exit slope.  psi has the sign of psi(y0) strictly between them
+        and the other sign beyond either, so y must lie where it does.
         """
         self._check_side(y, self.y0)
-        if (y - self.y1) * (self.y0 - self.y1) <= 0.0:
+        p0, p = self.psi(self.y0), self.psi(y)
+        if p * p0 <= 0.0 or abs(p) <= ROOT_RESIDUAL * (1.0 + abs(p0)):
             raise DomainError(
-                f"t diverges at y1 = {self.y1}; y = {y} is not on the side of y0 = {self.y0}"
+                f"t diverges at the zeros of psi, y1 = {self.y1} and the exit slope; "
+                f"y = {y} is not between them (psi = {p:.3e})"
             )
         if y == self.y0:
             return 0.0
@@ -652,56 +652,48 @@ class ScatteringResult:
     rho_perp: float
 
 
-def _pole_clipped_grid(start: float, direction: float, span: float, pole: float | None):
-    """Geometric walk from start; never crosses the pole."""
-    limit = None
+def _branch_walk(start: float, direction: float, span: float, pole: float | None):
+    """start, then the end of its branch in direction: the pole, clipped,
+    when it lies ahead, else points span * 10**k out, up to FAR_SPANS * span."""
+    yield start
     if pole is not None and (pole - start) * direction > 0.0:
-        limit = pole - direction * 1e-9 * (1.0 + abs(pole))
-    pts = []
-    for k in range(97):
-        x = start + direction * span * 10.0 ** (-4.0 + 6.0 * k / 96.0)
-        if limit is not None and (x - limit) * direction > 0.0:
-            pts.append(limit)
-            break
-        pts.append(x)
-    return pts
+        yield pole - direction * 1e-9 * (1.0 + abs(pole))
+        return
+    step = span
+    while step <= FAR_SPANS * span:
+        yield start + direction * step
+        step *= 10.0
 
 
 def _solve_y0(g, m0, m1, m2, y1, v1_inf):
-    """Base slope y0 (where v1 vanishes) from v1(y1) = v1_inf."""
+    """Base slope y0 (where v1 vanishes) from v1(y1) = v1_inf.
+
+    v1(y1) is monotone in y0 on y1's side of the pole and has the sign of
+    g (M1 + M2 y1) for y0 < y1, so the sign of v1_inf picks y0's side.
+    """
     pole = (-m1 / m2) if m2 != 0.0 else None
+    direction = -1.0 if (v1_inf > 0.0) == (g * (m1 + m2 * y1) > 0.0) else 1.0
 
     def vel_from_y0(y0):
         sol = GeneralSolution(g, m0, m1, m2, y0, y1)
         return sol.v1(y1) - v1_inf
 
-    span = 1.0 + abs(y1)
-    for direction in (1.0, -1.0):
-        grid = [y1] + _pole_clipped_grid(y1, direction, span, pole)
-        try:
-            root = _root_on_grid(vel_from_y0, grid, lambda: 1.0 + abs(v1_inf), "base-slope")
-        except RootFindingFailure:
-            continue
-        if root is not None:
-            return root
-    raise RootFindingFailure(
+    points = _branch_walk(y1, direction, 1.0 + abs(y1), pole)
+    missing = RootFindingFailure(
         f"no base slope y0 matches v1_inf = {v1_inf} (M1 = {m1}, M2 = {m2})"
     )
+    return _root_on_grid(vel_from_y0, points, lambda: 1.0 + abs(v1_inf), "base-slope", missing)
 
 
 def _solve_ytilde1(sol: GeneralSolution):
-    """Second zero of the velocity integral psi besides y1 (the exit slope)."""
+    """Second zero of psi besides y1 (the exit slope): psi is monotone beyond
+    y0, away from y1, so it is the one sign change there."""
     y0, y1 = sol.y0, sol.y1
-    direction = math.copysign(1.0, y0 - y1)
-    span = 1.0 + abs(y0 - y1)
-    grid = [y0] + _pole_clipped_grid(y0, direction, span, sol.pole)
-
-    root = _root_on_grid(sol.psi, grid, lambda: 1.0 + abs(sol.psi(y0)), "exit-slope")
-    if root is None:
-        raise NoSecondSolution(
-            f"velocity integral has no second zero beyond y0 = {y0} (M1 = {sol.m1}, M2 = {sol.m2})"
-        )
-    return root
+    points = _branch_walk(y0, math.copysign(1.0, y0 - y1), 1.0 + abs(y0 - y1), sol.pole)
+    missing = NoSecondSolution(
+        f"velocity integral has no second zero beyond y0 = {y0} (M1 = {sol.m1}, M2 = {sol.m2})"
+    )
+    return _root_on_grid(sol.psi, points, lambda: 1.0 + abs(sol.psi(y0)), "exit-slope", missing)
 
 
 def _scatter_point(g, y1, z1, v1_inf, m1, m2):

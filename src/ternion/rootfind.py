@@ -1,4 +1,4 @@
-"""Bracketed root finding: bracket scans on a grid plus a Brent-style solve.
+"""Bracketed root finding: a sign-change scan along points plus a Brent-style solve.
 
 The solver is the classic inverse-quadratic/secant/bisection hybrid; brent
 raises RootFindingFailure when its interval holds no sign change, and
@@ -70,7 +70,7 @@ def brent(f, a, b, fa=None, fb=None):
 
 
 def scan_bracket(f, points):
-    """First sign-change interval of f on consecutive grid points, or None."""
+    """First sign-change interval of f on consecutive points (read lazily), or None."""
     it = iter(points)
     try:
         x_prev = next(it)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ternion.errors import (
     NoSecondSolution,
     OnSingularSet,
     PoleOnRange,
+    RootFindingFailure,
     SingularApproach,
     StepFailure,
 )
@@ -271,6 +273,19 @@ def test_asymptote_no_second_solution():
 # --- general solution --------------------------------------------------------
 
 
+def test_asymptote_matches_lambertw():
+    # with w = ln(z/(e z0)) the equation is w e^w = f(z1)/(e z0): the second
+    # asymptote is the other real Lambert-W branch, z = f(z1)/w
+    lambertw = pytest.importorskip("scipy.special").lambertw
+    for z0 in (1e-300, 1e-3, 0.3, 1.0, 40.0, 1e300):
+        for ratio in (1e-6, 1e-3, 0.1, 0.5, 0.99, 1.01, 1.5, 2.0, 2.5, 2.7, 2.718, 2.7182):
+            z1 = z0 * ratio
+            c = z1 * (math.log(z1 / z0) - 1.0)
+            want = c / lambertw(c / (math.e * z0), -1 if z1 > z0 else 0).real
+            assert want >= 1e-6 * z0
+            assert asymptote_solve(z0, z1) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_general_v1_matches_quadrature_oracle():
     g, m0, m1, m2 = 1.0, 0.5, -1.0, 0.8
     sol = general_solution(g, m0, m1, m2, 0.9, 0.1)
@@ -316,6 +331,23 @@ def test_general_time_refuses_y1_and_beyond(monkeypatch):
     for y in (0.1, -1 / 6):
         with pytest.raises(DomainError, match="y1 = 0.1"):
             sol.t(y)
+
+
+def test_general_time_refuses_the_exit_slope_and_beyond(monkeypatch):
+    # psi also vanishes at the exit slope ytilde1 (README point, ytilde1 ~ 0.8023)
+    res = scattering_map(ScatteringSetup(g=1.0, y1=0.0, z1=0.8, v1_inf=0.5, m1=-1.0, m2=0.9))
+    sol = general_solution(1.0, res.m0, -1.0, 0.9, res.y0, 0.0)
+    assert math.isfinite(sol.t(res.ytilde1 - 1e-3))
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(dynamics, "adaptive_quad", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (res.ytilde1, res.ytilde1 + 0.05, res.ytilde1 + 0.2):
+            with pytest.raises(DomainError, match="exit slope"):
+                sol.t(y)
 
 
 def test_general_planar_limit():
@@ -450,6 +482,63 @@ def test_scattering_matches_ode_late_slope():
     assert traj.energy_change() > 10 * float(np.max(traj.max_m_drift()))
     # and the ODE energy heads toward the closed-form exit energy
     assert abs(traj.energy[-1] - res.energy) <= 0.05 * res.energy
+
+
+def _dense_scan_roots(f, start, direction, span, pole):
+    """Every root of f beyond start: brentq on each sign change of a dense
+    geometric scan out to 1e9 spans, or up to the pole when it lies ahead."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    if pole is not None and (pole - start) * direction > 0.0:
+        dist = abs(pole - start)
+        steps = np.geomspace(1e-12, 1.0, 1500)
+        offsets = np.unique(np.concatenate([dist * steps, dist * (1.0 - steps)]))
+        offsets = offsets[(offsets > 0.0) & (offsets < dist)]
+    else:
+        offsets = span * np.geomspace(1e-10, 1e9, 3000)
+    xs = [start + direction * float(d) for d in offsets]
+    fs = [f(x) for x in xs]
+    roots = []
+    for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
+        if (fa > 0.0) != (fb > 0.0):
+            roots.append(brentq(f, a, b, xtol=1e-300, rtol=4 * np.finfo(float).eps))
+    return roots
+
+
+@pytest.mark.parametrize(
+    "y1, z1, v1_inf, m1_grid, m2_grid",
+    [
+        (0.0, 0.8, 0.5, (-1.2, -1.0, -0.8), (0.9, 1.0, 1.1)),  # README 3x3: all ok
+        (0.2, 0.9, 0.6, (-2.0,), (-2.0, 0.2, 1.0)),  # pinned 1x3: one row per status
+    ],
+)
+def test_scattering_roots_match_dense_scan_brentq(y1, z1, v1_inf, m1_grid, m2_grid):
+    g = 1.0
+    for m1 in m1_grid:
+        for m2 in m2_grid:
+            m0 = -(m1 + m2 * y1) / z1
+            pole = -m1 / m2
+
+            def vel(y0):
+                return general_solution(g, m0, m1, m2, y0, y1).v1(y1) - v1_inf
+
+            y0s = [y for d in (1.0, -1.0) for y in _dense_scan_roots(vel, y1, d, 1.0 + abs(y1), pole)]
+            assert len(y0s) <= 1
+            setup = ScatteringSetup(g=g, y1=y1, z1=z1, v1_inf=v1_inf, m1=m1, m2=m2)
+            if not y0s:
+                with pytest.raises(RootFindingFailure):
+                    scattering_map(setup)
+                continue
+            sol = general_solution(g, m0, m1, m2, y0s[0], y1)
+            direction = math.copysign(1.0, y0s[0] - y1)
+            ytildes = _dense_scan_roots(sol.psi, y0s[0], direction, 1.0 + abs(y0s[0] - y1), pole)
+            assert len(ytildes) <= 1
+            if not ytildes:
+                with pytest.raises(NoSecondSolution):
+                    scattering_map(setup)
+                continue
+            res = scattering_map(setup)
+            assert res.y0 == pytest.approx(y0s[0], rel=1e-12, abs=0.0)
+            assert res.ytilde1 == pytest.approx(ytildes[0], rel=1e-12, abs=0.0)
 
 
 def test_scattering_no_second_solution_branch():
