@@ -11,7 +11,7 @@ variables z = l/r1 and y = r2/r1, with escape along asymptotic slopes fixed
 by a transcendental equation.  This module provides the direct adaptive
 integrator (with a conserved-quantity ledger and a singular-approach guard),
 the closed-form solutions, the asymptote solver, and the scattering map with
-its numerically differentiated cross-section Jacobian.
+its cross-section Jacobian, differentiated implicitly from the closed forms.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .field import EPS_FIELD
 from .quadrature import adaptive_quad
-from .rootfind import brent, scan_bracket
+from .rootfind import brent, brent_xerr, scan_bracket
 
 __all__ = [
     "MonopoleState",
@@ -70,9 +70,6 @@ EPS_JACOBIAN = 1e-12
 
 #: An outward walk toward a branch end at infinity stops this many spans out.
 FAR_SPANS = 1e9
-
-#: Relative step of the central differences in the scattering Jacobian.
-FD_SCALE = 1e-5
 
 #: Allowed imaginary residue in the closed-form velocity (it must be real).
 EPS_IMAG = 1e-12
@@ -350,11 +347,11 @@ def _f_planar(z: float, z0: float) -> float:
     return z * (math.log(abs(z / z0)) - 1.0)
 
 
-def _root_on_grid(fun, points, scale, what, missing):
+def _root_on_grid(fun, points, bound, what, missing):
     """Brent on the first sign change of fun along points; raises missing if
     the scan finds none or runs into the pole.  The root must meet |fun| <=
-    ROOT_RESIDUAL * scale(); scale is called only after the solve, so a
-    failed scan costs no extra evaluations."""
+    bound(root); bound is called only after the solve, so a failed scan costs
+    no extra evaluations."""
     try:
         bracket = scan_bracket(fun, points)
     except PoleOnRange:
@@ -363,9 +360,9 @@ def _root_on_grid(fun, points, scale, what, missing):
         raise missing
     a, b, fa, fb = bracket
     root = a if a == b else brent(fun, a, b, fa, fb)
-    res = abs(fun(root))
-    if res > ROOT_RESIDUAL * scale():
-        raise RootFindingFailure(f"{what} residual {res:.3e} above {ROOT_RESIDUAL:.1e} at {root}")
+    res, limit = abs(fun(root)), bound(root)
+    if res > limit:
+        raise RootFindingFailure(f"{what} residual {res:.3e} above {limit:.1e} at {root}")
     return root
 
 
@@ -390,7 +387,7 @@ def asymptote_solve(z0: float, z1: float) -> float:
     # exp(-750) underflows to 0, the value at u = -inf
     end = -750.0 if z1 > z0 else 1.0
     missing = RootFindingFailure(f"no bracket for the second asymptote near z0 = {z0}")
-    u = _root_on_grid(fun, (0.0, end), lambda: z0, "asymptote", missing)
+    u = _root_on_grid(fun, (0.0, end), lambda u: ROOT_RESIDUAL * z0, "asymptote", missing)
     return z0 * math.exp(u)
 
 
@@ -474,6 +471,26 @@ def state_from_planar(sol: PlanarSolution, z: float, t: float = 0.0) -> Monopole
 # General closed form
 
 
+def _kernel(m1: float, m2: float, u: float) -> float:
+    """k(u) = 1/((1 + u^2)(M1 + M2 u)), the slope derivative of v1/g."""
+    return 1.0 / ((1.0 + u * u) * (m1 + m2 * u))
+
+
+def _pole_residue(m1: float, m2: float) -> float:
+    """M2 / (M1^2 + M2^2), the residue of k at the pole -M1/M2.
+
+    Where the sum of squares would overflow or underflow, M1 and M2 are first
+    scaled by the power of two that brings max(|M1|, |M2|) into [0.5, 1),
+    which is exact.
+    """
+    s = m1 * m1 + m2 * m2
+    if 1e-300 < s < 1e300:
+        return m2 / s
+    e = math.frexp(max(abs(m1), abs(m2)))[1]
+    s1, s2 = math.ldexp(m1, -e), math.ldexp(m2, -e)
+    return math.ldexp(s2 / (s1 * s1 + s2 * s2), -e)
+
+
 class GeneralSolution:
     """Closed-form general trajectory in the transverse slope y = r2/r1.
 
@@ -502,7 +519,7 @@ class GeneralSolution:
         self.y1 = y1
         self.pole = (-m1 / m2) if m2 != 0.0 else None
         self._a = -0.5j / complex(m1, m2)
-        self._c3 = m2 / (m1 * m1 + m2 * m2)
+        self._c3 = _pole_residue(m1, m2)
         for base in (y0, y1):
             self._check_side(base, y0)
 
@@ -543,6 +560,43 @@ class GeneralSolution:
                 raise PoleOnRange(f"antiderivative crossed the pole at y = {self.pole}")
             total += self._c3 * (num / self.m2) * (math.log(num / den) - 1.0)
         return total
+
+    # Derivatives in (M1, M2) at fixed y and y0.  With c = M1 + i M2 the log
+    # pair's coefficient is a = -0.5i/c, so da/dM1 = 0.5i/c^2 and da/dM2 is
+    # i da/dM1; c3 = -2 Re(a), and the antiderivative's c3 term is
+    # q (M1 + M2 y)(log(ratio) - 1) with q = c3/M2 = |1/c|^2.  These
+    # coefficients come from 1/c, so no M1^2 + M2^2 is formed for them, and
+    # there is no M2 = 0 branch: there the log(ratio) terms vanish and the
+    # q term's derivatives do not depend on y, so they cancel in the
+    # differences that use them.
+
+    def _dv1_dm(self, y: float) -> tuple:
+        """(d/dM1, d/dM2) of v1(y)/g."""
+        ic = 1.0 / complex(self.m1, self.m2)
+        da = 0.5j * ic * ic
+        z = da * cmath.log(complex(y, -1.0) / complex(self.y0, -1.0))
+        num, den = self.m1 + self.m2 * y, self.m1 + self.m2 * self.y0
+        log_ratio = math.log(num / den)
+        frac = (self._c3 / num) * ((y - self.y0) / den)
+        return (
+            2.0 * z.real - 2.0 * da.real * log_ratio - self.m2 * frac,
+            -2.0 * z.imag + 2.0 * da.imag * log_ratio + self.m1 * frac,
+        )
+
+    def _dantiderivative_dm(self, y: float) -> tuple:
+        """(d/dM1, d/dM2) of _antiderivative(y), up to terms free of y."""
+        ic = 1.0 / complex(self.m1, self.m2)
+        da = 0.5j * ic * ic
+        w = complex(y, -1.0)
+        z = da * (w * (cmath.log(w / complex(self.y0, -1.0)) - 1.0))
+        num, den = self.m1 + self.m2 * y, self.m1 + self.m2 * self.y0
+        log_ratio = math.log(num / den) - 1.0
+        q = ic.real * ic.real + ic.imag * ic.imag
+        frac = q * (y - self.y0) / den
+        return (
+            2.0 * z.real + q * log_ratio * (1.0 - 2.0 * ic.real * num) - self.m2 * frac,
+            -2.0 * z.imag + q * log_ratio * (y + 2.0 * ic.imag * num) + self.m1 * frac,
+        )
 
     def psi(self, y: float) -> float:
         """Integral of v1/g from y1 to y (closed form)."""
@@ -670,6 +724,12 @@ def _solve_y0(g, m0, m1, m2, y1, v1_inf):
 
     v1(y1) is monotone in y0 on y1's side of the pole and has the sign of
     g (M1 + M2 y1) for y0 < y1, so the sign of v1_inf picks y0's side.
+
+    Near the pole |dv1/dy0| = |g k(y0)| grows like 1/|y0 - pole|, and Brent's
+    x error d = brent_xerr(y0) alone moves v1 past the plain residual bound.
+    So when y0 lies nearer the pole than y1, the bound adds d |g k(y0)|.
+    Elsewhere it does not: when |M| is tiny, k is huge on the whole branch,
+    and the added term would admit roots that psi cannot resolve.
     """
     pole = (-m1 / m2) if m2 != 0.0 else None
     direction = -1.0 if (v1_inf > 0.0) == (g * (m1 + m2 * y1) > 0.0) else 1.0
@@ -682,7 +742,14 @@ def _solve_y0(g, m0, m1, m2, y1, v1_inf):
     missing = RootFindingFailure(
         f"no base slope y0 matches v1_inf = {v1_inf} (M1 = {m1}, M2 = {m2})"
     )
-    return _root_on_grid(vel_from_y0, points, lambda: 1.0 + abs(v1_inf), "base-slope", missing)
+
+    def bound(y0):
+        limit = ROOT_RESIDUAL * (1.0 + abs(v1_inf))
+        if pole is not None and abs(y0 - pole) < abs(y0 - y1):
+            limit += brent_xerr(y0) * abs(g * _kernel(m1, m2, y0))
+        return limit
+
+    return _root_on_grid(vel_from_y0, points, bound, "base-slope", missing)
 
 
 def _solve_ytilde1(sol: GeneralSolution):
@@ -693,11 +760,31 @@ def _solve_ytilde1(sol: GeneralSolution):
     missing = NoSecondSolution(
         f"velocity integral has no second zero beyond y0 = {y0} (M1 = {sol.m1}, M2 = {sol.m2})"
     )
-    return _root_on_grid(sol.psi, points, lambda: 1.0 + abs(sol.psi(y0)), "exit-slope", missing)
+    return _root_on_grid(
+        sol.psi, points, lambda yt: ROOT_RESIDUAL * (1.0 + abs(sol.psi(y0))), "exit-slope", missing
+    )
 
 
-def _scatter_point(g, y1, z1, v1_inf, m1, m2):
-    """(ytilde1, E, v_out, m0, y0) for one (M1, M2) grid point."""
+def _slope_derivatives(sol: GeneralSolution, ytilde1: float, v1_out: float) -> list:
+    """(dy0/dMi, dytilde1/dMi, dv1_out/dMi) for i = 1, 2; the formulas are in
+    scattering_map's docstring."""
+    y0, y1 = sol.y0, sol.y1
+    k0 = _kernel(sol.m1, sol.m2, y0)
+    k_out = _kernel(sol.m1, sol.m2, ytilde1)
+    dv_in, dv_out = sol._dv1_dm(y1), sol._dv1_dm(ytilde1)
+    da_in, da_out = sol._dantiderivative_dm(y1), sol._dantiderivative_dm(ytilde1)
+    rows = []
+    for i in (0, 1):
+        dy0 = dv_in[i] / k0
+        dyt = -(da_out[i] - da_in[i] - k0 * (ytilde1 - y1) * dy0) / (v1_out / sol.g)
+        rows.append((dy0, dyt, sol.g * (dv_out[i] + k_out * dyt - k0 * dy0)))
+    return rows
+
+
+def _scatter(setup: ScatteringSetup) -> ScatteringResult:
+    """scattering_map without its guard for float errors."""
+    g, y1, z1, v1_inf = setup.g, setup.y1, setup.z1, setup.v1_inf
+    m1, m2 = setup.m1, setup.m2
     m0 = -(m1 + m2 * y1) / z1
     if m0 == 0.0:
         raise DomainError("M0 = 0 at this grid point")
@@ -705,57 +792,71 @@ def _scatter_point(g, y1, z1, v1_inf, m1, m2):
     sol = GeneralSolution(g, m0, m1, m2, y0, y1)
     ytilde1 = _solve_ytilde1(sol)
     v1_out = sol.v1(ytilde1)
-    v2_out = ytilde1 * v1_out
-    v0_out = -(m1 + m2 * ytilde1) * v1_out / m0
-    v_out = np.array([v0_out, v1_out, v2_out])
-    return ytilde1, 0.5 * float(v_out @ v_out), v_out, m0, y0
+    if v1_out == 0.0:
+        raise RootFindingFailure(f"v1 = 0 at the exit slope {ytilde1}: not resolved from y0 = {y0}")
+    v_out = np.array([-(m1 + m2 * ytilde1) * v1_out / m0, v1_out, ytilde1 * v1_out])
+    r = (m1 + m2 * ytilde1) / m0
+    spread = 1.0 + ytilde1 * ytilde1 + r * r
+
+    (_, dy1, dv1), (_, dy2, dv2) = _slope_derivatives(sol, ytilde1, v1_out)
+    # dR/dMi = (d(M1 + M2 ytilde1)/dMi - R dM0/dMi) / M0, dM0/dMi = -(1, y1)/z1
+    dr1 = (1.0 + m2 * dy1 + r / z1) / m0
+    dr2 = (ytilde1 + m2 * dy2 + r * y1 / z1) / m0
+    de1 = v1_out * (dv1 * spread + v1_out * (ytilde1 * dy1 + r * dr1))
+    de2 = v1_out * (dv2 * spread + v1_out * (ytilde1 * dy2 + r * dr2))
+    jac = dy1 * de2 - dy2 * de1
+    if not (math.isfinite(jac) and math.isfinite(v1_out * v1_out * spread)):
+        raise NumericalBreakdown(f"E or J is not finite (J = {jac})")
+    if abs(jac) < EPS_JACOBIAN:
+        raise JacobianSingular(f"|J| = {abs(jac):.3e} below {EPS_JACOBIAN:.1e}")
+
+    vx, vy, vz = z1 * v1_inf, v1_inf, y1 * v1_inf
+    speed_sq = vx * vx + vy * vy + vz * vz
+    speed = math.sqrt(speed_sq)
+    return ScatteringResult(
+        m1=m1,
+        m2=m2,
+        m0=m0,
+        y0=y0,
+        ytilde1=ytilde1,
+        energy=0.5 * float(v_out @ v_out),
+        jacobian=jac,
+        dsigma=1.0 / (jac * abs(vx) * speed),
+        v_in=setup.v_in,
+        v_out=v_out,
+        rho_pl=m2 / speed,
+        rho_perp=(vx * m1 - vy * m0) / speed_sq,
+    )
 
 
 def scattering_map(setup: ScatteringSetup) -> ScatteringResult:
     """Exit slope, final energy, and differential cross-section element.
 
-    The map (M1, M2) -> (ytilde1, E) is differentiated centrally with steps
-    FD_SCALE (1 + |Mi|) while the incoming direction and speed stay fixed;
-    the cross-section element is
+    One solve gives the base slope y0 (v1(y1) = v1_inf) and the exit slope
+    ytilde1 (psi(ytilde1) = 0 beyond y0).  The map (M1, M2) -> (ytilde1, E),
+    with the incoming direction and speed fixed, is then differentiated
+    implicitly.  Write D(y) = v1(y)/g = K(y) - K(y0), k = K' =
+    1/((1 + u^2)(M1 + M2 u)), A for the antiderivative of D, and d_i for the
+    derivative in Mi at fixed y and y0 (closed forms beside v1):
+
+        dy0/dMi      = d_i D(y1) / k(y0)
+        dytilde1/dMi = -[d_i A(ytilde1) - d_i A(y1)
+                         - k(y0) (ytilde1 - y1) dy0/dMi] / D(ytilde1)
+        dv1_out/dMi  = g [d_i D(ytilde1) + k(ytilde1) dytilde1/dMi
+                          - k(y0) dy0/dMi]
+
+    and E = v1_out^2 (1 + ytilde1^2 + R^2) / 2 with R = (M1 + M2 ytilde1)/M0
+    and M0 = -(M1 + M2 y1)/z1 follows by the chain rule.  With
+    J = dytilde1/dM1 dE/dM2 - dytilde1/dM2 dE/dM1 the cross-section element is
 
         dsigma = d(ytilde1) dE / (J |v0(-inf)| |v(-inf)|).
     """
-    g, y1, z1, v1_inf = setup.g, setup.y1, setup.z1, setup.v1_inf
-    ytilde1, energy, v_out, m0, y0 = _scatter_point(g, y1, z1, v1_inf, setup.m1, setup.m2)
-
-    h1 = FD_SCALE * (1.0 + abs(setup.m1))
-    h2 = FD_SCALE * (1.0 + abs(setup.m2))
-    yp1, ep1 = _scatter_point(g, y1, z1, v1_inf, setup.m1 + h1, setup.m2)[:2]
-    ym1, em1 = _scatter_point(g, y1, z1, v1_inf, setup.m1 - h1, setup.m2)[:2]
-    yp2, ep2 = _scatter_point(g, y1, z1, v1_inf, setup.m1, setup.m2 + h2)[:2]
-    ym2, em2 = _scatter_point(g, y1, z1, v1_inf, setup.m1, setup.m2 - h2)[:2]
-    dy_dm1 = (yp1 - ym1) / (2.0 * h1)
-    dy_dm2 = (yp2 - ym2) / (2.0 * h2)
-    de_dm1 = (ep1 - em1) / (2.0 * h1)
-    de_dm2 = (ep2 - em2) / (2.0 * h2)
-    jac = dy_dm1 * de_dm2 - dy_dm2 * de_dm1
-    if abs(jac) < EPS_JACOBIAN:
-        raise JacobianSingular(f"|J| = {abs(jac):.3e} below {EPS_JACOBIAN:.1e}")
-
-    v_in = setup.v_in
-    speed = float(np.linalg.norm(v_in))
-    m_vec = np.array([m0, setup.m1, setup.m2])
-    rho_vec = np.cross(v_in, m_vec) / speed**2
-    dsigma = 1.0 / (jac * abs(v_in[0]) * speed)
-    return ScatteringResult(
-        m1=setup.m1,
-        m2=setup.m2,
-        m0=m0,
-        y0=y0,
-        ytilde1=ytilde1,
-        energy=energy,
-        jacobian=jac,
-        dsigma=dsigma,
-        v_in=v_in,
-        v_out=v_out,
-        rho_pl=setup.m2 / speed,
-        rho_perp=float(rho_vec[2]),
-    )
+    try:
+        return _scatter(setup)
+    except (ArithmeticError, ValueError) as exc:
+        # extreme inputs (|M| near 1e-300, say) leave the float range
+        where = f"(M1, M2) = ({setup.m1}, {setup.m2})"
+        raise NumericalBreakdown(f"{type(exc).__name__}: {exc} at {where}") from exc
 
 
 SCATTER_HEADER = "M1,M2,ytilde1,E,J,dsigma,status"

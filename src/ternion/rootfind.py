@@ -11,7 +11,7 @@ import math
 
 from .errors import RootFindingFailure
 
-__all__ = ["brent", "scan_bracket"]
+__all__ = ["brent", "brent_xerr", "scan_bracket"]
 
 _EPS = 2.220446049250313e-16
 # absolute x tolerance and iteration cap of brent
@@ -67,6 +67,13 @@ def brent(f, a, b, fa=None, fb=None):
             c, fc = a, fa
             d = e = b - a
     return b
+
+
+def brent_xerr(x: float) -> float:
+    """Largest distance of a root returned by brent at x from the sign change
+    it bracketed: brent stops once the bracket is at most twice its step
+    tolerance 2 eps |x| + XTOL / 2 wide."""
+    return 4.0 * _EPS * abs(x) + _XTOL
 
 
 def scan_bracket(f, points):

@@ -223,9 +223,31 @@ def test_scatter_pinned_bytes_for_each_row_status(tmp_path, capsys):
     assert out.read_text() == (
         "M1,M2,ytilde1,E,J,dsigma,status\n"
         "-2.0,-2.0,,,,,RootFindingFailure\n"
-        "-2.0,0.2,8.165407992843901,1.4347795384051052,-166.7472863646305,-0.013608502913961791,ok\n"
+        "-2.0,0.2,8.165407992843901,1.4347795384051052,-166.74728436769675,-0.013608503076934633,ok\n"
         "-2.0,1.0,,,,,NoSecondSolution\n"
     )
+
+
+def test_scatter_extreme_grid_points_get_status_rows(tmp_path, capsys):
+    # M1^2 + M2^2 underflowed to 0 at (1e-200, 0) and (1e-200, 1e-200), and
+    # the ZeroDivisionError aborted the whole run with no CSV
+    readme = write_json(tmp_path / "r.json", {**SCATTER_CFG, "m1_grid": [-1.0], "m2_grid": [0.9]})
+    assert main(["scatter", "--config", readme, "--out", str(tmp_path / "r.csv")]) == 0
+    readme_row = (tmp_path / "r.csv").read_text().splitlines()[1]
+    tiny = write_json(tmp_path / "s.json", {**SCATTER_CFG, "m1_grid": [1e-200, -1.0], "m2_grid": [0.0, 0.9]})
+    out = tmp_path / "s.csv"
+    assert main(["scatter", "--config", tiny, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows[:2] == ["1e-200,0.0,,,,,RootFindingFailure", "1e-200,0.9,,,,,RootFindingFailure"]
+    assert rows[2].startswith("-1.0,0.0,") and rows[2].endswith(",ok")
+    assert rows[3] == readme_row
+    corner = write_json(
+        tmp_path / "c.json", {**SCATTER_CFG, "m1_grid": [1e-200, 1e200], "m2_grid": [-1e200, 1e-200]}
+    )
+    assert main(["scatter", "--config", corner, "--out", str(out)]) == 3
+    rows = out.read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["RootFindingFailure"] * 4
+    assert capsys.readouterr().err == ""
 
 
 def test_scatter_status_counts_on_range_grid(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from ternion.errors import (
     RootFindingFailure,
     SingularApproach,
     StepFailure,
+    TernionError,
 )
 from ternion.field import FRAME_MATRIX
 from ternion.quadrature import adaptive_quad
@@ -560,3 +563,128 @@ def test_scatter_csv(tmp_path):
     assert lines[0] == "M1,M2,ytilde1,E,J,dsigma,status"
     assert len(lines) == 4
     assert lines[-1].endswith("NoSecondSolution")
+
+
+# --- analytic scattering Jacobian --------------------------------------------
+
+
+def _perfbench_scatter_rows(seed):
+    """(g, y1, z1, v1_inf, M1, M2) of the perfbench scatter workload's draw."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bounds = [(-2.0, 2.0), (-2.0, 2.0), (-0.5, 0.5), (0.5, 1.2), (0.3, 0.8)]
+    draws = workloads.shifted_halton(workloads.rng_for("scatter", seed), 300, bounds)
+    return [(1.0, y1, z1, v1, m1, m2) for m1, m2, y1, z1, v1 in draws]
+
+
+RANGE_12 = [-2.0 + i * (4.0 / 11) for i in range(12)]
+JACOBIAN_SETS = {
+    # name: (rows, number of ok rows)
+    "readme-3x3": (
+        [(1.0, 0.0, 0.8, 0.5, m1, m2) for m1 in (-1.2, -1.0, -0.8) for m2 in (0.9, 1.0, 1.1)],
+        9,
+    ),
+    "m2-zero": (
+        [(1.0, 0.0, 0.8, 0.5, m1, 0.0) for m1 in (-1.2, -1.0, -0.8)] + [(1.0, 0.2, 0.9, 0.6, -2.0, 0.0)],
+        4,
+    ),
+    "range-12x12": ([(1.0, 0.2, 0.9, 0.6, m1, m2) for m1 in RANGE_12 for m2 in RANGE_12], 88),
+    "perfbench-seed-1": (lambda: _perfbench_scatter_rows(1), 222),
+}
+CENTRAL = {1: 0.5, -1: -0.5}
+FIVE_POINT = {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12}
+
+
+def _stencil_jacobian(row, scale, stencil):
+    """J of (M1, M2) -> (ytilde1, E) by a finite-difference stencil with steps
+    scale (1 + |Mi|)."""
+    g, y1, z1, v1_inf, m1, m2 = row
+    partials = []
+    for i in (0, 1):
+        h = scale * (1.0 + abs((m1, m2)[i]))
+        dy = de = 0.0
+        for k, w in stencil.items():
+            m = [m1, m2]
+            m[i] += k * h
+            res = scattering_map(ScatteringSetup(g, y1, z1, v1_inf, *m))
+            dy += w * res.ytilde1 / h
+            de += w * res.energy / h
+        partials.append((dy, de))
+    (dy1, de1), (dy2, de2) = partials
+    return dy1 * de2 - dy2 * de1
+
+
+@pytest.mark.parametrize("name", list(JACOBIAN_SETS))
+def test_analytic_jacobian_matches_finite_differences(name):
+    # central differences with steps 1e-5 (1 + |Mi|), the scheme J came from
+    # before it was analytic, and a 5-point stencil with steps 3e-5 (1 + |Mi|):
+    # at 1e-4 the stencil's own h^4 error reaches 1.4e-7 on the range-grid row
+    # whose ytilde1 lies 4e-4 from the pole
+    rows, n_ok = JACOBIAN_SETS[name]
+    ok = 0
+    for row in rows() if callable(rows) else rows:
+        try:
+            res = scattering_map(ScatteringSetup(*row))
+        except TernionError:
+            continue
+        ok += 1
+        assert res.jacobian == pytest.approx(_stencil_jacobian(row, 1e-5, CENTRAL), rel=2e-6)
+        assert res.jacobian == pytest.approx(_stencil_jacobian(row, 3e-5, FIVE_POINT), rel=1e-7)
+    assert ok == n_ok
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(1.0, 0.0, 0.8, 0.5, -1.0, 0.9), (1.0, 0.2, 0.9, 0.6, -2.0, 0.2), (1.0, 0.0, 0.8, 0.5, -1.0, 0.0)],
+    ids=["readme", "pinned", "m2-zero"],
+)
+def test_slope_derivatives_match_quadrature_of_the_kernels(row):
+    # d_i D(y) is the integral from y0 to y of dk/dMi, and d_i psi(ytilde1)
+    # the integral from y1 to ytilde1 of d_i D
+    quad = pytest.importorskip("scipy.integrate").quad
+    g, y1, z1, v1_inf, m1, m2 = row
+    res = scattering_map(ScatteringSetup(*row))
+    y0, yt = res.y0, res.ytilde1
+    sol = general_solution(g, res.m0, m1, m2, y0, y1)
+    derivs = dynamics._slope_derivatives(sol, yt, sol.v1(yt))
+
+    def k(u):
+        return 1.0 / ((1.0 + u * u) * (m1 + m2 * u))
+
+    def integral(f, a, b):
+        return quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+    dk = (lambda u: -k(u) / (m1 + m2 * u), lambda u: -u * k(u) / (m1 + m2 * u))
+    d_out = integral(k, y0, yt)
+    for i in (0, 1):
+        dy0 = integral(dk[i], y0, y1) / k(y0)
+        dpsi = integral(lambda u: integral(dk[i], y0, u), y1, yt)
+        dyt = -(dpsi - k(y0) * (yt - y1) * dy0) / d_out
+        dv1 = g * (integral(dk[i], y0, yt) + k(yt) * dyt - k(y0) * dy0)
+        assert derivs[i] == pytest.approx((dy0, dyt, dv1), rel=1e-12)
+
+
+ROW_NEAR_POLE = (
+    0.38470194532935587, -0.02281903645423533, 1.457890038041108, 2.4423107390996965,
+    1.0138555324820508, 2.1494170227589313,
+)
+
+
+def test_base_slope_bound_allows_brent_x_error_near_the_pole():
+    # y0 lies 2.3e-8 (relative) from the pole -M1/M2, where |dv1/dy0| ~ 1e7:
+    # Brent's x error moves v1 by more than 1e-12 (1 + |v1_inf|), which made
+    # the row a RootFindingFailure; the bound now allows that x error, and
+    # the row ends in the exit-slope solve
+    g, y1, z1, v1_inf, m1, m2 = ROW_NEAR_POLE
+    with pytest.raises(NoSecondSolution):
+        scattering_map(ScatteringSetup(*ROW_NEAR_POLE))
+    m0 = -(m1 + m2 * y1) / z1
+    y0 = dynamics._solve_y0(g, m0, m1, m2, y1, v1_inf)
+    pole = -m1 / m2
+    assert abs(y0 - pole) <= 1e-7 * (1.0 + abs(pole))
+    residual = abs(general_solution(g, m0, m1, m2, y0, y1).v1(y1) - v1_inf)
+    assert residual > dynamics.ROOT_RESIDUAL * (1.0 + abs(v1_inf))
+    slope = abs(g / ((1.0 + y0 * y0) * (m1 + m2 * y0)))
+    assert residual <= slope * (4 * np.finfo(float).eps * abs(y0) + 1e-15)
