@@ -11,6 +11,14 @@ Numbers with vanishing cubic norm are singular (non-invertible).  Nonsingular
 numbers with positive trisectrice component x0+x1+x2 admit a polar form
 z = rho * e^{phi1*q + phi2*q^2}, whose component functions are the Appell
 multi-sine functions implemented here.
+
+Components may also be float arrays of one shape (floats broadcast against
+them): the kernels then run elementwise, one array element per point, with
+every check applied elementwise.  numpy returns inf or nan where the scalar
+path raises, so an array kernel that meets a fault replays the faulting
+points, in order, through the scalar path, which raises the error of the
+first of them.  Array arithmetic itself follows numpy's floating-point error
+state.
 """
 
 from __future__ import annotations
@@ -71,24 +79,64 @@ J = complex(-0.5, SQRT3 / 2.0)
 J2 = complex(-0.5, -SQRT3 / 2.0)
 
 
+def _lib(x):
+    """numpy for an array, math for a scalar."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _replay(kernel, bad, *args):
+    """Call kernel on the float arguments of each point where bad is set, in
+    order; the scalar path raises the error of the first faulting point."""
+    columns = [np.broadcast_to(a, bad.shape).ravel() for a in args]
+    for i in np.flatnonzero(bad):
+        kernel(*(float(c[i]) for c in columns))
+
+
+def _replay_non_finite(kernel, outputs, *args):
+    """_replay kernel wherever one of the array outputs is not finite."""
+    ok = np.isfinite(outputs[0])
+    for o in outputs[1:]:
+        ok = ok & np.isfinite(o)
+    if not ok.all():
+        _replay(kernel, ~ok, *args)
+
+
 @dataclass(frozen=True)
 class Ternary:
-    """z = x0 + x1*q + x2*q^2 with real, finite components."""
+    """z = x0 + x1*q + x2*q^2 with real, finite components.
+
+    Components are floats or float arrays; array components are marked
+    read-only, as the value is immutable.
+    """
 
     x0: float
     x1: float
     x2: float
 
+    # keep numpy from broadcasting array * Ternary into an object array
+    __array_ufunc__ = None
+
     def __post_init__(self):
-        for c in (self.x0, self.x1, self.x2):
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite ternary component: {c!r}")
+        try:
+            for c in (self.x0, self.x1, self.x2):
+                if not math.isfinite(c):
+                    raise ValueError(f"non-finite ternary component: {c!r}")
+        except TypeError:
+            arrays = [c for c in (self.x0, self.x1, self.x2) if isinstance(c, np.ndarray)]
+            if not arrays:
+                raise
+            _replay_non_finite(Ternary, self.components(), *self.components())
+            for c in arrays:
+                c.flags.writeable = False
 
     def components(self):
         return (self.x0, self.x1, self.x2)
 
     def max_abs(self):
-        return max(abs(self.x0), abs(self.x1), abs(self.x2))
+        try:
+            return max(abs(self.x0), abs(self.x1), abs(self.x2))
+        except ValueError:  # arrays have no single truth value
+            return np.maximum(np.maximum(abs(self.x0), abs(self.x1)), abs(self.x2))
 
     def __add__(self, other):
         return Ternary(self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
@@ -143,7 +191,10 @@ def cubic_form(u: float, v: float, w: float) -> float:
     which avoids the cancellation of the direct power sum when the three
     values are large and nearly equal.
     """
-    return (u + v + w) * 0.5 * ((u - v) ** 2 + (v - w) ** 2 + (w - u) ** 2)
+    c = (u + v + w) * 0.5 * ((u - v) ** 2 + (v - w) ** 2 + (w - u) ** 2)
+    if isinstance(c, np.ndarray):  # a squared difference that overflows raises
+        _replay_non_finite(cubic_form, (c,), u, v, w)
+    return c
 
 
 def norm_cubed(z: Ternary) -> float:
@@ -158,7 +209,20 @@ def norm(z: Ternary) -> float:
 
 
 def singular_tolerance(z: Ternary) -> float:
-    return EPS_SINGULAR * (1.0 + z.max_abs()) ** 3
+    t = EPS_SINGULAR * (1.0 + z.max_abs()) ** 3
+    if isinstance(t, np.ndarray):
+        _replay_non_finite(lambda *c: singular_tolerance(Ternary(*c)), (t,), *z.components())
+    return t
+
+
+def _singular(mask, kernel, z) -> bool:
+    """Whether the scalar z is singular by mask; for arrays, kernel replays the
+    first singular point, where it raises, and False is returned otherwise."""
+    if not isinstance(mask, np.ndarray):
+        return mask
+    if mask.any():
+        _replay(lambda *c: kernel(Ternary(*c)), mask, *z.components())
+    return False
 
 
 def tilde_product(z: Ternary) -> Ternary:
@@ -175,7 +239,7 @@ def tilde_product(z: Ternary) -> Ternary:
 
 def inverse(z: Ternary) -> Ternary:
     n = norm_cubed(z)
-    if abs(n) <= singular_tolerance(z):
+    if _singular(abs(n) <= singular_tolerance(z), inverse, z):
         raise SingularNumber(f"non-invertible: ||z||^3 = {n:.3e} for z = {z}")
     return scale(tilde_product(z), 1.0 / n)
 
@@ -183,9 +247,9 @@ def inverse(z: Ternary) -> Ternary:
 def bar(z: Ternary) -> Ternary:
     """Norm-preserving duality z -> z~ z~~ / ||z||; an involution."""
     n = norm_cubed(z)
-    if abs(n) <= singular_tolerance(z):
+    if _singular(abs(n) <= singular_tolerance(z), bar, z):
         raise SingularNumber(f"duality undefined: ||z||^3 = {n:.3e} for z = {z}")
-    return scale(tilde_product(z), 1.0 / math.copysign(abs(n) ** (1.0 / 3.0), n))
+    return scale(tilde_product(z), 1.0 / _lib(n).copysign(abs(n) ** (1.0 / 3.0), n))
 
 
 @dataclass(frozen=True)
@@ -289,7 +353,11 @@ def multisine(k: int, phi1: float, phi2: float) -> float:
         raise ValueError(f"multisine index must be 0, 1 or 2, got {k}")
     s = phi1 + phi2
     psi = (SQRT3 / 2.0) * (phi1 - phi2)
-    return (math.exp(s) + 2.0 * math.exp(-0.5 * s) * math.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0
+    m = _lib(s)
+    out = (m.exp(s) + 2.0 * m.exp(-0.5 * s) * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0
+    if m is np:  # math.exp overflows and math.cos(inf) raise
+        _replay_non_finite(lambda a, b: multisine(k, a, b), (out,), phi1, phi2)
+    return out
 
 
 def exp(z: Ternary) -> Ternary:
@@ -300,14 +368,19 @@ def exp(z: Ternary) -> Ternary:
     overflow of either scale raises OverflowError.
     """
     s = z.x1 + z.x2
-    big = math.exp(z.x0 + s)          # may raise OverflowError
-    small = 2.0 * math.exp(z.x0 - 0.5 * s)
+    t = z.x0 + s
+    m = _lib(t)
+    big = m.exp(t)          # may raise OverflowError
+    small = 2.0 * m.exp(z.x0 - 0.5 * s)
     psi = (SQRT3 / 2.0) * (z.x1 - z.x2)
-    return Ternary(
-        (big + small * math.cos(psi)) / 3.0,
-        (big + small * math.cos(psi - 2.0 * math.pi / 3.0)) / 3.0,
-        (big + small * math.cos(psi - 4.0 * math.pi / 3.0)) / 3.0,
+    x = (
+        (big + small * m.cos(psi)) / 3.0,
+        (big + small * m.cos(psi - 2.0 * math.pi / 3.0)) / 3.0,
+        (big + small * m.cos(psi - 4.0 * math.pi / 3.0)) / 3.0,
     )
+    if m is np:
+        _replay_non_finite(lambda *c: exp(Ternary(*c)), x, *z.components())
+    return Ternary(*x)
 
 
 def _log_parts(z: Ternary) -> tuple[float, float, float]:
@@ -352,10 +425,18 @@ class PolarForm:
     phi2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise DomainError(f"polar modulus must be positive and finite, got {self.rho!r}")
-        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
-            raise ValueError("non-finite polar angle")
+        try:
+            if not (math.isfinite(self.rho) and self.rho > 0.0):
+                raise DomainError(f"polar modulus must be positive and finite, got {self.rho!r}")
+            if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
+                raise ValueError("non-finite polar angle")
+        except TypeError:
+            args = (self.rho, self.phi1, self.phi2)
+            if not any(isinstance(c, np.ndarray) for c in args):
+                raise
+            ok = np.isfinite(self.rho) & (self.rho > 0.0) & np.isfinite(self.phi1) & np.isfinite(self.phi2)
+            if not ok.all():
+                _replay(PolarForm, ~ok, *args)
 
     @property
     def theta(self) -> float:

@@ -12,7 +12,9 @@ holomorphy:
   their product.
 
 All derivative checks are numerical (central differences, two step sizes);
-all integrals are adaptive Gauss-Kronrod (see ternion.quadrature).
+all integrals are adaptive Gauss-Kronrod (see ternion.quadrature).  The form
+integrals evaluate their integrand once per quadrature cell: fields, curves
+and patches get the cell's nodes as arrays and run elementwise.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .errors import (
     SingularNumber,
     SingularOnPath,
 )
-from .quadrature import DEFAULT_TOL, adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
+# the public pointwise entry points stay bound here for callers that wrap
+# them; the form integrals reach the batched engine through _quad
+from .quadrature import DEFAULT_TOL, _quad, adaptive_quad, adaptive_quad_2d, adaptive_quad_3d  # noqa: F401
 
 __all__ = [
     "TernaryField",
@@ -68,7 +72,15 @@ EPS_GEO = 1e-9    # closed-curve / on-surface geometric tolerance
 
 
 class TernaryField:
-    """A named map R^3 -> ternary numbers; func takes and returns Ternary."""
+    """A named map R^3 -> ternary numbers; func takes and returns Ternary.
+
+    The form integrals call func once per quadrature cell, on a Ternary whose
+    components are read-only arrays of the cell's nodes, and read the result
+    elementwise (a result with float components stands for every node).
+    Write func with ternion.algebra operations or numpy ufuncs: math.sin and
+    the like raise TypeError on arrays, and so does in-place arithmetic on
+    the components.
+    """
 
     def __init__(self, func, name=None):
         self.func = func
@@ -288,7 +300,12 @@ def ternary_laplacian(f, p: Ternary) -> float:
 
 
 class Curve:
-    """Parametrized curve gamma: [t_start, t_end] -> R^3 (values are Ternary)."""
+    """Parametrized curve gamma: [t_start, t_end] -> R^3 (values are Ternary).
+
+    line_integral calls gamma and derivative on a read-only array of
+    parameters and reads the Ternary they return elementwise; write them with
+    ternion.algebra operations or numpy ufuncs, as for TernaryField.
+    """
 
     def __init__(self, gamma, t_start, t_end, derivative=None):
         self.gamma = gamma
@@ -310,12 +327,25 @@ class Curve:
         return ta.scale(self.gamma(t + h) - self.gamma(t - h), 1.0 / (2.0 * h))
 
 
-def _guard_singular(evaluate):
-    def wrapped(*args):
+def _batched(evaluate):
+    """The quadrature integrand of evaluate, which maps node arrays to a tuple
+    of components (arrays or floats, broadcast to the nodes).
+
+    Division by zero raises instead of warning, and with SingularNumber it
+    ends in SingularOnPath; overflow and invalid operations leave inf or nan
+    for the Ternary and quadrature checks to report.
+    """
+
+    def wrapped(*nodes):
         try:
-            return evaluate(*args)
-        except (SingularNumber, ZeroDivisionError) as exc:
+            with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+                components = evaluate(*nodes)
+        except (SingularNumber, ZeroDivisionError, FloatingPointError) as exc:
             raise SingularOnPath(f"integrand hit the singular set: {exc}") from exc
+        vals = np.empty((len(nodes[0]), len(components)))
+        for j, c in enumerate(components):
+            vals[:, j] = c
+        return vals
 
     return wrapped
 
@@ -328,11 +358,11 @@ def line_integral(F, curve: Curve, tol: float = DEFAULT_TOL) -> Ternary:
     type-1 holomorphic F the result is primitive(end) - primitive(start).
     """
 
-    @_guard_singular
+    @_batched
     def integrand(t):
         return mul(F(curve.gamma(t)), curve.velocity(t)).components()
 
-    value = adaptive_quad(integrand, curve.t_start, curve.t_end, tol)
+    value = _quad(integrand, ((curve.t_start, curve.t_end),), tol)
     return Ternary(*value.tolist())
 
 
@@ -341,6 +371,9 @@ class SurfacePatch:
 
     Positive orientation is the (du, dv) order of the parametrization.
     partials (optional) returns the pair of tangent Ternary vectors.
+    surface_integral_2form calls param and partials on read-only arrays of
+    (u, v) nodes and reads the Ternary values elementwise; write them with
+    ternion.algebra operations or numpy ufuncs, as for TernaryField.
     """
 
     def __init__(self, param, u_range, v_range, orientation=1, partials=None):
@@ -373,7 +406,7 @@ def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL) -
         Omega2 = Phi2 J12 + Phi0 J20 + Phi1 J01
     """
 
-    @_guard_singular
+    @_batched
     def integrand(u, v):
         x = patch.param(u, v)
         du, dv = patch.tangents(u, v)
@@ -388,7 +421,7 @@ def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL) -
             o * (f2 * j12 + f0 * j20 + f1 * j01),
         )
 
-    value = adaptive_quad_2d(integrand, patch.u_range, patch.v_range, tol)
+    value = _quad(integrand, (patch.u_range, patch.v_range), tol)
     return Ternary(*value.tolist())
 
 
@@ -399,11 +432,11 @@ def volume_integral_3form(W, box, tol: float = DEFAULT_TOL) -> Ternary:
     result is simply the componentwise 3D integral of W.
     """
 
-    @_guard_singular
+    @_batched
     def integrand(x0, x1, x2):
         return W(Ternary(x0, x1, x2)).components()
 
-    value = adaptive_quad_3d(integrand, box, tol)
+    value = _quad(integrand, box, tol)
     return Ternary(*value.tolist())
 
 
@@ -430,17 +463,19 @@ class CubicSurfaceGeometry:
 def cubic_surface_geometry(rho: float, a: float, theta: float) -> CubicSurfaceGeometry:
     """Evaluate the standard parametrization of the cubic surface at (a, theta).
 
+    a and theta may be arrays of one shape; the fields then hold arrays.
     Returns the surface point, the induced-metric coefficients
     ((1/3)(2 + 4 rho^6/r^6), (2/3) r^2), the curvature -12 a^4/(4a^3+rho^3)^2,
     and the pullback Jacobians (J12, J20, J01) whose cubic combination
     satisfies the ternary Pythagorean identity rho^6/(3 sqrt3 a^3).
     """
-    if a <= 0.0:
-        raise DomainError(f"surface coordinate a must be positive, got {a}")
+    bad = np.less_equal(a, 0.0)
+    if bad.any():
+        raise DomainError(f"surface coordinate a must be positive, got {np.asarray(a)[bad].flat[0]}")
     if rho <= 0.0:
         raise DomainError(f"modulus level rho must be positive, got {rho}")
-    r = rho ** 1.5 / math.sqrt(a)
-    c, s = math.cos(theta), math.sin(theta)
+    r = rho ** 1.5 / np.sqrt(a)
+    c, s = np.cos(theta), np.sin(theta)
     point = Ternary(
         (a - 2.0 * r * c) / 3.0,
         (a + r * (c + math.sqrt(3.0) * s)) / 3.0,
@@ -505,8 +540,8 @@ def cubic_band_patch(rho: float, a1: float, a2: float) -> SurfacePatch:
         return cubic_surface_geometry(rho, a, theta).point
 
     def partials(a, theta):
-        r = rho**1.5 / math.sqrt(a)
-        c, s = math.cos(theta), math.sin(theta)
+        r = rho**1.5 / np.sqrt(a)
+        c, s = np.cos(theta), np.sin(theta)
         s3 = math.sqrt(3.0)
         da = Ternary(
             (1.0 + r * c / a) / 3.0,
@@ -546,19 +581,17 @@ def sphere_patch(center: Ternary, radius: float) -> SurfacePatch:
         raise DomainError(f"sphere radius must be positive, got {radius}")
 
     def param(u, v):
+        su = np.sin(u)
         return Ternary(
-            center.x0 + radius * math.sin(u) * math.cos(v),
-            center.x1 + radius * math.sin(u) * math.sin(v),
-            center.x2 + radius * math.cos(u),
+            center.x0 + radius * su * np.cos(v),
+            center.x1 + radius * su * np.sin(v),
+            center.x2 + radius * np.cos(u),
         )
 
     def partials(u, v):
-        du = Ternary(
-            radius * math.cos(u) * math.cos(v),
-            radius * math.cos(u) * math.sin(v),
-            -radius * math.sin(u),
-        )
-        dv = Ternary(-radius * math.sin(u) * math.sin(v), radius * math.sin(u) * math.cos(v), 0.0)
+        su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+        du = Ternary(radius * cu * cv, radius * cu * sv, -radius * su)
+        dv = Ternary(-radius * su * sv, radius * su * cv, 0.0)
         return du, dv
 
     return SurfacePatch(param, (0.0, math.pi), (0.0, 2.0 * math.pi), partials=partials)

@@ -320,7 +320,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        print("run `ternion --help` for usage", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

@@ -206,16 +206,18 @@ _CONFIG_TYPES = {
 
 def load_config(path, command: str):
     """Parse a config file; a manifest written by a previous run also works
-    (its embedded config is extracted), which is what makes reruns exact."""
+    (its embedded config is extracted), which is what makes reruns exact.
+    A file that does not hold a JSON object gets a pointer to the usage."""
+    usage = f"see `ternion {command} --help` for usage"
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}; {usage}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid JSON: {exc}; {usage}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+        raise ConfigError(f"config {path} must hold a JSON object; {usage}")
     if "config" in data:  # manifest rerun
         if data.get("command") not in (None, command):
             raise ConfigError(

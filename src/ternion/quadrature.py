@@ -6,8 +6,13 @@ estimate, its error on an axis is max |value - the rule with G7 on that axis|,
 and the worst cell is bisected on its worst axis until the summed error is
 <= the absolute tolerance.  Volume integrals iterate a 1D rule over 2D ones.
 
-Each public call owns one budget of 10**6 integrand evaluations, shared with
-the inner rules of a volume integral.  QuadratureFailure is raised when the
+The engine calls its integrand once per cell, with one read-only array of
+node coordinates per axis (in itertools.product order), and takes back a
+(15^d, m) array of values.  The public functions integrate pointwise
+integrands, called once per node with floats, through a one-line adapter.
+
+Each call owns one budget of 10**6 integrand evaluations, shared with the
+inner rules of a volume integral.  QuadratureFailure is raised when the
 budget runs out, a cell stalls (see _integrate) or the integrand is not finite.
 """
 
@@ -97,8 +102,12 @@ def _cell(f, box, budget):
     if budget[0] < 0:
         raise QuadratureFailure("quadrature evaluation budget exhausted")
     halves = [0.5 * (hi - lo) for lo, hi in box]
-    axes = [[0.5 * (lo + hi) + h * x for x in NODES] for (lo, hi), h in zip(box, halves)]
-    vals = np.array([f(*p) for p in itertools.product(*axes)], dtype=float).reshape(15**d, -1)
+    axes = [0.5 * (lo + hi) + h * NODES for (lo, hi), h in zip(box, halves)]
+    if d == 2:
+        axes = [np.repeat(axes[0], 15), np.tile(axes[1], 15)]
+    for a in axes:
+        a.flags.writeable = False
+    vals = f(*axes)
     k_weights, g_weights = _RULES[d]
     scale = math.prod(halves)
     k = scale * _weighted_sum(k_weights, vals)
@@ -138,26 +147,45 @@ def _integrate(f, box, tol, budget):
     return sum(item[3] for item in heap)
 
 
+def _quad(f, box, tol):
+    """Integrate f over a box of 1 to 3 axes under one budget.
+
+    f is batched: it takes one array of node coordinates per axis and
+    returns a (nodes, m) array.  Three axes iterate a 1D rule over 2D ones.
+    """
+    budget = [BUDGET]
+    if len(box) < 3:
+        return _integrate(f, tuple(box), tol, budget)
+    (a0, b0), r1, r2 = box
+    inner_tol = tol / (4.0 * max(b0 - a0, 1.0))
+
+    def inner(x0):
+        def face(x1, x2):
+            return f(np.broadcast_to(x0, x1.shape), x1, x2)
+
+        return _integrate(face, (r1, r2), inner_tol, budget)
+
+    return _integrate(lambda x0s: np.array([inner(x0) for x0 in x0s]), ((a0, b0),), tol, budget)
+
+
+def _pointwise(f):
+    """The batched form of f: one call per node, with floats, in node order."""
+    return lambda *axes: np.array([f(*p) for p in zip(*axes)], dtype=float).reshape(len(axes[0]), -1)
+
+
 def adaptive_quad(f, a, b, tol=DEFAULT_TOL):
     """Integrate vector-valued f over [a, b] to absolute tolerance tol.
 
     Reversed limits flip the sign, as usual.
     """
-    return _integrate(f, ((a, b),), tol, [BUDGET])
+    return _quad(_pointwise(f), ((a, b),), tol)
 
 
 def adaptive_quad_2d(f, u_range, v_range, tol=DEFAULT_TOL):
     """Integrate vector-valued f(u, v) over a rectangle to absolute tol."""
-    return _integrate(f, (u_range, v_range), tol, [BUDGET])
+    return _quad(_pointwise(f), (u_range, v_range), tol)
 
 
 def adaptive_quad_3d(f, ranges, tol=DEFAULT_TOL):
     """Integrate vector-valued f(x0, x1, x2) over a box (iterated 1D/2D)."""
-    (a0, b0), r1, r2 = ranges
-    inner_tol = tol / (4.0 * max(b0 - a0, 1.0))
-    budget = [BUDGET]
-
-    def outer(x0):
-        return _integrate(lambda x1, x2: f(x0, x1, x2), (r1, r2), inner_tol, budget)
-
-    return _integrate(outer, ((a0, b0),), tol, budget)
+    return _quad(_pointwise(f), ranges, tol)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from ternion.algebra import ComplexTernary, Ternary, conjugates
+from ternion.algebra import ComplexTernary, Ternary, conjugates, mul
 
 
 def expm_taylor(m: np.ndarray, order: int = 16) -> np.ndarray:
@@ -55,3 +55,40 @@ def conjugate_product(z: Ternary) -> ComplexTernary:
 
 def ternary_close(a: Ternary, b: Ternary, tol: float) -> bool:
     return (a - b).max_abs() <= tol
+
+
+# Pointwise form integrands: one call per quadrature node, with floats, as the
+# form integrals evaluated them before they batched each cell.  Integrated by
+# the public adaptive_quad* they are the reference for ternion.calculus.
+
+
+def line_integrand(F, curve):
+    def integrand(t):
+        return mul(F(curve.gamma(t)), curve.velocity(t)).components()
+
+    return integrand
+
+
+def surface_integrand(Phi, patch):
+    def integrand(u, v):
+        x = patch.param(u, v)
+        du, dv = patch.tangents(u, v)
+        j12 = du.x1 * dv.x2 - du.x2 * dv.x1
+        j20 = du.x2 * dv.x0 - du.x0 * dv.x2
+        j01 = du.x0 * dv.x1 - du.x1 * dv.x0
+        f0, f1, f2 = Phi(x).components()
+        o = patch.orientation
+        return (
+            o * (f0 * j12 + f1 * j20 + f2 * j01),
+            o * (f1 * j12 + f2 * j20 + f0 * j01),
+            o * (f2 * j12 + f0 * j20 + f1 * j01),
+        )
+
+    return integrand
+
+
+def volume_integrand(W):
+    def integrand(x0, x1, x2):
+        return W(Ternary(x0, x1, x2)).components()
+
+    return integrand

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ from ternion.errors import (
     NumericalBreakdown,
     SingularOnPath,
 )
+from ternion.quadrature import adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
 
-from oracles import random_admissible, ternary_close
+from oracles import line_integrand, random_admissible, surface_integrand, ternary_close, volume_integrand
 
 SQ3 = math.sqrt(3.0)
 
@@ -296,11 +298,10 @@ def test_divergence_theorem():
     h = 1e-6
 
     def partial(i, j, p):
-        c = list(p.components())
-        c[j] += h
-        up = phi(Ternary(*c)).components()[i]
-        c[j] -= 2 * h
-        dn = phi(Ternary(*c)).components()[i]
+        # out of place: the components are the quadrature's read-only node arrays
+        c = p.components()
+        up = phi(Ternary(*(x + h if k == j else x for k, x in enumerate(c)))).components()[i]
+        dn = phi(Ternary(*(x - h if k == j else x for k, x in enumerate(c)))).components()[i]
         return (up - dn) / (2 * h)
 
     def divergences(p):
@@ -419,3 +420,87 @@ def test_closedness_of_holomorphic_one_form(rng):
                 dwj_dxi = (coeffs(pi_up)[comp][j] - coeffs(pi_dn)[comp][j]) / (2 * h)
                 dwi_dxj = (coeffs(pj_up)[comp][i] - coeffs(pj_dn)[comp][i]) / (2 * h)
                 assert abs(dwj_dxi - dwi_dxj) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Batched form integrals against the pointwise reference integrands of
+# tests/oracles.py, integrated node by node through the public adaptive_quad*
+
+
+def _counting(func):
+    """A TernaryField that counts the nodes it is evaluated at."""
+
+    def counted(z):
+        counted.n += max(np.size(c) for c in z.components())
+        return func(z)
+
+    counted.n = 0
+    return TernaryField(counted)
+
+
+_BOX = ((-0.5, 0.4), (0.1, 1.2), (-1.0, 0.3))
+_A, _B = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
+
+
+@pytest.mark.parametrize(
+    "kind, func, domain",
+    [
+        ("line", inverse, trisectrice_loop(1.3, 0.2)),
+        ("line", lambda z: mul(z, z), straight_line(_A, _B)),
+        ("surface", lambda z: scale(z, 1.0 / norm_cubed(z)), cubic_band_patch(1.1, 0.8, 2.0)),
+        ("surface", lambda z: scale(z, 1.0 / norm_cubed(z)), polar_band_patch(0.9, -0.3, 0.2)),
+        ("surface", lambda z: z, sphere_patch(Ternary(0.0, 0.0, 2.0), 0.5)),
+        ("surface", lambda z: mul(z, z), box_boundary_patches(_BOX)[2]),
+        ("volume", lambda z: mul(Ternary(-0.4, 0.9, 0.6), mul(z, z)) + Ternary(0.3, -0.7, 0.2), _BOX),
+    ],
+    ids=["loop", "segment", "cubic-band", "polar-band", "sphere", "box-face", "box-volume"],
+)
+def test_batched_integral_matches_pointwise_reference(kind, func, domain):
+    batched, pointwise = _counting(func), _counting(func)
+    if kind == "line":
+        got = line_integral(batched, domain, tol=1e-9)
+        ref = adaptive_quad(line_integrand(pointwise, domain), domain.t_start, domain.t_end, 1e-9)
+    elif kind == "surface":
+        got = surface_integral_2form(batched, domain, tol=1e-9)
+        ref = adaptive_quad_2d(surface_integrand(pointwise, domain), domain.u_range, domain.v_range, 1e-9)
+    else:
+        got = volume_integral_3form(batched, domain, tol=1e-9)
+        ref = adaptive_quad_3d(volume_integrand(pointwise), domain, 1e-9)
+    ref = Ternary(*ref.tolist())
+    assert batched.func.n == pointwise.func.n
+    assert (got - ref).max_abs() <= 1e-15 * ref.max_abs()
+
+
+def test_zero_norm_node_ends_in_singular_on_path_without_warning():
+    # the segment's midpoint node is exactly 0, where 1/||z||^3 divides by zero
+    a, b = Ternary(-1.0, -0.5, 0.2), Ternary(1.0, 0.5, -0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularOnPath, match="divide by zero"):
+            line_integral(inverse_conjugate_field(), straight_line(a, b), tol=1e-10)
+        with pytest.raises(SingularOnPath):
+            volume_integral_3form(inverse_conjugate_field(), ((-1, 1), (-1, 1), (-1, 1)), tol=1e-10)
+
+
+def test_field_mutating_its_nodes_raises():
+    def shift_in_place(z):
+        x = z.x0
+        x += 1.0
+        return z
+
+    with pytest.raises(ValueError, match="read-only"):
+        volume_integral_3form(TernaryField(shift_in_place), ((0, 1), (0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="read-only"):
+        line_integral(TernaryField(shift_in_place), straight_line(_A, _B))
+
+    def gamma(t):
+        t *= 2.0
+        return scale(_A, t)
+
+    with pytest.raises(ValueError, match="read-only"):
+        line_integral(identity_field, Curve(gamma, 0.0, 1.0))
+
+
+def test_field_written_with_math_functions_raises_type_error():
+    with pytest.raises(TypeError):
+        line_integral(TernaryField(lambda z: Ternary(math.sin(z.x0), 0.0, 0.0)), straight_line(_A, _B))

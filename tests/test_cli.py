@@ -346,7 +346,8 @@ def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, comm
     write_json(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", "cfg.json", "--out", "out.csv", *flags]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines()[0].startswith(message)
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
     assert "Traceback" not in captured.err
 
 
@@ -399,7 +400,7 @@ def test_integrate_form_requires_domain(capsys):
 )
 def test_integrate_form_flag_errors_exit_2(capsys, argv, message):
     assert main(["integrate-form", *argv]) == 2
-    assert capsys.readouterr().err.splitlines()[0] == message
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def test_quadrature_bits_are_pinned():
         general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1).t(1.0),
     ]
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
-    assert digest == "ab67e836da0e0b23921ec42e1336d5106c8c7393389cb51b117f5346e06f6004"
+    assert digest == "2ed414cbf66b19ca2e919d2fa51bc9451519e0e68d1377a171983963887c77d1"
 
 
 def test_non_finite_integrand_fails_1d():
