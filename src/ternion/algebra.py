@@ -189,11 +189,21 @@ def cubic_form(u: float, v: float, w: float) -> float:
     (u + v + w) * ((u-v)^2 + (v-w)^2 + (w-u)^2) / 2,
 
     which avoids the cancellation of the direct power sum when the three
-    values are large and nearly equal.
+    values are large and nearly equal.  The squares are products, so floats
+    and arrays give the same bits.  A result outside the float range raises
+    OverflowError.
     """
-    c = (u + v + w) * 0.5 * ((u - v) ** 2 + (v - w) ** 2 + (w - u) ** 2)
-    if isinstance(c, np.ndarray):  # a squared difference that overflows raises
+    d = u - v
+    s = d * d
+    d = v - w
+    s += d * d  # in place on arrays, saving a temporary
+    d = w - u
+    s += d * d
+    c = (u + v + w) * 0.5 * s
+    if isinstance(c, np.ndarray):
         _replay_non_finite(cubic_form, (c,), u, v, w)
+    elif not math.isfinite(c):
+        raise OverflowError(f"cubic form out of float range: {c}")
     return c
 
 
@@ -386,18 +396,27 @@ def exp(z: Ternary) -> Ternary:
 def _log_parts(z: Ternary) -> tuple[float, float, float]:
     """(ln rho, phi, theta) for admissible z; theta reduced into [0, period)."""
     n = norm_cubed(z)
-    if abs(n) <= singular_tolerance(z):
-        raise SingularNumber(f"log undefined on the singular set: ||z||^3 = {n:.3e}")
     k = z.x0 + z.x1 + z.x2
-    if n <= 0.0 or k <= 0.0:
-        raise DomainError(
-            f"log requires ||z||^3 > 0 and x0+x1+x2 > 0, got {n:.3e} and {k:.3e}"
-        )
-    ln_rho = math.log(n) / 3.0
-    phi = 0.5 * (math.log(k) - ln_rho)
-    psi = math.atan2(SQRT3 * (z.x1 - z.x2), 2.0 * z.x0 - z.x1 - z.x2)
+    if isinstance(n, np.ndarray):
+        bad = (abs(n) <= singular_tolerance(z)) | (n <= 0.0) | (k <= 0.0)
+        if bad.any():
+            _replay(lambda *c: _log_parts(Ternary(*c)), bad, *z.components())
+        m, atan2 = np, np.arctan2
+    else:
+        if abs(n) <= singular_tolerance(z):
+            raise SingularNumber(f"log undefined on the singular set: ||z||^3 = {n:.3e}")
+        if n <= 0.0 or k <= 0.0:
+            raise DomainError(
+                f"log requires ||z||^3 > 0 and x0+x1+x2 > 0, got {n:.3e} and {k:.3e}"
+            )
+        m, atan2 = math, math.atan2
+    ln_rho = m.log(n) / 3.0
+    phi = 0.5 * (m.log(k) - ln_rho)
+    psi = atan2(SQRT3 * (z.x1 - z.x2), 2.0 * z.x0 - z.x1 - z.x2)
     theta = psi / SQRT3
-    if theta < 0.0:
+    if m is np:
+        theta = np.where(theta < 0.0, theta + THETA_PERIOD, theta)
+    elif theta < 0.0:
         theta += THETA_PERIOD
     return ln_rho, phi, theta
 
@@ -442,7 +461,11 @@ class PolarForm:
     def theta(self) -> float:
         """Compact angle (phi1-phi2)/2 reduced into [0, 2 pi/sqrt3)."""
         t = 0.5 * (self.phi1 - self.phi2)
-        t = math.fmod(t, THETA_PERIOD)
+        try:
+            t = math.fmod(t, THETA_PERIOD)
+        except TypeError:  # array angles; fmod is exact, so the bits agree
+            t = np.fmod(t, THETA_PERIOD)
+            return np.where(t < 0.0, t + THETA_PERIOD, t)
         if t < 0.0:
             t += THETA_PERIOD
         return t
@@ -456,7 +479,11 @@ class PolarForm:
 def to_polar(z: Ternary) -> PolarForm:
     """Polar form of z; same domain as log, theta canonicalized."""
     ln_rho, phi, theta = _log_parts(z)
-    return PolarForm(math.exp(ln_rho), phi + theta, phi - theta)
+    try:
+        rho = math.exp(ln_rho)
+    except TypeError:  # array components
+        rho = np.exp(ln_rho)
+    return PolarForm(rho, phi + theta, phi - theta)
 
 
 def from_polar(p: PolarForm) -> Ternary:
@@ -474,9 +501,18 @@ def characteristic_matrix(z: Ternary) -> np.ndarray:
     R(q) = rotation by 2 pi/3 in the plane orthogonal to the trisectrice.
 
     The map is an algebra homomorphism (matrix product matches mul) and its
-    determinant equals the cubic norm.
+    determinant equals the cubic norm.  Array components of shape S give
+    the stack of shape S + (3, 3).
     """
     k = z.x0 + z.x1 + z.x2
     e = z.x0 - 0.5 * (z.x1 + z.x2)
     i = (SQRT3 / 2.0) * (z.x1 - z.x2)
-    return np.array([[k, 0.0, 0.0], [0.0, e, i], [0.0, -i, e]])
+    try:
+        return np.array([[k, 0.0, 0.0], [0.0, e, i], [0.0, -i, e]])
+    except ValueError:  # array components: one matrix per element
+        out = np.zeros(k.shape + (3, 3))
+    out[..., 0, 0] = k
+    out[..., 1, 1] = out[..., 2, 2] = e
+    out[..., 1, 2] = i
+    out[..., 2, 1] = -i
+    return out

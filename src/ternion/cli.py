@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -251,8 +252,18 @@ def _cmd_form(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse parser whose usage errors are one stderr line, exit 2; the
+    subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built on the first main call and reused by later ones."""
+    parser = _Parser(
         prog="ternion",
         description="Ternary complex analysis and monopole dynamics toolkit",
     )

@@ -43,11 +43,40 @@ def _rand_ternary(rng, lo=-3.0, hi=3.0) -> Ternary:
     return Ternary(*rng.uniform(lo, hi, size=3))
 
 
-def _rand_admissible(rng, lo=-3.0, hi=3.0) -> Ternary:
+def _admissible_rows(rng, n, lo=-3.0, hi=3.0) -> np.ndarray:
+    """n draws (x0, x1, x2) with ||z||^3 > 1e-2 and x0+x1+x2 > 1e-2, as rows.
+
+    They are the draws a loop of _rand_ternary calls keeps when it rejects
+    the others, and the stream advances by exactly the draws that loop takes.
+    """
+    state = rng.bit_generator.state
+    size = 2 * n
     while True:
-        z = _rand_ternary(rng, lo, hi)
-        if ta.norm_cubed(z) > 1e-2 and (z.x0 + z.x1 + z.x2) > 1e-2:
-            return z
+        x = rng.uniform(lo, hi, size=(size, 3))
+        ok = (ta.cubic_form(*x.T) > 1e-2) & (x[:, 0] + x[:, 1] + x[:, 2] > 1e-2)
+        if np.count_nonzero(ok) >= n:
+            break
+        rng.bit_generator.state = state
+        size *= 2
+    used = np.flatnonzero(ok)[n - 1] + 1
+    rng.bit_generator.state = state
+    return rng.uniform(lo, hi, size=(used, 3))[ok[:used]]
+
+
+def _rand_admissible(rng, lo=-3.0, hi=3.0) -> Ternary:
+    return Ternary(*_admissible_rows(rng, 1, lo, hi)[0])
+
+
+def _worst(r, counterexample):
+    """Largest residual of the array r and counterexample(i) at its first
+    flat index i: the pair a loop over r keeping each strictly larger residual
+    ends with.  A nan counts as largest, so it fails its bound."""
+    i = int(np.argmax(r))
+    return r.flat[i], counterexample(i)
+
+
+def _at(z: Ternary, i) -> tuple:
+    return tuple(c[i] for c in z.components())
 
 
 # --------------------------------------------------------------------------
@@ -55,16 +84,15 @@ def _rand_admissible(rng, lo=-3.0, hi=3.0) -> Ternary:
 
 
 def algebra_suite(seed: int) -> list[CheckResult]:
+    """Each check evaluates the kernels once on arrays of all its samples,
+    drawn in the order one sample at a time would draw them."""
     rng = np.random.default_rng(seed)
     out = []
 
-    worst, ce = 0.0, None
-    for _ in range(2000):
-        p1, p2 = rng.uniform(-3, 3, size=2)
-        m = [ta.multisine(k, p1, p2) for k in range(3)]
-        r = abs(ta.cubic_form(*m) - 1.0)
-        if r > worst:
-            worst, ce = r, {"phi1": p1, "phi2": p2, "m": m}
+    p1, p2 = rng.uniform(-3, 3, size=(2000, 2)).T
+    m = [ta.multisine(k, p1, p2) for k in range(3)]
+    r = abs(ta.cubic_form(*m) - 1.0)
+    worst, ce = _worst(r, lambda i: {"phi1": p1[i], "phi2": p2[i], "m": [float(v[i]) for v in m]})
     out.append(_bound_check("cubic-identity m0^3+m1^3+m2^3-3m0m1m2=1", worst, 1e-10, ce))
 
     worst, ce = 0.0, None
@@ -74,119 +102,107 @@ def algebra_suite(seed: int) -> list[CheckResult]:
             worst, ce = r, {"k": k, "value": ta.multisine(k, 0.0, 0.0)}
     out.append(_bound_check("multisine-at-origin", worst, 1e-14, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(300):
-        z, w, u = (_rand_ternary(rng) for _ in range(3))
-        scale = (1 + z.max_abs()) * (1 + w.max_abs()) * (1 + u.max_abs())
-        r = max(
+    x = rng.uniform(-3, 3, size=(300, 9)).T
+    z, w, u = Ternary(*x[0:3]), Ternary(*x[3:6]), Ternary(*x[6:9])
+    scale = (1 + z.max_abs()) * (1 + w.max_abs()) * (1 + u.max_abs())
+    r = np.maximum.reduce(
+        [
             (ta.mul(z, w) - ta.mul(w, z)).max_abs(),
             (ta.mul(ta.mul(z, w), u) - ta.mul(z, ta.mul(w, u))).max_abs(),
             (ta.mul(z + w, u) - (ta.mul(z, u) + ta.mul(w, u))).max_abs(),
-        ) / scale
-        if r > worst:
-            worst, ce = r, {"z": z.components(), "w": w.components(), "u": u.components()}
+        ]
+    ) / scale
+    worst, ce = _worst(r, lambda i: {"z": _at(z, i), "w": _at(w, i), "u": _at(u, i)})
     out.append(_bound_check("ring-laws (commutative/associative/distributive)", worst, 1e-12, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(300):
-        z, w = _rand_ternary(rng), _rand_ternary(rng)
-        scale = ((1 + z.max_abs()) * (1 + w.max_abs())) ** 3
-        r1 = abs(ta.norm_cubed(ta.mul(z, w)) - ta.norm_cubed(z) * ta.norm_cubed(w)) / scale
-        r2 = abs(np.linalg.det(ta.characteristic_matrix(z)) - ta.norm_cubed(z)) / (1 + z.max_abs()) ** 3
-        r3 = float(
-            np.max(
-                np.abs(
-                    ta.characteristic_matrix(ta.mul(z, w))
-                    - ta.characteristic_matrix(z) @ ta.characteristic_matrix(w)
-                )
-            )
-        ) / scale
-        r = max(r1, r2, r3)
-        if r > worst:
-            worst, ce = r, {"z": z.components(), "w": w.components()}
+    x = rng.uniform(-3, 3, size=(300, 6)).T
+    z, w = Ternary(*x[0:3]), Ternary(*x[3:6])
+    scale = ((1 + z.max_abs()) * (1 + w.max_abs())) ** 3
+    r1 = abs(ta.norm_cubed(ta.mul(z, w)) - ta.norm_cubed(z) * ta.norm_cubed(w)) / scale
+    r2 = abs(np.linalg.det(ta.characteristic_matrix(z)) - ta.norm_cubed(z)) / (1 + z.max_abs()) ** 3
+    r3 = np.max(
+        np.abs(
+            ta.characteristic_matrix(ta.mul(z, w))
+            - ta.characteristic_matrix(z) @ ta.characteristic_matrix(w)
+        ),
+        axis=(1, 2),
+    ) / scale
+    r = np.maximum.reduce([r1, r2, r3])
+    worst, ce = _worst(r, lambda i: {"z": _at(z, i), "w": _at(w, i)})
     out.append(_bound_check("norm-multiplicativity and matrix-representation", worst, 1e-10, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(500):
-        z = _rand_admissible(rng)
-        r = (ta.exp(ta.log(z)) - z).max_abs() / (1.0 + z.max_abs())
-        if r > worst:
-            worst, ce = r, {"z": z.components()}
+    z = Ternary(*_admissible_rows(rng, 500).T)
+    r = (ta.exp(ta.log(z)) - z).max_abs() / (1.0 + z.max_abs())
+    worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
     out.append(_bound_check("exp-log-round-trip", worst, 1e-9, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(300):
-        x0, phi = rng.uniform(-2, 2, size=2)
-        theta = rng.uniform(0.0, ta.THETA_PERIOD * 0.999)
-        w = Ternary(x0, phi + theta, phi - theta)
-        r = (ta.log(ta.exp(w)) - w).max_abs() / (1.0 + w.max_abs())
-        if r > worst:
-            worst, ce = r, {"w": w.components()}
+    # per sample: x0 and phi on (-2, 2), then theta on [0, 0.999 period)
+    x = rng.random((300, 3)).T
+    x0, phi = -2.0 + 4.0 * x[0], -2.0 + 4.0 * x[1]
+    theta = 0.0 + ta.THETA_PERIOD * 0.999 * x[2]
+    w = Ternary(x0, phi + theta, phi - theta)
+    r = (ta.log(ta.exp(w)) - w).max_abs() / (1.0 + w.max_abs())
+    worst, ce = _worst(r, lambda i: {"w": _at(w, i)})
     out.append(_bound_check("log-exp-round-trip (reduced compact angle)", worst, 1e-9, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(300):
-        z = _rand_admissible(rng)
-        p = ta.to_polar(z)
-        r = (ta.from_polar(p) - z).max_abs() / (1.0 + z.max_abs())
-        if not (0.0 <= p.theta < ta.THETA_PERIOD):
-            r = max(r, 1.0)
-        if r > worst:
-            worst, ce = r, {"z": z.components()}
+    z = Ternary(*_admissible_rows(rng, 300).T)
+    p = ta.to_polar(z)
+    r = (ta.from_polar(p) - z).max_abs() / (1.0 + z.max_abs())
+    theta = p.theta
+    r = np.where((0.0 <= theta) & (theta < ta.THETA_PERIOD), r, np.maximum(r, 1.0))
+    worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
     out.append(_bound_check("polar-round-trip", worst, 1e-10, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(300):
-        p = rng.uniform(-2, 2, size=2)
-        s = rng.uniform(-2, 2, size=2)
-        for k in range(3):
-            lhs = ta.multisine(k, p[0] + s[0], p[1] + s[1])
-            rhs = sum(ta.multisine(m, *p) * ta.multisine((k - m) % 3, *s) for m in range(3))
-            r = abs(lhs - rhs) / (1.0 + abs(lhs))
-            if r > worst:
-                worst, ce = r, {"phi": list(p), "psi": list(s), "k": k}
+    p1, p2, s1, s2 = rng.uniform(-2, 2, size=(300, 4)).T
+    r = []
+    for k in range(3):
+        lhs = ta.multisine(k, p1 + s1, p2 + s2)
+        rhs = sum(ta.multisine(m, p1, p2) * ta.multisine((k - m) % 3, s1, s2) for m in range(3))
+        r.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
+    worst, ce = _worst(
+        np.stack(r, axis=1),
+        lambda i: {"phi": [p1[i // 3], p2[i // 3]], "psi": [s1[i // 3], s2[i // 3]], "k": i % 3},
+    )
     out.append(_bound_check("multisine-addition-law", worst, 1e-11, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(300):
-        p1, p2 = rng.uniform(-2, 2, size=2)
-        m = [ta.multisine(k, p1, p2) for k in range(3)]
-        neg = [ta.multisine(k, -p1, -p2) for k in range(3)]
-        scale = 1.0 + max(abs(v) for v in m) ** 2
-        r = (
-            max(
+    p1, p2 = rng.uniform(-2, 2, size=(300, 2)).T
+    m = [ta.multisine(k, p1, p2) for k in range(3)]
+    neg = [ta.multisine(k, -p1, -p2) for k in range(3)]
+    scale = 1.0 + np.maximum.reduce([abs(v) for v in m]) ** 2
+    r = (
+        np.maximum.reduce(
+            [
                 abs(neg[0] - (m[0] ** 2 - m[1] * m[2])),
                 abs(neg[1] - (m[2] ** 2 - m[0] * m[1])),
                 abs(neg[2] - (m[1] ** 2 - m[0] * m[2])),
-            )
-            / scale
+            ]
         )
-        if r > worst:
-            worst, ce = r, {"phi1": p1, "phi2": p2}
+        / scale
+    )
+    worst, ce = _worst(r, lambda i: {"phi1": p1[i], "phi2": p2[i]})
     out.append(_bound_check("multisine-duality-triples", worst, 1e-12, ce))
 
     h = 1e-5
-    worst, ce = 0.0, None
-    for _ in range(100):
-        p1, p2 = rng.uniform(-2, 2, size=2)
-        for k in range(3):
-            d1 = (ta.multisine(k, p1 + h, p2) - ta.multisine(k, p1 - h, p2)) / (2 * h)
-            d2 = (ta.multisine(k, p1, p2 + h) - ta.multisine(k, p1, p2 - h)) / (2 * h)
-            r = max(
+    p1, p2 = rng.uniform(-2, 2, size=(100, 2)).T
+    r = []
+    for k in range(3):
+        d1 = (ta.multisine(k, p1 + h, p2) - ta.multisine(k, p1 - h, p2)) / (2 * h)
+        d2 = (ta.multisine(k, p1, p2 + h) - ta.multisine(k, p1, p2 - h)) / (2 * h)
+        r.append(
+            np.maximum(
                 abs(d1 - ta.multisine((k - 1) % 3, p1, p2)),
                 abs(d2 - ta.multisine((k - 2) % 3, p1, p2)),
             )
-            if r > worst:
-                worst, ce = r, {"phi1": p1, "phi2": p2, "k": k}
+        )
+    worst, ce = _worst(
+        np.stack(r, axis=1), lambda i: {"phi1": p1[i // 3], "phi2": p2[i // 3], "k": i % 3}
+    )
     out.append(_bound_check("multisine-derivative-shifts-index", worst, 10 * h * h, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(300):
-        z = _rand_ternary(rng)
-        back = ta.idempotent_reconstruct(ta.idempotent_decompose(z))
-        r = (back - z).max_abs() / (1.0 + z.max_abs())
-        if r > worst:
-            worst, ce = r, {"z": z.components()}
+    z = Ternary(*rng.uniform(-3, 3, size=(300, 3)).T)
+    back = ta.idempotent_reconstruct(ta.idempotent_decompose(z))
+    r = (back - z).max_abs() / (1.0 + z.max_abs())
+    worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
     rel = max(
         (ta.mul(ta.K0, ta.E0) - ta.ZERO).max_abs(),
         (ta.mul(ta.I_UNIT, ta.I_UNIT) + ta.E0).max_abs(),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from ternion import algebra as ta
+from ternion import verify as tv
 from ternion.algebra import ComplexTernary, Ternary, conjugates, mul
 
 
@@ -92,3 +94,160 @@ def volume_integrand(W):
         return W(Ternary(x0, x1, x2)).components()
 
     return integrand
+
+
+# The algebra property suite as it ran before each check became one array
+# evaluation: one sample at a time, in Python loops.  The shipped
+# ternion.verify.algebra_suite must draw the same samples and reach the same
+# verdicts.
+
+
+def _loop_admissible(rng, lo=-3.0, hi=3.0) -> Ternary:
+    while True:
+        z = random_ternary(rng, lo, hi)
+        if ta.norm_cubed(z) > 1e-2 and (z.x0 + z.x1 + z.x2) > 1e-2:
+            return z
+
+
+def algebra_suite_loops(seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    out = []
+
+    worst, ce = 0.0, None
+    for _ in range(2000):
+        p1, p2 = rng.uniform(-3, 3, size=2)
+        m = [ta.multisine(k, p1, p2) for k in range(3)]
+        r = abs(ta.cubic_form(*m) - 1.0)
+        if r > worst:
+            worst, ce = r, {"phi1": p1, "phi2": p2, "m": m}
+    out.append(tv._bound_check("cubic-identity m0^3+m1^3+m2^3-3m0m1m2=1", worst, 1e-10, ce))
+
+    worst, ce = 0.0, None
+    for k in range(3):
+        r = abs(ta.multisine(k, 0.0, 0.0) - (1.0 if k == 0 else 0.0))
+        if r > worst:
+            worst, ce = r, {"k": k, "value": ta.multisine(k, 0.0, 0.0)}
+    out.append(tv._bound_check("multisine-at-origin", worst, 1e-14, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(300):
+        z, w, u = (random_ternary(rng) for _ in range(3))
+        scale = (1 + z.max_abs()) * (1 + w.max_abs()) * (1 + u.max_abs())
+        r = max(
+            (ta.mul(z, w) - ta.mul(w, z)).max_abs(),
+            (ta.mul(ta.mul(z, w), u) - ta.mul(z, ta.mul(w, u))).max_abs(),
+            (ta.mul(z + w, u) - (ta.mul(z, u) + ta.mul(w, u))).max_abs(),
+        ) / scale
+        if r > worst:
+            worst, ce = r, {"z": z.components(), "w": w.components(), "u": u.components()}
+    out.append(tv._bound_check("ring-laws (commutative/associative/distributive)", worst, 1e-12, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(300):
+        z, w = random_ternary(rng), random_ternary(rng)
+        scale = ((1 + z.max_abs()) * (1 + w.max_abs())) ** 3
+        r1 = abs(ta.norm_cubed(ta.mul(z, w)) - ta.norm_cubed(z) * ta.norm_cubed(w)) / scale
+        r2 = abs(np.linalg.det(ta.characteristic_matrix(z)) - ta.norm_cubed(z)) / (1 + z.max_abs()) ** 3
+        r3 = float(
+            np.max(
+                np.abs(
+                    ta.characteristic_matrix(ta.mul(z, w))
+                    - ta.characteristic_matrix(z) @ ta.characteristic_matrix(w)
+                )
+            )
+        ) / scale
+        r = max(r1, r2, r3)
+        if r > worst:
+            worst, ce = r, {"z": z.components(), "w": w.components()}
+    out.append(tv._bound_check("norm-multiplicativity and matrix-representation", worst, 1e-10, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(500):
+        z = _loop_admissible(rng)
+        r = (ta.exp(ta.log(z)) - z).max_abs() / (1.0 + z.max_abs())
+        if r > worst:
+            worst, ce = r, {"z": z.components()}
+    out.append(tv._bound_check("exp-log-round-trip", worst, 1e-9, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(300):
+        x0, phi = rng.uniform(-2, 2, size=2)
+        theta = rng.uniform(0.0, ta.THETA_PERIOD * 0.999)
+        w = Ternary(x0, phi + theta, phi - theta)
+        r = (ta.log(ta.exp(w)) - w).max_abs() / (1.0 + w.max_abs())
+        if r > worst:
+            worst, ce = r, {"w": w.components()}
+    out.append(tv._bound_check("log-exp-round-trip (reduced compact angle)", worst, 1e-9, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(300):
+        z = _loop_admissible(rng)
+        p = ta.to_polar(z)
+        r = (ta.from_polar(p) - z).max_abs() / (1.0 + z.max_abs())
+        if not (0.0 <= p.theta < ta.THETA_PERIOD):
+            r = max(r, 1.0)
+        if r > worst:
+            worst, ce = r, {"z": z.components()}
+    out.append(tv._bound_check("polar-round-trip", worst, 1e-10, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(300):
+        p = rng.uniform(-2, 2, size=2)
+        s = rng.uniform(-2, 2, size=2)
+        for k in range(3):
+            lhs = ta.multisine(k, p[0] + s[0], p[1] + s[1])
+            rhs = sum(ta.multisine(m, *p) * ta.multisine((k - m) % 3, *s) for m in range(3))
+            r = abs(lhs - rhs) / (1.0 + abs(lhs))
+            if r > worst:
+                worst, ce = r, {"phi": list(p), "psi": list(s), "k": k}
+    out.append(tv._bound_check("multisine-addition-law", worst, 1e-11, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(300):
+        p1, p2 = rng.uniform(-2, 2, size=2)
+        m = [ta.multisine(k, p1, p2) for k in range(3)]
+        neg = [ta.multisine(k, -p1, -p2) for k in range(3)]
+        scale = 1.0 + max(abs(v) for v in m) ** 2
+        r = (
+            max(
+                abs(neg[0] - (m[0] ** 2 - m[1] * m[2])),
+                abs(neg[1] - (m[2] ** 2 - m[0] * m[1])),
+                abs(neg[2] - (m[1] ** 2 - m[0] * m[2])),
+            )
+            / scale
+        )
+        if r > worst:
+            worst, ce = r, {"phi1": p1, "phi2": p2}
+    out.append(tv._bound_check("multisine-duality-triples", worst, 1e-12, ce))
+
+    h = 1e-5
+    worst, ce = 0.0, None
+    for _ in range(100):
+        p1, p2 = rng.uniform(-2, 2, size=2)
+        for k in range(3):
+            d1 = (ta.multisine(k, p1 + h, p2) - ta.multisine(k, p1 - h, p2)) / (2 * h)
+            d2 = (ta.multisine(k, p1, p2 + h) - ta.multisine(k, p1, p2 - h)) / (2 * h)
+            r = max(
+                abs(d1 - ta.multisine((k - 1) % 3, p1, p2)),
+                abs(d2 - ta.multisine((k - 2) % 3, p1, p2)),
+            )
+            if r > worst:
+                worst, ce = r, {"phi1": p1, "phi2": p2, "k": k}
+    out.append(tv._bound_check("multisine-derivative-shifts-index", worst, 10 * h * h, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(300):
+        z = random_ternary(rng)
+        back = ta.idempotent_reconstruct(ta.idempotent_decompose(z))
+        r = (back - z).max_abs() / (1.0 + z.max_abs())
+        if r > worst:
+            worst, ce = r, {"z": z.components()}
+    rel = max(
+        (ta.mul(ta.K0, ta.E0) - ta.ZERO).max_abs(),
+        (ta.mul(ta.I_UNIT, ta.I_UNIT) + ta.E0).max_abs(),
+        (ta.mul(ta.E0, ta.I_UNIT) - ta.I_UNIT).max_abs(),
+    )
+    out.append(tv._bound_check("idempotent-basis-and-reconstruction", max(worst, rel), 1e-14, ce))
+
+    return out
+

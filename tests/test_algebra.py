@@ -302,8 +302,8 @@ def test_characteristic_matrix_basics():
 
 # ---------------------------------------------------------------------------
 # Array components against the scalar path, element by element.  Arithmetic
-# is compared bit for bit; numpy's exp and ** may differ from libm's in the
-# last bit (Python's x ** 2 is not always x * x), so kernels using them get
+# is compared bit for bit; numpy's exp, log, arctan2 and ** (other than a
+# square) may differ from libm's in the last bit, so kernels using them get
 # 2 ulp for each such use on the path, counted in ulps of the largest term
 # where their components cancel.
 
@@ -344,7 +344,8 @@ def _matches(kernel, columns, ulps=0.0, scale_of=None):
         got = np.stack([np.broadcast_to(c, n) for c in got.components()], axis=1)
         want = np.array([w.components() for w in want])
     else:
-        got, want = np.broadcast_to(got, n)[:, None], np.array(want)[:, None]
+        got = np.broadcast_to(got, (n, *np.shape(want[0]))).reshape(n, -1)
+        want = np.array(want).reshape(n, -1)
     assert got.dtype == np.float64
     if ulps == 0.0:
         assert got.tobytes() == want.tobytes()
@@ -367,19 +368,24 @@ def test_array_arithmetic_is_bit_identical(cols):
     _matches(lambda a, b, c, d, e, f, g: _t(a, b, c) - _t(d, 0.5, f), cols)
     _matches(lambda a, b, c, *_: tilde_product(_t(a, b, c)), cols)
     _matches(lambda a, b, c, *_: _t(a, b, c).max_abs(), cols)
+    _matches(lambda a, b, c, *_: characteristic_matrix(_t(a, b, c)), cols)
+    _matches(lambda a, b, c, *_: characteristic_matrix(_t(a, 0.5, -1.0)), cols)
+    _matches(lambda a, b, c, *_: _t(*vars(idempotent_decompose(_t(a, b, c))).values()), cols)
+    _matches(lambda a, b, c, *_: idempotent_reconstruct(ta.IdempotentCoords(a, b, c)), cols)
+    _matches(lambda a, b, *_: PolarForm(1.0, a, b).theta, cols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_columns(3))
 def test_array_cubic_kernels_within_2_ulp_per_power(cols):
-    # one ** on the path of the cubic form and of the tolerance; inverse
-    # carries the norm's difference through 1/n and a product, and bar takes
-    # a second ** (the cube root): 4 ulp for both (at most 3 seen on 80k
+    # the cubic form squares by products, so it and inverse are bit-identical;
+    # one ** (a cube) on the path of the tolerance; bar carries its ** (the
+    # cube root) through 1/x and a product: 4 ulp (at most 3 seen on 80k
     # random points)
-    _matches(cubic_form, cols, 2.0)
-    _matches(lambda a, b, c: norm_cubed(_t(a, b, c)), cols, 2.0)
+    _matches(cubic_form, cols)
+    _matches(lambda a, b, c: norm_cubed(_t(a, b, c)), cols)
+    _matches(lambda a, b, c: inverse(_t(a, b, c)), cols)
     _matches(lambda a, b, c: singular_tolerance(_t(a, b, c)), cols, 2.0)
-    _matches(lambda a, b, c: inverse(_t(a, b, c)), cols, 4.0)
     _matches(lambda a, b, c: bar(_t(a, b, c)), cols, 4.0)
 
 
@@ -418,6 +424,44 @@ def test_array_singular_element_raises_the_scalar_error(cols, at, singular):
         with pytest.raises(SingularNumber):
             kernel(_t(*cols))
         _matches(lambda a, b, c: kernel(_t(a, b, c)), cols, 4.0)
+
+
+def _log_terms(x0, x1, x2):
+    """Per element: |ln ||z||^3| under log's x0, and the largest of it,
+    |ln(x0+x1+x2)| and the angle period under x1 and x2."""
+    ln_n = np.abs(np.log(cubic_form(x0, x1, x2)))
+    t = np.maximum(np.maximum(np.abs(np.log(x0 + x1 + x2)), ln_n), THETA_PERIOD)
+    return np.stack([ln_n, t, t], axis=1)
+
+
+def _polar_terms(x0, x1, x2):
+    # exp multiplies the error of its argument ln rho by rho
+    s = _log_terms(x0, x1, x2)
+    s[:, 0] = np.exp(np.log(cubic_form(x0, x1, x2)) / 3.0) * np.maximum(1.0, s[:, 0])
+    return s
+
+
+def _polar(a, b, c):
+    p = to_polar(_t(a, b, c))
+    return _t(p.rho, p.phi1, p.phi2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _columns(3),
+    st.integers(0, 11),
+    st.sampled_from([None, (-2.0, 0.5, 0.5), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)]),
+)
+def test_array_log_and_polar_within_2_ulp_of_the_largest_term(cols, at, planted):
+    # flipped to x0+x1+x2 >= 0, where ||z||^3 >= 0 too: mostly in the domain,
+    # with an out-of-domain or singular element planted at `at` when drawn
+    sign = np.where(cols[0] + cols[1] + cols[2] < 0.0, -1.0, 1.0)
+    cols = [sign * c for c in cols]
+    if planted is not None:
+        n = len(cols[0])
+        cols = [np.where(np.arange(n) == at % n, v, c) for c, v in zip(cols, planted)]
+    _matches(lambda a, b, c: log(_t(a, b, c)), cols, 2.0, _log_terms)
+    _matches(_polar, cols, 2.0, _polar_terms)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

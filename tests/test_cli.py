@@ -1,12 +1,17 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import ternion.algebra as algebra_module
+from ternion import cli
 from ternion.cli import main
 from ternion.config import FormConfig, ScatterConfig, SimulateConfig, load_config
 from ternion.dynamics import ScatteringSetup
+from ternion.verify import algebra_suite
+
+from oracles import algebra_suite_loops
 
 
 def write_json(path, data):
@@ -39,6 +44,35 @@ def test_verify_all_passes(capsys):
     assert main(["verify", "all", "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    # the printed report, residual digits included, is pinned
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "41a789204dfa487d13d978aab3b31391dcd7858f8d815aa7a980b3ea44584218"
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_algebra_suite_matches_the_loop_oracle(seed):
+    # the array evaluation draws the loops' samples and reaches their
+    # verdicts; residuals may differ in roundoff digits (numpy's exp, log and
+    # arctan2 round differently from libm's)
+    got, want = algebra_suite(seed), algebra_suite_loops(seed)
+    assert [(r.name, r.passed) for r in got] == [(r.name, r.passed) for r in want]
+    assert all(r.passed for r in got)
+
+
+def test_algebra_suite_failures_match_the_loop_oracle(monkeypatch):
+    # with the multi-sines' indices shifted, four checks fail; the array
+    # evaluation must report the counterexample the loops report
+    original = algebra_module.multisine
+    monkeypatch.setattr(algebra_module, "multisine", lambda k, a, b: original((k + 1) % 3, a, b))
+    got, want = algebra_suite(7), algebra_suite_loops(7)
+    assert [(r.name, r.passed) for r in got] == [(r.name, r.passed) for r in want]
+
+    def failures(results):
+        return json.dumps([(r.detail, r.counterexample) for r in results if not r.passed], default=str)
+
+    assert sum(not r.passed for r in want) == 4
+    assert failures(got) == failures(want)
 
 
 def test_verify_calculus_seed_115_passes(capsys):
@@ -382,6 +416,59 @@ def test_integrate_form_loop(tmp_path, capsys):
 
 def test_integrate_form_requires_domain(capsys):
     assert main(["integrate-form"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["integrate-form", "line", "--field", "bogus"],
+            "ternion integrate-form: error: argument --field: invalid choice: 'bogus'",
+        ),
+        (["verify", "bogus"], "ternion verify: error: argument suite: invalid choice: 'bogus'"),
+        (["simulate"], "ternion simulate: error: the following arguments are required: --config"),
+        (["verify", "all", "--bogus"], "ternion: error: unrecognized arguments: --bogus"),
+    ],
+    ids=["bad-field", "unknown-suite", "simulate-without-config", "unknown-flag"],
+)
+def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert captured.out == ""
+
+
+def test_help_prints_the_full_help(capsys):
+    assert main(["integrate-form", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ternion integrate-form") and "--field" in out
+
+
+def test_parser_reuse_matches_fresh_parsers(tmp_path, capsys):
+    # the parser is built once per process; a run after an override, --help
+    # or a usage error must behave as it does on a parser of its own
+    cfg = write_json(tmp_path / "cfg.json", PLANAR_CFG)
+    runs = {}
+    for tag in ("alone", "reused"):
+        (tmp_path / tag).mkdir()
+        out = lambda name: str(tmp_path / tag / name)  # noqa: E731
+        runs[tag] = []
+        for argv in (
+            ["simulate", "--config", cfg, "--out", out("tol.csv"), "--tol", "1e-6"],
+            ["simulate", "--config", cfg, "--out", out("cfg.csv")],
+            ["simulate", "--help"],
+            ["simulate", "--config", cfg, "--tol", "x"],
+            ["integrate-form", "line", "--preset", "trisectrice-loop", "--out", out("loop.json")],
+        ):
+            if tag == "alone":
+                cli._build_parser.cache_clear()
+            runs[tag].append((main(argv), capsys.readouterr()))
+    assert runs["alone"] == runs["reused"]
+    assert [code for code, _ in runs["reused"]] == [0, 0, 0, 2, 0]
+    for name in ("tol.csv", "cfg.csv", "loop.json"):
+        assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "reused" / name).read_bytes()
+    assert (tmp_path / "reused" / "tol.csv").read_bytes() != (tmp_path / "reused" / "cfg.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
