@@ -196,7 +196,7 @@ def cubic_form(u: float, v: float, w: float) -> float:
     d = u - v
     s = d * d
     d = v - w
-    s += d * d  # in place on arrays, saving a temporary
+    s = s + d * d  # broadcast shape of u, v and w: the next sum can be in place
     d = w - u
     s += d * d
     c = (u + v + w) * 0.5 * s
@@ -507,10 +507,7 @@ def characteristic_matrix(z: Ternary) -> np.ndarray:
     k = z.x0 + z.x1 + z.x2
     e = z.x0 - 0.5 * (z.x1 + z.x2)
     i = (SQRT3 / 2.0) * (z.x1 - z.x2)
-    try:
-        return np.array([[k, 0.0, 0.0], [0.0, e, i], [0.0, -i, e]])
-    except ValueError:  # array components: one matrix per element
-        out = np.zeros(k.shape + (3, 3))
+    out = np.zeros(np.shape(k) + (3, 3))
     out[..., 0, 0] = k
     out[..., 1, 1] = out[..., 2, 2] = e
     out[..., 1, 2] = i

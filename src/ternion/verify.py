@@ -43,11 +43,17 @@ def _rand_ternary(rng, lo=-3.0, hi=3.0) -> Ternary:
     return Ternary(*rng.uniform(lo, hi, size=3))
 
 
-def _admissible_rows(rng, n, lo=-3.0, hi=3.0) -> np.ndarray:
-    """n draws (x0, x1, x2) with ||z||^3 > 1e-2 and x0+x1+x2 > 1e-2, as rows.
+def _rand_admissible(rng, lo=-3.0, hi=3.0) -> Ternary:
+    while True:
+        z = _rand_ternary(rng, lo, hi)
+        if ta.norm_cubed(z) > 1e-2 and (z.x0 + z.x1 + z.x2) > 1e-2:
+            return z
 
-    They are the draws a loop of _rand_ternary calls keeps when it rejects
-    the others, and the stream advances by exactly the draws that loop takes.
+
+def _admissible_rows(rng, n, lo=-3.0, hi=3.0) -> np.ndarray:
+    """The components of n _rand_admissible calls, as rows, from one batch.
+
+    The stream advances by exactly the draws those calls take.
     """
     state = rng.bit_generator.state
     size = 2 * n
@@ -61,10 +67,6 @@ def _admissible_rows(rng, n, lo=-3.0, hi=3.0) -> np.ndarray:
     used = np.flatnonzero(ok)[n - 1] + 1
     rng.bit_generator.state = state
     return rng.uniform(lo, hi, size=(used, 3))[ok[:used]]
-
-
-def _rand_admissible(rng, lo=-3.0, hi=3.0) -> Ternary:
-    return Ternary(*_admissible_rows(rng, 1, lo, hi)[0])
 
 
 def _worst(r, counterexample):

@@ -464,6 +464,48 @@ def test_array_log_and_polar_within_2_ulp_of_the_largest_term(cols, at, planted)
     _matches(_polar, cols, 2.0, _polar_terms)
 
 
+def _flat(result, n):
+    """A kernel's result as n rows: Ternary components, a matrix or a float."""
+    if isinstance(result, Ternary):
+        result = np.stack(np.broadcast_arrays(*result.components()), axis=-1)
+    return np.asarray(result).reshape(n, -1)
+
+
+def test_broadcast_components_match_the_scalar_path():
+    # components of shapes (n, 1) and (1, m), as a grid evaluation passes them;
+    # x0 > 1 > |x1|, |x2| keeps every point nonsingular and in log's domain
+    rng = np.random.default_rng(5)
+    cols = (rng.uniform(1.0, 3.0, (5, 1)), rng.uniform(-0.5, 0.5, (5, 1)), rng.uniform(-0.5, 0.5, (1, 4)))
+    points = [g.ravel() for g in np.broadcast_arrays(*cols)]
+    n = len(points[0])
+
+    def check(kernel, ulps=0.0, scale=None):
+        got = _flat(kernel(*cols), n)
+        want = np.concatenate([_flat(kernel(*(float(p[i]) for p in points)), 1) for i in range(n)])
+        if ulps == 0.0:
+            assert got.tobytes() == want.tobytes()
+        else:
+            scale = np.abs(want) if scale is None else scale
+            assert np.all(np.abs(got - want) <= ulps * np.spacing(scale))
+
+    check(cubic_form)
+    check(lambda a, b, c: mul(_t(a, b, c), _t(c, a, b)))
+    check(lambda a, b, c: tilde_product(_t(a, b, c)))
+    check(lambda a, b, c: _t(*vars(idempotent_decompose(_t(a, b, c))).values()))
+    check(lambda a, b, c: PolarForm(a, b, c).theta)
+    check(lambda a, b, c: norm_cubed(_t(a, b, c)))
+    check(lambda a, b, c: inverse(_t(a, b, c)))
+    check(lambda a, b, c: characteristic_matrix(_t(a, b, c)))
+    check(lambda a, b, c: singular_tolerance(_t(a, b, c)), 2.0)
+    check(lambda a, b, c: bar(_t(a, b, c)), 4.0)
+    check(lambda a, b, c: exp(_t(a, b, c)), 2.0, _exp_terms(*points))
+    angle_terms = _exp_terms(0.0 * points[0], *points[1:])
+    check(lambda a, b, c: multisine(1, b, c), 2.0, angle_terms)
+    check(lambda a, b, c: from_polar(PolarForm(a, b, c)), 2.0, points[0][:, None] * angle_terms)
+    check(lambda a, b, c: log(_t(a, b, c)), 2.0, _log_terms(*points))
+    check(_polar, 2.0, _polar_terms(*points))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_array_non_finite_component_names_its_value(bad):
     x = np.array([0.5, 1.0, 2.0, 3.0])

@@ -9,7 +9,7 @@ from ternion import cli
 from ternion.cli import main
 from ternion.config import FormConfig, ScatterConfig, SimulateConfig, load_config
 from ternion.dynamics import ScatteringSetup
-from ternion.verify import algebra_suite
+from ternion.verify import _admissible_rows, _rand_admissible, algebra_suite
 
 from oracles import algebra_suite_loops
 
@@ -73,6 +73,16 @@ def test_algebra_suite_failures_match_the_loop_oracle(monkeypatch):
 
     assert sum(not r.passed for r in want) == 4
     assert failures(got) == failures(want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n, lo, hi", [(1, -3.0, 3.0), (7, -3.0, 3.0), (300, -3.0, 3.0), (40, 0.5, 2.0)])
+def test_admissible_rows_are_the_rejection_loops_draws(seed, n, lo, hi):
+    batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = _admissible_rows(batch, n, lo, hi)
+    want = np.array([_rand_admissible(loop, lo, hi).components() for _ in range(n)])
+    assert rows.tobytes() == want.tobytes()
+    assert batch.random() == loop.random()
 
 
 def test_verify_calculus_seed_115_passes(capsys):
