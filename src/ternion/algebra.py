@@ -219,9 +219,17 @@ def norm(z: Ternary) -> float:
 
 
 def singular_tolerance(z: Ternary) -> float:
-    t = EPS_SINGULAR * (1.0 + z.max_abs()) ** 3
+    """EPS_SINGULAR (1 + max |x_i|)^3, the cutoff below which |norm_cubed(z)|
+    counts as singular.  The cube is a product, so floats and arrays give the
+    same bits and the same cutoff.  A result outside the float range raises
+    OverflowError.
+    """
+    m = 1.0 + z.max_abs()
+    t = EPS_SINGULAR * (m * m * m)
     if isinstance(t, np.ndarray):
         _replay_non_finite(lambda *c: singular_tolerance(Ternary(*c)), (t,), *z.components())
+    elif not math.isfinite(t):
+        raise OverflowError(f"singular tolerance out of float range: {t}")
     return t
 
 

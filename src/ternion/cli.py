@@ -168,33 +168,23 @@ _FIELDS = {
 
 
 def _form_domain(cfg: FormConfig):
-    p = cfg.params
-
-    def need(key):
-        if key not in p:
-            raise ConfigError(f"{cfg.kind} preset {cfg.preset!r} needs parameter {key!r}")
-        return p[key]
-
-    if cfg.kind == "line":
-        if cfg.preset == "trisectrice-loop":
-            return tc.trisectrice_loop(p.get("rho", 1.0), p.get("phi", 0.0))
-        if cfg.preset == "segment":
-            a = Ternary(*need("from"))
-            b = Ternary(*need("to"))
-            diff = b - a
-            return tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
-    elif cfg.kind == "surface":
-        if cfg.preset == "cubic-band":
-            return tc.cubic_band_patch(p.get("rho", 1.0), need("a1"), need("a2"))
-        if cfg.preset == "polar-band":
-            return tc.polar_band_patch(p.get("rho", 1.0), need("phi_lo"), need("phi_hi"))
-        if cfg.preset == "sphere":
-            return tc.sphere_patch(Ternary(*need("center")), need("radius"))
-    elif cfg.kind == "volume":
-        if cfg.preset == "box":
-            b = need("box")
-            return ((b[0], b[1]), (b[2], b[3]), (b[4], b[5]))
-    raise ConfigError(f"unknown {cfg.kind} preset {cfg.preset!r}")
+    """The curve, patch or box of a preset; FormConfig has checked its params."""
+    p = cfg.preset_params()
+    if cfg.preset == "trisectrice-loop":
+        return tc.trisectrice_loop(p["rho"], p["phi"])
+    if cfg.preset == "segment":
+        a = Ternary(*p["from"])
+        b = Ternary(*p["to"])
+        diff = b - a
+        return tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
+    if cfg.preset == "cubic-band":
+        return tc.cubic_band_patch(p["rho"], p["a1"], p["a2"])
+    if cfg.preset == "polar-band":
+        return tc.polar_band_patch(p["rho"], p["phi_lo"], p["phi_hi"])
+    if cfg.preset == "sphere":
+        return tc.sphere_patch(Ternary(*p["center"]), p["radius"])
+    b = p["box"]
+    return ((b[0], b[1]), (b[2], b[3]), (b[4], b[5]))
 
 
 def _numbers_flag(key, text):
@@ -221,7 +211,7 @@ def _cmd_form(args) -> int:
         cfg = FormConfig.from_dict(
             {"params": params, **{k: v for k, v in flags.items() if v is not None}}
         )
-    if cfg.field_name not in _FIELDS:
+    if not isinstance(cfg.field_name, str) or cfg.field_name not in _FIELDS:
         raise ConfigError(f"unknown field {cfg.field_name!r}; choose from {sorted(_FIELDS)}")
     field = _FIELDS[cfg.field_name]()
     domain = _form_domain(cfg)

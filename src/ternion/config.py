@@ -157,8 +157,8 @@ class FormConfig:
     """Differential-form integration: a preset domain plus a field name.
 
     kinds: line (presets: trisectrice-loop, segment), surface (cubic-band,
-    polar-band, sphere), volume (box).  Fields: one, identity, reciprocal,
-    inverse-conjugate.
+    polar-band, sphere), volume (box).  Fields: one, identity, square,
+    reciprocal, inverse-conjugate.
     """
 
     kind: str
@@ -167,7 +167,21 @@ class FormConfig:
     tol: float = 1e-9
     params: dict = field(default_factory=dict)
 
-    KINDS = ("line", "surface", "volume")
+    #: Per kind, the presets and the params each takes, with their defaults;
+    #: a default of None marks a param the preset needs.
+    PRESETS = {
+        "line": {
+            "trisectrice-loop": {"rho": 1.0, "phi": 0.0},
+            "segment": {"from": None, "to": None},
+        },
+        "surface": {
+            "cubic-band": {"rho": 1.0, "a1": None, "a2": None},
+            "polar-band": {"rho": 1.0, "phi_lo": None, "phi_hi": None},
+            "sphere": {"center": None, "radius": None},
+        },
+        "volume": {"box": {"box": None}},
+    }
+    KINDS = tuple(PRESETS)
     #: Params that are points or boxes, by their number of entries; every
     #: other param is one number.
     VECTOR_PARAMS = {"center": 3, "from": 3, "to": 3, "box": 6}
@@ -176,8 +190,18 @@ class FormConfig:
         _number("tol", self.tol, positive=True)
         if self.kind not in self.KINDS:
             raise ConfigError(f"form kind must be one of {self.KINDS}, got {self.kind!r}")
+        presets = self.PRESETS[self.kind]
+        if not isinstance(self.preset, str) or self.preset not in presets:
+            raise ConfigError(f"unknown {self.kind} preset {self.preset!r}; choose from {sorted(presets)}")
         if not isinstance(self.params, dict):
             raise ConfigError(f"'params' must be a JSON object, got {self.params!r}")
+        takes = presets[self.preset]
+        extra = sorted(set(self.params) - set(takes))
+        if extra:
+            raise ConfigError(f"{self.kind} preset {self.preset!r} takes {sorted(takes)}, not {extra}")
+        for key, default in takes.items():
+            if default is None and key not in self.params:
+                raise ConfigError(f"{self.kind} preset {self.preset!r} needs parameter {key!r}")
         for key, value in self.params.items():
             size = self.VECTOR_PARAMS.get(key)
             if size is None:
@@ -188,6 +212,10 @@ class FormConfig:
             else:
                 for entry in value:
                     _number(key, entry)
+
+    def preset_params(self) -> dict:
+        """The params of the preset, its defaults filled in."""
+        return {**self.PRESETS[self.kind][self.preset], **self.params}
 
     @staticmethod
     def from_dict(data: dict) -> "FormConfig":

@@ -1,23 +1,24 @@
 """Adaptive Gauss-Kronrod quadrature for vector-valued integrands.
 
-One tensor rule and one refinement loop serve 1D and 2D.  A cell is a box of
-d axes, evaluated on its 15^d (G7, K15) tensor nodes: its value is the K15
-estimate, its error on an axis is max |value - the rule with G7 on that axis|,
-and the worst cell is bisected on its worst axis until the summed error is
-<= the absolute tolerance.  Volume integrals iterate a 1D rule over 2D ones.
+One tensor rule and one refinement loop serve 1D, 2D and 3D.  A cell is a
+box of d axes, evaluated on its 15^d (G7, K15) tensor nodes: its value is the
+K15 estimate, its error on an axis is max |value - the rule with G7 on that
+axis|, and the worst cell is bisected on its worst axis until the summed error
+is <= the absolute tolerance.
 
 The engine calls its integrand once per cell, with one read-only array of
 node coordinates per axis (in itertools.product order), and takes back a
 (15^d, m) array of values.  The public functions integrate pointwise
 integrands, called once per node with floats, through a one-line adapter.
 
-Each call owns one budget of 10**6 integrand evaluations, shared with the
-inner rules of a volume integral.  QuadratureFailure is raised when the
-budget runs out, a cell stalls (see _integrate) or the integrand is not finite.
+Each call owns one budget of 10**6 integrand evaluations.  QuadratureFailure
+is raised when the budget runs out, a cell stalls (see _integrate) or the
+integrand is not finite.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -71,15 +72,22 @@ for _i, _w in zip((1, 3, 5), _WG[:3]):
 WEIGHTS_G[7] = _WG[3]
 
 
-# per dimension: the tensor Kronrod weights, and per axis the weights with G7
-# on that axis, flattened in itertools.product order
-_RULES = {
-    1: (WEIGHTS_K, [WEIGHTS_G]),
-    2: (
-        np.outer(WEIGHTS_K, WEIGHTS_K).ravel(),
-        [np.outer(WEIGHTS_G, WEIGHTS_K).ravel(), np.outer(WEIGHTS_K, WEIGHTS_G).ravel()],
-    ),
-}
+def _tensor(factors):
+    """The tensor product of 1D weights, flattened in itertools.product order."""
+    return functools.reduce(np.multiply.outer, factors).ravel()
+
+
+@functools.cache
+def _rule(d):
+    """The rule on [-1, 1]^d, in itertools.product order: the nodes, one row
+    per axis; the tensor Kronrod weights; and per axis the weights with G7 on
+    that axis.  Built on first use, so runs without volume integrals never
+    hold the 15^3 tables."""
+    return (
+        [g.ravel() for g in np.meshgrid(*[NODES] * d, indexing="ij")],
+        _tensor([WEIGHTS_K] * d),
+        [_tensor([WEIGHTS_G if j == i else WEIGHTS_K for j in range(d)]) for i in range(d)],
+    )
 
 
 def _weighted_sum(weights, vals):
@@ -101,14 +109,12 @@ def _cell(f, box, budget):
     budget[0] -= 15**d
     if budget[0] < 0:
         raise QuadratureFailure("quadrature evaluation budget exhausted")
+    unit_nodes, k_weights, g_weights = _rule(d)
     halves = [0.5 * (hi - lo) for lo, hi in box]
-    axes = [0.5 * (lo + hi) + h * NODES for (lo, hi), h in zip(box, halves)]
-    if d == 2:
-        axes = [np.repeat(axes[0], 15), np.tile(axes[1], 15)]
+    axes = [0.5 * (lo + hi) + h * u for (lo, hi), h, u in zip(box, halves, unit_nodes)]
     for a in axes:
         a.flags.writeable = False
     vals = f(*axes)
-    k_weights, g_weights = _RULES[d]
     scale = math.prod(halves)
     k = scale * _weighted_sum(k_weights, vals)
     if not np.all(np.isfinite(k)):
@@ -121,10 +127,10 @@ def _cell(f, box, budget):
 def _integrate(f, box, tol, budget):
     """Bisect the worst cell until the summed error estimate is <= tol.
 
-    Reversed 1D limits flip the sign; a reversed 2D axis gets a negative
-    half-width, which also gives the oriented value.  A cell stalls,
-    and the integral fails, when its error is 0 or its split axis is no wider
-    than |lo| 1e-15 + 1e-300.
+    Reversed 1D limits flip the sign; a reversed axis of a 2D or 3D box gets
+    a negative half-width, which also gives the oriented value.  A cell
+    stalls, and the integral fails, when its error is 0 or its split axis is
+    no wider than |lo| 1e-15 + 1e-300.
     """
     if len(box) == 1 and box[0][1] < box[0][0]:
         return -_integrate(f, (box[0][::-1],), tol, budget)
@@ -151,21 +157,9 @@ def _quad(f, box, tol):
     """Integrate f over a box of 1 to 3 axes under one budget.
 
     f is batched: it takes one array of node coordinates per axis and
-    returns a (nodes, m) array.  Three axes iterate a 1D rule over 2D ones.
+    returns a (nodes, m) array.
     """
-    budget = [BUDGET]
-    if len(box) < 3:
-        return _integrate(f, tuple(box), tol, budget)
-    (a0, b0), r1, r2 = box
-    inner_tol = tol / (4.0 * max(b0 - a0, 1.0))
-
-    def inner(x0):
-        def face(x1, x2):
-            return f(np.broadcast_to(x0, x1.shape), x1, x2)
-
-        return _integrate(face, (r1, r2), inner_tol, budget)
-
-    return _integrate(lambda x0s: np.array([inner(x0) for x0 in x0s]), ((a0, b0),), tol, budget)
+    return _integrate(f, tuple(box), tol, [BUDGET])
 
 
 def _pointwise(f):
@@ -187,5 +181,5 @@ def adaptive_quad_2d(f, u_range, v_range, tol=DEFAULT_TOL):
 
 
 def adaptive_quad_3d(f, ranges, tol=DEFAULT_TOL):
-    """Integrate vector-valued f(x0, x1, x2) over a box (iterated 1D/2D)."""
+    """Integrate vector-valued f(x0, x1, x2) over a box to absolute tol."""
     return _quad(_pointwise(f), ranges, tol)

@@ -9,9 +9,9 @@ from ternion import cli
 from ternion.cli import main
 from ternion.config import FormConfig, ScatterConfig, SimulateConfig, load_config
 from ternion.dynamics import ScatteringSetup
-from ternion.verify import _admissible_rows, _rand_admissible, algebra_suite
+from ternion.verify import _admissible_rows, algebra_suite
 
-from oracles import algebra_suite_loops
+from oracles import _loop_admissible, algebra_suite_loops
 
 
 def write_json(path, data):
@@ -80,7 +80,7 @@ def test_algebra_suite_failures_match_the_loop_oracle(monkeypatch):
 def test_admissible_rows_are_the_rejection_loops_draws(seed, n, lo, hi):
     batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
     rows = _admissible_rows(batch, n, lo, hi)
-    want = np.array([_rand_admissible(loop, lo, hi).components() for _ in range(n)])
+    want = np.array([_loop_admissible(loop, lo, hi).components() for _ in range(n)])
     assert rows.tobytes() == want.tobytes()
     assert batch.random() == loop.random()
 
@@ -367,6 +367,24 @@ SPHERE_AT = {"kind": "surface", "preset": "sphere", "field_name": "identity"}
             [],
             "config error: 'radius' must be > 0, got 0",
         ),
+        (
+            "integrate-form",
+            None,
+            ["line", "--preset", "trisectrice-loop", "--a1", "5", "--radius", "3"],
+            "config error: line preset 'trisectrice-loop' takes ['phi', 'rho'], not ['a1', 'radius']",
+        ),
+        (
+            "integrate-form",
+            {**LOOP_CFG, "params": {"rho": 1.0, "bogus": 2}},
+            [],
+            "config error: line preset 'trisectrice-loop' takes ['phi', 'rho'], not ['bogus']",
+        ),
+        (
+            "integrate-form",
+            {**LOOP_CFG, "params": {}, "field_name": ["one"]},
+            [],
+            "config error: unknown field ['one']",
+        ),
     ],
     ids=[
         "tol-zero",
@@ -383,12 +401,19 @@ SPHERE_AT = {"kind": "surface", "preset": "sphere", "field_name": "identity"}
         "sphere-center-2",
         "sphere-radius-negative",
         "sphere-radius-zero",
+        "form-flag-not-taken",
+        "form-param-not-taken",
+        "form-field-list",
     ],
 )
 def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, cfg, flags, message):
+    # cfg None: the flags alone give the run
     monkeypatch.chdir(tmp_path)
-    write_json(tmp_path / "cfg.json", cfg)
-    assert main([command, "--config", "cfg.json", "--out", "out.csv", *flags]) == 2
+    config = []
+    if cfg is not None:
+        write_json(tmp_path / "cfg.json", cfg)
+        config = ["--config", "cfg.json"]
+    assert main([command, *config, "--out", "out.csv", *flags]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message)

@@ -43,7 +43,7 @@ def test_quadrature_bits_are_pinned():
         general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1).t(1.0),
     ]
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
-    assert digest == "2ed414cbf66b19ca2e919d2fa51bc9451519e0e68d1377a171983963887c77d1"
+    assert digest == "d494933c9b42559ddf374246896a94d8cb70e7867dca2446cabb08c911c1790c"
 
 
 def test_non_finite_integrand_fails_1d():
@@ -75,9 +75,33 @@ def test_budget_exhaustion_fails():
 
 
 def test_volume_budget_is_shared_by_the_inner_rules():
-    # each inner 2D rule converges at once; the outer 1D rule never does, so
-    # only a budget shared with the inner rules stops it near 10**6
+    # no cell ever converges on x0, so only the one budget of the call stops
+    # the refinement: 15**3 evaluations per cell, never more than 10**6
     f = _counting(lambda x0, x1, x2: (math.sin(1e8 * x0),))
     with pytest.raises(QuadratureFailure, match="budget"):
         adaptive_quad_3d(f, ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), 1e-10)
     assert 9 * 10**5 < f.n <= 10**6
+
+
+def _smooth(*x):
+    # neither even nor odd on any axis of the boxes below
+    return (math.exp(x[0]) * math.cos(sum(x[1:])), x[0] * sum(x[1:]) + x[-1] ** 3)
+
+
+_QUADS = {
+    1: lambda f, box, tol: adaptive_quad(f, *box[0], tol),
+    2: lambda f, box, tol: adaptive_quad_2d(f, *box, tol),
+    3: adaptive_quad_3d,
+}
+
+
+@pytest.mark.parametrize("d, axis", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_reversed_axis_negates_the_value(d, axis):
+    tol = 1e-10
+    box = [(-0.3, 0.8), (0.2, 1.1), (-0.9, 0.4)][:d]
+    flipped = list(box)
+    flipped[axis] = box[axis][::-1]
+    value = _QUADS[d](_smooth, box, tol)
+    reversed_value = _QUADS[d](_smooth, flipped, tol)
+    assert abs(value[0]) > 0.1
+    assert max(abs(reversed_value + value)) <= tol
