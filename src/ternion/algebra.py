@@ -84,6 +84,18 @@ def _lib(x):
     return np if isinstance(x, np.ndarray) else math
 
 
+# libm's pow, elementwise: numpy's own power rounds a few percent of cubes
+# and some squares differently from the float path's x**k
+_LIBM_POW = np.frompyfunc(pow, 2, 1)
+
+
+def _pow(x, k):
+    """x**k, with the bits of the float path also for the elements of an array."""
+    if isinstance(x, np.ndarray):
+        return _LIBM_POW(x, k).astype(float)
+    return x**k
+
+
 def _replay(kernel, bad, *args):
     """Call kernel on the float arguments of each point where bad is set, in
     order; the scalar path raises the error of the first faulting point."""
@@ -233,13 +245,17 @@ def singular_tolerance(z: Ternary) -> float:
     return t
 
 
-def _singular(mask, kernel, z) -> bool:
-    """Whether the scalar z is singular by mask; for arrays, kernel replays the
-    first singular point, where it raises, and False is returned otherwise."""
+def _fault(mask, kernel, point) -> bool:
+    """Whether the scalar point faults by mask.  For a point with array
+    components, kernel replays the masked points in order, so the first of
+    them raises its scalar error, and False is returned if none does.
+
+    point is a Ternary or any value type rebuilt from its components().
+    """
     if not isinstance(mask, np.ndarray):
         return mask
     if mask.any():
-        _replay(lambda *c: kernel(Ternary(*c)), mask, *z.components())
+        _replay(lambda *c: kernel(type(point)(*c)), mask, *point.components())
     return False
 
 
@@ -257,7 +273,7 @@ def tilde_product(z: Ternary) -> Ternary:
 
 def inverse(z: Ternary) -> Ternary:
     n = norm_cubed(z)
-    if _singular(abs(n) <= singular_tolerance(z), inverse, z):
+    if _fault(abs(n) <= singular_tolerance(z), inverse, z):
         raise SingularNumber(f"non-invertible: ||z||^3 = {n:.3e} for z = {z}")
     return scale(tilde_product(z), 1.0 / n)
 
@@ -265,7 +281,7 @@ def inverse(z: Ternary) -> Ternary:
 def bar(z: Ternary) -> Ternary:
     """Norm-preserving duality z -> z~ z~~ / ||z||; an involution."""
     n = norm_cubed(z)
-    if _singular(abs(n) <= singular_tolerance(z), bar, z):
+    if _fault(abs(n) <= singular_tolerance(z), bar, z):
         raise SingularNumber(f"duality undefined: ||z||^3 = {n:.3e} for z = {z}")
     return scale(tilde_product(z), 1.0 / _lib(n).copysign(abs(n) ** (1.0 / 3.0), n))
 

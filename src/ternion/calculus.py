@@ -32,6 +32,7 @@ from .errors import (
     NumericalBreakdown,
     SingularNumber,
     SingularOnPath,
+    TernionError,
 )
 # the public pointwise entry points stay bound here for callers that wrap
 # them; the form integrals reach the batched engine through _quad
@@ -93,40 +94,111 @@ class TernaryField:
         return f"TernaryField({self.name})"
 
 
-def _shift(p: Ternary, axis: int, d: float) -> Ternary:
-    c = list(p.components())
-    c[axis] += d
-    return Ternary(*c)
+def _is_array(values) -> bool:
+    return any(isinstance(v, np.ndarray) for v in values)
+
+
+def _first_fault(kernel, *args):
+    """If any of args is an array, call kernel on the float arguments of every
+    point, in order, so the first point whose scalar evaluation faults raises
+    its error."""
+    if _is_array(args):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        ta._replay(kernel, np.ones(shape, dtype=bool), *args)
+
+
+def _part(value, k):
+    """The k-th stencil point's part of a value computed on stacked points:
+    arrays are split along their last axis, sequences entry by entry."""
+    if isinstance(value, np.ndarray):
+        return value[..., k]
+    if isinstance(value, (tuple, list)):
+        return [_part(v, k) for v in value]
+    return value
+
+
+def _on_stencil(fun, points, arrays: bool) -> list:
+    """[fun(c) for c in points], for stencil points c given as coordinate lists.
+
+    Points with array coordinates (arrays set) are stacked along a new last
+    axis, so fun runs once on all of them, and its value is split back into
+    one part per point (see _part).
+    """
+    if not arrays:
+        return [fun(c) for c in points]
+    shape = np.broadcast_shapes(*(np.shape(x) for c in points for x in c)) + (len(points),)
+    stacked = []
+    for i in range(len(points[0])):
+        coordinate = np.empty(shape)
+        for k, c in enumerate(points):
+            coordinate[..., k] = c[i]
+        stacked.append(coordinate)
+    values = fun(stacked)
+    return [_part(values, k) for k in range(len(points))]
 
 
 def _partials(fun, coords, steps) -> np.ndarray:
-    """Matrix d fun_i / d coords_j of central differences, step steps[j] along j.
+    """Matrix m[i, j] = d fun_i / d coords_j of central differences, step
+    steps[j] along j.
 
     fun takes a list of coordinates and returns a sequence of components.
+    Coordinates and steps may be arrays whose shapes broadcast: fun then runs
+    once, on the stencils of all points stacked along a last axis (see
+    _on_stencil), and each m[i, j] is the array of the points' partials.  A
+    numerical fault raises the scalar error of the first point whose stencil
+    faults.
     """
-    columns = []
+    points = []
     for j, h in enumerate(steps):
         up = list(coords)
         dn = list(coords)
-        up[j] += h
-        dn[j] -= h
-        plus, minus = fun(up), fun(dn)
-        columns.append([(a - b) / (2.0 * h) for a, b in zip(plus, minus)])
-    return np.array(columns).T
+        up[j] = up[j] + h
+        dn[j] = dn[j] - h
+        points += [up, dn]
+    try:
+        values = _on_stencil(fun, points, _is_array((*coords, *steps)))
+    except (TernionError, ArithmeticError, ValueError):
+        k = len(coords)
+        _first_fault(lambda *c: _partials(fun, c[:k], c[k:]), *coords, *steps)
+        raise
+    columns = [
+        [(a - b) / (2.0 * h) for a, b in zip(values[2 * j], values[2 * j + 1])]
+        for j, h in enumerate(steps)
+    ]
+    try:
+        m = np.array(columns)
+    except ValueError:  # float and array entries: broadcast them
+        entries = np.broadcast_arrays(*(d for col in columns for d in col))
+        m = np.reshape(entries, (len(columns), -1) + entries[0].shape)
+    return m.swapaxes(0, 1)
 
 
 def _checked_partials(F, p: Ternary) -> np.ndarray:
-    """Component partials d f_i / d x_j with a two-step consistency check."""
+    """Component partials d f_i / d x_j with a two-step consistency check.
+
+    For a p with array components, each m[i, j] is an array, and the first
+    point whose scalar evaluation fails, by a numerical fault or by the
+    check, raises its scalar error.
+    """
     h = _FD1 * (1.0 + p.max_abs())
 
     def components(c):
         return F(Ternary(*c)).components()
 
     x = p.components()
-    fine = _partials(components, x, (h, h, h))
-    coarse = _partials(components, x, (2.0 * h, 2.0 * h, 2.0 * h))
-    scale = 1.0 + np.max(np.abs(fine))
-    if np.max(np.abs(fine - coarse)) > EPS_FD * scale:
+    try:
+        fine = _partials(components, x, (h, h, h))
+        coarse = _partials(components, x, (2.0 * h, 2.0 * h, 2.0 * h))
+    except (TernionError, ArithmeticError, ValueError):
+        # a point before the faulting one may fail the check below first
+        _first_fault(lambda *c: _checked_partials(F, Ternary(*c)), *x)
+        raise
+    scale = 1.0 + np.max(np.abs(fine), axis=(0, 1))
+    if ta._fault(
+        np.max(np.abs(fine - coarse), axis=(0, 1)) > EPS_FD * scale,
+        lambda z: _checked_partials(F, z),
+        p,
+    ):
         raise NumericalBreakdown(
             f"finite differences of {F!r} disagree across steps at {p}"
         )
@@ -161,6 +233,18 @@ def wirtinger_partials(F, p: Ternary):
     return dz, dzt, dztt
 
 
+def _type1_cartesian(m) -> np.ndarray:
+    """The nine cartesian residuals [[a - b, b - c, c - a], ...] of the
+    first-kind system over the rows (f0,0, f1,1, f2,2), (f0,1, f1,2, f2,0),
+    (f0,2, f1,0, f2,1) of the partials m; elementwise for array partials."""
+    rows = [
+        (m[0, 0], m[1, 1], m[2, 2]),
+        (m[0, 1], m[1, 2], m[2, 0]),
+        (m[0, 2], m[1, 0], m[2, 1]),
+    ]
+    return np.array([[a - b, b - c, c - a] for a, b, c in rows])
+
+
 @dataclass
 class HoloType1Report:
     """Residuals of the first-kind Cauchy-Riemann system at a point."""
@@ -186,13 +270,7 @@ def check_holo_type1(F, p: Ternary) -> HoloType1Report:
     (f i,j = d f_i/d x_j), plus, when p admits polar coordinates, the nine
     polar residuals for h = z F(z).  Passes iff every residual <= EPS_FD.
     """
-    m = _checked_partials(F, p)
-    rows = [
-        (m[0, 0], m[1, 1], m[2, 2]),
-        (m[0, 1], m[1, 2], m[2, 0]),
-        (m[0, 2], m[1, 0], m[2, 1]),
-    ]
-    cart = np.array([[a - b, b - c, c - a] for a, b, c in rows])
+    cart = _type1_cartesian(_checked_partials(F, p))
 
     def h(c):
         z = ta.from_polar(ta.PolarForm(*c))
@@ -274,28 +352,41 @@ def check_holo_type2(F, p: Ternary) -> HoloType2Report:
     )
 
 
+# sign triples of the mixed third difference's corner points
+_CORNERS = [(s0, s1, s2) for s0 in (1.0, -1.0) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+
+
 def ternary_laplacian(f, p: Ternary) -> float:
     """d^3f/dx0^3 + d^3f/dx1^3 + d^3f/dx2^3 - 3 d^3f/(dx0 dx1 dx2) at p.
 
     f is a scalar callable of Ternary.  Third-order central differences with
-    h ~ eps^(1/5) scaled by the point magnitude.
+    h ~ eps^(1/5) scaled by the point magnitude.  For a p with array
+    components, f runs once, on the 20-point stencils of all points stacked
+    along a last axis, and the result is an array; a numerical fault raises
+    the scalar error of the first point whose stencil faults.
     """
     h = _FD3 * (1.0 + p.max_abs())
-    total = 0.0
+    x = p.components()
+    points = []
     for axis in range(3):
-        total += (
-            f(_shift(p, axis, 2 * h))
-            - 2.0 * f(_shift(p, axis, h))
-            + 2.0 * f(_shift(p, axis, -h))
-            - f(_shift(p, axis, -2 * h))
-        ) / (2.0 * h**3)
+        for d in (2 * h, h, -h, -2 * h):
+            c = list(x)
+            c[axis] = c[axis] + d
+            points.append(c)
+    points += [[x[0] + s0 * h, x[1] + s1 * h, x[2] + s2 * h] for s0, s1, s2 in _CORNERS]
+    try:
+        v = _on_stencil(lambda c: f(Ternary(*c)), points, _is_array(x))
+    except (TernionError, ArithmeticError, ValueError):
+        _first_fault(lambda *c: ternary_laplacian(f, Ternary(*c)), *x)
+        raise
+    h3 = ta._pow(h, 3)
+    total = 0.0
+    for a in (v[0:4], v[4:8], v[8:12]):
+        total += (a[0] - 2.0 * a[1] + 2.0 * a[2] - a[3]) / (2.0 * h3)
     mixed = 0.0
-    for s0 in (1.0, -1.0):
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                q = Ternary(p.x0 + s0 * h, p.x1 + s1 * h, p.x2 + s2 * h)
-                mixed += s0 * s1 * s2 * f(q)
-    total -= 3.0 * mixed / (8.0 * h**3)
+    for (s0, s1, s2), fq in zip(_CORNERS, v[12:]):
+        mixed += s0 * s1 * s2 * fq
+    total -= 3.0 * mixed / (8.0 * h3)
     return total
 
 

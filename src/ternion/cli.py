@@ -194,23 +194,35 @@ def _numbers_flag(key, text):
         raise ConfigError(f"--{key} needs comma-separated numbers, got {text!r}") from None
 
 
-def _cmd_form(args) -> int:
+#: The FormConfig params integrate-form takes as flags; the last four are
+#: comma-separated numbers.
+_PARAM_FLAGS = ("rho", "phi", "a1", "a2", "phi_lo", "phi_hi", "radius", "center", "from", "to", "box")
+
+
+def _form_config(args) -> FormConfig:
+    """The run's FormConfig: from --config, whose tol --tol alone may
+    override, or else from KIND, --preset, --field, --tol and the param flags."""
+    given = {key: getattr(args, "from_" if key == "from" else key) for key in _PARAM_FLAGS}
+    given = {key: val for key, val in given.items() if val is not None}
+    flags = {"kind": args.kind, "preset": args.preset, "field_name": args.field}
+    flags = {key: val for key, val in flags.items() if val is not None}
     if args.config:
+        names = [{"kind": "KIND", "preset": "--preset", "field_name": "--field"}[key] for key in flags]
+        names += ["--" + key.replace("_", "-") for key in given]
+        if names:
+            raise ConfigError(f"--config gives every input but --tol; drop {', '.join(names)}")
         cfg = load_config(args.config, "integrate-form")
-    else:
-        params = {}
-        for key in ("rho", "phi", "a1", "a2", "phi_lo", "phi_hi", "radius"):
-            val = getattr(args, key.replace("-", "_"))
-            if val is not None:
-                params[key] = val
-        for key in ("center", "from", "to", "box"):
-            val = getattr(args, "from_" if key == "from" else key)
-            if val is not None:
-                params[key] = _numbers_flag(key, val)
-        flags = {"kind": args.kind, "preset": args.preset, "field_name": args.field, "tol": args.tol}
-        cfg = FormConfig.from_dict(
-            {"params": params, **{k: v for k, v in flags.items() if v is not None}}
-        )
+        return cfg if args.tol is None else dataclasses.replace(cfg, tol=args.tol)
+    params = {
+        key: _numbers_flag(key, val) if isinstance(val, str) else val for key, val in given.items()
+    }
+    if args.tol is not None:
+        flags["tol"] = args.tol
+    return FormConfig.from_dict({"params": params, **flags})
+
+
+def _cmd_form(args) -> int:
+    cfg = _form_config(args)
     if not isinstance(cfg.field_name, str) or cfg.field_name not in _FIELDS:
         raise ConfigError(f"unknown field {cfg.field_name!r}; choose from {sorted(_FIELDS)}")
     field = _FIELDS[cfg.field_name]()
@@ -266,7 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="integrate a monopole trajectory to CSV")
-    p.add_argument("--config", required=True, help="JSON config (or a previous manifest)")
+    p.add_argument(
+        "--config", required=True, help="JSON config (or a previous manifest); --tol overrides its tol"
+    )
     p.add_argument("--out", default="trajectory.csv")
     p.add_argument("--manifest", help="write a JSON run manifest here")
     p.add_argument("--tol", type=float, default=None, help="override the config tolerance")
@@ -286,10 +300,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate-form", help="line/surface/volume form integrals")
     p.add_argument("kind", choices=FormConfig.KINDS, nargs="?")
-    p.add_argument("--config", help="JSON config (overrides the flag parameters)")
+    p.add_argument(
+        "--config",
+        help="JSON config (or a previous manifest) giving every input; only --tol may be given with it",
+    )
     p.add_argument("--preset")
     p.add_argument("--field", choices=sorted(_FIELDS), help="default: inverse-conjugate")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help="default 1e-9; overrides the config tolerance")
     p.add_argument("--rho", type=float)
     p.add_argument("--phi", type=float)
     p.add_argument("--a1", type=float)

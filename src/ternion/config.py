@@ -244,14 +244,14 @@ def load_config(path, command: str):
         raise ConfigError(f"cannot read config {path}: {exc}; {usage}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}; {usage}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object; {usage}")
-    if "config" in data:  # manifest rerun
+    if isinstance(data, dict) and "config" in data:  # manifest rerun
         if data.get("command") not in (None, command):
             raise ConfigError(
                 f"manifest {path} was written by {data.get('command')!r}, not {command!r}"
             )
         data = data["config"]
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object; {usage}")
     return _CONFIG_TYPES[command].from_dict(data)
 
 

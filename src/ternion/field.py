@@ -9,6 +9,13 @@ field h = (3 sqrt3/2) H has the closed form
 
 and splits into a gradient part (of the scalar potential of the monopole
 density) plus a rotational part sourced by azimuthal currents.
+
+Frame components (and the components of a Ternary point) may be float
+arrays whose shapes broadcast: the kernels then run elementwise and return
+arrays of shape (3,) + the broadcast shape.  A point where the scalar path
+raises makes the array path raise the same error, that of the first such
+point in order (see ternion.algebra).  Floats take the math functions, as
+before.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra as ta
 from .algebra import Ternary, norm_cubed
 from .errors import DomainError, OnSingularSet
 
@@ -64,12 +72,26 @@ class FrameVector:
     r1: float
     r2: float
 
+    def components(self):
+        return (self.l, self.r1, self.r2)
+
     @property
     def r_mag(self) -> float:
-        return math.hypot(self.r1, self.r2)
+        try:
+            return math.hypot(self.r1, self.r2)
+        except TypeError:  # array components
+            return np.hypot(self.r1, self.r2)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.l, self.r1, self.r2])
+        return _stack(self.l, self.r1, self.r2)
+
+
+def _stack(*c) -> np.ndarray:
+    """The values as one array of shape (len(c),) + their broadcast shape."""
+    try:
+        return np.array(c)
+    except ValueError:  # floats among arrays, or arrays of different shapes
+        return np.array(np.broadcast_arrays(*c))
 
 
 def _components(x) -> tuple[float, float, float]:
@@ -79,33 +101,55 @@ def _components(x) -> tuple[float, float, float]:
     return (float(x0), float(x1), float(x2))
 
 
+def _apply(matrix, a, b, c) -> tuple:
+    """matrix @ (a, b, c).  Array coordinates take one matrix-vector product
+    per point, which gives each point the bits of the float path."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(c, np.ndarray):
+        vec = np.stack(np.broadcast_arrays(a, b, c), axis=-1)
+        out = np.matmul(matrix, vec[..., None])[..., 0]
+        return out[..., 0], out[..., 1], out[..., 2]
+    vec = matrix @ np.array([a, b, c])
+    return float(vec[0]), float(vec[1]), float(vec[2])
+
+
 def to_frame(x) -> FrameVector:
     """Frame coordinates of a point given as Ternary or an (x0, x1, x2) triple."""
     x0, x1, x2 = _components(x)
-    vec = FRAME_MATRIX @ np.array([x1, x2, x0])
-    return FrameVector(float(vec[0]), float(vec[1]), float(vec[2]))
+    return FrameVector(*_apply(FRAME_MATRIX, x1, x2, x0))
 
 
 def from_frame(v: FrameVector) -> Ternary:
     """Inverse frame map (the transpose, since the frame is orthonormal)."""
-    x1, x2, x0 = FRAME_MATRIX.T @ v.as_array()
-    return Ternary(float(x0), float(x1), float(x2))
+    x1, x2, x0 = _apply(FRAME_MATRIX.T, v.l, v.r1, v.r2)
+    return Ternary(x0, x1, x2)
 
 
-def _require_admissible(v: FrameVector):
-    r = v.r_mag
-    if r <= EPS_FIELD * (1.0 + abs(v.l)):
+def _faults(v: FrameVector, r, kernel, other=False) -> bool:
+    """Raise OnSingularSet if v lies within EPS_FIELD of the trisectrice (|r|
+    small against 1 + |l|) or of the l = 0 plane, else return other: whether
+    v fails kernel's own domain check.
+
+    For array components, kernel replays the points that do either, in
+    order, so the first of them raises its scalar error, and False is
+    returned if none does.
+    """
+    near_axis = r <= EPS_FIELD * (1.0 + abs(v.l))
+    near_plane = abs(v.l) <= EPS_FIELD
+    if not ta._fault(near_axis | near_plane | other, kernel, v):
+        return False
+    if near_axis:
         raise OnSingularSet(f"point within {EPS_FIELD} of the trisectrice: {v}")
-    if abs(v.l) <= EPS_FIELD:
+    if near_plane:
         raise OnSingularSet(f"point within {EPS_FIELD} of the l = 0 plane: {v}")
-    return r
+    return True
 
 
 def field_h(v: FrameVector) -> np.ndarray:
     """Frame components (h0, h1, h2) of the rescaled field."""
-    r = _require_admissible(v)
+    r = v.r_mag
+    _faults(v, r, field_h)
     r2 = r * r
-    return np.array([1.0 / r2, v.r1 / (v.l * r2), v.r2 / (v.l * r2)])
+    return _stack(1.0 / r2, v.r1 / (v.l * r2), v.r2 / (v.l * r2))
 
 
 def potential_decompose(v: FrameVector):
@@ -116,31 +160,30 @@ def potential_decompose(v: FrameVector):
     h_pot is the analytic gradient; h_rot the closed-form remainder, and
     h_pot + h_rot reproduces field_h exactly.
     """
-    r = _require_admissible(v)
+    r = v.r_mag
     l = v.l
-    big_r = math.hypot(l, r)
-    if big_r <= abs(l):
+    m = np if isinstance(l, np.ndarray) or isinstance(r, np.ndarray) else math
+    big_r = m.hypot(l, r)
+    if _faults(v, r, potential_decompose, big_r <= abs(l)):
         raise DomainError(f"|R| <= |l| at {v}")
-    log_ratio = 2.0 * (math.log(r) - math.log(big_r + abs(l)))
-    if l < 0.0:
+    log_ratio = 2.0 * (m.log(r) - m.log(big_r + abs(l)))
+    if m is np:
+        log_ratio = np.where(l < 0.0, -log_ratio, log_ratio)
+    elif l < 0.0:
         log_ratio = -log_ratio
     phi_s = log_ratio / (2.0 * big_r)
     r2 = r * r
-    rr3 = big_r**3
-    rr2 = big_r**2
-    h_pot = np.array(
-        [
-            -l / (2.0 * rr3) * log_ratio - 1.0 / rr2,
-            -v.r1 / (2.0 * rr3) * log_ratio + l * v.r1 / (r2 * rr2),
-            -v.r2 / (2.0 * rr3) * log_ratio + l * v.r2 / (r2 * rr2),
-        ]
+    rr3 = ta._pow(big_r, 3)
+    rr2 = ta._pow(big_r, 2)
+    h_pot = _stack(
+        -l / (2.0 * rr3) * log_ratio - 1.0 / rr2,
+        -v.r1 / (2.0 * rr3) * log_ratio + l * v.r1 / (r2 * rr2),
+        -v.r2 / (2.0 * rr3) * log_ratio + l * v.r2 / (r2 * rr2),
     )
-    h_rot = np.array(
-        [
-            l / (2.0 * rr3) * log_ratio + 1.0 / rr2 + 1.0 / r2,
-            v.r1 / (2.0 * rr3) * log_ratio + v.r1 / (rr2 * l),
-            v.r2 / (2.0 * rr3) * log_ratio + v.r2 / (rr2 * l),
-        ]
+    h_rot = _stack(
+        l / (2.0 * rr3) * log_ratio + 1.0 / rr2 + 1.0 / r2,
+        v.r1 / (2.0 * rr3) * log_ratio + v.r1 / (rr2 * l),
+        v.r2 / (2.0 * rr3) * log_ratio + v.r2 / (rr2 * l),
     )
     return phi_s, h_pot, h_rot
 
@@ -151,10 +194,11 @@ def current_density(v: FrameVector) -> np.ndarray:
     j_k = eps_kl r_l (-2/|r|^4 + 1/(l^2 |r|^2)); tangential to circles around
     the trisectrice and vanishing on the cone |r| = sqrt2 |l|.
     """
-    r = _require_admissible(v)
+    r = v.r_mag
+    _faults(v, r, current_density)
     r2 = r * r
     t = -2.0 / (r2 * r2) + 1.0 / (v.l * v.l * r2)
-    return np.array([0.0, v.r2 * t, -v.r1 * t])
+    return _stack(0.0, v.r2 * t, -v.r1 * t)
 
 
 def vector_potential(v: FrameVector) -> np.ndarray:
@@ -162,11 +206,12 @@ def vector_potential(v: FrameVector) -> np.ndarray:
 
     A1 = r2 ln(l/|r|)/|r|^2, A2 = -r1 ln(l/|r|)/|r|^2.
     """
-    r = _require_admissible(v)
-    if v.l <= 0.0:
+    r = v.r_mag
+    if _faults(v, r, vector_potential, v.l <= 0.0):
         raise DomainError(f"vector potential requires l > 0, got l = {v.l}")
-    u = math.log(v.l / r) / (r * r)
-    return np.array([0.0, v.r2 * u, -v.r1 * u])
+    ratio = v.l / r
+    u = ta._lib(ratio).log(ratio) / (r * r)
+    return _stack(0.0, v.r2 * u, -v.r1 * u)
 
 
 @dataclass(frozen=True)
@@ -227,6 +272,6 @@ def cycle_point(z: Ternary) -> Ternary:
 def h_cartesian(z: Ternary) -> np.ndarray:
     """Cartesian components (H_x0, H_x1, H_x2) of H = x / ||z||^3."""
     n = norm_cubed(z)
-    if n == 0.0:
+    if ta._fault(n == 0.0, h_cartesian, z):
         raise OnSingularSet(f"cartesian field undefined on the singular set at {z}")
-    return np.array([z.x0 / n, z.x1 / n, z.x2 / n])
+    return _stack(z.x0 / n, z.x1 / n, z.x2 / n)

@@ -39,22 +39,16 @@ def _bound_check(name, worst, bound, counterexample=None):
     )
 
 
-def _rand_ternary(rng, lo=-3.0, hi=3.0) -> Ternary:
-    return Ternary(*rng.uniform(lo, hi, size=3))
-
-
-def _admissible_rows(rng, n, lo=-3.0, hi=3.0) -> np.ndarray:
-    """n admissible points (||z||^3 > 1e-2 and x0 + x1 + x2 > 1e-2), as rows
-    of components, from one batch.
-
-    They are the points a rejection loop of uniform draws in [lo, hi)^3 would
-    keep, and the stream advances by exactly the draws that loop takes.
-    """
+def _rejection_rows(rng, n, lo, hi, keep) -> np.ndarray:
+    """n rows of three uniform draws in [lo, hi) that keep accepts, from one
+    batch: the rows a rejection loop of such draws keeps, with the stream
+    advanced by exactly the draws that loop takes.  keep maps an (m, 3) array
+    of rows to a mask."""
     state = rng.bit_generator.state
     size = 2 * n
     while True:
         x = rng.uniform(lo, hi, size=(size, 3))
-        ok = (ta.cubic_form(*x.T) > 1e-2) & (x[:, 0] + x[:, 1] + x[:, 2] > 1e-2)
+        ok = keep(x)
         if np.count_nonzero(ok) >= n:
             break
         rng.bit_generator.state = state
@@ -62,6 +56,28 @@ def _admissible_rows(rng, n, lo=-3.0, hi=3.0) -> np.ndarray:
     used = np.flatnonzero(ok)[n - 1] + 1
     rng.bit_generator.state = state
     return rng.uniform(lo, hi, size=(used, 3))[ok[:used]]
+
+
+def _admissible(x) -> np.ndarray:
+    """Rows of components with ||z||^3 > 1e-2 and x0 + x1 + x2 > 1e-2."""
+    return (ta.cubic_form(*x.T) > 1e-2) & (x[:, 0] + x[:, 1] + x[:, 2] > 1e-2)
+
+
+def _admissible_rows(rng, n, lo=-3.0, hi=3.0) -> np.ndarray:
+    """n admissible points (||z||^3 > 1e-2 and x0 + x1 + x2 > 1e-2), as rows
+    of components: the points a rejection loop of uniform draws in
+    [lo, hi)^3 would keep, with the stream advanced as that loop advances it.
+    """
+    return _rejection_rows(rng, n, lo, hi, _admissible)
+
+
+def _frame_rows(rng, n) -> np.ndarray:
+    """n frame points (l, r1, r2) with |l| > 0.25 and |r| > 0.25, as rows: the
+    points a rejection loop of draws l, then (r1, r2), uniform in [-2, 2)
+    would keep, with the stream advanced as that loop advances it."""
+    return _rejection_rows(
+        rng, n, -2.0, 2.0, lambda x: (abs(x[:, 0]) > 0.25) & (np.hypot(x[:, 1], x[:, 2]) > 0.25)
+    )
 
 
 def _worst(r, counterexample):
@@ -214,24 +230,30 @@ def algebra_suite(seed: int) -> list[CheckResult]:
 # calculus
 
 
+def _far_from_trisectrice(x) -> np.ndarray:
+    """Admissible rows whose distance from the trisectrice, sqrt(3) times the
+    components' std, is at least 50 third-difference steps: third differences
+    of log grow like 1/d^3 at a distance d from that singular line."""
+    far = math.sqrt(3.0) * np.std(x, axis=1) >= 50.0 * tc._FD3 * (1.0 + np.max(np.abs(x), axis=1))
+    return _admissible(x) & far
+
+
 def calculus_suite(seed: int) -> list[CheckResult]:
+    """Each pointwise check evaluates its stencils once on arrays of all its
+    samples, drawn in the order one sample at a time would draw them."""
     rng = np.random.default_rng(seed)
     out = []
     square = tc.TernaryField(lambda z: ta.mul(z, z), name="z^2")
     cube = tc.TernaryField(lambda z: ta.mul(ta.mul(z, z), z), name="z^3")
 
-    worst, ce = 0.0, None
     coeffs = [Ternary(*rng.uniform(-1, 1, size=3)) for _ in range(3)]
     poly = tc.TernaryField(
         lambda z: coeffs[0] + ta.mul(coeffs[1], z) + ta.mul(coeffs[2], ta.mul(z, z)),
         name="random quadratic",
     )
-    for _ in range(20):
-        p = _rand_ternary(rng, -1.5, 1.5)
-        rep = tc.check_holo_type1(poly, p)
-        r = rep.max_cartesian
-        if r > worst:
-            worst, ce = r, {"p": p.components(), "coeffs": [c.components() for c in coeffs]}
+    p = Ternary(*rng.uniform(-1.5, 1.5, size=(20, 3)).T)
+    r = np.max(np.abs(tc._type1_cartesian(tc._checked_partials(poly, p))), axis=(0, 1))
+    worst, ce = _worst(r, lambda i: {"p": _at(p, i), "coeffs": [c.components() for c in coeffs]})
     out.append(_bound_check("closedness-of-holomorphic-one-form", worst, 1e-6, ce))
 
     a, b = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
@@ -272,24 +294,18 @@ def calculus_suite(seed: int) -> list[CheckResult]:
     v2 = tc.line_integral(cube, line, tol=tol / 2)
     out.append(_bound_check("quadrature-convergence-under-tol-halving", (v1 - v2).max_abs(), tol))
 
-    worst, ce = 0.0, None
-    for _ in range(10):
-        p = _rand_ternary(rng, -1.5, 1.5)
-        for i in range(3):
-            r = abs(tc.ternary_laplacian(lambda z, i=i: cube(z).components()[i], p))
-            if r > worst:
-                worst, ce = r, {"p": p.components(), "component": i}
-    for _ in range(5):
-        # third differences of log grow like 1/d^3 at a distance d from its
-        # singular line, the trisectrice (d = sqrt(3) * the components' std):
-        # keep the stencil 50 steps away
-        p = Ternary(*_admissible_rows(rng, 1, 0.5, 2.0)[0])
-        while math.sqrt(3.0) * np.std(p.components()) < 50.0 * tc._FD3 * (1.0 + p.max_abs()):
-            p = Ternary(*_admissible_rows(rng, 1, 0.5, 2.0)[0])
-        for i in range(3):
-            r = abs(tc.ternary_laplacian(lambda z, i=i: ta.log(z).components()[i], p))
-            if r > worst:
-                worst, ce = r, {"p": p.components(), "component": i}
+    # residuals per (point, component): 10 points for z^3, then 5 for log
+    rows = np.concatenate(
+        [rng.uniform(-1.5, 1.5, size=(10, 3)), _rejection_rows(rng, 5, 0.5, 2.0, _far_from_trisectrice)]
+    )
+    cube_p, log_p = Ternary(*rows[:10].T), Ternary(*rows[10:].T)
+    r = np.concatenate(
+        [
+            abs(tc.ternary_laplacian(lambda z: np.array(fn(z).components()), q)).T
+            for fn, q in ((cube, cube_p), (ta.log, log_p))
+        ]
+    )
+    worst, ce = _worst(r, lambda i: {"p": tuple(rows[i // 3]), "component": i % 3})
     out.append(_bound_check("laplacian-annihilates-holomorphic-components", worst, 1e-3, ce))
 
     got = tc.line_integral(tc.TernaryField(ta.inverse), tc.trisectrice_loop(1.0), tol=1e-12)
@@ -310,22 +326,22 @@ def calculus_suite(seed: int) -> list[CheckResult]:
 # field
 
 
-def _rand_frame(rng) -> tf.FrameVector:
-    while True:
-        l = rng.uniform(-2, 2)
-        r1, r2 = rng.uniform(-2, 2, size=2)
-        v = tf.FrameVector(l, r1, r2)
-        if abs(l) > 0.25 and v.r_mag > 0.25:
-            return v
-
-
 # central-difference step of the field checks
 _FD_STEPS = (1e-5, 1e-5, 1e-5)
 
 
+def _frames(rng, n) -> tf.FrameVector:
+    """n frame points of _frame_rows, as one FrameVector of arrays."""
+    return tf.FrameVector(*_frame_rows(rng, n).T)
+
+
+def _point(v: tf.FrameVector, i) -> dict:
+    return {"point": [float(c[i]) for c in v.components()]}
+
+
 def _frame_partials(fn, v):
-    """d fn_i / d x_j at the frame point v, x = (l, r1, r2)."""
-    return tc._partials(lambda c: fn(tf.FrameVector(*c)), (v.l, v.r1, v.r2), _FD_STEPS)
+    """d fn_i / d x_j at the frame points v, x = (l, r1, r2)."""
+    return tc._partials(lambda c: fn(tf.FrameVector(*c)), v.components(), _FD_STEPS)
 
 
 def _divergence(m):
@@ -337,89 +353,61 @@ def _fd_div(fn, v):
 
 
 def field_suite(seed: int) -> list[CheckResult]:
+    """Each pointwise check evaluates the field kernels and their stencils
+    once on arrays of all its samples, drawn in the order one sample at a time
+    would draw them."""
     rng = np.random.default_rng(seed)
     out = []
 
-    worst, ce = 0.0, None
-    for _ in range(100):
-        v = _rand_frame(rng)
-        r = abs(_fd_div(tf.field_h, v))
-        if r > worst:
-            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    v = _frames(rng, 100)
+    worst, ce = _worst(abs(_fd_div(tf.field_h, v)), lambda i: _point(v, i))
     out.append(_bound_check("field-divergence-free", worst, tf.EPS_DIV, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(100):
-        v = _rand_frame(rng)
-        _, h_pot, h_rot = tf.potential_decompose(v)
-        r = float(np.max(np.abs(h_pot + h_rot - tf.field_h(v))))
-        if r > worst:
-            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    v = _frames(rng, 100)
+    _, h_pot, h_rot = tf.potential_decompose(v)
+    r = np.max(np.abs(h_pot + h_rot - tf.field_h(v)), axis=0)
+    worst, ce = _worst(r, lambda i: _point(v, i))
     out.append(_bound_check("potential-plus-rotational-reconstruction", worst, 1e-9, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(30):
-        v = _rand_frame(rng)
-        r = abs(_fd_div(lambda u: tf.potential_decompose(u)[2], v))
-        if r > worst:
-            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    v = _frames(rng, 30)
+    worst, ce = _worst(abs(_fd_div(lambda u: tf.potential_decompose(u)[2], v)), lambda i: _point(v, i))
     out.append(_bound_check("rotational-part-divergence-free", worst, tf.EPS_DIV, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(30):
-        v = _rand_frame(rng)
-        j = tf.current_density(v)
-        r = abs(j[1] * v.r1 + j[2] * v.r2)
-        if r > worst:
-            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    v = _frames(rng, 30)
+    j = tf.current_density(v)
+    worst, ce = _worst(abs(j[1] * v.r1 + j[2] * v.r2), lambda i: _point(v, i))
     out.append(_bound_check("current-tangential", worst, 1e-12, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(20):
-        v = _rand_frame(rng)
-        v = tf.FrameVector(abs(v.l), v.r1, v.r2)
-        m = _frame_partials(tf.vector_potential, v)
-        curl_a = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-        r = float(np.max(np.abs(curl_a - tf.field_h(v))))
-        if r > worst:
-            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    v = _frames(rng, 20)
+    v = tf.FrameVector(abs(v.l), v.r1, v.r2)
+    m = _frame_partials(tf.vector_potential, v)
+    curl_a = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    worst, ce = _worst(np.max(np.abs(curl_a - tf.field_h(v)), axis=0), lambda i: _point(v, i))
     out.append(_bound_check("vector-potential-curl-is-field (l>0)", worst, tf.EPS_DIV, ce))
 
-    worst, ce = 0.0, None
-    for _ in range(50):
-        v = _rand_frame(rng)
-        z = tf.from_frame(v)
-        r = float(
-            np.max(np.abs(tf.cycle_components(tf.h_cartesian(z)) - tf.h_cartesian(tf.cycle_point(z))))
-        )
-        if r > worst:
-            worst, ce = r, {"z": z.components()}
+    z = tf.from_frame(_frames(rng, 50))
+    r = np.max(np.abs(tf.cycle_components(tf.h_cartesian(z)) - tf.h_cartesian(tf.cycle_point(z))), axis=0)
+    worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
     out.append(_bound_check("rotation-covariance-of-cartesian-field", worst, 1e-12, ce))
 
     def hrot_cart(z):
-        vec = tf.potential_decompose(tf.to_frame(z))[2]
-        x1, x2, x0 = tf.FRAME_MATRIX.T @ vec
-        return np.array([x0, x1, x2])
-
-    def cart_div(fn, z):
-        return _divergence(tc._partials(lambda c: fn(Ternary(*c)), z.components(), _FD_STEPS))
+        x = tf.from_frame(tf.FrameVector(*tf.potential_decompose(tf.to_frame(z))[2]))
+        return np.array(x.components())
 
     # covariance failure of the rotational part: the transmuted field must
-    # NOT be divergence-free (residual bounded away from zero)
-    smallest = math.inf
-    ce = None
-    for _ in range(10):
-        v = _rand_frame(rng)
-        z = tf.from_frame(v)
-        r = abs(cart_div(lambda p: tf.cycle_components(hrot_cart(p)), z))
-        if r < smallest:
-            smallest, ce = r, {"z": z.components(), "divergence": r}
+    # NOT be divergence-free (residual bounded away from zero); a nan counts
+    # as smallest, so it fails
+    z = tf.from_frame(_frames(rng, 10))
+    m = tc._partials(lambda c: tf.cycle_components(hrot_cart(Ternary(*c))), z.components(), _FD_STEPS)
+    r = abs(_divergence(m))
+    i = int(np.argmin(r))
+    smallest = r[i]
     out.append(
         CheckResult(
             name="transmuted-rotational-part-not-divergence-free",
             passed=bool(smallest > 10 * tf.EPS_DIV),
             detail=f"min |div| {smallest:.3e} (must exceed {10 * tf.EPS_DIV:.1e})",
-            counterexample=None if smallest > 10 * tf.EPS_DIV else ce,
+            counterexample=None if smallest > 10 * tf.EPS_DIV else {"z": _at(z, i), "divergence": smallest},
         )
     )
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from ternion import algebra as ta
+from ternion import calculus as tc
+from ternion import field as tf
 from ternion import verify as tv
 from ternion.algebra import ComplexTernary, Ternary, conjugates, mul
 
@@ -251,3 +253,230 @@ def algebra_suite_loops(seed: int) -> list:
 
     return out
 
+
+# The calculus and field property suites as they ran before each pointwise
+# check became one array evaluation of its stencils: one sample at a time,
+# in Python loops, through the float paths of the kernels.  The samplers are
+# the loops themselves.  The shipped suites must draw the same samples and
+# reach the same verdicts.
+
+
+def calculus_suite_loops(seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    out = []
+    square = tc.TernaryField(lambda z: ta.mul(z, z), name="z^2")
+    cube = tc.TernaryField(lambda z: ta.mul(ta.mul(z, z), z), name="z^3")
+
+    worst, ce = 0.0, None
+    coeffs = [Ternary(*rng.uniform(-1, 1, size=3)) for _ in range(3)]
+    poly = tc.TernaryField(
+        lambda z: coeffs[0] + ta.mul(coeffs[1], z) + ta.mul(coeffs[2], ta.mul(z, z)),
+        name="random quadratic",
+    )
+    for _ in range(20):
+        p = random_ternary(rng, -1.5, 1.5)
+        rep = tc.check_holo_type1(poly, p)
+        r = rep.max_cartesian
+        if r > worst:
+            worst, ce = r, {"p": p.components(), "coeffs": [c.components() for c in coeffs]}
+    out.append(tv._bound_check("closedness-of-holomorphic-one-form", worst, 1e-6, ce))
+
+    a, b = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
+    diff = b - a
+    line = tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
+    bulge = Ternary(0.3, 1.1, 0.8)
+    mid = ta.scale(a + b, 0.5) + bulge
+
+    def arc(t):
+        u = 1.0 - t
+        return ta.scale(a, u * u) + ta.scale(mid, 2 * u * t) + ta.scale(b, t * t)
+
+    tol = 1e-11
+    v_line = tc.line_integral(square, line, tol=tol)
+    v_arc = tc.line_integral(square, tc.Curve(arc, 0.0, 1.0), tol=tol)
+    out.append(
+        tv._bound_check(
+            "path-independence-of-holomorphic-integral",
+            (v_line - v_arc).max_abs(),
+            10 * tol * (1 + v_line.max_abs()),
+            {"line": v_line.components(), "arc": v_arc.components()},
+        )
+    )
+
+    worst = 0.0
+    pairs = [
+        (tc.TernaryField(lambda z: ta.ONE), lambda z: z),
+        (tc.TernaryField(lambda z: z), lambda z: ta.scale(ta.mul(z, z), 0.5)),
+        (square, lambda z: ta.scale(ta.mul(ta.mul(z, z), z), 1.0 / 3.0)),
+    ]
+    for f, prim in pairs:
+        got = tc.line_integral(f, line, tol=1e-12)
+        worst = max(worst, (got - (prim(b) - prim(a))).max_abs())
+    out.append(tv._bound_check("primitive-consistency", worst, 1e-9))
+
+    tol = 1e-8
+    v1 = tc.line_integral(cube, line, tol=tol)
+    v2 = tc.line_integral(cube, line, tol=tol / 2)
+    out.append(tv._bound_check("quadrature-convergence-under-tol-halving", (v1 - v2).max_abs(), tol))
+
+    worst, ce = 0.0, None
+    for _ in range(10):
+        p = random_ternary(rng, -1.5, 1.5)
+        for i in range(3):
+            r = abs(tc.ternary_laplacian(lambda z, i=i: cube(z).components()[i], p))
+            if r > worst:
+                worst, ce = r, {"p": p.components(), "component": i}
+    for _ in range(5):
+        # third differences of log grow like 1/d^3 at a distance d from its
+        # singular line, the trisectrice (d = sqrt(3) * the components' std):
+        # keep the stencil 50 steps away
+        p = _loop_admissible(rng, 0.5, 2.0)
+        while math.sqrt(3.0) * np.std(p.components()) < 50.0 * tc._FD3 * (1.0 + p.max_abs()):
+            p = _loop_admissible(rng, 0.5, 2.0)
+        for i in range(3):
+            r = abs(tc.ternary_laplacian(lambda z, i=i: ta.log(z).components()[i], p))
+            if r > worst:
+                worst, ce = r, {"p": p.components(), "component": i}
+    out.append(tv._bound_check("laplacian-annihilates-holomorphic-components", worst, 1e-3, ce))
+
+    got = tc.line_integral(tc.TernaryField(ta.inverse), tc.trisectrice_loop(1.0), tol=1e-12)
+    expected = Ternary(0.0, 2 * math.pi / math.sqrt(3.0), -2 * math.pi / math.sqrt(3.0))
+    out.append(
+        tv._bound_check(
+            "trisectrice-loop-residue 2*pi*I",
+            (got - expected).max_abs(),
+            1e-8,
+            {"got": got.components()},
+        )
+    )
+
+    return out
+
+
+def _rand_frame(rng) -> tf.FrameVector:
+    while True:
+        l = rng.uniform(-2, 2)
+        r1, r2 = rng.uniform(-2, 2, size=2)
+        v = tf.FrameVector(l, r1, r2)
+        if abs(l) > 0.25 and v.r_mag > 0.25:
+            return v
+
+
+# central-difference step of the field checks
+_FD_STEPS = (1e-5, 1e-5, 1e-5)
+
+
+def _frame_partials(fn, v):
+    """d fn_i / d x_j at the frame point v, x = (l, r1, r2)."""
+    return tc._partials(lambda c: fn(tf.FrameVector(*c)), (v.l, v.r1, v.r2), _FD_STEPS)
+
+
+def _divergence(m):
+    return sum(m[i, i] for i in range(3))
+
+
+def _fd_div(fn, v):
+    return _divergence(_frame_partials(fn, v))
+
+
+def field_suite_loops(seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    out = []
+
+    worst, ce = 0.0, None
+    for _ in range(100):
+        v = _rand_frame(rng)
+        r = abs(_fd_div(tf.field_h, v))
+        if r > worst:
+            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    out.append(tv._bound_check("field-divergence-free", worst, tf.EPS_DIV, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(100):
+        v = _rand_frame(rng)
+        _, h_pot, h_rot = tf.potential_decompose(v)
+        r = float(np.max(np.abs(h_pot + h_rot - tf.field_h(v))))
+        if r > worst:
+            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    out.append(tv._bound_check("potential-plus-rotational-reconstruction", worst, 1e-9, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(30):
+        v = _rand_frame(rng)
+        r = abs(_fd_div(lambda u: tf.potential_decompose(u)[2], v))
+        if r > worst:
+            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    out.append(tv._bound_check("rotational-part-divergence-free", worst, tf.EPS_DIV, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(30):
+        v = _rand_frame(rng)
+        j = tf.current_density(v)
+        r = abs(j[1] * v.r1 + j[2] * v.r2)
+        if r > worst:
+            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    out.append(tv._bound_check("current-tangential", worst, 1e-12, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(20):
+        v = _rand_frame(rng)
+        v = tf.FrameVector(abs(v.l), v.r1, v.r2)
+        m = _frame_partials(tf.vector_potential, v)
+        curl_a = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+        r = float(np.max(np.abs(curl_a - tf.field_h(v))))
+        if r > worst:
+            worst, ce = r, {"point": [v.l, v.r1, v.r2]}
+    out.append(tv._bound_check("vector-potential-curl-is-field (l>0)", worst, tf.EPS_DIV, ce))
+
+    worst, ce = 0.0, None
+    for _ in range(50):
+        v = _rand_frame(rng)
+        z = tf.from_frame(v)
+        r = float(
+            np.max(np.abs(tf.cycle_components(tf.h_cartesian(z)) - tf.h_cartesian(tf.cycle_point(z))))
+        )
+        if r > worst:
+            worst, ce = r, {"z": z.components()}
+    out.append(tv._bound_check("rotation-covariance-of-cartesian-field", worst, 1e-12, ce))
+
+    def hrot_cart(z):
+        vec = tf.potential_decompose(tf.to_frame(z))[2]
+        x1, x2, x0 = tf.FRAME_MATRIX.T @ vec
+        return np.array([x0, x1, x2])
+
+    def cart_div(fn, z):
+        return _divergence(tc._partials(lambda c: fn(Ternary(*c)), z.components(), _FD_STEPS))
+
+    # covariance failure of the rotational part: the transmuted field must
+    # NOT be divergence-free (residual bounded away from zero)
+    smallest = math.inf
+    ce = None
+    for _ in range(10):
+        v = _rand_frame(rng)
+        z = tf.from_frame(v)
+        r = abs(cart_div(lambda p: tf.cycle_components(hrot_cart(p)), z))
+        if r < smallest:
+            smallest, ce = r, {"z": z.components(), "divergence": r}
+    out.append(
+        tv.CheckResult(
+            name="transmuted-rotational-part-not-divergence-free",
+            passed=bool(smallest > 10 * tf.EPS_DIV),
+            detail=f"min |div| {smallest:.3e} (must exceed {10 * tf.EPS_DIV:.1e})",
+            counterexample=None if smallest > 10 * tf.EPS_DIV else ce,
+        )
+    )
+
+    # flux law: the cubic-band integral around a trisectrice segment is
+    # (2 pi/sqrt3) ln(a2/a1), independent of the band's modulus level
+    phi_field = tc.TernaryField(lambda z: ta.scale(z, 1.0 / ta.norm_cubed(z)))
+    a1, a2 = 1.0, 2.0
+    expected = 2 * math.pi / math.sqrt(3.0) * math.log(a2 / a1)
+    worst, ce = 0.0, None
+    for rho in (1.0, 2.0):
+        got = tc.surface_integral_2form(phi_field, tc.cubic_band_patch(rho, a1, a2), tol=1e-8)
+        r = abs(got.x0 - expected) / expected
+        if r > worst:
+            worst, ce = r, {"rho": rho, "got": got.components(), "expected": expected}
+    out.append(tv._bound_check("flux-law-band-integral (level-independent)", worst, 1e-6, ce))
+
+    return out

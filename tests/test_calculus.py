@@ -7,8 +7,10 @@ import pytest
 from ternion import algebra as ta
 from ternion.algebra import ComplexTernary, Ternary, conjugates, inverse, mul, norm_cubed, scale
 from ternion.calculus import (
+    _FD3,
     Curve,
     TernaryField,
+    _checked_partials,
     box_boundary_patches,
     check_holo_type1,
     check_holo_type2,
@@ -504,3 +506,93 @@ def test_field_mutating_its_nodes_raises():
 def test_field_written_with_math_functions_raises_type_error():
     with pytest.raises(TypeError):
         line_integral(TernaryField(lambda z: Ternary(math.sin(z.x0), 0.0, 0.0)), straight_line(_A, _B))
+
+
+# --------------------------------------------------------------------------
+# array points: every point's stencil in one evaluation
+
+
+def _point_columns(rng, lo, hi):
+    """Points as 1-D arrays, and as an (n, 1) x (1, m) grid with x2 a float."""
+    return [
+        tuple(rng.uniform(lo, hi, (3, 7))),
+        (rng.uniform(lo, hi, (4, 1)), rng.uniform(lo, hi, (1, 3)), 0.5 * (lo + hi)),
+    ]
+
+
+def _per_point(kernel, cols):
+    """kernel on a Ternary of float components at each point of the
+    broadcast cols, its results stacked as the array path lays them out."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+    points = [np.broadcast_to(c, shape).ravel() for c in cols]
+    out = [np.asarray(kernel(Ternary(*(float(p[i]) for p in points)))) for i in range(len(points[0]))]
+    return np.stack(out, axis=-1).reshape(out[0].shape + shape)
+
+
+def _components_of(field):
+    return lambda z: np.array(field(z).components())
+
+
+def test_array_stencils_of_a_polynomial_are_bit_identical(rng):
+    # the stencil points and the difference quotients are elementwise, in the
+    # float path's order, and mul is exact arithmetic
+    for cols in _point_columns(rng, -1.5, 1.5):
+        p = Ternary(*cols)
+        want = _per_point(lambda q: _checked_partials(cube_field, q), cols)
+        assert _checked_partials(cube_field, p).tobytes() == want.tobytes()
+        lap = _components_of(cube_field)
+        want = _per_point(lambda q: ternary_laplacian(lap, q), cols)
+        assert ternary_laplacian(lap, p).tobytes() == want.tobytes()
+
+
+def test_array_laplacian_of_log_within_4_ulp_per_stencil_term(rng):
+    # numpy's log may differ from libm's in the last bit at each of the 20
+    # stencil points; the third differences weigh them by 12 / h^3 in all
+    for cols in _point_columns(rng, 0.6, 1.8):
+        cols = (cols[0] + 1.0, *cols[1:])  # x0 leads: in log's domain, off the trisectrice
+        p = Ternary(*cols)
+        f = _components_of(log_field)
+        got = ternary_laplacian(f, p)
+        want = _per_point(lambda q: ternary_laplacian(f, q), cols)
+        h = _FD3 * (1.0 + p.max_abs())
+        terms = 2.0 * np.maximum(np.abs(np.log(ta.norm_cubed(p))), ta.THETA_PERIOD)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(terms) * 12.0 / h**3)
+
+
+def _rough_above_one(z):
+    return Ternary(np.sin(1e8 * z.x0) * (z.x0 > 1.0), 0.0, 0.0)
+
+
+def test_array_check_raises_the_breakdown_of_the_first_failing_point():
+    rough = TernaryField(_rough_above_one, name="rough")
+    x0 = np.array([0.3, 0.5, 1.2, 0.7, 1.5])
+    with pytest.raises(NumericalBreakdown) as scalar:
+        _checked_partials(rough, Ternary(1.2, 0.1, 0.2))
+    with pytest.raises(NumericalBreakdown) as array:
+        _checked_partials(rough, Ternary(x0, 0.1, 0.2))
+    assert str(array.value) == str(scalar.value)
+
+
+def test_array_check_breakdown_before_a_later_domain_error():
+    # point 0 fails the two-step check, point 2 is outside log's domain: the
+    # float loop stops at point 0, and so must the array evaluation
+    field = TernaryField(lambda z: ta.log(z) + _rough_above_one(z), name="log + rough")
+    x = np.array([[1.2, 0.1, 0.2], [0.9, 0.2, 0.1], [-1.0, -0.5, -0.2]]).T
+    with pytest.raises(NumericalBreakdown) as scalar:
+        _checked_partials(field, Ternary(1.2, 0.1, 0.2))
+    with pytest.raises(NumericalBreakdown) as array:
+        _checked_partials(field, Ternary(*x))
+    assert str(array.value) == str(scalar.value)
+
+
+def test_array_laplacian_raises_the_error_of_the_first_faulting_point(rng):
+    x = rng.uniform(0.8, 1.6, (3, 6))
+    x[:, 3] = (-1.0, 0.2, 0.1)  # x0 + x1 + x2 < 0
+    x[:, 5] = (-2.0, 0.3, 0.1)
+    f = _components_of(log_field)
+    with pytest.raises(DomainError) as scalar:
+        ternary_laplacian(f, Ternary(*map(float, x[:, 3])))
+    with pytest.raises(DomainError) as array:
+        ternary_laplacian(f, Ternary(*x))
+    assert str(array.value) == str(scalar.value)
+

@@ -1,17 +1,34 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 import ternion.algebra as algebra_module
+import ternion.field as field_module
 from ternion import cli
+from ternion.calculus import _FD3
 from ternion.cli import main
 from ternion.config import FormConfig, ScatterConfig, SimulateConfig, load_config
 from ternion.dynamics import ScatteringSetup
-from ternion.verify import _admissible_rows, algebra_suite
+from ternion.verify import (
+    _admissible_rows,
+    _far_from_trisectrice,
+    _frame_rows,
+    _rejection_rows,
+    algebra_suite,
+    calculus_suite,
+    field_suite,
+)
 
-from oracles import _loop_admissible, algebra_suite_loops
+from oracles import (
+    _loop_admissible,
+    _rand_frame,
+    algebra_suite_loops,
+    calculus_suite_loops,
+    field_suite_loops,
+)
 
 
 def write_json(path, data):
@@ -82,6 +99,93 @@ def test_admissible_rows_are_the_rejection_loops_draws(seed, n, lo, hi):
     rows = _admissible_rows(batch, n, lo, hi)
     want = np.array([_loop_admissible(loop, lo, hi).components() for _ in range(n)])
     assert rows.tobytes() == want.tobytes()
+    assert batch.random() == loop.random()
+
+
+def _residual(detail):
+    """(residual, bound) of a check's printed detail."""
+    value, bound = re.fullmatch(r".* (\S+) \((?:bound|must exceed) (\S+)\)", detail).groups()
+    return float(value), float(bound)
+
+
+def _assert_matches_the_loops(got, want):
+    # names, verdicts and counterexamples exactly; a printed residual within
+    # 1e-3 of its bound (numpy's log and hypot round differently from libm's,
+    # and the difference stencils amplify it: at most 3.3e-4 of the bound at
+    # seeds 0-199)
+    assert [(r.name, r.passed) for r in got] == [(r.name, r.passed) for r in want]
+    assert json.dumps([r.counterexample for r in got], default=str) == json.dumps(
+        [r.counterexample for r in want], default=str
+    )
+    for g, w in zip(got, want):
+        (gv, bound), (wv, _) = _residual(g.detail), _residual(w.detail)
+        assert abs(gv - wv) <= 1e-3 * bound, (g.name, g.detail, w.detail)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_calculus_suite_matches_the_loop_oracle(seed):
+    _assert_matches_the_loops(calculus_suite(seed), calculus_suite_loops(seed))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_field_suite_matches_the_loop_oracle(seed):
+    _assert_matches_the_loops(field_suite(seed), field_suite_loops(seed))
+
+
+def _skewed_h(original):
+    def field_h(v):
+        h = original(v)
+        return np.array([h[0], h[1], 1.1 * h[2]])
+
+    return field_h
+
+
+def _skewed_mul(original):
+    # adds 1e-3 x0 w0 to the first component: z^2 and z^3 stop being holomorphic
+    ta = algebra_module
+    return lambda z, w: original(z, w) + ta.scale(ta.Ternary(z.x0 * w.x0, 0.0, 0.0), 1e-3)
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, suite, loops, fails",
+    [
+        (field_module, "field_h", _skewed_h, field_suite, field_suite_loops, 3),
+        (algebra_module, "mul", _skewed_mul, calculus_suite, calculus_suite_loops, 4),
+    ],
+    ids=["field", "calculus"],
+)
+def test_suite_failures_match_the_loop_oracle(monkeypatch, module, name, mutate, suite, loops, fails):
+    # with a kernel skewed, checks fail; the array evaluation must report the
+    # counterexamples the loops report
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    got, want = suite(3), loops(3)
+    assert sum(not r.passed for r in want) == fails
+    _assert_matches_the_loops(got, want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_frame_rows_are_the_rejection_loops_draws(seed, n):
+    batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = _frame_rows(batch, n)
+    want = np.array([_rand_frame(loop).as_array() for _ in range(n)])
+    assert rows.tobytes() == want.tobytes()
+    assert batch.random() == loop.random()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_log_stencil_points_are_the_loops_draws(seed):
+    # the calculus suite's log points: admissible draws in [0.5, 2), redrawn
+    # while within 50 third-difference steps of the trisectrice
+    batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = _rejection_rows(batch, 5, 0.5, 2.0, _far_from_trisectrice)
+    want = []
+    for _ in range(5):
+        p = _loop_admissible(loop, 0.5, 2.0)
+        while np.sqrt(3.0) * np.std(p.components()) < 50.0 * _FD3 * (1.0 + p.max_abs()):
+            p = _loop_admissible(loop, 0.5, 2.0)
+        want.append(p.components())
+    assert rows.tobytes() == np.array(want).tobytes()
     assert batch.random() == loop.random()
 
 
@@ -447,6 +551,24 @@ def test_integrate_form_loop(tmp_path, capsys):
     assert doc["value"][0] == pytest.approx(0.0, abs=1e-8)
     assert doc["value"][1] == pytest.approx(expected, abs=1e-8)
     assert doc["value"][2] == pytest.approx(-expected, abs=1e-8)
+
+
+def test_integrate_form_config_takes_only_tol(tmp_path, capsys):
+    cfg = write_json(tmp_path / "loop.json", {**LOOP_CFG, "params": {"rho": 1.0}})
+    # KIND, --preset and a param flag beside --config used to be dropped
+    # without a word, and the loop ran at the config's tol
+    argv = ["integrate-form", "surface", "--preset", "sphere", "--config", cfg, "--rho", "5", "--tol", "1e-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --config gives every input but --tol; drop KIND, --preset, --rho\n"
+    assert captured.out == ""
+    assert main(["integrate-form", "--config", cfg, "--field", "one"]) == 2
+    assert capsys.readouterr().err.endswith("drop --field\n")
+    # --tol alone overrides the config's tol, as it does for simulate
+    assert main(["integrate-form", "--config", cfg, "--tol", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-3
+    assert main(["integrate-form", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-9
 
 
 def test_integrate_form_requires_domain(capsys):

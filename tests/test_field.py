@@ -263,3 +263,143 @@ def test_write_field_grid(tmp_path):
     path2 = tmp_path / "grid2.csv"
     write_field_grid(path2, [0.5, 1.0], [0.5, 1.0], [0.25])
     assert path.read_bytes() == path2.read_bytes()
+
+
+
+
+# --------------------------------------------------------------------------
+# array frame components
+
+
+def _rows(values, shape):
+    """Per-output values, broadcast to shape, as one row per point."""
+    columns = [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values]
+    return np.stack(columns, axis=-1).reshape(-1, len(values))
+
+
+def _check_array_kernel(kernel, cols, ulps=0.0, terms=None):
+    """kernel (coordinates -> list of outputs) on the array cols against one
+    float call per point: bit for bit, or within ulps of the per-point term
+    scale terms(*flat coordinates), one column per output."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+    got = _rows(kernel(*cols), shape)
+    points = [np.broadcast_to(c, shape).ravel() for c in cols]
+    want = np.array([np.ravel(kernel(*(float(p[i]) for p in points))) for i in range(len(points[0]))])
+    if ulps == 0.0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= ulps * np.spacing(terms(*points)))
+
+
+def _frame_terms(l, r1, r2):
+    """Per point and output of each frame kernel, the magnitude of the terms
+    it sums, so the last-bit differences of numpy's hypot and log against
+    libm's are counted on the terms rather than on a sum that cancels."""
+    r = np.hypot(r1, r2)
+    big_r = np.hypot(l, r)
+    logs = np.abs(np.log(r)) + np.abs(np.log(big_r + np.abs(l)))
+    lead = logs / big_r**3
+    transverse = lead + np.abs(l) / (r * big_r) ** 2 + 1.0 / (big_r**2 * np.abs(l))
+    rot = np.stack([0.0 * r, np.abs(r2), np.abs(r1)], axis=1)
+    h = [np.abs(l) * lead + 1.0 / big_r**2 + 1.0 / r**2, np.abs(r1) * transverse, np.abs(r2) * transverse]
+    return {
+        "field_h": np.stack([1.0 / r**2, np.abs(r1 / (l * r**2)), np.abs(r2 / (l * r**2))], axis=1),
+        "potential": np.stack([logs / big_r, *h, *h], axis=1),
+        "current": rot * (2.0 / r**4 + 1.0 / (l * r) ** 2)[:, None],
+        "vector": rot * ((1.0 + np.abs(np.log(np.abs(l))) + np.abs(np.log(r))) / r**2)[:, None],
+    }
+
+
+def _potential(*c):
+    phi_s, h_pot, h_rot = potential_decompose(FrameVector(*c))
+    return [phi_s, *h_pot, *h_rot]
+
+
+FRAME_KERNELS = {
+    "field_h": lambda *c: list(field_h(FrameVector(*c))),
+    "potential": _potential,
+    "current": lambda *c: list(current_density(FrameVector(*c))),
+    "vector": lambda *c: list(vector_potential(FrameVector(*c))),
+}
+
+
+def _frame_columns(rng, n, m):
+    """Admissible frame points with l > 0: n of them as 1-D arrays, and an
+    (n, 1) x (1, m) grid."""
+    flat = rng.uniform(0.25, 2.0, (3, n)) * rng.choice([-1.0, 1.0], (3, n))
+    flat[0] = abs(flat[0])
+    grid = (rng.uniform(0.25, 2.0, (n, 1)), rng.uniform(0.25, 2.0, (1, m)), rng.uniform(-2.0, 2.0, (1, m)))
+    return [tuple(flat), grid]
+
+
+@pytest.mark.parametrize("name", FRAME_KERNELS)
+def test_array_frame_kernels_match_the_float_path(rng, name):
+    # 8 ulp of the terms, at most 4 seen on 20k random points in [-2, 2]^3
+    # (|l|, |r| > 0.05); the pow of the float path is kept bit for bit
+    for cols in _frame_columns(rng, 12, 5):
+        for sign in (1.0, -1.0) if name != "vector" else (1.0,):
+            cols = (sign * cols[0], *cols[1:])
+            terms = lambda *p: _frame_terms(*p)[name]  # noqa: E731
+            _check_array_kernel(FRAME_KERNELS[name], cols, 8.0, terms)
+
+
+def test_array_cartesian_kernels_are_bit_identical(rng):
+    # h_cartesian divides by the exact cubic form; to_frame and from_frame take
+    # one matrix-vector product per point, as a single point does
+    grid = (rng.uniform(-2.0, 2.0, (4, 1)), rng.uniform(-2.0, 2.0, (1, 5)), 0.5)
+    for cols in (tuple(rng.uniform(-2.0, 2.0, (3, 12))), grid):
+        _check_array_kernel(lambda *c: list(h_cartesian(Ternary(*c))), cols)
+        _check_array_kernel(lambda *c: list(to_frame(Ternary(*c)).components()), cols)
+        _check_array_kernel(lambda *c: list(from_frame(FrameVector(*c)).components()), cols)
+
+
+ON_TRISECTRICE = (1.5, 0.0, 0.0)
+ON_PLANE = (0.0, 1.0, 0.5)
+# |r| is above the trisectrice margin 1e-8 (1 + |l|), but R = hypot(l, |r|)
+# rounds to |l|
+R_IS_L = (100.0, 1.05e-6, 0.0)
+NEGATIVE_L = (-1.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "kernel, plant",
+    [
+        (field_h, ON_TRISECTRICE),
+        (field_h, ON_PLANE),
+        (potential_decompose, ON_TRISECTRICE),
+        (potential_decompose, ON_PLANE),
+        (potential_decompose, R_IS_L),
+        (current_density, ON_TRISECTRICE),
+        (current_density, ON_PLANE),
+        (vector_potential, ON_TRISECTRICE),
+        (vector_potential, ON_PLANE),
+        (vector_potential, NEGATIVE_L),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_array_fault_raises_the_scalar_error_of_the_first_faulting_point(rng, kernel, plant):
+    # the plant at one index and a trisectrice point at another: whichever
+    # comes first raises, with the error and message of its float call
+    l, r1, r2 = rng.uniform(0.5, 2.0, (3, 8))
+    for first, later in ((2, 6), (6, 2)):
+        cols = [c.copy() for c in (l, r1, r2)]
+        for at, point in ((first, plant), (later, (1.0, 0.0, 0.0))):
+            for c, v in zip(cols, point):
+                c[at] = v
+        with pytest.raises(Exception) as scalar:
+            kernel(FrameVector(*(float(c[min(first, later)]) for c in cols)))
+        assert isinstance(scalar.value, (OnSingularSet, DomainError))
+        with pytest.raises(type(scalar.value)) as array:
+            kernel(FrameVector(*cols))
+        assert str(array.value) == str(scalar.value)
+
+
+def test_array_h_cartesian_raises_at_the_first_zero_norm(rng):
+    x = rng.uniform(0.5, 2.0, (3, 8))
+    x[:, 3] = (1.0, -0.5, -0.5)  # x0 + x1 + x2 = 0: ||z||^3 = 0
+    x[:, 5] = (0.7, 0.7, 0.7)  # on the trisectrice
+    with pytest.raises(OnSingularSet) as scalar:
+        h_cartesian(Ternary(*map(float, x[:, 3])))
+    with pytest.raises(OnSingularSet) as array:
+        h_cartesian(Ternary(*x))
+    assert str(array.value) == str(scalar.value) and "Ternary(1.0, -0.5, -0.5)" in str(array.value)
