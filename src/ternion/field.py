@@ -10,12 +10,13 @@ field h = (3 sqrt3/2) H has the closed form
 and splits into a gradient part (of the scalar potential of the monopole
 density) plus a rotational part sourced by azimuthal currents.
 
-Frame components (and the components of a Ternary point) may be float
-arrays whose shapes broadcast: the kernels then run elementwise and return
-arrays of shape (3,) + the broadcast shape.  A point where the scalar path
-raises makes the array path raise the same error, that of the first such
-point in order (see ternion.algebra).  Floats take the math functions, as
-before.
+The kernels field_h, potential_decompose, current_density,
+vector_potential and h_cartesian, and the maps to_frame and from_frame, also
+take frame (or Ternary) components that are float arrays of shapes that
+broadcast: they run elementwise, and a vector result is an array of shape
+(3,) + the broadcast shape.  Where the float path raises at some point, the array path
+raises the same error, that of the first such point in order (see
+ternion.algebra).  Floats keep the math functions.
 """
 
 from __future__ import annotations
