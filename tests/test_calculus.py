@@ -545,9 +545,10 @@ def test_array_stencils_of_a_polynomial_are_bit_identical(rng):
         assert ternary_laplacian(lap, p).tobytes() == want.tobytes()
 
 
-def test_array_laplacian_of_log_within_4_ulp_per_stencil_term(rng):
+def test_array_laplacian_of_log_within_1_ulp_per_stencil_term(rng):
     # numpy's log may differ from libm's in the last bit at each of the 20
     # stencil points; the third differences weigh them by 12 / h^3 in all
+    # (at most 0.08 of this bound seen on 1000 points)
     for cols in _point_columns(rng, 0.6, 1.8):
         cols = (cols[0] + 1.0, *cols[1:])  # x0 leads: in log's domain, off the trisectrice
         p = Ternary(*cols)
@@ -556,7 +557,7 @@ def test_array_laplacian_of_log_within_4_ulp_per_stencil_term(rng):
         want = _per_point(lambda q: ternary_laplacian(f, q), cols)
         h = _FD3 * (1.0 + p.max_abs())
         terms = 2.0 * np.maximum(np.abs(np.log(ta.norm_cubed(p))), ta.THETA_PERIOD)
-        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(terms) * 12.0 / h**3)
+        assert np.all(np.abs(got - want) <= np.spacing(terms) * 12.0 / h**3)
 
 
 def _rough_above_one(z):

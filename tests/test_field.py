@@ -334,8 +334,8 @@ def _frame_columns(rng, n, m):
 
 @pytest.mark.parametrize("name", FRAME_KERNELS)
 def test_array_frame_kernels_match_the_float_path(rng, name):
-    # 8 ulp of the terms, at most 4 seen on 20k random points in [-2, 2]^3
-    # (|l|, |r| > 0.05); the pow of the float path is kept bit for bit
+    # 8 ulp of the terms: at most 5 seen (field_h) on 20k points drawn as
+    # the field suite draws them; the float path's pow is kept bit for bit
     for cols in _frame_columns(rng, 12, 5):
         for sign in (1.0, -1.0) if name != "vector" else (1.0,):
             cols = (sign * cols[0], *cols[1:])
