@@ -34,9 +34,7 @@ from .errors import (
     SingularOnPath,
     TernionError,
 )
-# the public pointwise entry points stay bound here for callers that wrap
-# them; the form integrals reach the batched engine through _quad
-from .quadrature import DEFAULT_TOL, _quad, adaptive_quad, adaptive_quad_2d, adaptive_quad_3d  # noqa: F401
+from .quadrature import DEFAULT_TOL, adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
 
 __all__ = [
     "TernaryField",
@@ -233,6 +231,13 @@ def wirtinger_partials(F, p: Ternary):
     return dz, dzt, dztt
 
 
+def _one_point(check, p: Ternary):
+    """Reject a p with array components: a report's maxima and pass flag
+    speak for one point, and over many a failing point would hide."""
+    if _is_array(p.components()):
+        raise DomainError(f"{check} checks one point; got a Ternary with array components")
+
+
 def _type1_cartesian(m) -> np.ndarray:
     """The nine cartesian residuals [[a - b, b - c, c - a], ...] of the
     first-kind system over the rows (f0,0, f1,1, f2,2), (f0,1, f1,2, f2,0),
@@ -269,7 +274,9 @@ def check_holo_type1(F, p: Ternary) -> HoloType1Report:
 
     (f i,j = d f_i/d x_j), plus, when p admits polar coordinates, the nine
     polar residuals for h = z F(z).  Passes iff every residual <= EPS_FD.
+    p is one point: array components raise DomainError.
     """
+    _one_point("check_holo_type1", p)
     cart = _type1_cartesian(_checked_partials(F, p))
 
     def h(c):
@@ -326,7 +333,9 @@ def check_holo_type2(F, p: Ternary) -> HoloType2Report:
     Reality (F a function of the conjugate product only): with the first-order
     operators U = x0 d2 + x1 d0 + x2 d1 and W = x0 d1 + x1 d2 + x2 d0,
     U f2 = W f1, U f0 = W f2, U f1 = W f0.
+    p is one point: array components raise DomainError.
     """
+    _one_point("check_holo_type2", p)
     m = _checked_partials(F, p)
     single = np.array(
         [
@@ -453,7 +462,7 @@ def line_integral(F, curve: Curve, tol: float = DEFAULT_TOL) -> Ternary:
     def integrand(t):
         return mul(F(curve.gamma(t)), curve.velocity(t)).components()
 
-    value = _quad(integrand, ((curve.t_start, curve.t_end),), tol)
+    value = adaptive_quad(integrand, curve.t_start, curve.t_end, tol)
     return Ternary(*value.tolist())
 
 
@@ -512,7 +521,7 @@ def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL) -
             o * (f2 * j12 + f0 * j20 + f1 * j01),
         )
 
-    value = _quad(integrand, (patch.u_range, patch.v_range), tol)
+    value = adaptive_quad_2d(integrand, patch.u_range, patch.v_range, tol)
     return Ternary(*value.tolist())
 
 
@@ -527,7 +536,7 @@ def volume_integral_3form(W, box, tol: float = DEFAULT_TOL) -> Ternary:
     def integrand(x0, x1, x2):
         return W(Ternary(x0, x1, x2)).components()
 
-    value = _quad(integrand, box, tol)
+    value = adaptive_quad_3d(integrand, box, tol)
     return Ternary(*value.tolist())
 
 

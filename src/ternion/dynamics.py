@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _lib, _pow, _replay
 from .errors import (
     DomainError,
     JacobianSingular,
@@ -342,9 +343,10 @@ def integrate(
 # Planar closed form
 
 
-def _f_planar(z: float, z0: float) -> float:
-    """z * ln|z/(e z0)|, the planar trajectory kernel."""
-    return z * (math.log(abs(z / z0)) - 1.0)
+def _f_planar(z, z0: float):
+    """z * ln|z/(e z0)|, the planar trajectory kernel, at a float z or
+    elementwise on a float array."""
+    return z * (_lib(z).log(abs(z / z0)) - 1.0)
 
 
 def _root_on_grid(fun, points, bound, what, missing):
@@ -442,13 +444,14 @@ class PlanarSolution:
 
     def t(self, z: float) -> float:
         """Time at slope z, with t(z0) = 0; adaptive quadrature of the
-        inverse-square kernel (divergent only at the branch ends)."""
+        inverse-square kernel (divergent only at the branch ends), which
+        runs once per quadrature cell, on the cell's 15 nodes."""
         self._check_branch(z)
         if z == self.z0:
             return 0.0
 
         def kernel(u):
-            return ((_f_planar(u, self.z0) - self._c) ** -2.0,)
+            return _pow(_f_planar(u, self.z0) - self._c, -2.0)[:, None]
 
         val = adaptive_quad(kernel, self.z0, z, TIME_TOL)
         return -(self.m2**3 / self.g**2) * float(val[0])
@@ -543,23 +546,38 @@ class GeneralSolution:
             raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in v1({y})")
         return self.g * s.real
 
-    def _antiderivative(self, y: float) -> float:
-        """Exact antiderivative of v1/g (base point y0 in the logs)."""
-        w = complex(y, -1.0)
-        t1 = self._a * w * (cmath.log(w / complex(self.y0, -1.0)) - 1.0)
-        wbar = complex(y, 1.0)
-        t2 = self._a.conjugate() * wbar * (cmath.log(wbar / complex(self.y0, 1.0)) - 1.0)
+    def _antiderivative(self, y, m=math):
+        """Exact antiderivative of v1/g (base point y0 in the logs), at a
+        float slope, or elementwise on a float array of slopes with m = np
+        (psi picks m by algebra._lib, so floats pay for no type check here).
+
+        On an array, the slopes that fail a check replay the float path in
+        order, so the first of them raises its scalar error.
+        """
+        if m is np:
+            w, wbar, clog = y - 1j, y + 1j, np.log
+        else:
+            w, wbar, clog = complex(y, -1.0), complex(y, 1.0), cmath.log
+        t1 = self._a * w * (clog(w / complex(self.y0, -1.0)) - 1.0)
+        t2 = self._a.conjugate() * wbar * (clog(wbar / complex(self.y0, 1.0)) - 1.0)
         s = t1 + t2
-        if abs(s.imag) > EPS_IMAG * (1.0 + abs(s)):
-            raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in psi({y})")
-        total = s.real
-        if self.m2 != 0.0:
+        residue = abs(s.imag) > EPS_IMAG * (1.0 + abs(s))
+        if self.m2 == 0.0:
+            ratio = 1.0
+        else:
             num = self.m1 + self.m2 * y
-            den = self.m1 + self.m2 * self.y0
-            if num / den <= 0.0:
-                raise PoleOnRange(f"antiderivative crossed the pole at y = {self.pole}")
-            total += self._c3 * (num / self.m2) * (math.log(num / den) - 1.0)
-        return total
+            ratio = num / (self.m1 + self.m2 * self.y0)
+        if m is np:
+            bad = residue | (ratio <= 0.0)
+            if bad.any():
+                _replay(self._antiderivative, bad, y)
+        elif residue:
+            raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in psi({y})")
+        elif ratio <= 0.0:
+            raise PoleOnRange(f"antiderivative crossed the pole at y = {self.pole}")
+        if self.m2 == 0.0:
+            return s.real
+        return s.real + self._c3 * (num / self.m2) * (m.log(ratio) - 1.0)
 
     # Derivatives in (M1, M2) at fixed y and y0.  With c = M1 + i M2 the log
     # pair's coefficient is a = -0.5i/c, so da/dM1 = 0.5i/c^2 and da/dM2 is
@@ -598,10 +616,17 @@ class GeneralSolution:
             -2.0 * z.imag + q * log_ratio * (y + 2.0 * ic.imag * num) + self.m1 * frac,
         )
 
-    def psi(self, y: float) -> float:
-        """Integral of v1/g from y1 to y (closed form)."""
-        self._check_side(y, self.y1)
-        return self._antiderivative(y) - self._antiderivative(self.y1)
+    def psi(self, y):
+        """Integral of v1/g from y1 to y (closed form), at a float slope or
+        elementwise on a float array of slopes."""
+        m = _lib(y)
+        if m is math:
+            self._check_side(y, self.y1)
+        elif self.pole is not None and ((y - self.pole) * (self.y1 - self.pole) <= 0.0).any():
+            # psi replays every slope in order, so the first slope whose
+            # scalar psi faults raises, across the pole or otherwise
+            _replay(self.psi, np.ones(y.shape, dtype=bool), y)
+        return self._antiderivative(y, m) - self._antiderivative(self.y1)
 
     def r1(self, y: float) -> float:
         p = self.psi(y)
@@ -614,7 +639,8 @@ class GeneralSolution:
 
         The kernel psi^(-2) has non-integrable poles at the zeros of psi, y1
         and the exit slope.  psi has the sign of psi(y0) strictly between them
-        and the other sign beyond either, so y must lie where it does.
+        and the other sign beyond either, so y must lie where it does.  The
+        kernel runs once per quadrature cell, on the cell's 15 nodes.
         """
         self._check_side(y, self.y0)
         p0, p = self.psi(self.y0), self.psi(y)
@@ -627,7 +653,7 @@ class GeneralSolution:
             return 0.0
 
         def kernel(u):
-            return (self.psi(u) ** -2.0,)
+            return _pow(self.psi(u), -2.0)[:, None]
 
         val = adaptive_quad(kernel, self.y0, y, TIME_TOL)
         return (self.m0 / self.g**2) * float(val[0])

@@ -6,10 +6,12 @@ K15 estimate, its error on an axis is max |value - the rule with G7 on that
 axis|, and the worst cell is bisected on its worst axis until the summed error
 is <= the absolute tolerance.
 
-The engine calls its integrand once per cell, with one read-only array of
-node coordinates per axis (in itertools.product order), and takes back a
-(15^d, m) array of values.  The public functions integrate pointwise
-integrands, called once per node with floats, through a one-line adapter.
+Every integrand is batched: the engine calls it once per cell, with one
+read-only array of node coordinates per axis (in itertools.product order),
+and takes back a (15^d, m) array of values.  adaptive_quad, adaptive_quad_2d
+and adaptive_quad_3d are the entry points for 1, 2 and 3 axes; there is no
+pointwise adapter, so an integrand written for floats must be vectorized (or
+wrapped by its caller) first.
 
 Each call owns one budget of 10**6 integrand evaluations.  QuadratureFailure
 is raised when the budget runs out, a cell stalls (see _integrate) or the
@@ -80,20 +82,12 @@ def _tensor(factors):
 @functools.cache
 def _rule(d):
     """The rule on [-1, 1]^d, in itertools.product order: the nodes, one row
-    per axis; the tensor Kronrod weights; and per axis the weights with G7 on
-    that axis.  Built on first use, so runs without volume integrals never
-    hold the 15^3 tables."""
-    return (
-        [g.ravel() for g in np.meshgrid(*[NODES] * d, indexing="ij")],
-        _tensor([WEIGHTS_K] * d),
-        [_tensor([WEIGHTS_G if j == i else WEIGHTS_K for j in range(d)]) for i in range(d)],
-    )
-
-
-def _weighted_sum(weights, vals):
-    # accumulate adds the rows one after another, as sum() does; reduce would
-    # sum a one-column array pairwise and change the last bits
-    return np.add.accumulate(weights[:, None] * vals)[-1]
+    per axis; and a (d + 1, 15^d, 1) table of weights, the tensor Kronrod
+    weights in row 0 and in row 1 + i those with G7 on axis i.  Built on
+    first use, so runs without volume integrals never hold the 15^3 tables."""
+    rows = [_tensor([WEIGHTS_K] * d)]
+    rows += [_tensor([WEIGHTS_G if j == i else WEIGHTS_K for j in range(d)]) for i in range(d)]
+    return [g.ravel() for g in np.meshgrid(*[NODES] * d, indexing="ij")], np.stack(rows)[:, :, None]
 
 
 def _span(box) -> str:
@@ -109,19 +103,30 @@ def _cell(f, box, budget):
     budget[0] -= 15**d
     if budget[0] < 0:
         raise QuadratureFailure("quadrature evaluation budget exhausted")
-    unit_nodes, k_weights, g_weights = _rule(d)
+    unit_nodes, weights = _rule(d)
     halves = [0.5 * (hi - lo) for lo, hi in box]
     axes = [0.5 * (lo + hi) + h * u for (lo, hi), h, u in zip(box, halves, unit_nodes)]
     for a in axes:
         a.flags.writeable = False
     vals = f(*axes)
-    scale = math.prod(halves)
-    k = scale * _weighted_sum(k_weights, vals)
-    if not np.all(np.isfinite(k)):
+    if np.ndim(vals) != 2 or len(vals) != 15**d:
+        # a (nodes,) array would broadcast against the weights into a wrong value
+        raise ValueError(f"integrand returned shape {np.shape(vals)}; expected ({15**d}, m)")
+    # checked before the weights multiply it: inf times a zero G7 weight
+    # would warn
+    if not np.isfinite(vals).all():
         raise QuadratureFailure(f"non-finite integrand on {_span(box)}")
-    errs = [float(np.max(np.abs(k - scale * _weighted_sum(w, vals)))) for w in g_weights]
-    err = max(errs)
-    return k, err, errs.index(err)
+    # accumulate adds the nodes one after another, as sum() does, for every
+    # rule at once; reduce would sum a one-column array pairwise and change
+    # the last bits.  In place, a 15^3 cell holds one large temporary, not two.
+    terms = weights * vals
+    sums = math.prod(halves) * np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    k = sums[0]
+    if not np.isfinite(k).all():
+        raise QuadratureFailure(f"non-finite integrand on {_span(box)}")
+    errs = np.abs(sums[1:] - k).max(axis=1)
+    axis = int(errs.argmax())
+    return k, float(errs[axis]), axis
 
 
 def _integrate(f, box, tol, budget):
@@ -153,33 +158,20 @@ def _integrate(f, box, tol, budget):
     return sum(item[3] for item in heap)
 
 
-def _quad(f, box, tol):
-    """Integrate f over a box of 1 to 3 axes under one budget.
-
-    f is batched: it takes one array of node coordinates per axis and
-    returns a (nodes, m) array.
-    """
-    return _integrate(f, tuple(box), tol, [BUDGET])
-
-
-def _pointwise(f):
-    """The batched form of f: one call per node, with floats, in node order."""
-    return lambda *axes: np.array([f(*p) for p in zip(*axes)], dtype=float).reshape(len(axes[0]), -1)
-
-
 def adaptive_quad(f, a, b, tol=DEFAULT_TOL):
-    """Integrate vector-valued f over [a, b] to absolute tolerance tol.
+    """Integrate f(x) over [a, b] to absolute tolerance tol.
 
+    f is batched: it takes an array of nodes and returns a (nodes, m) array.
     Reversed limits flip the sign, as usual.
     """
-    return _quad(_pointwise(f), ((a, b),), tol)
+    return _integrate(f, ((a, b),), tol, [BUDGET])
 
 
 def adaptive_quad_2d(f, u_range, v_range, tol=DEFAULT_TOL):
-    """Integrate vector-valued f(u, v) over a rectangle to absolute tol."""
-    return _quad(_pointwise(f), (u_range, v_range), tol)
+    """Integrate batched f(u, v) over a rectangle to absolute tol."""
+    return _integrate(f, (u_range, v_range), tol, [BUDGET])
 
 
 def adaptive_quad_3d(f, ranges, tol=DEFAULT_TOL):
-    """Integrate vector-valued f(x0, x1, x2) over a box to absolute tol."""
-    return _quad(_pointwise(f), ranges, tol)
+    """Integrate batched f(x0, x1, x2) over a box to absolute tol."""
+    return _integrate(f, tuple(ranges), tol, [BUDGET])

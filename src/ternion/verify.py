@@ -17,6 +17,7 @@ from . import algebra as ta
 from . import calculus as tc
 from . import dynamics as td
 from . import field as tf
+from . import quadrature as tq
 from .algebra import Ternary
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
@@ -482,13 +483,13 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
 
     g, m0, m1, m2 = 1.0, 0.5, -1.0, 0.8
     gsol = td.general_solution(g, m0, m1, m2, 0.9, 0.1)
-    from .quadrature import adaptive_quad
+
+    def kernel(u):
+        return (1.0 / ((1 + u * u) * (m1 + m2 * u)))[:, None]
 
     worst, ce = 0.0, None
     for y in (0.2, 0.5, 1.2):
-        quad = g * float(
-            adaptive_quad(lambda u: (1.0 / ((1 + u * u) * (m1 + m2 * u)),), 0.9, y, 1e-13)[0]
-        )
+        quad = g * float(tq.adaptive_quad(kernel, 0.9, y, 1e-13)[0])
         r = abs(gsol.v1(y) - quad)
         if r > worst:
             worst, ce = r, {"y": y}

@@ -61,9 +61,17 @@ def ternary_close(a: Ternary, b: Ternary, tol: float) -> bool:
     return (a - b).max_abs() <= tol
 
 
+def pointwise(f):
+    """The batched form of a pointwise integrand f for ternion.quadrature,
+    whose integrands take one node array per axis: f is called once per
+    node, with floats, in node order, and returns a sequence of values."""
+    return lambda *axes: np.array([f(*p) for p in zip(*axes)], dtype=float).reshape(len(axes[0]), -1)
+
+
 # Pointwise form integrands: one call per quadrature node, with floats, as the
-# form integrals evaluated them before they batched each cell.  Integrated by
-# the public adaptive_quad* they are the reference for ternion.calculus.
+# form integrals evaluated them before they batched each cell.  Integrated
+# through pointwise by adaptive_quad* they are the reference for
+# ternion.calculus.
 
 
 def line_integrand(F, curve):

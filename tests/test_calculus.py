@@ -34,7 +34,14 @@ from ternion.errors import (
 )
 from ternion.quadrature import adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
 
-from oracles import line_integrand, random_admissible, surface_integrand, ternary_close, volume_integrand
+from oracles import (
+    line_integrand,
+    pointwise,
+    random_admissible,
+    surface_integrand,
+    ternary_close,
+    volume_integrand,
+)
 
 SQ3 = math.sqrt(3.0)
 
@@ -110,6 +117,16 @@ def test_holo_type1_log_passes(rng):
         p = random_admissible(rng, lo=0.3, hi=1.8)
         rep = check_holo_type1(log_field, p)
         assert rep.passed
+
+
+@pytest.mark.parametrize("check", [check_holo_type1, check_holo_type2])
+def test_holo_checks_reject_array_points(check):
+    # one report for many points would let a failing point hide among
+    # passing ones: x0 fails type 1 at every point, and the report of the
+    # pair read max_cartesian 1.0 with residuals of shape (3, 3, 2)
+    pair = Ternary(np.array([0.5, 0.9]), np.array([0.1, 0.4]), np.array([-0.2, -0.3]))
+    with pytest.raises(DomainError, match=f"^{check.__name__} checks one point"):
+        check(x0_field, pair)
 
 
 def test_holo_type2_conjugate_product_passes():
@@ -426,7 +443,7 @@ def test_closedness_of_holomorphic_one_form(rng):
 
 # ---------------------------------------------------------------------------
 # Batched form integrals against the pointwise reference integrands of
-# tests/oracles.py, integrated node by node through the public adaptive_quad*
+# tests/oracles.py, integrated node by node through oracles.pointwise
 
 
 def _counting(func):
@@ -458,18 +475,20 @@ _A, _B = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
     ids=["loop", "segment", "cubic-band", "polar-band", "sphere", "box-face", "box-volume"],
 )
 def test_batched_integral_matches_pointwise_reference(kind, func, domain):
-    batched, pointwise = _counting(func), _counting(func)
+    batched, reference = _counting(func), _counting(func)
     if kind == "line":
         got = line_integral(batched, domain, tol=1e-9)
-        ref = adaptive_quad(line_integrand(pointwise, domain), domain.t_start, domain.t_end, 1e-9)
+        ref = adaptive_quad(pointwise(line_integrand(reference, domain)), domain.t_start, domain.t_end, 1e-9)
     elif kind == "surface":
         got = surface_integral_2form(batched, domain, tol=1e-9)
-        ref = adaptive_quad_2d(surface_integrand(pointwise, domain), domain.u_range, domain.v_range, 1e-9)
+        ref = adaptive_quad_2d(
+            pointwise(surface_integrand(reference, domain)), domain.u_range, domain.v_range, 1e-9
+        )
     else:
         got = volume_integral_3form(batched, domain, tol=1e-9)
-        ref = adaptive_quad_3d(volume_integrand(pointwise), domain, 1e-9)
+        ref = adaptive_quad_3d(pointwise(volume_integrand(reference)), domain, 1e-9)
     ref = Ternary(*ref.tolist())
-    assert batched.func.n == pointwise.func.n
+    assert batched.func.n == reference.func.n
     assert (got - ref).max_abs() <= 1e-15 * ref.max_abs()
 
 

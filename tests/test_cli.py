@@ -241,6 +241,9 @@ def test_simulate_planar_demo(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "max relative deviation from closed-form" in text
+    # README's planar.json; t_end comes from the closed-form time PlanarSolution.t
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "858811146f7b07499e4c803ad5e5c4496b3390e8b3e9aa50a1281004231444bc"
     lines = out.read_text().splitlines()
     assert lines[0] == "t,l,r1,r2,v0,v1,v2,M0,M1,M2,E,r1_closed"
     data = np.array([[float(c) for c in row.split(",")] for row in lines[1:]])

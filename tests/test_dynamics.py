@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import importlib.util
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ternion import dynamics
+from ternion import dynamics, quadrature
 from ternion.dynamics import (
     MonopoleState,
     ScatteringSetup,
@@ -36,6 +37,8 @@ from ternion.errors import (
 from ternion.field import FRAME_MATRIX
 from ternion.quadrature import adaptive_quad
 from ternion.rootfind import brent
+
+from oracles import pointwise
 
 
 def test_newton_rhs_values():
@@ -297,7 +300,7 @@ def test_general_v1_matches_quadrature_oracle():
         return np.array([1.0 / ((1 + y * y) * (m1 + m2 * y))])
 
     for y in (0.2, 0.5, 1.2, -0.5, -2.0):
-        quad = g * float(adaptive_quad(kernel, 0.9, y, 1e-13)[0])
+        quad = g * float(adaptive_quad(pointwise(kernel), 0.9, y, 1e-13)[0])
         assert sol.v1(y) == pytest.approx(quad, abs=1e-9)
     assert sol.v1(0.9) == 0.0
 
@@ -310,7 +313,7 @@ def test_general_antiderivative_matches_quadrature():
         return np.array([sol.v1(y) / g])
 
     for y in (0.3, 1.1, -1.0):
-        quad = float(adaptive_quad(v1_over_g, 0.1, y, 1e-12)[0])
+        quad = float(adaptive_quad(pointwise(v1_over_g), 0.1, y, 1e-12)[0])
         assert sol.psi(y) == pytest.approx(quad, abs=1e-9)
 
 
@@ -351,6 +354,139 @@ def test_general_time_refuses_the_exit_slope_and_beyond(monkeypatch):
         for y in (res.ytilde1, res.ytilde1 + 0.05, res.ytilde1 + 0.2):
             with pytest.raises(DomainError, match="exit slope"):
                 sol.t(y)
+
+
+# --- array closed forms ---------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _antiderivative_terms(sol, y):
+    """The magnitudes of the terms _antiderivative adds at the slope y,
+    summed: the scale of its rounding."""
+    w = complex(y, -1.0)
+    pair = 2.0 * abs(sol._a * w * (cmath.log(w / complex(sol.y0, -1.0)) - 1.0))
+    num = sol.m1 + sol.m2 * y
+    ratio = num / (sol.m1 + sol.m2 * sol.y0)
+    return pair + abs(sol._c3 * (num / sol.m2) * (math.log(ratio) - 1.0))
+
+
+def _general_draws(rng, n):
+    """n general solutions whose base slopes lie on one side of the pole,
+    at least 0.05 from it and from each other."""
+    sols = []
+    while len(sols) < n:
+        m1, m2 = rng.uniform(-2.0, 2.0, 2)
+        y0, y1 = rng.uniform(-1.0, 1.0, 2)
+        pole = -m1 / m2
+        if (y0 - pole) * (y1 - pole) > 0.0 and min(abs(y0 - pole), abs(y1 - pole), abs(y0 - y1)) > 0.05:
+            sols.append(general_solution(rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.0), m1, m2, y0, y1))
+    return sols
+
+
+def test_array_antiderivative_and_psi_match_the_float_path(rng):
+    # numpy's complex log and products round differently from cmath's, so
+    # each element agrees within 4 ulp of the largest term it sums
+    for sol in _general_draws(rng, 40):
+        side = math.copysign(1.0, sol.y0 - sol.pole)
+        line = sol.pole + side * rng.uniform(0.01, 3.0, 30)
+        grid = sol.pole + side * (rng.uniform(0.01, 1.5, (6, 1)) + rng.uniform(0.0, 1.5, (1, 5)))
+        base = _antiderivative_terms(sol, sol.y1)
+        for ys in (line, grid):
+            got_a, got_psi = sol._antiderivative(ys, np), sol.psi(ys)
+            assert got_a.shape == got_psi.shape == ys.shape
+            for i in np.ndindex(ys.shape):
+                y = float(ys[i])
+                terms = _antiderivative_terms(sol, y)
+                assert abs(got_a[i] - sol._antiderivative(y)) <= 4 * EPS * terms
+                assert abs(got_psi[i] - sol.psi(y)) <= 4 * EPS * (terms + base)
+
+
+def test_array_planar_kernel_matches_the_float_path(rng):
+    # numpy's log rounds some inputs differently from libm's: each element
+    # agrees within 2 ulp of |z| (|ln(z/z0)| + 1)
+    z, z0 = rng.uniform(0.01, 5.0, (40, 1)), rng.uniform(0.1, 3.0, (1, 7))
+    for zs, z0s in ((z[:, 0], 1.3), (z, z0)):
+        got = dynamics._f_planar(zs, z0s)
+        zb, z0b = np.broadcast_arrays(zs, z0s)
+        assert got.shape == zb.shape
+        for i in np.ndindex(got.shape):
+            zi, z0i = float(zb[i]), float(z0b[i])
+            bound = 2 * EPS * zi * (abs(math.log(zi / z0i)) + 1.0)
+            assert abs(got[i] - dynamics._f_planar(zi, z0i)) <= bound
+
+
+@pytest.mark.parametrize("kernel", ["psi", "_antiderivative"])
+def test_array_closed_form_raises_the_first_faulting_slopes_error(kernel):
+    # pole at 1.25: psi checks the side of y1 (its message names the slope),
+    # _antiderivative that num/den > 0 against y0
+    sol = general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1)
+    fun = getattr(sol, kernel)
+    array_fun = sol.psi if kernel == "psi" else lambda ys: sol._antiderivative(ys, np)
+    ys = np.array([0.2, 0.5, 1.5, 0.7, 1.8])
+    with pytest.raises(PoleOnRange) as want:
+        fun(1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleOnRange) as got:
+            array_fun(ys)
+        with pytest.raises(PoleOnRange) as got_grid:
+            array_fun(ys[:, None] + np.zeros((1, 3)))
+    assert str(got.value) == str(got_grid.value) == str(want.value)
+
+
+def _planar_times(rng, n):
+    """(solution, z) pairs on turnaround branches, z between 10% and 90%
+    of the way from z0 to a branch end."""
+    out = []
+    for _ in range(n):
+        g, m2, z0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0)
+        sol = planar_solution(g, m2, z0, z0 * rng.uniform(1.1, 2.5))
+        end = sol.branch[rng.integers(2)]
+        out.append((sol, sol.z0 + rng.uniform(0.1, 0.9) * (end - sol.z0)))
+    return out
+
+
+def test_closed_form_times_match_scipy_quad(rng):
+    quad = pytest.importorskip("scipy.integrate").quad
+    for sol, z in _planar_times(rng, 12):
+        c = dynamics._f_planar(sol.z1, sol.z0)
+        ref, _ = quad(
+            lambda u: (dynamics._f_planar(u, sol.z0) - c) ** -2.0, sol.z0, z, epsabs=0.0, epsrel=1e-13, limit=200
+        )
+        assert sol.t(z) == pytest.approx(-(sol.m2**3 / sol.g**2) * ref, rel=1e-10, abs=0.0)
+    # psi has one sign on (y1, y0]; draws where |psi(y0)| < 0.05 are left
+    # out, because there the kernel integral outgrows what the absolute
+    # TIME_TOL can resolve within the evaluation budget
+    sols = [sol for sol in _general_draws(rng, 40) if abs(sol.psi(sol.y0)) >= 0.05]
+    assert len(sols) >= 12
+    for sol in sols[:12]:
+        y = sol.y1 + rng.uniform(0.3, 0.95) * (sol.y0 - sol.y1)
+        ref, _ = quad(lambda u: sol.psi(u) ** -2.0, sol.y0, y, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert sol.t(y) == pytest.approx((sol.m0 / sol.g**2) * ref, rel=1e-10, abs=0.0)
+
+
+def test_time_kernels_run_once_per_cell_on_15_nodes(monkeypatch):
+    cells, node_counts = [], []
+    cell = quadrature._cell
+
+    def counted_cell(f, box, budget):
+        cells.append(box)
+        return cell(f, box, budget)
+
+    def counted_quad(f, a, b, tol):
+        def kernel(u):
+            node_counts.append(len(u))
+            return f(u)
+
+        return quadrature.adaptive_quad(kernel, a, b, tol)
+
+    monkeypatch.setattr(quadrature, "_cell", counted_cell)
+    monkeypatch.setattr(dynamics, "adaptive_quad", counted_quad)
+    planar_solution(1.0, 1.0, 1.0, 2.0).t(1.9)
+    general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1).t(0.2)
+    assert len(cells) > 2
+    assert node_counts == [15] * len(cells)
 
 
 def test_general_planar_limit():

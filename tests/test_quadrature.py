@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from ternion import algebra as ta
@@ -17,6 +18,8 @@ from ternion.calculus import (
 from ternion.dynamics import general_solution, planar_solution
 from ternion.errors import QuadratureFailure
 from ternion.quadrature import adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
+
+from oracles import pointwise
 
 reciprocal = TernaryField(ta.inverse, name="1/z")
 inverse_conjugate = TernaryField(lambda z: ta.scale(z, 1.0 / ta.norm_cubed(z)), name="z/||z||^3")
@@ -48,12 +51,30 @@ def test_quadrature_bits_are_pinned():
 
 def test_non_finite_integrand_fails_1d():
     with pytest.raises(QuadratureFailure, match="non-finite integrand"):
-        adaptive_quad(lambda x: (math.inf,), 0.0, 1.0)
+        adaptive_quad(pointwise(lambda x: (math.inf,)), 0.0, 1.0)
 
 
 def test_non_finite_integrand_fails_2d():
     with pytest.raises(QuadratureFailure, match="non-finite integrand"):
-        adaptive_quad_2d(lambda u, v: (1.0, math.nan), (0.0, 1.0), (0.0, 1.0))
+        adaptive_quad_2d(pointwise(lambda u, v: (1.0, math.nan)), (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("shape", [(15,), (1, 15), (14, 1)])
+def test_integrand_of_the_wrong_shape_is_rejected(shape):
+    # integrands are batched: one row of values per node
+    with pytest.raises(ValueError, match=r"integrand returned shape .*; expected \(15, m\)"):
+        adaptive_quad(lambda x: np.ones(shape), 0.0, 1.0)
+
+
+def test_batched_integrand_gets_one_call_per_cell():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return (x * x)[:, None]
+
+    assert adaptive_quad(f, 0.0, 1.0)[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert calls == [(15,)]
 
 
 def _counting(f):
@@ -70,7 +91,7 @@ def test_budget_exhaustion_fails():
     # 15 evaluations per interval, never more than 10**6
     f = _counting(lambda x: (math.sin(1e8 * x),))
     with pytest.raises(QuadratureFailure, match="budget"):
-        adaptive_quad(f, 0.0, 1.0, 1e-10)
+        adaptive_quad(pointwise(f), 0.0, 1.0, 1e-10)
     assert f.n == 10**6 // 15 * 15
 
 
@@ -79,7 +100,7 @@ def test_volume_budget_is_shared_by_the_inner_rules():
     # the refinement: 15**3 evaluations per cell, never more than 10**6
     f = _counting(lambda x0, x1, x2: (math.sin(1e8 * x0),))
     with pytest.raises(QuadratureFailure, match="budget"):
-        adaptive_quad_3d(f, ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), 1e-10)
+        adaptive_quad_3d(pointwise(f), ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), 1e-10)
     assert 9 * 10**5 < f.n <= 10**6
 
 
@@ -101,7 +122,7 @@ def test_reversed_axis_negates_the_value(d, axis):
     box = [(-0.3, 0.8), (0.2, 1.1), (-0.9, 0.4)][:d]
     flipped = list(box)
     flipped[axis] = box[axis][::-1]
-    value = _QUADS[d](_smooth, box, tol)
-    reversed_value = _QUADS[d](_smooth, flipped, tol)
+    value = _QUADS[d](pointwise(_smooth), box, tol)
+    reversed_value = _QUADS[d](pointwise(_smooth), flipped, tol)
     assert abs(value[0]) > 0.1
     assert max(abs(reversed_value + value)) <= tol
