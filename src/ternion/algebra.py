@@ -84,15 +84,12 @@ def _lib(x):
     return np if isinstance(x, np.ndarray) else math
 
 
-# libm's pow, elementwise: numpy's own power rounds a few percent of cubes
-# and some squares differently from the float path's x**k
-_LIBM_POW = np.frompyfunc(pow, 2, 1)
-
-
 def _pow(x, k):
-    """x**k, with the bits of the float path also for the elements of an array."""
+    """x**k, with the bits of the float path also for the elements of an array:
+    each element goes through float ** (libm's pow), since numpy's own power
+    rounds a few percent of cubes and some squares differently."""
     if isinstance(x, np.ndarray):
-        return _LIBM_POW(x, k).astype(float)
+        return np.fromiter((v**k for v in x.ravel().tolist()), float, x.size).reshape(x.shape)
     return x**k
 
 

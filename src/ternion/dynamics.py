@@ -494,7 +494,50 @@ def _pole_residue(m1: float, m2: float) -> float:
     return math.ldexp(s2 / (s1 * s1 + s2 * s2), -e)
 
 
-class GeneralSolution:
+class _Coefficients:
+    """The closed-form constants that depend on (M1, M2) alone: the pole
+    -M1/M2 (None for M2 = 0), the log pair's coefficient a = -0.5i/(M1 + i M2)
+    and its conjugate, and c3 = M2/(M1^2 + M2^2).
+
+    The base-slope solve builds one set per scattering map and evaluates
+    every trial y0 through it; GeneralSolution extends it with the base
+    points.
+    """
+
+    def __init__(self, m1: float, m2: float):
+        self.m1 = m1
+        self.m2 = m2
+        self.pole = (-m1 / m2) if m2 != 0.0 else None
+        self._a = -0.5j / complex(m1, m2)
+        self._abar = self._a.conjugate()
+        self._c3 = _pole_residue(m1, m2)
+
+    def _check_side(self, y: float, base: float):
+        if self.pole is not None and (y - self.pole) * (base - self.pole) <= 0.0:
+            raise PoleOnRange(
+                f"y = {y} and y = {base} straddle the pole at y = {self.pole}"
+            )
+
+    def _check_bases(self, y0: float, y1: float):
+        """Neither base point on the pole, and y1 on y0's side of it."""
+        self._check_side(y0, y0)
+        self._check_side(y1, y0)
+
+    def _v1(self, g: float, y: float, y0: float) -> float:
+        """v1(y) of the solution with base slope y0 (the caller checks sides)."""
+        s = self._a * cmath.log(complex(y, -1.0) / complex(y0, -1.0))
+        s += self._abar * cmath.log(complex(y, 1.0) / complex(y0, 1.0))
+        if self.m2 != 0.0:
+            ratio = (self.m1 + self.m2 * y) / (self.m1 + self.m2 * y0)
+            if ratio <= 0.0:
+                raise PoleOnRange(f"log argument crossed the pole between {y0} and {y}")
+            s += self._c3 * math.log(ratio)
+        if abs(s.imag) > EPS_IMAG * (1.0 + abs(s)):
+            raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in v1({y})")
+        return g * s.real
+
+
+class GeneralSolution(_Coefficients):
     """Closed-form general trajectory in the transverse slope y = r2/r1.
 
     v1(y) is g times the exact partial-fraction antiderivative of
@@ -507,6 +550,11 @@ class GeneralSolution:
     The complex-log pair is conjugate, so the velocity is real; the imaginary
     residue is asserted below EPS_IMAG.  A pole at y = -M1/M2 (the l = 0
     plane) must not lie between the evaluation point and the base points.
+
+    The constants of the base point y0 (complex(y0, -1), complex(y0, 1) and
+    M1 + M2 y0) are computed once here.  psi memoizes its base term A(y1),
+    the antiderivative at y1, on first use; every thread that fills the memo
+    stores the same value, so a solution stays safe to share.
     """
 
     def __init__(self, g: float, m0: float, m1: float, m2: float, y0: float, y1: float):
@@ -514,37 +562,21 @@ class GeneralSolution:
             raise DomainError("general solution needs M0 != 0")
         if g == 0.0:
             raise DomainError("general solution needs g != 0")
+        super().__init__(m1, m2)
         self.g = g
         self.m0 = m0
-        self.m1 = m1
-        self.m2 = m2
         self.y0 = y0
         self.y1 = y1
-        self.pole = (-m1 / m2) if m2 != 0.0 else None
-        self._a = -0.5j / complex(m1, m2)
-        self._c3 = _pole_residue(m1, m2)
-        for base in (y0, y1):
-            self._check_side(base, y0)
-
-    def _check_side(self, y: float, base: float):
-        if self.pole is not None and (y - self.pole) * (base - self.pole) <= 0.0:
-            raise PoleOnRange(
-                f"y = {y} and y = {base} straddle the pole at y = {self.pole}"
-            )
+        self._w0 = complex(y0, -1.0)
+        self._w0bar = complex(y0, 1.0)
+        self._den = m1 + m2 * y0
+        self._base_term = None
+        self._check_bases(y0, y1)
 
     def v1(self, y: float) -> float:
         """Velocity component along r1 as a function of the slope y."""
         self._check_side(y, self.y0)
-        s = self._a * cmath.log(complex(y, -1.0) / complex(self.y0, -1.0))
-        s += self._a.conjugate() * cmath.log(complex(y, 1.0) / complex(self.y0, 1.0))
-        if self.m2 != 0.0:
-            ratio = (self.m1 + self.m2 * y) / (self.m1 + self.m2 * self.y0)
-            if ratio <= 0.0:
-                raise PoleOnRange(f"log argument crossed the pole between {self.y0} and {y}")
-            s += self._c3 * math.log(ratio)
-        if abs(s.imag) > EPS_IMAG * (1.0 + abs(s)):
-            raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in v1({y})")
-        return self.g * s.real
+        return self._v1(self.g, y, self.y0)
 
     def _antiderivative(self, y, m=math):
         """Exact antiderivative of v1/g (base point y0 in the logs), at a
@@ -558,15 +590,15 @@ class GeneralSolution:
             w, wbar, clog = y - 1j, y + 1j, np.log
         else:
             w, wbar, clog = complex(y, -1.0), complex(y, 1.0), cmath.log
-        t1 = self._a * w * (clog(w / complex(self.y0, -1.0)) - 1.0)
-        t2 = self._a.conjugate() * wbar * (clog(wbar / complex(self.y0, 1.0)) - 1.0)
+        t1 = self._a * w * (clog(w / self._w0) - 1.0)
+        t2 = self._abar * wbar * (clog(wbar / self._w0bar) - 1.0)
         s = t1 + t2
         residue = abs(s.imag) > EPS_IMAG * (1.0 + abs(s))
         if self.m2 == 0.0:
             ratio = 1.0
         else:
             num = self.m1 + self.m2 * y
-            ratio = num / (self.m1 + self.m2 * self.y0)
+            ratio = num / self._den
         if m is np:
             bad = residue | (ratio <= 0.0)
             if bad.any():
@@ -592,8 +624,8 @@ class GeneralSolution:
         """(d/dM1, d/dM2) of v1(y)/g."""
         ic = 1.0 / complex(self.m1, self.m2)
         da = 0.5j * ic * ic
-        z = da * cmath.log(complex(y, -1.0) / complex(self.y0, -1.0))
-        num, den = self.m1 + self.m2 * y, self.m1 + self.m2 * self.y0
+        z = da * cmath.log(complex(y, -1.0) / self._w0)
+        num, den = self.m1 + self.m2 * y, self._den
         log_ratio = math.log(num / den)
         frac = (self._c3 / num) * ((y - self.y0) / den)
         return (
@@ -606,8 +638,8 @@ class GeneralSolution:
         ic = 1.0 / complex(self.m1, self.m2)
         da = 0.5j * ic * ic
         w = complex(y, -1.0)
-        z = da * (w * (cmath.log(w / complex(self.y0, -1.0)) - 1.0))
-        num, den = self.m1 + self.m2 * y, self.m1 + self.m2 * self.y0
+        z = da * (w * (cmath.log(w / self._w0) - 1.0))
+        num, den = self.m1 + self.m2 * y, self._den
         log_ratio = math.log(num / den) - 1.0
         q = ic.real * ic.real + ic.imag * ic.imag
         frac = q * (y - self.y0) / den
@@ -618,7 +650,10 @@ class GeneralSolution:
 
     def psi(self, y):
         """Integral of v1/g from y1 to y (closed form), at a float slope or
-        elementwise on a float array of slopes."""
+        elementwise on a float array of slopes: A(y) - A(y1) with A the
+        antiderivative.  A(y) is evaluated first, then A(y1) is taken from
+        the memo, which the first call fills; an A(y1) that raises is not
+        stored, so every call raises what the unmemoized psi would."""
         m = _lib(y)
         if m is math:
             self._check_side(y, self.y1)
@@ -626,7 +661,10 @@ class GeneralSolution:
             # psi replays every slope in order, so the first slope whose
             # scalar psi faults raises, across the pole or otherwise
             _replay(self.psi, np.ones(y.shape, dtype=bool), y)
-        return self._antiderivative(y, m) - self._antiderivative(self.y1)
+        at_y = self._antiderivative(y, m)
+        if self._base_term is None:
+            self._base_term = self._antiderivative(self.y1)
+        return at_y - self._base_term
 
     def r1(self, y: float) -> float:
         p = self.psi(y)
@@ -745,11 +783,18 @@ def _branch_walk(start: float, direction: float, span: float, pole: float | None
         step *= 10.0
 
 
-def _solve_y0(g, m0, m1, m2, y1, v1_inf):
+def _solve_y0(g, m1, m2, y1, v1_inf):
     """Base slope y0 (where v1 vanishes) from v1(y1) = v1_inf.
 
     v1(y1) is monotone in y0 on y1's side of the pole and has the sign of
     g (M1 + M2 y1) for y0 < y1, so the sign of v1_inf picks y0's side.
+
+    The (M1, M2) constants are computed once, and every trial y0 evaluates
+    v1(y1) through them with the formula GeneralSolution.v1 uses, so no
+    trial builds a solution.  Each trial still runs every check a solution
+    would: PoleOnRange when y0 lies on the pole or y0 and y1 straddle it,
+    PoleOnRange when the log ratio is not positive, and NumericalBreakdown
+    when the imaginary residue exceeds EPS_IMAG.
 
     Near the pole |dv1/dy0| = |g k(y0)| grows like 1/|y0 - pole|, and Brent's
     x error d = brent_xerr(y0) alone moves v1 past the plain residual bound.
@@ -757,12 +802,13 @@ def _solve_y0(g, m0, m1, m2, y1, v1_inf):
     Elsewhere it does not: when |M| is tiny, k is huge on the whole branch,
     and the added term would admit roots that psi cannot resolve.
     """
-    pole = (-m1 / m2) if m2 != 0.0 else None
+    coeffs = _Coefficients(m1, m2)
+    pole = coeffs.pole
     direction = -1.0 if (v1_inf > 0.0) == (g * (m1 + m2 * y1) > 0.0) else 1.0
 
     def vel_from_y0(y0):
-        sol = GeneralSolution(g, m0, m1, m2, y0, y1)
-        return sol.v1(y1) - v1_inf
+        coeffs._check_bases(y0, y1)
+        return coeffs._v1(g, y1, y0) - v1_inf
 
     points = _branch_walk(y1, direction, 1.0 + abs(y1), pole)
     missing = RootFindingFailure(
@@ -814,7 +860,7 @@ def _scatter(setup: ScatteringSetup) -> ScatteringResult:
     m0 = -(m1 + m2 * y1) / z1
     if m0 == 0.0:
         raise DomainError("M0 = 0 at this grid point")
-    y0 = _solve_y0(g, m0, m1, m2, y1, v1_inf)
+    y0 = _solve_y0(g, m1, m2, y1, v1_inf)
     sol = GeneralSolution(g, m0, m1, m2, y0, y1)
     ytilde1 = _solve_ytilde1(sol)
     v1_out = sol.v1(ytilde1)

@@ -413,6 +413,9 @@ def test_scatter_status_counts_on_range_grid(tmp_path, capsys):
     statuses = [row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[1:]]
     counts = {s: statuses.count(s) for s in set(statuses)}
     assert counts == {"ok": 88, "NoSecondSolution": 31, "RootFindingFailure": 25}
+    # every value and status row, to the last bit
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "1042c570e52f5723e23cf615350af700ea90966ceefd17f035f43e601e5b333e"
 
 
 def test_manifest_with_seed_key_still_reruns(tmp_path, capsys):

@@ -435,6 +435,40 @@ def test_array_closed_form_raises_the_first_faulting_slopes_error(kernel):
     assert str(got.value) == str(got_grid.value) == str(want.value)
 
 
+def test_psi_memo_keeps_the_bits_of_a_fresh_solution():
+    args = (1.0, 0.5, -1.0, 0.8, 0.9, 0.1)
+    ys = np.array([0.3, 0.6, 0.9, 1.1])
+    for y in (0.3, ys):
+        sol = general_solution(*args)
+        want = sol._antiderivative(y, dynamics._lib(y)) - sol._antiderivative(sol.y1)
+        first, again = sol.psi(y), sol.psi(y)
+        assert sol._base_term == sol._antiderivative(sol.y1)
+        for got in (first, again, general_solution(*args).psi(y)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("y", [0.3, np.array([0.3, 0.6])], ids=["float", "array"])
+def test_psi_memo_stores_no_raising_base_term(monkeypatch, y):
+    sol = general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1)
+    want = general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1).psi(y)
+    antiderivative, base_calls = dynamics.GeneralSolution._antiderivative, []
+
+    def raising_once(self, u, m=math):
+        if m is math and u == self.y1:
+            base_calls.append(u)
+            if len(base_calls) == 1:
+                raise PoleOnRange("injected")
+        return antiderivative(self, u, m)
+
+    monkeypatch.setattr(dynamics.GeneralSolution, "_antiderivative", raising_once)
+    with pytest.raises(PoleOnRange, match="injected"):
+        sol.psi(y)
+    assert sol._base_term is None
+    assert np.asarray(sol.psi(y)).tobytes() == np.asarray(want).tobytes()
+    sol.psi(y)
+    assert len(base_calls) == 2
+
+
 def _planar_times(rng, n):
     """(solution, z) pairs on turnaround branches, z between 10% and 90%
     of the way from z0 to a branch end."""
@@ -680,6 +714,53 @@ def test_scattering_roots_match_dense_scan_brentq(y1, z1, v1_inf, m1_grid, m2_gr
             assert res.ytilde1 == pytest.approx(ytildes[0], rel=1e-12, abs=0.0)
 
 
+def test_scattering_map_builds_one_solution_and_one_base_term(monkeypatch):
+    # the base-slope solve's trials share one coefficient set and build no
+    # solution; a map that reaches the exit-slope solve builds one, whose psi
+    # evaluates A(y1) once.  The grid holds every status of the 12x12 CLI pin.
+    cls = dynamics.GeneralSolution
+    init, antiderivative = cls.__init__, cls._antiderivative
+    solve_y0, solve_ytilde1 = dynamics._solve_y0, dynamics._solve_ytilde1
+    built, base_terms, reached = [], [], []
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_antiderivative(self, y, m=math):
+        if m is math and y == self.y1:
+            base_terms.append(self)
+        return antiderivative(self, y, m)
+
+    def solve_y0_building_nothing(*args):
+        y0 = solve_y0(*args)
+        assert built == []
+        return y0
+
+    def noted_solve_ytilde1(sol):
+        reached.append(sol)
+        return solve_ytilde1(sol)
+
+    monkeypatch.setattr(cls, "__init__", counted_init)
+    monkeypatch.setattr(cls, "_antiderivative", counted_antiderivative)
+    monkeypatch.setattr(dynamics, "_solve_y0", solve_y0_building_nothing)
+    monkeypatch.setattr(dynamics, "_solve_ytilde1", noted_solve_ytilde1)
+    statuses = {}
+    for m1 in np.linspace(-2.0, 2.0, 12):
+        for m2 in np.linspace(-2.0, 2.0, 12):
+            for log in (built, base_terms, reached):
+                log.clear()
+            try:
+                scattering_map(ScatteringSetup(1.0, 0.2, 0.9, 0.6, float(m1), float(m2)))
+                status = "ok"
+            except TernionError as exc:
+                status = type(exc).__name__
+            statuses[status] = statuses.get(status, 0) + 1
+            assert len(reached) <= 1
+            assert built == reached == base_terms
+    assert statuses == {"ok": 88, "NoSecondSolution": 31, "RootFindingFailure": 25}
+
+
 def test_scattering_no_second_solution_branch():
     # fast incoming monopole: the velocity integral never returns to zero
     setup = ScatteringSetup(g=1.0, y1=0.0, z1=0.8, v1_inf=5.0, m1=-1.0, m2=0.9)
@@ -817,7 +898,7 @@ def test_base_slope_bound_allows_brent_x_error_near_the_pole():
     with pytest.raises(NoSecondSolution):
         scattering_map(ScatteringSetup(*ROW_NEAR_POLE))
     m0 = -(m1 + m2 * y1) / z1
-    y0 = dynamics._solve_y0(g, m0, m1, m2, y1, v1_inf)
+    y0 = dynamics._solve_y0(g, m1, m2, y1, v1_inf)
     pole = -m1 / m2
     assert abs(y0 - pole) <= 1e-7 * (1.0 + abs(pole))
     residual = abs(general_solution(g, m0, m1, m2, y0, y1).v1(y1) - v1_inf)
