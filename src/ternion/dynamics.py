@@ -122,10 +122,6 @@ class Trajectory:
         self.n_accepted = 0
         self.n_rejected = 0
 
-    def append(self, t: float, y: tuple):
-        self.times.append(t)
-        self.states.append(y)
-
     @property
     def m_ledger(self) -> list[tuple]:
         """Angular momentum at every sample."""
@@ -196,6 +192,10 @@ _E4 = 125 / 192 - 393 / 640
 _E5 = -2187 / 6784 + 92097 / 339200
 _E6 = 11 / 84 - 187 / 2100
 _E7 = -1 / 40
+_TABLEAU = (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+    _A71, _A73, _A74, _A75, _A76, _E1, _E3, _E4, _E5, _E6, _E7,
+)
 
 
 def integrate(
@@ -219,7 +219,9 @@ def integrate(
     scale0 = math.sqrt(s0.l**2 + s0.r1**2 + s0.r2**2)
     guard = SINGULAR_GUARD * scale0**3
     traj = Trajectory()
-    traj.append(t, (l, r1, r2, v0, v1, v2))
+    times, states = traj.times, traj.states
+    times.append(t)
+    states.append((l, r1, r2, v0, v1, v2))
 
     # Stage m has slope (u_m, a_m): the velocity and acceleration of its
     # state.  u_1 is the state's own velocity (v0, v1, v2) and a_1 is carried
@@ -236,106 +238,140 @@ def integrate(
     if max_step is not None:
         dt = min(dt, max_step)
 
-    # Each sum starts at 0.0, so that a sum of zero terms is +0.0 and never
-    # -0.0, and adds its terms in tableau order: the samples' bits, signed
-    # zeros included, are pinned in tests/test_dynamics.py.
-    steps = 0
+    # The step is written out for speed, with no call but abs, list.append and
+    # one sqrt.  Each stage's admissibility test and acceleration repeat
+    # _accel's expressions, and each min/max is a conditional that picks what
+    # min/max would (the first argument on ties and NaN); tests/oracles.py
+    # keeps the loop with the calls as the bit-for-bit reference.  Each sum
+    # starts at 0.0, so that a sum of zero terms is +0.0 and never -0.0, and
+    # adds its terms in tableau order: the samples' bits, signed zeros
+    # included, are pinned in tests/test_dynamics.py.
+    (
+        A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
+        A71, A73, A74, A75, A76, E1, E3, E4, E5, E6, E7,
+    ) = _TABLEAU
+    eps, max_steps, sqrt = EPS_FIELD, MAX_STEPS, math.sqrt
+    n_accepted = n_rejected = 0
     while t < t_end:
-        if steps >= MAX_STEPS:
-            raise StepFailure(f"step budget {MAX_STEPS} exhausted at t = {t}", traj)
-        dt = min(dt, t_end - t)
-        if dt < 1e-14 * max(1.0, abs(t)):
+        if n_accepted + n_rejected >= max_steps:
+            traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
+            raise StepFailure(f"step budget {max_steps} exhausted at t = {t}", traj)
+        rest = t_end - t
+        if rest < dt:
+            dt = rest
+        at = abs(t)
+        if dt < 1e-14 * (at if at > 1.0 else 1.0):
+            traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
             raise StepFailure(f"step size underflow at t = {t}", traj)
-        steps += 1
         try:
-            u20 = v0 + dt * (0.0 + _A21 * a10)
-            u21 = v1 + dt * (0.0 + _A21 * a11)
-            u22 = v2 + dt * (0.0 + _A21 * a12)
-            a20, a21, a22 = _accel(
-                l + dt * (0.0 + _A21 * v0),
-                r1 + dt * (0.0 + _A21 * v1),
-                r2 + dt * (0.0 + _A21 * v2),
-                g,
-            )
-            u30 = v0 + dt * (0.0 + _A31 * a10 + _A32 * a20)
-            u31 = v1 + dt * (0.0 + _A31 * a11 + _A32 * a21)
-            u32 = v2 + dt * (0.0 + _A31 * a12 + _A32 * a22)
-            a30, a31, a32 = _accel(
-                l + dt * (0.0 + _A31 * v0 + _A32 * u20),
-                r1 + dt * (0.0 + _A31 * v1 + _A32 * u21),
-                r2 + dt * (0.0 + _A31 * v2 + _A32 * u22),
-                g,
-            )
-            u40 = v0 + dt * (0.0 + _A41 * a10 + _A42 * a20 + _A43 * a30)
-            u41 = v1 + dt * (0.0 + _A41 * a11 + _A42 * a21 + _A43 * a31)
-            u42 = v2 + dt * (0.0 + _A41 * a12 + _A42 * a22 + _A43 * a32)
-            a40, a41, a42 = _accel(
-                l + dt * (0.0 + _A41 * v0 + _A42 * u20 + _A43 * u30),
-                r1 + dt * (0.0 + _A41 * v1 + _A42 * u21 + _A43 * u31),
-                r2 + dt * (0.0 + _A41 * v2 + _A42 * u22 + _A43 * u32),
-                g,
-            )
-            u50 = v0 + dt * (0.0 + _A51 * a10 + _A52 * a20 + _A53 * a30 + _A54 * a40)
-            u51 = v1 + dt * (0.0 + _A51 * a11 + _A52 * a21 + _A53 * a31 + _A54 * a41)
-            u52 = v2 + dt * (0.0 + _A51 * a12 + _A52 * a22 + _A53 * a32 + _A54 * a42)
-            a50, a51, a52 = _accel(
-                l + dt * (0.0 + _A51 * v0 + _A52 * u20 + _A53 * u30 + _A54 * u40),
-                r1 + dt * (0.0 + _A51 * v1 + _A52 * u21 + _A53 * u31 + _A54 * u41),
-                r2 + dt * (0.0 + _A51 * v2 + _A52 * u22 + _A53 * u32 + _A54 * u42),
-                g,
-            )
-            u60 = v0 + dt * (0.0 + _A61 * a10 + _A62 * a20 + _A63 * a30 + _A64 * a40 + _A65 * a50)
-            u61 = v1 + dt * (0.0 + _A61 * a11 + _A62 * a21 + _A63 * a31 + _A64 * a41 + _A65 * a51)
-            u62 = v2 + dt * (0.0 + _A61 * a12 + _A62 * a22 + _A63 * a32 + _A64 * a42 + _A65 * a52)
-            a60, a61, a62 = _accel(
-                l + dt * (0.0 + _A61 * v0 + _A62 * u20 + _A63 * u30 + _A64 * u40 + _A65 * u50),
-                r1 + dt * (0.0 + _A61 * v1 + _A62 * u21 + _A63 * u31 + _A64 * u41 + _A65 * u51),
-                r2 + dt * (0.0 + _A61 * v2 + _A62 * u22 + _A63 * u32 + _A64 * u42 + _A65 * u52),
-                g,
-            )
+            u20 = v0 + dt * (0.0 + A21 * a10)
+            u21 = v1 + dt * (0.0 + A21 * a11)
+            u22 = v2 + dt * (0.0 + A21 * a12)
+            x = l + dt * (0.0 + A21 * v0)
+            y = r1 + dt * (0.0 + A21 * v1)
+            z = r2 + dt * (0.0 + A21 * v2)
+            rsq = y * y + z * z
+            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                raise OnSingularSet
+            lr = x * rsq
+            a20, a21, a22 = -g / rsq, -g * y / lr, -g * z / lr
+            u30 = v0 + dt * (0.0 + A31 * a10 + A32 * a20)
+            u31 = v1 + dt * (0.0 + A31 * a11 + A32 * a21)
+            u32 = v2 + dt * (0.0 + A31 * a12 + A32 * a22)
+            x = l + dt * (0.0 + A31 * v0 + A32 * u20)
+            y = r1 + dt * (0.0 + A31 * v1 + A32 * u21)
+            z = r2 + dt * (0.0 + A31 * v2 + A32 * u22)
+            rsq = y * y + z * z
+            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                raise OnSingularSet
+            lr = x * rsq
+            a30, a31, a32 = -g / rsq, -g * y / lr, -g * z / lr
+            u40 = v0 + dt * (0.0 + A41 * a10 + A42 * a20 + A43 * a30)
+            u41 = v1 + dt * (0.0 + A41 * a11 + A42 * a21 + A43 * a31)
+            u42 = v2 + dt * (0.0 + A41 * a12 + A42 * a22 + A43 * a32)
+            x = l + dt * (0.0 + A41 * v0 + A42 * u20 + A43 * u30)
+            y = r1 + dt * (0.0 + A41 * v1 + A42 * u21 + A43 * u31)
+            z = r2 + dt * (0.0 + A41 * v2 + A42 * u22 + A43 * u32)
+            rsq = y * y + z * z
+            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                raise OnSingularSet
+            lr = x * rsq
+            a40, a41, a42 = -g / rsq, -g * y / lr, -g * z / lr
+            u50 = v0 + dt * (0.0 + A51 * a10 + A52 * a20 + A53 * a30 + A54 * a40)
+            u51 = v1 + dt * (0.0 + A51 * a11 + A52 * a21 + A53 * a31 + A54 * a41)
+            u52 = v2 + dt * (0.0 + A51 * a12 + A52 * a22 + A53 * a32 + A54 * a42)
+            x = l + dt * (0.0 + A51 * v0 + A52 * u20 + A53 * u30 + A54 * u40)
+            y = r1 + dt * (0.0 + A51 * v1 + A52 * u21 + A53 * u31 + A54 * u41)
+            z = r2 + dt * (0.0 + A51 * v2 + A52 * u22 + A53 * u32 + A54 * u42)
+            rsq = y * y + z * z
+            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                raise OnSingularSet
+            lr = x * rsq
+            a50, a51, a52 = -g / rsq, -g * y / lr, -g * z / lr
+            u60 = v0 + dt * (0.0 + A61 * a10 + A62 * a20 + A63 * a30 + A64 * a40 + A65 * a50)
+            u61 = v1 + dt * (0.0 + A61 * a11 + A62 * a21 + A63 * a31 + A64 * a41 + A65 * a51)
+            u62 = v2 + dt * (0.0 + A61 * a12 + A62 * a22 + A63 * a32 + A64 * a42 + A65 * a52)
+            x = l + dt * (0.0 + A61 * v0 + A62 * u20 + A63 * u30 + A64 * u40 + A65 * u50)
+            y = r1 + dt * (0.0 + A61 * v1 + A62 * u21 + A63 * u31 + A64 * u41 + A65 * u51)
+            z = r2 + dt * (0.0 + A61 * v2 + A62 * u22 + A63 * u32 + A64 * u42 + A65 * u52)
+            rsq = y * y + z * z
+            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                raise OnSingularSet
+            lr = x * rsq
+            a60, a61, a62 = -g / rsq, -g * y / lr, -g * z / lr
             # the 5th-order solution (p7, u7) is the 7th stage's state
-            u70 = v0 + dt * (0.0 + _A71 * a10 + _A73 * a30 + _A74 * a40 + _A75 * a50 + _A76 * a60)
-            u71 = v1 + dt * (0.0 + _A71 * a11 + _A73 * a31 + _A74 * a41 + _A75 * a51 + _A76 * a61)
-            u72 = v2 + dt * (0.0 + _A71 * a12 + _A73 * a32 + _A74 * a42 + _A75 * a52 + _A76 * a62)
-            p70 = l + dt * (0.0 + _A71 * v0 + _A73 * u30 + _A74 * u40 + _A75 * u50 + _A76 * u60)
-            p71 = r1 + dt * (0.0 + _A71 * v1 + _A73 * u31 + _A74 * u41 + _A75 * u51 + _A76 * u61)
-            p72 = r2 + dt * (0.0 + _A71 * v2 + _A73 * u32 + _A74 * u42 + _A75 * u52 + _A76 * u62)
-            a70, a71, a72 = _accel(p70, p71, p72, g)
-            if abs(p70) * (p71 * p71 + p72 * p72) < guard:
-                raise OnSingularSet("singular-approach guard tripped")
+            u70 = v0 + dt * (0.0 + A71 * a10 + A73 * a30 + A74 * a40 + A75 * a50 + A76 * a60)
+            u71 = v1 + dt * (0.0 + A71 * a11 + A73 * a31 + A74 * a41 + A75 * a51 + A76 * a61)
+            u72 = v2 + dt * (0.0 + A71 * a12 + A73 * a32 + A74 * a42 + A75 * a52 + A76 * a62)
+            p70 = l + dt * (0.0 + A71 * v0 + A73 * u30 + A74 * u40 + A75 * u50 + A76 * u60)
+            p71 = r1 + dt * (0.0 + A71 * v1 + A73 * u31 + A74 * u41 + A75 * u51 + A76 * u61)
+            p72 = r2 + dt * (0.0 + A71 * v2 + A73 * u32 + A74 * u42 + A75 * u52 + A76 * u62)
+            rsq = p71 * p71 + p72 * p72
+            if rsq <= (eps * (1.0 + abs(p70))) ** 2 or abs(p70) <= eps:
+                raise OnSingularSet
+            lr = p70 * rsq
+            a70, a71, a72 = -g / rsq, -g * p71 / lr, -g * p72 / lr
+            if abs(p70) * rsq < guard:
+                raise OnSingularSet
         except OnSingularSet:
+            traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
             last = traj.final_state()
             raise SingularApproach(
                 f"approached the singular set near t = {t:.6g}", traj, last
             ) from None
         # error estimate per component, RMS-normed against tol (1 + max(|old|, |new|))
-        e0 = dt * (0.0 + _E1 * v0 + _E3 * u30 + _E4 * u40 + _E5 * u50 + _E6 * u60 + _E7 * u70)
-        e1 = dt * (0.0 + _E1 * v1 + _E3 * u31 + _E4 * u41 + _E5 * u51 + _E6 * u61 + _E7 * u71)
-        e2 = dt * (0.0 + _E1 * v2 + _E3 * u32 + _E4 * u42 + _E5 * u52 + _E6 * u62 + _E7 * u72)
-        e3 = dt * (0.0 + _E1 * a10 + _E3 * a30 + _E4 * a40 + _E5 * a50 + _E6 * a60 + _E7 * a70)
-        e4 = dt * (0.0 + _E1 * a11 + _E3 * a31 + _E4 * a41 + _E5 * a51 + _E6 * a61 + _E7 * a71)
-        e5 = dt * (0.0 + _E1 * a12 + _E3 * a32 + _E4 * a42 + _E5 * a52 + _E6 * a62 + _E7 * a72)
+        e0 = dt * (0.0 + E1 * v0 + E3 * u30 + E4 * u40 + E5 * u50 + E6 * u60 + E7 * u70)
+        e1 = dt * (0.0 + E1 * v1 + E3 * u31 + E4 * u41 + E5 * u51 + E6 * u61 + E7 * u71)
+        e2 = dt * (0.0 + E1 * v2 + E3 * u32 + E4 * u42 + E5 * u52 + E6 * u62 + E7 * u72)
+        e3 = dt * (0.0 + E1 * a10 + E3 * a30 + E4 * a40 + E5 * a50 + E6 * a60 + E7 * a70)
+        e4 = dt * (0.0 + E1 * a11 + E3 * a31 + E4 * a41 + E5 * a51 + E6 * a61 + E7 * a71)
+        e5 = dt * (0.0 + E1 * a12 + E3 * a32 + E4 * a42 + E5 * a52 + E6 * a62 + E7 * a72)
+        o0, o1, o2, o3, o4, o5 = abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2)
+        n0, n1, n2, n3, n4, n5 = abs(p70), abs(p71), abs(p72), abs(u70), abs(u71), abs(u72)
         err = (
-            (e0 / (tol + tol * max(abs(l), abs(p70)))) ** 2
-            + (e1 / (tol + tol * max(abs(r1), abs(p71)))) ** 2
-            + (e2 / (tol + tol * max(abs(r2), abs(p72)))) ** 2
-            + (e3 / (tol + tol * max(abs(v0), abs(u70)))) ** 2
-            + (e4 / (tol + tol * max(abs(v1), abs(u71)))) ** 2
-            + (e5 / (tol + tol * max(abs(v2), abs(u72)))) ** 2
+            (e0 / (tol + tol * (n0 if n0 > o0 else o0))) ** 2
+            + (e1 / (tol + tol * (n1 if n1 > o1 else o1))) ** 2
+            + (e2 / (tol + tol * (n2 if n2 > o2 else o2))) ** 2
+            + (e3 / (tol + tol * (n3 if n3 > o3 else o3))) ** 2
+            + (e4 / (tol + tol * (n4 if n4 > o4 else o4))) ** 2
+            + (e5 / (tol + tol * (n5 if n5 > o5 else o5))) ** 2
         )
-        err = math.sqrt(err / 6.0)
+        err = sqrt(err / 6.0)
         if err <= 1.0:
             t += dt
             l, r1, r2, v0, v1, v2 = p70, p71, p72, u70, u71, u72
             a10, a11, a12 = a70, a71, a72  # first-same-as-last
-            traj.append(t, (l, r1, r2, v0, v1, v2))
-            traj.n_accepted += 1
+            times.append(t)
+            states.append((l, r1, r2, v0, v1, v2))
+            n_accepted += 1
         else:
-            traj.n_rejected += 1
+            n_rejected += 1
         factor = 0.9 * (err ** -0.2 if err > 0.0 else 5.0)
-        dt *= min(5.0, max(0.2, factor))
-        if max_step is not None:
-            dt = min(dt, max_step)
+        factor = factor if factor > 0.2 else 0.2
+        dt *= factor if factor < 5.0 else 5.0
+        if max_step is not None and max_step < dt:
+            dt = max_step
+    traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
     return traj
 
 

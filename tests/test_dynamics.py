@@ -38,7 +38,7 @@ from ternion.field import FRAME_MATRIX
 from ternion.quadrature import adaptive_quad
 from ternion.rootfind import brent
 
-from oracles import pointwise
+from oracles import integrate_reference, pointwise
 
 
 def test_newton_rhs_values():
@@ -147,14 +147,6 @@ def test_singular_approach_detected():
     assert info.value.state is not None
 
 
-def test_step_budget_failure(monkeypatch):
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
-    sol = make_planar()
-    s0 = state_from_planar(sol, 1.9)
-    with pytest.raises(StepFailure):
-        integrate(s0, 1.0, s0.t + 30.0, tol=1e-10)
-
-
 def test_trajectory_csv(tmp_path):
     sol = make_planar()
     s0 = state_from_planar(sol, 1.5)
@@ -205,6 +197,126 @@ def test_integrate_bits_are_pinned():
     assert str(info.value) == "approached the singular set near t = 0.711046"
     assert (len(part), part.n_accepted, part.n_rejected) == (66, 65, 62)
     assert _digest(part) == "107248426c4a83d9531634971fcad2ea5398d5aba9c6975fe0e7d3730a0c4029"
+
+
+def test_step_budget_failure(monkeypatch):
+    # the budget counts accepted plus rejected steps; the samples and both
+    # counts so far travel with the error
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
+    sol = make_planar()
+    s0 = state_from_planar(sol, 1.9)
+    with pytest.raises(StepFailure) as info:
+        integrate(s0, 1.0, s0.t + 30.0, tol=1e-10)
+    part = info.value.trajectory
+    assert str(info.value) == "step budget 5 exhausted at t = 4.513353530529863"
+    assert (len(part), part.n_accepted, part.n_rejected) == (6, 5, 0)
+    assert _digest(part) == "552e6440e3f3908ab3afb161d2bd0b4955b603da3fa2e9c0f45f2eab1f8c93e4"
+
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+    with pytest.raises(StepFailure) as info:
+        integrate(MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0), 1.0, 10.0, tol=1e-8)
+    part = info.value.trajectory
+    assert str(info.value) == "step budget 100 exhausted at t = 0.7109232337080034"
+    assert (len(part), part.n_accepted, part.n_rejected) == (52, 51, 49)
+    assert _digest(part) == "abc8b7cae8f6e3f5613df03040a0a2f84c1908ab98d10d18c2e799dd0780b98a"
+
+
+def test_step_size_underflow_failure():
+    # at tol 1e-100 no step passes: 19 rejections shrink dt by 5x each until
+    # it falls below the floor 1e-14 max(1, |t|)
+    sol = make_planar()
+    s0 = state_from_planar(sol, 1.9)
+    with pytest.raises(StepFailure) as info:
+        integrate(s0, 1.0, s0.t + 30.0, tol=1e-100)
+    part = info.value.trajectory
+    assert str(info.value) == "step size underflow at t = 0.0"
+    assert (len(part), part.n_accepted, part.n_rejected) == (1, 0, 19)
+    assert _digest(part) == "ab52208f61afba2ae128f35ee01333d9d0514c1c17ef86b74d5bffbd3cce57d7"
+
+    # at t = 1e10 the floor is 1e-4: the run aimed at the l = 0 plane meets it
+    # before the singular-approach guard
+    s0 = MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0, t=1e10)
+    with pytest.raises(StepFailure) as info:
+        integrate(s0, 1.0, 1e10 + 10.0, tol=1e-8)
+    part = info.value.trajectory
+    assert str(info.value) == "step size underflow at t = 10000000000.710526"
+    assert (len(part), part.n_accepted, part.n_rejected) == (45, 44, 42)
+    assert _digest(part) == "d62cf02468bf2a9e2a9ec6e6bacf2d0d6f56732f0d73d15d6069d2a279ca9810"
+
+
+def _outcome(run, s0, g, t_end, **kw):
+    """How a run ended ("ok" or the error's type name) and everything it
+    left, as text that keeps every bit and signed zero: the samples and
+    counts, and for a stop the error's message and state."""
+    try:
+        traj, stop = run(s0, g, t_end, **kw), None
+    except TernionError as exc:
+        traj, stop = getattr(exc, "trajectory", None), exc
+    samples = None if traj is None else (traj.times, traj.states, traj.n_accepted, traj.n_rejected)
+    if stop is None:
+        return "ok", repr(samples)
+    return type(stop).__name__, repr((str(stop), getattr(stop, "state", None), samples))
+
+
+def _reference_batch(rng):
+    """Seeded (s0, g, t_end, kwargs) runs: planar, general and centre-reaching
+    states, starts on the singular sets, one late start, with and without
+    max_step."""
+    runs = []
+    for i in range(60):
+        sign = rng.choice([-1.0, 1.0], size=3)
+        l, r1, r2 = sign * rng.uniform(0.3, 2.0, size=3)
+        v0, v1, v2 = rng.uniform(-1.5, 1.5, size=3)
+        kind = i % 3
+        if kind == 0:  # planar: r2 = v2 = 0, so signed zeros are in play
+            r2, v2 = 0.0, -0.0 if i % 2 else 0.0
+        elif kind == 2:  # centre-reaching: headed at the origin
+            k = rng.uniform(0.5, 2.0)
+            v0, v1, v2 = -k * l, -k * r1, -k * r2
+        t0 = float(rng.uniform(-5.0, 5.0))
+        kw = {"tol": float(10.0 ** rng.uniform(-11.0, -6.0))}
+        if i % 4 == 1:
+            kw["max_step"] = float(rng.uniform(0.01, 0.5))
+        state = MonopoleState(float(l), float(r1), float(r2), float(v0), float(v1), float(v2), t=t0)
+        runs.append((state, float(rng.uniform(0.5, 2.0)), t0 + float(rng.uniform(0.5, 6.0)), kw))
+    # Nearly straight first steps of dt = 0.01 that put stage k's position
+    # (node c_k, k = 2..5) on the l = 0 plane, or 1e-8 off the r1 axis, with
+    # the stages before it off the singular set and the step's end past it:
+    # stage k's admissibility test alone stops the run.  Stage 6 shares the
+    # node 1 with the step's end, whose own test stops the same runs.
+    for c in (0.2, 0.3, 0.8, 8 / 9):
+        for s0 in (
+            MonopoleState(0.01 * c, 1.0, 0.0, -1.0, 0.0, 0.0),
+            MonopoleState(1.0, 0.01 * c + 1e-8, 0.0, 0.0, -1.0, 0.0),
+        ):
+            runs.append((s0, 1e-12, 2.0, {"max_step": 0.01}))
+    runs += [
+        (MonopoleState(0.0, 1.0, 0.5, 0.1, 0.0, 0.0), 1.0, 1.0, {}),  # on l = 0
+        (MonopoleState(1.0, 0.0, 0.0, 0.1, 0.2, 0.0), 1.0, 1.0, {}),  # on r = 0
+        (MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0, t=1e10), 1.0, 1e10 + 10.0, {"tol": 1e-8}),
+        (MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0), 1.0, 10.0, {"tol": 1e-100}),
+        (MonopoleState(*GENERAL_PIN[0]), 1.0, GENERAL_PIN[1], {}),
+    ]
+    return runs
+
+
+@pytest.mark.parametrize(
+    "patch", [{}, {"MAX_STEPS": 40}, {"EPS_FIELD": 0.05}], ids=["shipped", "budget", "margin"]
+)
+def test_integrate_matches_the_reference_loop_bit_for_bit(monkeypatch, patch):
+    # integrate writes each stage's acceleration out; the reference calls
+    # _accel per stage.  A budget of 40 ends most runs on the budget exit.  In
+    # the seeded runs the singular-approach guard trips before a stage's
+    # admissibility test at EPS_FIELD = 1e-8; a margin of 0.05 lets the stage
+    # tests stop them.
+    for name, value in patch.items():
+        monkeypatch.setattr(dynamics, name, value)
+    ends = set()
+    for s0, g, t_end, kw in _reference_batch(np.random.default_rng(14)):
+        got = _outcome(integrate, s0, g, t_end, **kw)
+        assert got == _outcome(integrate_reference, s0, g, t_end, **kw), (s0, g, t_end, kw)
+        ends.add(got[0])
+    assert ends == {"ok", "SingularApproach", "StepFailure"}
 
 
 def test_trajectory_csv_bits_are_pinned(tmp_path):
