@@ -210,7 +210,9 @@ def integrate(
     Every accepted step is recorded.  The run stops with SingularApproach
     (carrying the partial trajectory) when |l| |r|^2 falls below
     SINGULAR_GUARD times the initial scale cubed, rather than chasing the
-    collapse; StepFailure means the controller stalled or used up MAX_STEPS.
+    collapse; StepFailure means the controller stalled, used up MAX_STEPS,
+    or met an error norm out of the float range (a tol near 1e-200 or less).
+    Both carry the trajectory up to the last accepted step.
     """
     t = float(s0.t)
     if t_end <= t:
@@ -348,14 +350,19 @@ def integrate(
         e5 = dt * (0.0 + E1 * a12 + E3 * a32 + E4 * a42 + E5 * a52 + E6 * a62 + E7 * a72)
         o0, o1, o2, o3, o4, o5 = abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2)
         n0, n1, n2, n3, n4, n5 = abs(p70), abs(p71), abs(p72), abs(u70), abs(u71), abs(u72)
-        err = (
-            (e0 / (tol + tol * (n0 if n0 > o0 else o0))) ** 2
-            + (e1 / (tol + tol * (n1 if n1 > o1 else o1))) ** 2
-            + (e2 / (tol + tol * (n2 if n2 > o2 else o2))) ** 2
-            + (e3 / (tol + tol * (n3 if n3 > o3 else o3))) ** 2
-            + (e4 / (tol + tol * (n4 if n4 > o4 else o4))) ** 2
-            + (e5 / (tol + tol * (n5 if n5 > o5 else o5))) ** 2
-        )
+        try:
+            err = (
+                (e0 / (tol + tol * (n0 if n0 > o0 else o0))) ** 2
+                + (e1 / (tol + tol * (n1 if n1 > o1 else o1))) ** 2
+                + (e2 / (tol + tol * (n2 if n2 > o2 else o2))) ** 2
+                + (e3 / (tol + tol * (n3 if n3 > o3 else o3))) ** 2
+                + (e4 / (tol + tol * (n4 if n4 > o4 else o4))) ** 2
+                + (e5 / (tol + tol * (n5 if n5 > o5 else o5))) ** 2
+            )
+        except OverflowError:  # float ** raises where a product would give inf
+            traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
+            msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
+            raise StepFailure(msg, traj) from None
         err = sqrt(err / 6.0)
         if err <= 1.0:
             t += dt
@@ -656,33 +663,24 @@ class GeneralSolution(_Coefficients):
     # q term's derivatives do not depend on y, so they cancel in the
     # differences that use them.
 
-    def _dv1_dm(self, y: float) -> tuple:
-        """(d/dM1, d/dM2) of v1(y)/g."""
-        ic = 1.0 / complex(self.m1, self.m2)
-        da = 0.5j * ic * ic
-        z = da * cmath.log(complex(y, -1.0) / self._w0)
-        num, den = self.m1 + self.m2 * y, self._den
-        log_ratio = math.log(num / den)
-        frac = (self._c3 / num) * ((y - self.y0) / den)
-        return (
-            2.0 * z.real - 2.0 * da.real * log_ratio - self.m2 * frac,
-            -2.0 * z.imag + 2.0 * da.imag * log_ratio + self.m1 * frac,
-        )
-
-    def _dantiderivative_dm(self, y: float) -> tuple:
-        """(d/dM1, d/dM2) of _antiderivative(y), up to terms free of y."""
+    def _d_dm(self, y: float) -> tuple:
+        """((d/dM1, d/dM2) of v1(y)/g, (d/dM1, d/dM2) of _antiderivative(y)),
+        the latter up to terms free of y."""
         ic = 1.0 / complex(self.m1, self.m2)
         da = 0.5j * ic * ic
         w = complex(y, -1.0)
-        z = da * (w * (cmath.log(w / self._w0) - 1.0))
-        num, den = self.m1 + self.m2 * y, self._den
-        log_ratio = math.log(num / den) - 1.0
+        log_w = cmath.log(w / self._w0)
+        z, za = da * log_w, da * (w * (log_w - 1.0))
+        num, den, dy = self.m1 + self.m2 * y, self._den, y - self.y0
+        log_ratio = math.log(num / den)
+        frac = (self._c3 / num) * (dy / den)
         q = ic.real * ic.real + ic.imag * ic.imag
-        frac = q * (y - self.y0) / den
-        return (
-            2.0 * z.real + q * log_ratio * (1.0 - 2.0 * ic.real * num) - self.m2 * frac,
-            -2.0 * z.imag + q * log_ratio * (y + 2.0 * ic.imag * num) + self.m1 * frac,
-        )
+        qlog, qfrac = q * (log_ratio - 1.0), q * dy / den
+        v_m1 = 2.0 * z.real - 2.0 * da.real * log_ratio - self.m2 * frac
+        v_m2 = -2.0 * z.imag + 2.0 * da.imag * log_ratio + self.m1 * frac
+        a_m1 = 2.0 * za.real + qlog * (1.0 - 2.0 * ic.real * num) - self.m2 * qfrac
+        a_m2 = -2.0 * za.imag + qlog * (y + 2.0 * ic.imag * num) + self.m1 * qfrac
+        return (v_m1, v_m2), (a_m1, a_m2)
 
     def psi(self, y):
         """Integral of v1/g from y1 to y (closed form), at a float slope or
@@ -780,9 +778,9 @@ class ScatteringSetup:
         return -(self.m1 + self.m2 * self.y1) / self.z1
 
     @property
-    def v_in(self) -> np.ndarray:
+    def v_in(self) -> tuple:
         """Incoming velocity (v0, v1, v2) at t -> -infinity."""
-        return np.array([self.z1 * self.v1_inf, self.v1_inf, self.y1 * self.v1_inf])
+        return (self.z1 * self.v1_inf, self.v1_inf, self.y1 * self.v1_inf)
 
     @property
     def constraint_residual(self) -> float:
@@ -800,8 +798,8 @@ class ScatteringResult:
     energy: float
     jacobian: float
     dsigma: float
-    v_in: np.ndarray
-    v_out: np.ndarray
+    v_in: tuple
+    v_out: tuple
     rho_pl: float
     rho_perp: float
 
@@ -879,8 +877,7 @@ def _slope_derivatives(sol: GeneralSolution, ytilde1: float, v1_out: float) -> l
     y0, y1 = sol.y0, sol.y1
     k0 = _kernel(sol.m1, sol.m2, y0)
     k_out = _kernel(sol.m1, sol.m2, ytilde1)
-    dv_in, dv_out = sol._dv1_dm(y1), sol._dv1_dm(ytilde1)
-    da_in, da_out = sol._dantiderivative_dm(y1), sol._dantiderivative_dm(ytilde1)
+    (dv_in, da_in), (dv_out, da_out) = sol._d_dm(y1), sol._d_dm(ytilde1)
     rows = []
     for i in (0, 1):
         dy0 = dv_in[i] / k0
@@ -902,7 +899,6 @@ def _scatter(setup: ScatteringSetup) -> ScatteringResult:
     v1_out = sol.v1(ytilde1)
     if v1_out == 0.0:
         raise RootFindingFailure(f"v1 = 0 at the exit slope {ytilde1}: not resolved from y0 = {y0}")
-    v_out = np.array([-(m1 + m2 * ytilde1) * v1_out / m0, v1_out, ytilde1 * v1_out])
     r = (m1 + m2 * ytilde1) / m0
     spread = 1.0 + ytilde1 * ytilde1 + r * r
 
@@ -913,12 +909,13 @@ def _scatter(setup: ScatteringSetup) -> ScatteringResult:
     de1 = v1_out * (dv1 * spread + v1_out * (ytilde1 * dy1 + r * dr1))
     de2 = v1_out * (dv2 * spread + v1_out * (ytilde1 * dy2 + r * dr2))
     jac = dy1 * de2 - dy2 * de1
-    if not (math.isfinite(jac) and math.isfinite(v1_out * v1_out * spread)):
+    e2 = v1_out * v1_out * spread
+    if not (math.isfinite(jac) and math.isfinite(e2)):
         raise NumericalBreakdown(f"E or J is not finite (J = {jac})")
     if abs(jac) < EPS_JACOBIAN:
         raise JacobianSingular(f"|J| = {abs(jac):.3e} below {EPS_JACOBIAN:.1e}")
 
-    vx, vy, vz = z1 * v1_inf, v1_inf, y1 * v1_inf
+    vx, vy, vz = v_in = setup.v_in
     speed_sq = vx * vx + vy * vy + vz * vz
     speed = math.sqrt(speed_sq)
     return ScatteringResult(
@@ -927,11 +924,11 @@ def _scatter(setup: ScatteringSetup) -> ScatteringResult:
         m0=m0,
         y0=y0,
         ytilde1=ytilde1,
-        energy=0.5 * float(v_out @ v_out),
+        energy=0.5 * e2,
         jacobian=jac,
         dsigma=1.0 / (jac * abs(vx) * speed),
-        v_in=setup.v_in,
-        v_out=v_out,
+        v_in=v_in,
+        v_out=(-(m1 + m2 * ytilde1) * v1_out / m0, v1_out, ytilde1 * v1_out),
         rho_pl=m2 / speed,
         rho_perp=(vx * m1 - vy * m0) / speed_sq,
     )

@@ -17,6 +17,11 @@ broadcast: they run elementwise, and a vector result is an array of shape
 (3,) + the broadcast shape.  Where the float path raises at some point, the array path
 raises the same error, that of the first such point in order (see
 ternion.algebra).  Floats keep the math functions.
+
+to_frame and from_frame are plain float arithmetic, three products added
+left to right per component, with no BLAS call: floats and the elements of
+arrays get the same bits, and so does every host, whatever CPU kernel its
+BLAS would pick.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .errors import DomainError, OnSingularSet
 
 __all__ = [
     "FrameVector",
-    "FieldSample",
     "EPS_FIELD",
     "EPS_DIV",
     "FRAME_MATRIX",
@@ -42,12 +46,9 @@ __all__ = [
     "potential_decompose",
     "current_density",
     "vector_potential",
-    "sample_field",
-    "write_field_grid",
     "cycle_components",
     "cycle_point",
     "h_cartesian",
-    "FIELD_GRID_HEADER",
 ]
 
 EPS_FIELD = 1e-8   # admissibility margin around the singular sets
@@ -63,6 +64,9 @@ FRAME_MATRIX = np.array(
         [1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0)],
     ]
 )
+# Its rows (for to_frame) and columns (for from_frame) as Python floats.
+_ROWS = tuple(tuple(map(float, row)) for row in FRAME_MATRIX)
+_COLUMNS = tuple(tuple(map(float, col)) for col in FRAME_MATRIX.T)
 
 
 @dataclass(frozen=True)
@@ -102,26 +106,23 @@ def _components(x) -> tuple[float, float, float]:
     return (float(x0), float(x1), float(x2))
 
 
-def _apply(matrix, a, b, c) -> tuple:
-    """matrix @ (a, b, c).  Array coordinates take one matrix-vector product
-    per point, which gives each point the bits of the float path."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(c, np.ndarray):
-        vec = np.stack(np.broadcast_arrays(a, b, c), axis=-1)
-        out = np.matmul(matrix, vec[..., None])[..., 0]
-        return out[..., 0], out[..., 1], out[..., 2]
-    vec = matrix @ np.array([a, b, c])
-    return float(vec[0]), float(vec[1]), float(vec[2])
+def _apply(rows, a, b, c) -> tuple:
+    """rows applied to (a, b, c): m0 a + m1 b + m2 c per row, added left to
+    right in float arithmetic, so floats and every element of an array get
+    the same bits on every host.  Floats (numpy scalars too) give floats."""
+    out = [m0 * a + m1 * b + m2 * c for m0, m1, m2 in rows]
+    return tuple(out) if getattr(out[0], "ndim", 0) else tuple(map(float, out))
 
 
 def to_frame(x) -> FrameVector:
     """Frame coordinates of a point given as Ternary or an (x0, x1, x2) triple."""
     x0, x1, x2 = _components(x)
-    return FrameVector(*_apply(FRAME_MATRIX, x1, x2, x0))
+    return FrameVector(*_apply(_ROWS, x1, x2, x0))
 
 
 def from_frame(v: FrameVector) -> Ternary:
     """Inverse frame map (the transpose, since the frame is orthonormal)."""
-    x1, x2, x0 = _apply(FRAME_MATRIX.T, v.l, v.r1, v.r2)
+    x1, x2, x0 = _apply(_COLUMNS, v.l, v.r1, v.r2)
     return Ternary(x0, x1, x2)
 
 
@@ -213,51 +214,6 @@ def vector_potential(v: FrameVector) -> np.ndarray:
     ratio = v.l / r
     u = ta._lib(ratio).log(ratio) / (r * r)
     return _stack(0.0, v.r2 * u, -v.r1 * u)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Every field quantity at one admissible frame point."""
-
-    point: FrameVector
-    h: np.ndarray
-    phi_s: float
-    h_pot: np.ndarray
-    h_rot: np.ndarray
-    j: np.ndarray
-    a: np.ndarray | None  # None where the gauge potential is undefined (l <= 0)
-
-
-def sample_field(v: FrameVector) -> FieldSample:
-    h = field_h(v)
-    phi_s, h_pot, h_rot = potential_decompose(v)
-    j = current_density(v)
-    a = vector_potential(v) if v.l > 0.0 else None
-    return FieldSample(v, h, phi_s, h_pot, h_rot, j, a)
-
-
-FIELD_GRID_HEADER = (
-    "l,r1,r2,h0,h1,h2,hpot0,hpot1,hpot2,hrot0,hrot1,hrot2,j0,j1,j2"
-)
-
-
-def write_field_grid(path, l_values, r1_values, r2_values):
-    """CSV scan of the field over the cartesian product of the grids.
-
-    Every grid point must be admissible; floats are written with shortest
-    round-trip precision.  Returns the number of rows written.
-    """
-    rows = 0
-    with open(path, "w") as fh:
-        fh.write(FIELD_GRID_HEADER + "\n")
-        for l in l_values:
-            for r1 in r1_values:
-                for r2 in r2_values:
-                    s = sample_field(FrameVector(float(l), float(r1), float(r2)))
-                    cells = [s.point.l, s.point.r1, s.point.r2, *s.h, *s.h_pot, *s.h_rot, *s.j]
-                    fh.write(",".join(repr(float(c)) for c in cells) + "\n")
-                    rows += 1
-    return rows
 
 
 def cycle_components(vec: np.ndarray) -> np.ndarray:

@@ -607,14 +607,18 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
         e3 = dt * (0.0 + _E1 * a10 + _E3 * a30 + _E4 * a40 + _E5 * a50 + _E6 * a60 + _E7 * a70)
         e4 = dt * (0.0 + _E1 * a11 + _E3 * a31 + _E4 * a41 + _E5 * a51 + _E6 * a61 + _E7 * a71)
         e5 = dt * (0.0 + _E1 * a12 + _E3 * a32 + _E4 * a42 + _E5 * a52 + _E6 * a62 + _E7 * a72)
-        err = (
-            (e0 / (tol + tol * max(abs(l), abs(p70)))) ** 2
-            + (e1 / (tol + tol * max(abs(r1), abs(p71)))) ** 2
-            + (e2 / (tol + tol * max(abs(r2), abs(p72)))) ** 2
-            + (e3 / (tol + tol * max(abs(v0), abs(u70)))) ** 2
-            + (e4 / (tol + tol * max(abs(v1), abs(u71)))) ** 2
-            + (e5 / (tol + tol * max(abs(v2), abs(u72)))) ** 2
-        )
+        try:
+            err = (
+                (e0 / (tol + tol * max(abs(l), abs(p70)))) ** 2
+                + (e1 / (tol + tol * max(abs(r1), abs(p71)))) ** 2
+                + (e2 / (tol + tol * max(abs(r2), abs(p72)))) ** 2
+                + (e3 / (tol + tol * max(abs(v0), abs(u70)))) ** 2
+                + (e4 / (tol + tol * max(abs(v1), abs(u71)))) ** 2
+                + (e5 / (tol + tol * max(abs(v2), abs(u72)))) ** 2
+            )
+        except OverflowError:
+            msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
+            raise StepFailure(msg, traj) from None
         err = math.sqrt(err / 6.0)
         if err <= 1.0:
             t += dt

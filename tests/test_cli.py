@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ternion
 import ternion.algebra as algebra_module
 import ternion.field as field_module
 from ternion import cli
@@ -293,6 +299,13 @@ def test_simulate_singular_stop_exit_codes(tmp_path, capsys):
     assert "truncated" in doc
 
 
+def test_simulate_tiny_tol_exits_1_with_one_line(tmp_path, capsys):
+    cfg = write_json(tmp_path / "p.json", PLANAR_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv"), "--tol", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err == "StepFailure: error norm overflows at t = 0.0: tol = 1e-300 is too small to resolve\n"
+
+
 def test_simulate_compare_flag_needs_planar(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "state.json",
@@ -401,21 +414,67 @@ def test_scatter_extreme_grid_points_get_status_rows(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+RANGE_GRID = {"start": -2.0, "stop": 2.0, "num": 12}
+RANGE_GRID_CFG = {"g": 1.0, "y1": 0.2, "z1": 0.9, "v1_inf": 0.6, "m1_grid": RANGE_GRID, "m2_grid": RANGE_GRID}
+RANGE_GRID_SHA256 = "9192c686476519b60009aca717b5fcc29ea85feba51bb5840ddc6c84347f592f"
+
+
 def test_scatter_status_counts_on_range_grid(tmp_path, capsys):
-    grid = {"start": -2.0, "stop": 2.0, "num": 12}
-    cfg = write_json(
-        tmp_path / "s.json",
-        {"g": 1.0, "y1": 0.2, "z1": 0.9, "v1_inf": 0.6, "m1_grid": grid, "m2_grid": grid},
-    )
+    cfg = write_json(tmp_path / "s.json", RANGE_GRID_CFG)
     out = tmp_path / "scatter.csv"
     assert main(["scatter", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     statuses = [row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[1:]]
     counts = {s: statuses.count(s) for s in set(statuses)}
     assert counts == {"ok": 88, "NoSecondSolution": 31, "RootFindingFailure": 25}
-    # every value and status row, to the last bit
+    # every value and status row, to the last bit, on every host
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "1042c570e52f5723e23cf615350af700ea90966ceefd17f035f43e601e5b333e"
+    assert digest == RANGE_GRID_SHA256
+
+
+# Run in a fresh interpreter, so OpenBLAS picks its kernel from the
+# environment: the range grid's digest, then the bits of the frame maps at a
+# few fixed points, one JSON line.
+HOST_PROBE = """
+import hashlib, json, sys
+from ternion.cli import main
+from ternion.field import FrameVector, from_frame, to_frame
+assert main(["scatter", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+points = [(1.0, 2.0, 3.0), (0.3, -1.7, 2.9), (1e-3, 5.0, -7.25), (-2.5, 0.125, 1.1)]
+bits = [[c.hex() for c in to_frame(p).components() + from_frame(FrameVector(*p)).components()] for p in points]
+digest = hashlib.sha256(open(sys.argv[2], "rb").read()).hexdigest()
+print(json.dumps({"digest": digest, "frame_bits": bits}))
+"""
+
+# kernels forced through OPENBLAS_CORETYPE: AVX-512, AVX2 and SSE3
+OPENBLAS_KERNELS = ("SkylakeX", "Haswell", "Prescott")
+
+
+def _host_probe(tmp_path, coretype):
+    cfg = write_json(tmp_path / "s.json", RANGE_GRID_CFG)
+    src = str(Path(ternion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    run = subprocess.run(
+        [sys.executable, "-c", HOST_PROBE, cfg, str(tmp_path / f"{coretype}.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    if run.returncode == -signal.SIGILL:
+        pytest.skip(f"this CPU lacks the instructions of OpenBLAS's {coretype} kernel")
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("coretype", OPENBLAS_KERNELS)
+def test_scatter_and_frame_bits_do_not_depend_on_the_blas_kernel(tmp_path, coretype):
+    # E once came from a 3-element BLAS dot product and the frame maps from
+    # BLAS matrix products, whose rounding followed the kernel OpenBLAS picks
+    # for the CPU: the range grid had three digests across four kernels
+    forced = _host_probe(tmp_path, coretype)
+    assert forced["digest"] == RANGE_GRID_SHA256
+    assert forced["frame_bits"] == _host_probe(tmp_path, None)["frame_bits"]
 
 
 def test_manifest_with_seed_key_still_reruns(tmp_path, capsys):

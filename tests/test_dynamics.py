@@ -244,6 +244,20 @@ def test_step_size_underflow_failure():
     assert _digest(part) == "d62cf02468bf2a9e2a9ec6e6bacf2d0d6f56732f0d73d15d6069d2a279ca9810"
 
 
+@pytest.mark.parametrize("tol", [1e-200, 1e-300])
+def test_error_norm_overflow_is_a_step_failure(tol):
+    # the first step's error over tol squares past the float range, which
+    # float ** reports as a bare OverflowError
+    sol = make_planar()
+    s0 = state_from_planar(sol, 1.9)
+    with pytest.raises(StepFailure) as info:
+        integrate(s0, 1.0, s0.t + 30.0, tol=tol)
+    part = info.value.trajectory
+    assert str(info.value) == f"error norm overflows at t = 0.0: tol = {tol} is too small to resolve"
+    assert (len(part), part.n_accepted, part.n_rejected) == (1, 0, 0)
+    assert part.states == [s0.as_tuple()]
+
+
 def _outcome(run, s0, g, t_end, **kw):
     """How a run ended ("ok" or the error's type name) and everything it
     left, as text that keeps every bit and signed zero: the samples and
@@ -295,6 +309,7 @@ def _reference_batch(rng):
         (MonopoleState(1.0, 0.0, 0.0, 0.1, 0.2, 0.0), 1.0, 1.0, {}),  # on r = 0
         (MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0, t=1e10), 1.0, 1e10 + 10.0, {"tol": 1e-8}),
         (MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0), 1.0, 10.0, {"tol": 1e-100}),
+        (MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0), 1.0, 10.0, {"tol": 1e-300}),
         (MonopoleState(*GENERAL_PIN[0]), 1.0, GENERAL_PIN[1], {}),
     ]
     return runs
@@ -705,11 +720,15 @@ def test_scattering_map_consistency():
     sol = general_solution(setup.g, res.m0, setup.m1, setup.m2, res.y0, setup.y1)
     assert abs(sol.psi(res.ytilde1)) <= 1e-11
     assert res.ytilde1 != pytest.approx(setup.y1, abs=1e-6)
-    # outgoing velocity relations
+    # outgoing velocity relations; the velocities are float triples
+    assert all(type(v) is float for v in res.v_out + res.v_in)
     v0, v1, v2 = res.v_out
     assert v2 == pytest.approx(res.ytilde1 * v1, rel=1e-12)
     assert v0 == pytest.approx(-(setup.m1 + setup.m2 * res.ytilde1) * v1 / res.m0, rel=1e-12)
-    assert res.energy == pytest.approx(0.5 * float(res.v_out @ res.v_out), rel=1e-12)
+    assert res.energy == pytest.approx(0.5 * (v0 * v0 + v1 * v1 + v2 * v2), rel=1e-12)
+    # E is the formula the Jacobian differentiates, v1_out^2 (1 + ytilde1^2 + R^2)/2
+    r = (setup.m1 + setup.m2 * res.ytilde1) / res.m0
+    assert res.energy == 0.5 * (v1 * v1 * (1.0 + res.ytilde1 * res.ytilde1 + r * r))
     # impact parameter relations: |in-plane rho| = |M2|/|v|, rho_perp = M1/v0
     speed = float(np.linalg.norm(res.v_in))
     assert res.rho_pl == pytest.approx(setup.m2 / speed)
@@ -723,7 +742,7 @@ def test_impact_parameter_jacobian_fd():
 
     def rho_components(m1, m2):
         s = ScatteringSetup(setup.g, setup.y1, setup.z1, setup.v1_inf, m1, m2)
-        v = s.v_in
+        v = np.array(s.v_in)
         m_vec = np.array([s.m0, m1, m2])
         rho_vec = np.cross(v, m_vec) / float(v @ v)
         in_plane = math.hypot(rho_vec[0], rho_vec[1])
