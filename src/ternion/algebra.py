@@ -12,13 +12,32 @@ numbers with positive trisectrice component x0+x1+x2 admit a polar form
 z = rho * e^{phi1*q + phi2*q^2}, whose component functions are the Appell
 multi-sine functions implemented here.
 
-Components may also be float arrays of one shape (floats broadcast against
-them): the kernels then run elementwise, one array element per point, with
-every check applied elementwise.  numpy returns inf or nan where the scalar
-path raises, so an array kernel that meets a fault replays the faulting
-points, in order, through the scalar path, which raises the error of the
-first of them.  Array arithmetic itself follows numpy's floating-point error
-state.
+The array contract
+------------------
+This module states it once for the package; ternion.calculus, ternion.field
+and ternion.dynamics follow it.
+
+* Dispatch.  A kernel takes floats or float arrays whose shapes broadcast
+  (floats broadcast against the arrays); _lib picks math when no argument is
+  an array and numpy otherwise.  An array call runs elementwise, one element
+  per point, with every check applied elementwise, and gives for each
+  element what the float call gives for that point: bit for bit where both
+  paths do the same float arithmetic (real products and sums, ** through
+  _pow), and within a few ulp where numpy's exp, log, arctan2, ** or complex
+  product (which fuses a multiply and an add) stand in for the float path's.
+  Array arithmetic itself follows numpy's floating-point error state.
+* Faults.  numpy returns inf or nan where the float path raises, so an
+  array call that meets a fault replays the flagged points, in order, on
+  floats (_fault): the first point whose float call raises decides the
+  error, which is that call's error, type and message.
+* One point only.  Some results speak for a single point, and over many a
+  failing point would hide: calculus.check_holo_type1, check_holo_type2 and
+  conformal_jacobian raise DomainError on array components.
+
+Kernels in this module that take arrays: the Ternary and ComplexTernary
+arithmetic, cubic_form, norm_cubed, norm, singular_tolerance, inverse, bar,
+conjugates, the idempotent maps, multisine, exp, log, to_polar, from_polar
+and characteristic_matrix.
 """
 
 from __future__ import annotations
@@ -79,35 +98,49 @@ J = complex(-0.5, SQRT3 / 2.0)
 J2 = complex(-0.5, -SQRT3 / 2.0)
 
 
-def _lib(x):
-    """numpy for an array, math for a scalar."""
-    return np if isinstance(x, np.ndarray) else math
+# bound once: _lib runs on every kernel call, and the attribute lookup is a
+# third of its time
+_ndarray = np.ndarray
+
+
+def _lib(x, *more):
+    """numpy if any argument is a numpy array, else math: the one test of
+    the array contract (see the module docstring)."""
+    if isinstance(x, _ndarray):
+        return np
+    if more:  # spares the one-argument call, as psi makes it, the loop
+        for m in more:
+            if isinstance(m, _ndarray):
+                return np
+    return math
 
 
 def _pow(x, k):
     """x**k, with the bits of the float path also for the elements of an array:
     each element goes through float ** (libm's pow), since numpy's own power
     rounds a few percent of cubes and some squares differently."""
-    if isinstance(x, np.ndarray):
+    if _lib(x) is np:
         return np.fromiter((v**k for v in x.ravel().tolist()), float, x.size).reshape(x.shape)
     return x**k
 
 
-def _replay(kernel, bad, *args):
-    """Call kernel on the float arguments of each point where bad is set, in
-    order; the scalar path raises the error of the first faulting point."""
-    columns = [np.broadcast_to(a, bad.shape).ravel() for a in args]
-    for i in np.flatnonzero(bad):
+def _fault(mask, kernel, *args) -> bool:
+    """Whether a point faults by mask, the one replay of the array contract.
+
+    At a float point (neither mask nor args an array) this is mask itself.
+    Otherwise mask is broadcast against args, kernel is called on the float
+    arguments of each flagged point, in order, so the first point whose float
+    call raises raises its error, and False is returned if none does.
+    """
+    if not isinstance(mask, _ndarray):
+        if not mask or _lib(*args) is math:
+            return mask
+    elif not mask.any():
+        return False
+    mask, *columns = (a.ravel() for a in np.broadcast_arrays(mask, *args))
+    for i in np.flatnonzero(mask):
         kernel(*(float(c[i]) for c in columns))
-
-
-def _replay_non_finite(kernel, outputs, *args):
-    """_replay kernel wherever one of the array outputs is not finite."""
-    ok = np.isfinite(outputs[0])
-    for o in outputs[1:]:
-        ok = ok & np.isfinite(o)
-    if not ok.all():
-        _replay(kernel, ~ok, *args)
+    return False
 
 
 @dataclass(frozen=True)
@@ -131,21 +164,21 @@ class Ternary:
                 if not math.isfinite(c):
                     raise ValueError(f"non-finite ternary component: {c!r}")
         except TypeError:
-            arrays = [c for c in (self.x0, self.x1, self.x2) if isinstance(c, np.ndarray)]
-            if not arrays:
+            x = self.components()
+            if _lib(*x) is math:
                 raise
-            _replay_non_finite(Ternary, self.components(), *self.components())
-            for c in arrays:
-                c.flags.writeable = False
+            _fault(~(np.isfinite(x[0]) & np.isfinite(x[1]) & np.isfinite(x[2])), Ternary, *x)
+            for c in x:
+                if _lib(c) is np:
+                    c.flags.writeable = False
 
     def components(self):
         return (self.x0, self.x1, self.x2)
 
     def max_abs(self):
-        try:
-            return max(abs(self.x0), abs(self.x1), abs(self.x2))
-        except ValueError:  # arrays have no single truth value
+        if _lib(self.x0, self.x1, self.x2) is np:
             return np.maximum(np.maximum(abs(self.x0), abs(self.x1)), abs(self.x2))
+        return max(abs(self.x0), abs(self.x1), abs(self.x2))
 
     def __add__(self, other):
         return Ternary(self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
@@ -209,8 +242,8 @@ def cubic_form(u: float, v: float, w: float) -> float:
     d = w - u
     s += d * d
     c = (u + v + w) * 0.5 * s
-    if isinstance(c, np.ndarray):
-        _replay_non_finite(cubic_form, (c,), u, v, w)
+    if _lib(c) is np:
+        _fault(~np.isfinite(c), cubic_form, u, v, w)
     elif not math.isfinite(c):
         raise OverflowError(f"cubic form out of float range: {c}")
     return c
@@ -224,7 +257,7 @@ def norm_cubed(z: Ternary) -> float:
 def norm(z: Ternary) -> float:
     """Real cube root of the cubic norm (sign preserved)."""
     n = norm_cubed(z)
-    return math.copysign(abs(n) ** (1.0 / 3.0), n)
+    return _lib(n).copysign(_pow(abs(n), 1.0 / 3.0), n)
 
 
 def singular_tolerance(z: Ternary) -> float:
@@ -235,25 +268,11 @@ def singular_tolerance(z: Ternary) -> float:
     """
     m = 1.0 + z.max_abs()
     t = EPS_SINGULAR * (m * m * m)
-    if isinstance(t, np.ndarray):
-        _replay_non_finite(lambda *c: singular_tolerance(Ternary(*c)), (t,), *z.components())
+    if _lib(t) is np:
+        _fault(~np.isfinite(t), lambda *c: singular_tolerance(Ternary(*c)), *z.components())
     elif not math.isfinite(t):
         raise OverflowError(f"singular tolerance out of float range: {t}")
     return t
-
-
-def _fault(mask, kernel, point) -> bool:
-    """Whether the scalar point faults by mask.  For a point with array
-    components, kernel replays the masked points in order, so the first of
-    them raises its scalar error, and False is returned if none does.
-
-    point is a Ternary or any value type rebuilt from its components().
-    """
-    if not isinstance(mask, np.ndarray):
-        return mask
-    if mask.any():
-        _replay(lambda *c: kernel(type(point)(*c)), mask, *point.components())
-    return False
 
 
 def tilde_product(z: Ternary) -> Ternary:
@@ -270,7 +289,7 @@ def tilde_product(z: Ternary) -> Ternary:
 
 def inverse(z: Ternary) -> Ternary:
     n = norm_cubed(z)
-    if _fault(abs(n) <= singular_tolerance(z), inverse, z):
+    if _fault(abs(n) <= singular_tolerance(z), lambda *c: inverse(Ternary(*c)), *z.components()):
         raise SingularNumber(f"non-invertible: ||z||^3 = {n:.3e} for z = {z}")
     return scale(tilde_product(z), 1.0 / n)
 
@@ -278,9 +297,22 @@ def inverse(z: Ternary) -> Ternary:
 def bar(z: Ternary) -> Ternary:
     """Norm-preserving duality z -> z~ z~~ / ||z||; an involution."""
     n = norm_cubed(z)
-    if _fault(abs(n) <= singular_tolerance(z), bar, z):
+    if _fault(abs(n) <= singular_tolerance(z), lambda *c: bar(Ternary(*c)), *z.components()):
         raise SingularNumber(f"duality undefined: ||z||^3 = {n:.3e} for z = {z}")
     return scale(tilde_product(z), 1.0 / _lib(n).copysign(abs(n) ** (1.0 / 3.0), n))
+
+
+def _complex(x, c=1.0):
+    """complex(x) * c for a real x, elementwise for an array with the float
+    path's bits and signed zeros.  numpy's complex product fuses a multiply
+    and an add, which gives a product that underflows to zero the other
+    sign, so the array path spells the product out in real arithmetic."""
+    if _lib(x) is math:
+        return complex(x) * c
+    out = np.empty(np.shape(x), complex)
+    out.real = x * c.real - 0.0 * c.imag
+    out.imag = x * c.imag + 0.0 * c.real
+    return out
 
 
 @dataclass(frozen=True)
@@ -293,7 +325,7 @@ class ComplexTernary:
 
     @staticmethod
     def from_real(z: Ternary) -> "ComplexTernary":
-        return ComplexTernary(complex(z.x0), complex(z.x1), complex(z.x2))
+        return ComplexTernary(*map(_complex, z.components()))
 
     def components(self):
         return (self.c0, self.c1, self.c2)
@@ -305,7 +337,8 @@ class ComplexTernary:
         return Ternary(self.c0.imag, self.c1.imag, self.c2.imag)
 
     def max_imag(self) -> float:
-        return max(abs(self.c0.imag), abs(self.c1.imag), abs(self.c2.imag))
+        i0, i1, i2 = abs(self.c0.imag), abs(self.c1.imag), abs(self.c2.imag)
+        return np.maximum(np.maximum(i0, i1), i2) if _lib(i0, i1, i2) is np else max(i0, i1, i2)
 
     def __add__(self, other):
         return ComplexTernary(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
@@ -332,8 +365,9 @@ def conjugates(z: Ternary) -> tuple[ComplexTernary, ComplexTernary]:
     z~  = x0 + x1*j*q   + x2*j^2*q^2
     z~~ = x0 + x1*j^2*q + x2*j*q^2
     """
-    zt = ComplexTernary(complex(z.x0), z.x1 * J, z.x2 * J2)
-    ztt = ComplexTernary(complex(z.x0), z.x1 * J2, z.x2 * J)
+    x0 = _complex(z.x0)
+    zt = ComplexTernary(x0, _complex(z.x1, J), _complex(z.x2, J2))
+    ztt = ComplexTernary(x0, _complex(z.x1, J2), _complex(z.x2, J))
     return zt, ztt
 
 
@@ -387,7 +421,7 @@ def multisine(k: int, phi1: float, phi2: float) -> float:
     m = _lib(s)
     out = (m.exp(s) + 2.0 * m.exp(-0.5 * s) * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0
     if m is np:  # math.exp overflows and math.cos(inf) raise
-        _replay_non_finite(lambda a, b: multisine(k, a, b), (out,), phi1, phi2)
+        _fault(~np.isfinite(out), lambda a, b: multisine(k, a, b), phi1, phi2)
     return out
 
 
@@ -410,7 +444,8 @@ def exp(z: Ternary) -> Ternary:
         (big + small * m.cos(psi - 4.0 * math.pi / 3.0)) / 3.0,
     )
     if m is np:
-        _replay_non_finite(lambda *c: exp(Ternary(*c)), x, *z.components())
+        ok = np.isfinite(x[0]) & np.isfinite(x[1]) & np.isfinite(x[2])
+        _fault(~ok, lambda *c: exp(Ternary(*c)), *z.components())
     return Ternary(*x)
 
 
@@ -418,19 +453,13 @@ def _log_parts(z: Ternary) -> tuple[float, float, float]:
     """(ln rho, phi, theta) for admissible z; theta reduced into [0, period)."""
     n = norm_cubed(z)
     k = z.x0 + z.x1 + z.x2
-    if isinstance(n, np.ndarray):
-        bad = (abs(n) <= singular_tolerance(z)) | (n <= 0.0) | (k <= 0.0)
-        if bad.any():
-            _replay(lambda *c: _log_parts(Ternary(*c)), bad, *z.components())
-        m, atan2 = np, np.arctan2
-    else:
-        if abs(n) <= singular_tolerance(z):
+    singular = abs(n) <= singular_tolerance(z)
+    if _fault(singular | (n <= 0.0) | (k <= 0.0), lambda *c: _log_parts(Ternary(*c)), *z.components()):
+        if singular:
             raise SingularNumber(f"log undefined on the singular set: ||z||^3 = {n:.3e}")
-        if n <= 0.0 or k <= 0.0:
-            raise DomainError(
-                f"log requires ||z||^3 > 0 and x0+x1+x2 > 0, got {n:.3e} and {k:.3e}"
-            )
-        m, atan2 = math, math.atan2
+        raise DomainError(f"log requires ||z||^3 > 0 and x0+x1+x2 > 0, got {n:.3e} and {k:.3e}")
+    m = _lib(n)
+    atan2 = np.arctan2 if m is np else math.atan2
     ln_rho = m.log(n) / 3.0
     phi = 0.5 * (m.log(k) - ln_rho)
     psi = atan2(SQRT3 * (z.x1 - z.x2), 2.0 * z.x0 - z.x1 - z.x2)
@@ -472,20 +501,18 @@ class PolarForm:
                 raise ValueError("non-finite polar angle")
         except TypeError:
             args = (self.rho, self.phi1, self.phi2)
-            if not any(isinstance(c, np.ndarray) for c in args):
+            if _lib(*args) is math:
                 raise
             ok = np.isfinite(self.rho) & (self.rho > 0.0) & np.isfinite(self.phi1) & np.isfinite(self.phi2)
-            if not ok.all():
-                _replay(PolarForm, ~ok, *args)
+            _fault(~ok, PolarForm, *args)
 
     @property
     def theta(self) -> float:
         """Compact angle (phi1-phi2)/2 reduced into [0, 2 pi/sqrt3)."""
         t = 0.5 * (self.phi1 - self.phi2)
-        try:
-            t = math.fmod(t, THETA_PERIOD)
-        except TypeError:  # array angles; fmod is exact, so the bits agree
-            t = np.fmod(t, THETA_PERIOD)
+        m = _lib(t)
+        t = m.fmod(t, THETA_PERIOD)  # fmod is exact, so arrays keep the float bits
+        if m is np:
             return np.where(t < 0.0, t + THETA_PERIOD, t)
         if t < 0.0:
             t += THETA_PERIOD
@@ -500,10 +527,7 @@ class PolarForm:
 def to_polar(z: Ternary) -> PolarForm:
     """Polar form of z; same domain as log, theta canonicalized."""
     ln_rho, phi, theta = _log_parts(z)
-    try:
-        rho = math.exp(ln_rho)
-    except TypeError:  # array components
-        rho = np.exp(ln_rho)
+    rho = _lib(ln_rho).exp(ln_rho)
     return PolarForm(rho, phi + theta, phi - theta)
 
 

@@ -15,6 +15,11 @@ All derivative checks are numerical (central differences, two step sizes);
 all integrals are adaptive Gauss-Kronrod (see ternion.quadrature).  The form
 integrals evaluate their integrand once per quadrature cell: fields, curves
 and patches get the cell's nodes as arrays and run elementwise.
+
+The derivative kernels (wirtinger_partials, ternary_laplacian and the
+partials below them) follow the array contract of ternion.algebra: a point
+with array components runs every point's stencil in one evaluation.  The
+holomorphy checks and conformal_jacobian take one point.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as ta
-from .algebra import ComplexTernary, Ternary, J, J2, Q, Q2, mul
+from .algebra import ComplexTernary, Ternary, J, J2, Q, Q2, _fault, _lib, _pow, mul
 from .errors import (
     DomainError,
     NotHolomorphic,
@@ -92,47 +97,26 @@ class TernaryField:
         return f"TernaryField({self.name})"
 
 
-def _is_array(values) -> bool:
-    return any(isinstance(v, np.ndarray) for v in values)
+def _on_stencil(fun, points) -> np.ndarray:
+    """fun at every stencil point, as one array with fun's components first
+    and the stencil points last: v[..., k] is fun(points[k]).
 
-
-def _first_fault(kernel, *args):
-    """If any of args is an array, call kernel on the float arguments of every
-    point, in order, so the first point whose scalar evaluation faults raises
-    its error."""
-    if _is_array(args):
-        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-        ta._replay(kernel, np.ones(shape, dtype=bool), *args)
-
-
-def _part(value, k):
-    """The k-th stencil point's part of a value computed on stacked points:
-    arrays are split along their last axis, sequences entry by entry."""
-    if isinstance(value, np.ndarray):
-        return value[..., k]
-    if isinstance(value, (tuple, list)):
-        return [_part(v, k) for v in value]
-    return value
-
-
-def _on_stencil(fun, points, arrays: bool) -> list:
-    """[fun(c) for c in points], for stencil points c given as coordinate lists.
-
-    Points with array coordinates (arrays set) are stacked along a new last
-    axis, so fun runs once on all of them, and its value is split back into
-    one part per point (see _part).
+    fun takes a coordinate list and returns a sequence of components.  Float
+    points are evaluated one by one; points with array coordinates are
+    stacked along a new last axis, so fun runs once on all of them, and each
+    component is broadcast to the stacked shape.
     """
-    if not arrays:
-        return [fun(c) for c in points]
-    shape = np.broadcast_shapes(*(np.shape(x) for c in points for x in c)) + (len(points),)
+    coords = [x for c in points for x in c]
+    if _lib(*coords) is math:
+        return np.moveaxis(np.array([fun(c) for c in points]), 0, -1)
+    shape = np.broadcast_shapes(*map(np.shape, coords)) + (len(points),)
     stacked = []
     for i in range(len(points[0])):
         coordinate = np.empty(shape)
         for k, c in enumerate(points):
             coordinate[..., k] = c[i]
         stacked.append(coordinate)
-    values = fun(stacked)
-    return [_part(values, k) for k in range(len(points))]
+    return np.array([np.broadcast_to(v, np.broadcast_shapes(np.shape(v), shape)) for v in fun(stacked)])
 
 
 def _partials(fun, coords, steps) -> np.ndarray:
@@ -141,10 +125,8 @@ def _partials(fun, coords, steps) -> np.ndarray:
 
     fun takes a list of coordinates and returns a sequence of components.
     Coordinates and steps may be arrays whose shapes broadcast: fun then runs
-    once, on the stencils of all points stacked along a last axis (see
-    _on_stencil), and each m[i, j] is the array of the points' partials.  A
-    numerical fault raises the scalar error of the first point whose stencil
-    faults.
+    once, on the stencils of all points (see _on_stencil), and each m[i, j]
+    is the array of the points' partials.
     """
     points = []
     for j, h in enumerate(steps):
@@ -154,29 +136,19 @@ def _partials(fun, coords, steps) -> np.ndarray:
         dn[j] = dn[j] - h
         points += [up, dn]
     try:
-        values = _on_stencil(fun, points, _is_array((*coords, *steps)))
+        v = _on_stencil(fun, points)
     except (TernionError, ArithmeticError, ValueError):
         k = len(coords)
-        _first_fault(lambda *c: _partials(fun, c[:k], c[k:]), *coords, *steps)
+        _fault(True, lambda *c: _partials(fun, c[:k], c[k:]), *coords, *steps)
         raise
-    columns = [
-        [(a - b) / (2.0 * h) for a, b in zip(values[2 * j], values[2 * j + 1])]
-        for j, h in enumerate(steps)
-    ]
-    try:
-        m = np.array(columns)
-    except ValueError:  # float and array entries: broadcast them
-        entries = np.broadcast_arrays(*(d for col in columns for d in col))
-        m = np.reshape(entries, (len(columns), -1) + entries[0].shape)
-    return m.swapaxes(0, 1)
+    return np.stack([(v[..., 2 * j] - v[..., 2 * j + 1]) / (2.0 * h) for j, h in enumerate(steps)], axis=1)
 
 
 def _checked_partials(F, p: Ternary) -> np.ndarray:
     """Component partials d f_i / d x_j with a two-step consistency check.
 
-    For a p with array components, each m[i, j] is an array, and the first
-    point whose scalar evaluation fails, by a numerical fault or by the
-    check, raises its scalar error.
+    For a p with array components, each m[i, j] is an array; a point that
+    fails the check counts as a fault, in point order with the others.
     """
     h = _FD1 * (1.0 + p.max_abs())
 
@@ -189,13 +161,13 @@ def _checked_partials(F, p: Ternary) -> np.ndarray:
         coarse = _partials(components, x, (2.0 * h, 2.0 * h, 2.0 * h))
     except (TernionError, ArithmeticError, ValueError):
         # a point before the faulting one may fail the check below first
-        _first_fault(lambda *c: _checked_partials(F, Ternary(*c)), *x)
+        _fault(True, lambda *c: _checked_partials(F, Ternary(*c)), *x)
         raise
     scale = 1.0 + np.max(np.abs(fine), axis=(0, 1))
-    if ta._fault(
+    if _fault(
         np.max(np.abs(fine - coarse), axis=(0, 1)) > EPS_FD * scale,
-        lambda z: _checked_partials(F, z),
-        p,
+        lambda *c: _checked_partials(F, Ternary(*c)),
+        *x,
     ):
         raise NumericalBreakdown(
             f"finite differences of {F!r} disagree across steps at {p}"
@@ -234,7 +206,7 @@ def wirtinger_partials(F, p: Ternary):
 def _one_point(check, p: Ternary):
     """Reject a p with array components: a report's maxima and pass flag
     speak for one point, and over many a failing point would hide."""
-    if _is_array(p.components()):
+    if _lib(*p.components()) is np:
         raise DomainError(f"{check} checks one point; got a Ternary with array components")
 
 
@@ -370,9 +342,8 @@ def ternary_laplacian(f, p: Ternary) -> float:
 
     f is a scalar callable of Ternary.  Third-order central differences with
     h ~ eps^(1/5) scaled by the point magnitude.  For a p with array
-    components, f runs once, on the 20-point stencils of all points stacked
-    along a last axis, and the result is an array; a numerical fault raises
-    the scalar error of the first point whose stencil faults.
+    components, f runs once, on the 20-point stencils of all points, and
+    the result is an array.
     """
     h = _FD3 * (1.0 + p.max_abs())
     x = p.components()
@@ -384,17 +355,17 @@ def ternary_laplacian(f, p: Ternary) -> float:
             points.append(c)
     points += [[x[0] + s0 * h, x[1] + s1 * h, x[2] + s2 * h] for s0, s1, s2 in _CORNERS]
     try:
-        v = _on_stencil(lambda c: f(Ternary(*c)), points, _is_array(x))
+        v = _on_stencil(lambda c: (f(Ternary(*c)),), points)[0]
     except (TernionError, ArithmeticError, ValueError):
-        _first_fault(lambda *c: ternary_laplacian(f, Ternary(*c)), *x)
+        _fault(True, lambda *c: ternary_laplacian(f, Ternary(*c)), *x)
         raise
-    h3 = ta._pow(h, 3)
+    h3 = _pow(h, 3)
     total = 0.0
-    for a in (v[0:4], v[4:8], v[8:12]):
-        total += (a[0] - 2.0 * a[1] + 2.0 * a[2] - a[3]) / (2.0 * h3)
+    for k in (0, 4, 8):
+        total += (v[..., k] - 2.0 * v[..., k + 1] + 2.0 * v[..., k + 2] - v[..., k + 3]) / (2.0 * h3)
     mixed = 0.0
-    for (s0, s1, s2), fq in zip(_CORNERS, v[12:]):
-        mixed += s0 * s1 * s2 * fq
+    for k, (s0, s1, s2) in enumerate(_CORNERS, 12):
+        mixed += s0 * s1 * s2 * v[..., k]
     total -= 3.0 * mixed / (8.0 * h3)
     return total
 
@@ -596,8 +567,10 @@ def conformal_jacobian(F, p: Ternary) -> float:
     """Jacobian determinant of (f0, f1, f2) at p for a type-1 holomorphic F.
 
     Equals the cubic norm of dF/dz; raises NotHolomorphic when the type-1
-    residuals at p exceed EPS_FD.
+    residuals at p exceed EPS_FD.  p is one point: array components raise
+    DomainError.
     """
+    _one_point("conformal_jacobian", p)
     report = check_holo_type1(F, p)
     if not report.passed:
         raise NotHolomorphic(

@@ -5,7 +5,9 @@ their config; simulation and scattering emit CSV plus a JSON manifest
 recording every tolerance, so rerun from the manifest reproduces the bytes.
 Exit codes: 0 success, 1 failed properties, singular stop or numerical
 failure, 2 bad usage, config or unwritable output, 3 scatter grid entirely
-failed.
+failed.  A simulation stopped by the singular-approach guard or a step
+failure still writes its CSV up to the last accepted step and its manifest,
+with status singular-stop or step-failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import calculus as tc
 from . import dynamics as td
 from .algebra import Ternary
 from .config import ConfigError, FormConfig, load_config, write_manifest
-from .errors import SingularApproach, TernionError
+from .errors import SingularApproach, StepFailure, TernionError
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -78,13 +80,17 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--compare-closed-form needs a planar config")
 
     sol, s0, t_end = _simulate_run(cfg)
-    status = "ok"
+    # both stops carry the trajectory up to the last accepted step, which
+    # is written before the exit code reports the stop
+    status, failure = "ok", None
     try:
         traj = td.integrate(s0, cfg.g, t_end, tol=cfg.tol, max_step=cfg.max_step)
     except SingularApproach as exc:
-        traj = exc.trajectory
-        status = "singular-stop"
+        traj, status = exc.trajectory, "singular-stop"
         print(f"singular approach: {exc}", file=sys.stderr)
+    except StepFailure as exc:
+        traj, status, failure = exc.trajectory, "step-failure", f"StepFailure: {exc}"
+        print(failure, file=sys.stderr)
 
     extra, max_dev = None, 0.0
     if args.compare_closed_form:
@@ -114,8 +120,10 @@ def _cmd_simulate(args) -> int:
             extras["closed_form_max_rel_dev"] = max_dev
         if status == "singular-stop":
             extras["truncated"] = "stopped at the singular-approach guard"
+        if failure is not None:
+            extras["message"] = failure
         write_manifest(args.manifest, "simulate", cfg, {"trajectory_csv": args.out}, status, extras)
-    if status == "singular-stop" and not args.allow_singular_stop:
+    if failure is not None or (status == "singular-stop" and not args.allow_singular_stop):
         return 1
     return 0
 

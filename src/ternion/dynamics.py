@@ -12,6 +12,10 @@ by a transcendental equation.  This module provides the direct adaptive
 integrator (with a conserved-quantity ledger and a singular-approach guard),
 the closed-form solutions, the asymptote solver, and the scattering map with
 its cross-section Jacobian, differentiated implicitly from the closed forms.
+
+The closed-form kernels that the time quadratures batch, psi and the planar
+kernel, also take float arrays of slopes, by the array contract of
+ternion.algebra.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _lib, _pow, _replay
+from .algebra import _fault, _lib, _pow
 from .errors import (
     DomainError,
     JacobianSingular,
@@ -48,7 +52,6 @@ __all__ = [
     "TRAJECTORY_HEADER",
     "SCATTER_HEADER",
     "angular_momentum",
-    "newton_rhs",
     "integrate",
     "planar_solution",
     "asymptote_solve",
@@ -169,11 +172,6 @@ def _accel(l, r1, r2, g):
         raise OnSingularSet(f"state at (l, r1, r2) = ({l}, {r1}, {r2})")
     lr = l * rsq
     return (-g / rsq, -g * r1 / lr, -g * r2 / lr)
-
-
-def newton_rhs(s: MonopoleState, g: float) -> np.ndarray:
-    """Acceleration of the monopole at the state's position."""
-    return np.array(_accel(s.l, s.r1, s.r2, g))
 
 
 # Dormand-Prince 5(4) tableau, zero entries left out.  Row 7 holds the
@@ -625,9 +623,6 @@ class GeneralSolution(_Coefficients):
         """Exact antiderivative of v1/g (base point y0 in the logs), at a
         float slope, or elementwise on a float array of slopes with m = np
         (psi picks m by algebra._lib, so floats pay for no type check here).
-
-        On an array, the slopes that fail a check replay the float path in
-        order, so the first of them raises its scalar error.
         """
         if m is np:
             w, wbar, clog = y - 1j, y + 1j, np.log
@@ -643,9 +638,7 @@ class GeneralSolution(_Coefficients):
             num = self.m1 + self.m2 * y
             ratio = num / self._den
         if m is np:
-            bad = residue | (ratio <= 0.0)
-            if bad.any():
-                _replay(self._antiderivative, bad, y)
+            _fault(residue | (ratio <= 0.0), self._antiderivative, y)
         elif residue:
             raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in psi({y})")
         elif ratio <= 0.0:
@@ -694,7 +687,7 @@ class GeneralSolution(_Coefficients):
         elif self.pole is not None and ((y - self.pole) * (self.y1 - self.pole) <= 0.0).any():
             # psi replays every slope in order, so the first slope whose
             # scalar psi faults raises, across the pole or otherwise
-            _replay(self.psi, np.ones(y.shape, dtype=bool), y)
+            _fault(True, self.psi, y)
         at_y = self._antiderivative(y, m)
         if self._base_term is None:
             self._base_term = self._antiderivative(self.y1)

@@ -11,12 +11,9 @@ and splits into a gradient part (of the scalar potential of the monopole
 density) plus a rotational part sourced by azimuthal currents.
 
 The kernels field_h, potential_decompose, current_density,
-vector_potential and h_cartesian, and the maps to_frame and from_frame, also
-take frame (or Ternary) components that are float arrays of shapes that
-broadcast: they run elementwise, and a vector result is an array of shape
-(3,) + the broadcast shape.  Where the float path raises at some point, the array path
-raises the same error, that of the first such point in order (see
-ternion.algebra).  Floats keep the math functions.
+vector_potential and h_cartesian, and the maps to_frame and from_frame,
+follow the array contract of ternion.algebra; a vector result at array
+components is an array of shape (3,) + their broadcast shape.
 
 to_frame and from_frame are plain float arithmetic, three products added
 left to right per component, with no BLAS call: floats and the elements of
@@ -31,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra as ta
-from .algebra import Ternary, norm_cubed
+from .algebra import Ternary, _fault, _lib, _pow, norm_cubed
 from .errors import DomainError, OnSingularSet
 
 __all__ = [
@@ -82,10 +78,7 @@ class FrameVector:
 
     @property
     def r_mag(self) -> float:
-        try:
-            return math.hypot(self.r1, self.r2)
-        except TypeError:  # array components
-            return np.hypot(self.r1, self.r2)
+        return _lib(self.r1, self.r2).hypot(self.r1, self.r2)
 
     def as_array(self) -> np.ndarray:
         return _stack(self.l, self.r1, self.r2)
@@ -93,10 +86,7 @@ class FrameVector:
 
 def _stack(*c) -> np.ndarray:
     """The values as one array of shape (len(c),) + their broadcast shape."""
-    try:
-        return np.array(c)
-    except ValueError:  # floats among arrays, or arrays of different shapes
-        return np.array(np.broadcast_arrays(*c))
+    return np.array(np.broadcast_arrays(*c) if _lib(*c) is np else c)
 
 
 def _components(x) -> tuple[float, float, float]:
@@ -111,7 +101,7 @@ def _apply(rows, a, b, c) -> tuple:
     right in float arithmetic, so floats and every element of an array get
     the same bits on every host.  Floats (numpy scalars too) give floats."""
     out = [m0 * a + m1 * b + m2 * c for m0, m1, m2 in rows]
-    return tuple(out) if getattr(out[0], "ndim", 0) else tuple(map(float, out))
+    return tuple(out) if _lib(a, b, c) is np else tuple(map(float, out))
 
 
 def to_frame(x) -> FrameVector:
@@ -129,15 +119,12 @@ def from_frame(v: FrameVector) -> Ternary:
 def _faults(v: FrameVector, r, kernel, other=False) -> bool:
     """Raise OnSingularSet if v lies within EPS_FIELD of the trisectrice (|r|
     small against 1 + |l|) or of the l = 0 plane, else return other: whether
-    v fails kernel's own domain check.
-
-    For array components, kernel replays the points that do either, in
-    order, so the first of them raises its scalar error, and False is
-    returned if none does.
+    v fails kernel's own domain check.  At array components, kernel replays
+    the points that do either (see algebra._fault).
     """
     near_axis = r <= EPS_FIELD * (1.0 + abs(v.l))
     near_plane = abs(v.l) <= EPS_FIELD
-    if not ta._fault(near_axis | near_plane | other, kernel, v):
+    if not _fault(near_axis | near_plane | other, lambda *c: kernel(FrameVector(*c)), *v.components()):
         return False
     if near_axis:
         raise OnSingularSet(f"point within {EPS_FIELD} of the trisectrice: {v}")
@@ -164,7 +151,7 @@ def potential_decompose(v: FrameVector):
     """
     r = v.r_mag
     l = v.l
-    m = np if isinstance(l, np.ndarray) or isinstance(r, np.ndarray) else math
+    m = _lib(l, r)
     big_r = m.hypot(l, r)
     if _faults(v, r, potential_decompose, big_r <= abs(l)):
         raise DomainError(f"|R| <= |l| at {v}")
@@ -175,8 +162,8 @@ def potential_decompose(v: FrameVector):
         log_ratio = -log_ratio
     phi_s = log_ratio / (2.0 * big_r)
     r2 = r * r
-    rr3 = ta._pow(big_r, 3)
-    rr2 = ta._pow(big_r, 2)
+    rr3 = _pow(big_r, 3)
+    rr2 = _pow(big_r, 2)
     h_pot = _stack(
         -l / (2.0 * rr3) * log_ratio - 1.0 / rr2,
         -v.r1 / (2.0 * rr3) * log_ratio + l * v.r1 / (r2 * rr2),
@@ -212,7 +199,7 @@ def vector_potential(v: FrameVector) -> np.ndarray:
     if _faults(v, r, vector_potential, v.l <= 0.0):
         raise DomainError(f"vector potential requires l > 0, got l = {v.l}")
     ratio = v.l / r
-    u = ta._lib(ratio).log(ratio) / (r * r)
+    u = _lib(ratio).log(ratio) / (r * r)
     return _stack(0.0, v.r2 * u, -v.r1 * u)
 
 
@@ -229,6 +216,6 @@ def cycle_point(z: Ternary) -> Ternary:
 def h_cartesian(z: Ternary) -> np.ndarray:
     """Cartesian components (H_x0, H_x1, H_x2) of H = x / ||z||^3."""
     n = norm_cubed(z)
-    if ta._fault(n == 0.0, h_cartesian, z):
+    if _fault(n == 0.0, lambda *c: h_cartesian(Ternary(*c)), *z.components()):
         raise OnSingularSet(f"cartesian field undefined on the singular set at {z}")
     return _stack(z.x0 / n, z.x1 / n, z.x2 / n)

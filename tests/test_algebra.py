@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ternion import algebra as ta
 from ternion.algebra import (
+    ComplexTernary,
     E0,
     I_UNIT,
     K0,
@@ -19,6 +20,7 @@ from ternion.algebra import (
     THETA_PERIOD,
     bar,
     characteristic_matrix,
+    conjugates,
     cubic_form,
     exp,
     from_polar,
@@ -28,6 +30,7 @@ from ternion.algebra import (
     log,
     mul,
     multisine,
+    norm,
     norm_cubed,
     scale,
     singular_tolerance,
@@ -361,6 +364,7 @@ def _t(*c):
 
 @settings(max_examples=60, deadline=None)
 @given(_columns(7))
+@example(tuple(np.array([-0.0, 0.0, -1.5, 2.0]) * s for s in (1, -1, 1, -1, 1, -1, 1)))  # signed zeros
 def test_array_arithmetic_is_bit_identical(cols):
     _matches(lambda a, b, c, d, e, f, g: scale(_t(a, b, c), g), cols)
     _matches(lambda a, b, c, d, e, f, g: mul(_t(a, b, c), _t(d, e, f)), cols)
@@ -373,17 +377,25 @@ def test_array_arithmetic_is_bit_identical(cols):
     _matches(lambda a, b, c, *_: _t(*vars(idempotent_decompose(_t(a, b, c))).values()), cols)
     _matches(lambda a, b, c, *_: idempotent_reconstruct(ta.IdempotentCoords(a, b, c)), cols)
     _matches(lambda a, b, *_: PolarForm(1.0, a, b).theta, cols)
+    # the conjugate copies and complex components, signed zeros included
+    for k in (0, 1):
+        _matches(lambda a, b, c, *_: conjugates(_t(a, b, c))[k].real_part(), cols)
+        _matches(lambda a, b, c, *_: conjugates(_t(a, b, c))[k].imag_part(), cols)
+        _matches(lambda a, b, c, *_: conjugates(_t(a, b, c))[k].max_imag(), cols)
+    _matches(lambda a, b, c, *_: ComplexTernary.from_real(_t(a, b, c)).real_part(), cols)
+    _matches(lambda a, b, c, *_: ComplexTernary.from_real(_t(a, b, c)).imag_part(), cols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_columns(3))
 def test_array_cubic_kernels_within_2_ulp_per_power(cols):
     # the cubic form and the singular tolerance square and cube by products,
-    # so they, inverse and the singularity cutoff are bit-identical; bar
-    # carries its ** (the cube root) through 1/x and a product: 4 ulp (at
-    # most 3 seen on 80k random points)
+    # so they, inverse and the singularity cutoff are bit-identical, and norm
+    # takes its cube root through float **; bar carries numpy's ** through
+    # 1/x and a product: 4 ulp (at most 3 seen on 80k random points)
     _matches(cubic_form, cols)
     _matches(lambda a, b, c: norm_cubed(_t(a, b, c)), cols)
+    _matches(lambda a, b, c: norm(_t(a, b, c)), cols)
     _matches(lambda a, b, c: inverse(_t(a, b, c)), cols)
     _matches(lambda a, b, c: singular_tolerance(_t(a, b, c)), cols)
     _matches(lambda a, b, c: bar(_t(a, b, c)), cols, 4.0)
@@ -494,6 +506,8 @@ def test_broadcast_components_match_the_scalar_path():
     check(lambda a, b, c: _t(*vars(idempotent_decompose(_t(a, b, c))).values()))
     check(lambda a, b, c: PolarForm(a, b, c).theta)
     check(lambda a, b, c: norm_cubed(_t(a, b, c)))
+    check(lambda a, b, c: norm(_t(a, b, c)))
+    check(lambda a, b, c: conjugates(_t(a, b, c))[1].imag_part())
     check(lambda a, b, c: inverse(_t(a, b, c)))
     check(lambda a, b, c: characteristic_matrix(_t(a, b, c)))
     check(lambda a, b, c: singular_tolerance(_t(a, b, c)), 2.0)

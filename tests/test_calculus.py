@@ -119,7 +119,7 @@ def test_holo_type1_log_passes(rng):
         assert rep.passed
 
 
-@pytest.mark.parametrize("check", [check_holo_type1, check_holo_type2])
+@pytest.mark.parametrize("check", [check_holo_type1, check_holo_type2, conformal_jacobian])
 def test_holo_checks_reject_array_points(check):
     # one report for many points would let a failing point hide among
     # passing ones: x0 fails type 1 at every point, and the report of the
@@ -552,6 +552,14 @@ def _components_of(field):
     return lambda z: np.array(field(z).components())
 
 
+def _wirtinger_parts(F, p):
+    """wirtinger_partials(F, p) as one array: the components of dF/dz, then
+    the real and imaginary parts of the conjugate derivatives."""
+    dz, dzt, dztt = wirtinger_partials(F, p)
+    parts = (dz, dzt.real_part(), dzt.imag_part(), dztt.real_part(), dztt.imag_part())
+    return np.array(np.broadcast_arrays(*(c for t in parts for c in t.components())))
+
+
 def test_array_stencils_of_a_polynomial_are_bit_identical(rng):
     # the stencil points and the difference quotients are elementwise, in the
     # float path's order, and mul is exact arithmetic
@@ -559,6 +567,9 @@ def test_array_stencils_of_a_polynomial_are_bit_identical(rng):
         p = Ternary(*cols)
         want = _per_point(lambda q: _checked_partials(cube_field, q), cols)
         assert _checked_partials(cube_field, p).tobytes() == want.tobytes()
+        for field in (cube_field, x0_field):
+            want = _per_point(lambda q: _wirtinger_parts(field, q), cols)
+            assert _wirtinger_parts(field, p).tobytes() == want.tobytes()
         lap = _components_of(cube_field)
         want = _per_point(lambda q: ternary_laplacian(lap, q), cols)
         assert ternary_laplacian(lap, p).tobytes() == want.tobytes()

@@ -300,10 +300,22 @@ def test_simulate_singular_stop_exit_codes(tmp_path, capsys):
 
 
 def test_simulate_tiny_tol_exits_1_with_one_line(tmp_path, capsys):
+    # the step failure still leaves the trajectory up to the failure, here
+    # the initial state alone, and a manifest with its status and message
     cfg = write_json(tmp_path / "p.json", PLANAR_CFG)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv"), "--tol", "1e-300"]) == 1
+    full, out, manifest = tmp_path / "full.csv", tmp_path / "t.csv", tmp_path / "m.json"
+    argv = ["simulate", "--config", cfg, "--out", str(out), "--manifest", str(manifest), "--tol", "1e-300"]
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == "StepFailure: error norm overflows at t = 0.0: tol = 1e-300 is too small to resolve\n"
+    line = "StepFailure: error norm overflows at t = 0.0: tol = 1e-300 is too small to resolve"
+    assert err == line + "\n"
+    assert main(["simulate", "--config", cfg, "--out", str(full)]) == 0
+    assert out.read_text().splitlines() == full.read_text().splitlines()[:2]
+    doc = json.loads(manifest.read_text())
+    assert doc["status"] == "step-failure" and doc["message"] == line
+    assert doc["steps"] == {"accepted": 0, "rejected": 0}
+    # a step failure is no singular stop: the flag leaves the exit at 1
+    assert main([*argv, "--allow-singular-stop"]) == 1
 
 
 def test_simulate_compare_flag_needs_planar(tmp_path, capsys):

@@ -16,7 +16,6 @@ from ternion.dynamics import (
     asymptote_solve,
     general_solution,
     integrate,
-    newton_rhs,
     planar_solution,
     scattering_map,
     state_from_general,
@@ -39,6 +38,12 @@ from ternion.quadrature import adaptive_quad
 from ternion.rootfind import brent
 
 from oracles import integrate_reference, pointwise
+
+
+def newton_rhs(s: MonopoleState, g: float) -> np.ndarray:
+    """The right-hand side of Newton's equation at the state's position: the
+    integrator's acceleration -g h."""
+    return np.array(dynamics._accel(s.l, s.r1, s.r2, g))
 
 
 def test_newton_rhs_values():
