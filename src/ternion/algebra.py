@@ -124,6 +124,11 @@ def _pow(x, k):
     return x**k
 
 
+def _cbrt(n):
+    """Real cube root, sign kept, through _pow: the float path's bits on arrays too."""
+    return _lib(n).copysign(_pow(abs(n), 1.0 / 3.0), n)
+
+
 def _fault(mask, kernel, *args) -> bool:
     """Whether a point faults by mask, the one replay of the array contract.
 
@@ -256,8 +261,7 @@ def norm_cubed(z: Ternary) -> float:
 
 def norm(z: Ternary) -> float:
     """Real cube root of the cubic norm (sign preserved)."""
-    n = norm_cubed(z)
-    return _lib(n).copysign(_pow(abs(n), 1.0 / 3.0), n)
+    return _cbrt(norm_cubed(z))
 
 
 def singular_tolerance(z: Ternary) -> float:
@@ -299,7 +303,7 @@ def bar(z: Ternary) -> Ternary:
     n = norm_cubed(z)
     if _fault(abs(n) <= singular_tolerance(z), lambda *c: bar(Ternary(*c)), *z.components()):
         raise SingularNumber(f"duality undefined: ||z||^3 = {n:.3e} for z = {z}")
-    return scale(tilde_product(z), 1.0 / _lib(n).copysign(abs(n) ** (1.0 / 3.0), n))
+    return scale(tilde_product(z), 1.0 / _cbrt(n))
 
 
 def _complex(x, c=1.0):

@@ -59,6 +59,7 @@ __all__ = [
     "volume_integral_3form",
     "cubic_surface_geometry",
     "conformal_jacobian",
+    "segment",
     "trisectrice_loop",
     "cubic_band_patch",
     "polar_band_patch",
@@ -543,8 +544,7 @@ def cubic_surface_geometry(rho: float, a: float, theta: float) -> CubicSurfaceGe
     bad = np.less_equal(a, 0.0)
     if bad.any():
         raise DomainError(f"surface coordinate a must be positive, got {np.asarray(a)[bad].flat[0]}")
-    if rho <= 0.0:
-        raise DomainError(f"modulus level rho must be positive, got {rho}")
+    _positive_rho(rho)
     r = rho ** 1.5 / np.sqrt(a)
     c, s = np.cos(theta), np.sin(theta)
     point = Ternary(
@@ -581,7 +581,18 @@ def conformal_jacobian(F, p: Ternary) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Curve and surface presets
+# Curve and surface presets; each constructor rejects params outside its range
+
+
+def _positive_rho(rho: float) -> None:
+    if not rho > 0.0:
+        raise DomainError(f"modulus level rho must be positive, got {rho}")
+
+
+def segment(a: Ternary, b: Ternary) -> Curve:
+    """Straight segment from a to b, t in [0, 1], with its constant tangent."""
+    diff = b - a
+    return Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
 
 
 def trisectrice_loop(rho: float = 1.0, phi: float = 0.0) -> Curve:
@@ -590,6 +601,7 @@ def trisectrice_loop(rho: float = 1.0, phi: float = 0.0) -> Curve:
     gamma(t) = from_polar(rho, phi + t, phi - t) for t in [0, 2 pi/sqrt3);
     the tangent is gamma * (q - q^2), supplied analytically.
     """
+    _positive_rho(rho)
 
     def gamma(t):
         return ta.from_polar(ta.PolarForm(rho, phi + t, phi - t))
@@ -606,6 +618,7 @@ def cubic_band_patch(rho: float, a1: float, a2: float) -> SurfacePatch:
     Parametrized by (a, theta) with theta over a full turn; tangents are
     analytic.  Positive orientation is the (a, theta) order.
     """
+    _positive_rho(rho)
     if not (0.0 < a1 < a2):
         raise DomainError(f"need 0 < a1 < a2, got ({a1}, {a2})")
 
@@ -637,6 +650,7 @@ def polar_band_patch(rho: float, phi_lo: float, phi_hi: float) -> SurfacePatch:
     Full compact turn theta in [0, 2 pi/sqrt3), non-compact angle phi in
     [phi_lo, phi_hi]; tangents are z*(q - q^2) and z*(q + q^2).
     """
+    _positive_rho(rho)
 
     def param(theta, phi):
         return ta.from_polar(ta.PolarForm(rho, phi + theta, phi - theta))

@@ -23,7 +23,7 @@ from . import calculus as tc
 from . import dynamics as td
 from .algebra import Ternary
 from .config import ConfigError, FormConfig, load_config, write_manifest
-from .errors import SingularApproach, StepFailure, TernionError
+from .errors import DomainError, SingularApproach, StepFailure, TernionError
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -164,35 +164,26 @@ def _cmd_scatter(args) -> int:
 # integrate-form
 
 
+#: The fields by name.  Builders and fields look up ta.* and tc.* when they
+#: run, so that a function patched on its module is the one called.
 _FIELDS = {
-    "one": lambda: tc.TernaryField(lambda z: ta.ONE, name="one"),
-    "identity": lambda: tc.TernaryField(lambda z: z, name="identity"),
-    "square": lambda: tc.TernaryField(lambda z: ta.mul(z, z), name="square"),
-    "reciprocal": lambda: tc.TernaryField(ta.inverse, name="reciprocal"),
-    "inverse-conjugate": lambda: tc.TernaryField(
-        lambda z: ta.scale(z, 1.0 / ta.norm_cubed(z)), name="inverse-conjugate"
-    ),
+    "one": lambda z: ta.ONE,
+    "identity": lambda z: z,
+    "square": lambda z: ta.mul(z, z),
+    "reciprocal": lambda z: ta.inverse(z),
+    "inverse-conjugate": lambda z: ta.scale(z, 1.0 / ta.norm_cubed(z)),
 }
 
-
-def _form_domain(cfg: FormConfig):
-    """The curve, patch or box of a preset; FormConfig has checked its params."""
-    p = cfg.preset_params()
-    if cfg.preset == "trisectrice-loop":
-        return tc.trisectrice_loop(p["rho"], p["phi"])
-    if cfg.preset == "segment":
-        a = Ternary(*p["from"])
-        b = Ternary(*p["to"])
-        diff = b - a
-        return tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
-    if cfg.preset == "cubic-band":
-        return tc.cubic_band_patch(p["rho"], p["a1"], p["a2"])
-    if cfg.preset == "polar-band":
-        return tc.polar_band_patch(p["rho"], p["phi_lo"], p["phi_hi"])
-    if cfg.preset == "sphere":
-        return tc.sphere_patch(Ternary(*p["center"]), p["radius"])
-    b = p["box"]
-    return ((b[0], b[1]), (b[2], b[3]), (b[4], b[5]))
+#: Per preset of FormConfig.PRESETS, the curve, patch or box its params give;
+#: the constructors reject params outside their range with DomainError.
+_DOMAINS = {
+    "trisectrice-loop": lambda p: tc.trisectrice_loop(p["rho"], p["phi"]),
+    "segment": lambda p: tc.segment(Ternary(*p["from"]), Ternary(*p["to"])),
+    "cubic-band": lambda p: tc.cubic_band_patch(p["rho"], p["a1"], p["a2"]),
+    "polar-band": lambda p: tc.polar_band_patch(p["rho"], p["phi_lo"], p["phi_hi"]),
+    "sphere": lambda p: tc.sphere_patch(Ternary(*p["center"]), p["radius"]),
+    "box": lambda p: tuple(zip(p["box"][0::2], p["box"][1::2])),
+}
 
 
 def _numbers_flag(key, text):
@@ -202,16 +193,10 @@ def _numbers_flag(key, text):
         raise ConfigError(f"--{key} needs comma-separated numbers, got {text!r}") from None
 
 
-#: The FormConfig params integrate-form takes as flags; the last four are
-#: comma-separated numbers.
-_PARAM_FLAGS = ("rho", "phi", "a1", "a2", "phi_lo", "phi_hi", "radius", "center", "from", "to", "box")
-
-
 def _form_config(args) -> FormConfig:
     """The run's FormConfig: from --config, whose tol --tol alone may
     override, or else from KIND, --preset, --field, --tol and the param flags."""
-    given = {key: getattr(args, "from_" if key == "from" else key) for key in _PARAM_FLAGS}
-    given = {key: val for key, val in given.items() if val is not None}
+    given = {key: getattr(args, key) for key in FormConfig.PARAMS if getattr(args, key) is not None}
     flags = {"kind": args.kind, "preset": args.preset, "field_name": args.field}
     flags = {key: val for key, val in flags.items() if val is not None}
     if args.config:
@@ -221,20 +206,23 @@ def _form_config(args) -> FormConfig:
             raise ConfigError(f"--config gives every input but --tol; drop {', '.join(names)}")
         cfg = load_config(args.config, "integrate-form")
         return cfg if args.tol is None else dataclasses.replace(cfg, tol=args.tol)
-    params = {
-        key: _numbers_flag(key, val) if isinstance(val, str) else val for key, val in given.items()
-    }
+    if not (args.kind and args.preset):
+        raise ConfigError("integrate-form needs either --config or KIND and --preset")
+    params = {key: _numbers_flag(key, val) if isinstance(val, str) else val for key, val in given.items()}
     if args.tol is not None:
         flags["tol"] = args.tol
-    return FormConfig.from_dict({"params": params, **flags})
+    return FormConfig(params=params, **flags)
 
 
 def _cmd_form(args) -> int:
     cfg = _form_config(args)
     if not isinstance(cfg.field_name, str) or cfg.field_name not in _FIELDS:
         raise ConfigError(f"unknown field {cfg.field_name!r}; choose from {sorted(_FIELDS)}")
-    field = _FIELDS[cfg.field_name]()
-    domain = _form_domain(cfg)
+    field = tc.TernaryField(_FIELDS[cfg.field_name], name=cfg.field_name)
+    try:
+        domain = _DOMAINS[cfg.preset](cfg.preset_params())
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.kind == "line":
         value = tc.line_integral(field, domain, tol=cfg.tol)
     elif cfg.kind == "surface":
@@ -315,17 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset")
     p.add_argument("--field", choices=sorted(_FIELDS), help="default: inverse-conjugate")
     p.add_argument("--tol", type=float, default=None, help="default 1e-9; overrides the config tolerance")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--a1", type=float)
-    p.add_argument("--a2", type=float)
-    p.add_argument("--phi-lo", dest="phi_lo", type=float)
-    p.add_argument("--phi-hi", dest="phi_hi", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--center", help="x0,x1,x2")
-    p.add_argument("--from", dest="from_", help="x0,x1,x2")
-    p.add_argument("--to", help="x0,x1,x2")
-    p.add_argument("--box", help="x0lo,x0hi,x1lo,x1hi,x2lo,x2hi")
+    for key in FormConfig.PARAMS:  # one number, or a point or box as comma-separated text
+        size = FormConfig.VECTOR_PARAMS.get(key)
+        text = f"{size} comma-separated numbers" if size else None
+        p.add_argument("--" + key.replace("_", "-"), type=None if size else float, help=text)
     p.add_argument("--out", default="-")
     p.add_argument("--manifest")
     p.set_defaults(func=_cmd_form)
@@ -339,9 +320,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "integrate-form" and not args.config and not (args.kind and args.preset):
-        print("integrate-form needs either --config or KIND and --preset", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -156,9 +156,9 @@ def _expand_grid(spec, key) -> list[float]:
 class FormConfig:
     """Differential-form integration: a preset domain plus a field name.
 
-    kinds: line (presets: trisectrice-loop, segment), surface (cubic-band,
-    polar-band, sphere), volume (box).  Fields: one, identity, square,
-    reciprocal, inverse-conjugate.
+    PRESETS lists the presets of each kind with their params; the range of
+    a param is checked by the ternion.calculus constructor of the preset's
+    domain.
     """
 
     kind: str
@@ -182,6 +182,8 @@ class FormConfig:
         "volume": {"box": {"box": None}},
     }
     KINDS = tuple(PRESETS)
+    #: Every param of PRESETS, once, in the table's order.
+    PARAMS = tuple(dict.fromkeys(key for kind in PRESETS.values() for p in kind.values() for key in p))
     #: Params that are points or boxes, by their number of entries; every
     #: other param is one number.
     VECTOR_PARAMS = {"center": 3, "from": 3, "to": 3, "box": 6}
@@ -205,8 +207,7 @@ class FormConfig:
         for key, value in self.params.items():
             size = self.VECTOR_PARAMS.get(key)
             if size is None:
-                # a sphere of radius <= 0 would flip or zero the flux
-                _number(key, value, positive=key == "radius")
+                _number(key, value)
             elif not isinstance(value, (list, tuple)) or len(value) != size:
                 raise ConfigError(f"{key!r} must have {size} entries, got {value!r}")
             else:

@@ -390,6 +390,13 @@ def _f_planar(z, z0: float):
     return z * (_lib(z).log(abs(z / z0)) - 1.0)
 
 
+def _time_integral(f, a: float, b: float) -> float:
+    """Integral of f^-2 from a to b to TIME_TOL, the time of both closed
+    forms; f runs once per quadrature cell, on the cell's 15 nodes."""
+    val = adaptive_quad(lambda u: _pow(f(u), -2.0)[:, None], a, b, TIME_TOL)
+    return float(val[0])
+
+
 def _root_on_grid(fun, points, bound, what, missing):
     """Brent on the first sign change of fun along points; raises missing if
     the scan finds none or runs into the pole.  The root must meet |fun| <=
@@ -485,17 +492,13 @@ class PlanarSolution:
 
     def t(self, z: float) -> float:
         """Time at slope z, with t(z0) = 0; adaptive quadrature of the
-        inverse-square kernel (divergent only at the branch ends), which
-        runs once per quadrature cell, on the cell's 15 nodes."""
+        inverse-square kernel, divergent only at the branch ends."""
         self._check_branch(z)
         if z == self.z0:
             return 0.0
-
-        def kernel(u):
-            return _pow(_f_planar(u, self.z0) - self._c, -2.0)[:, None]
-
-        val = adaptive_quad(kernel, self.z0, z, TIME_TOL)
-        return -(self.m2**3 / self.g**2) * float(val[0])
+        return -(self.m2**3 / self.g**2) * _time_integral(
+            lambda u: _f_planar(u, self.z0) - self._c, self.z0, z
+        )
 
 
 def planar_solution(g: float, m2: float, z0: float, z1: float) -> PlanarSolution:
@@ -704,8 +707,7 @@ class GeneralSolution(_Coefficients):
 
         The kernel psi^(-2) has non-integrable poles at the zeros of psi, y1
         and the exit slope.  psi has the sign of psi(y0) strictly between them
-        and the other sign beyond either, so y must lie where it does.  The
-        kernel runs once per quadrature cell, on the cell's 15 nodes.
+        and the other sign beyond either, so y must lie where it does.
         """
         self._check_side(y, self.y0)
         p0, p = self.psi(self.y0), self.psi(y)
@@ -716,12 +718,7 @@ class GeneralSolution(_Coefficients):
             )
         if y == self.y0:
             return 0.0
-
-        def kernel(u):
-            return _pow(self.psi(u), -2.0)[:, None]
-
-        val = adaptive_quad(kernel, self.y0, y, TIME_TOL)
-        return (self.m0 / self.g**2) * float(val[0])
+        return (self.m0 / self.g**2) * _time_integral(self.psi, self.y0, y)
 
 
 def general_solution(g, m0, m1, m2, y0, y1) -> GeneralSolution:

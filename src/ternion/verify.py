@@ -258,8 +258,7 @@ def calculus_suite(seed: int) -> list[CheckResult]:
     out.append(_bound_check("closedness-of-holomorphic-one-form", worst, 1e-6, ce))
 
     a, b = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
-    diff = b - a
-    line = tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
+    line = tc.segment(a, b)
     bulge = Ternary(0.3, 1.1, 0.8)
     mid = ta.scale(a + b, 0.5) + bulge
 

@@ -19,6 +19,7 @@ from ternion.calculus import (
     cubic_surface_geometry,
     line_integral,
     polar_band_patch,
+    segment,
     sphere_patch,
     surface_integral_2form,
     ternary_laplacian,
@@ -287,6 +288,29 @@ def test_sphere_radius_must_be_positive():
     for radius in (-0.5, 0.0):
         with pytest.raises(DomainError, match="radius"):
             sphere_patch(Ternary(0.0, 0.0, 2.0), radius)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [trisectrice_loop, lambda rho: cubic_band_patch(rho, 1.0, 2.0), lambda rho: polar_band_patch(rho, 0.0, 0.5)],
+    ids=["trisectrice_loop", "cubic_band_patch", "polar_band_patch"],
+)
+def test_constant_modulus_presets_reject_rho_when_built(build):
+    # rejected by the constructor, before any integrand evaluation
+    for rho in (-1.0, 0.0):
+        with pytest.raises(DomainError, match=f"modulus level rho must be positive, got {rho}"):
+            build(rho)
+
+
+def test_segment_runs_from_a_to_b():
+    a, b = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
+    line = segment(a, b)
+    assert (line.t_start, line.t_end) == (0.0, 1.0)
+    assert line.gamma(0.0) == a and line.velocity(0.3) == b - a
+    assert (line.gamma(1.0) - b).max_abs() <= 1e-15
+    # the integral of 1 dz is b - a
+    got = line_integral(TernaryField(lambda z: ta.ONE), line, tol=1e-12)
+    assert (got - (b - a)).max_abs() <= 1e-14
 
 
 def test_form_integrals_hold_python_floats():

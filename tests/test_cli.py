@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -519,6 +520,10 @@ STATE_CFG = {"kind": "state", "g": 1.0, "state": [-10.0, -8.0, 0.0, 1.0, 0.5, 0.
 LOOP_CFG = {"kind": "line", "preset": "trisectrice-loop", "params": {"rho": "1"}}
 SPHERE_CFG = {"kind": "surface", "preset": "sphere", "params": {"center": [0, 0], "radius": 1.0}}
 SPHERE_AT = {"kind": "surface", "preset": "sphere", "field_name": "identity"}
+CUBIC_CFG = {"kind": "surface", "preset": "cubic-band", "params": {"rho": 1.0, "a1": 1.0, "a2": 2.0}}
+POLAR_CFG = {"kind": "surface", "preset": "polar-band", "params": {"rho": 1.0, "phi_lo": 0.0, "phi_hi": 0.5}}
+A1_RULE = "config error: need 0 < a1 < a2, got "
+RHO_RULE = "config error: modulus level rho must be positive, got "
 
 
 @pytest.mark.parametrize(
@@ -540,13 +545,13 @@ SPHERE_AT = {"kind": "surface", "preset": "sphere", "field_name": "identity"}
             "integrate-form",
             {**SPHERE_AT, "params": {"center": [0, 0, 2], "radius": -0.5}},
             [],
-            "config error: 'radius' must be > 0, got -0.5",
+            "config error: sphere radius must be positive, got -0.5",
         ),
         (
             "integrate-form",
             {**SPHERE_AT, "params": {"center": [0, 0, 2], "radius": 0}},
             [],
-            "config error: 'radius' must be > 0, got 0",
+            "config error: sphere radius must be positive, got 0",
         ),
         (
             "integrate-form",
@@ -566,6 +571,29 @@ SPHERE_AT = {"kind": "surface", "preset": "sphere", "field_name": "identity"}
             [],
             "config error: unknown field ['one']",
         ),
+        # params the preset's constructor rejects: a bad config, not a failed run
+        ("integrate-form", None, ["surface", "--preset", "cubic-band", "--a1", "0", "--a2", "1"], A1_RULE),
+        ("integrate-form", None, ["surface", "--preset", "cubic-band", "--a1", "-1", "--a2", "1"], A1_RULE),
+        ("integrate-form", None, ["surface", "--preset", "cubic-band", "--a1", "2", "--a2", "1"], A1_RULE),
+        ("integrate-form", None, ["surface", "--preset", "cubic-band", "--a1", "1", "--a2", "1"], A1_RULE),
+        ("integrate-form", {**CUBIC_CFG, "params": {"a1": 2.0, "a2": 1.0}}, [], A1_RULE),
+        ("integrate-form", None, ["line", "--preset", "trisectrice-loop", "--rho", "0"], RHO_RULE),
+        ("integrate-form", None, ["line", "--preset", "trisectrice-loop", "--rho", "-1"], RHO_RULE),
+        ("integrate-form", {**LOOP_CFG, "params": {"rho": -0.5}}, [], RHO_RULE),
+        (
+            "integrate-form",
+            None,
+            ["surface", "--preset", "cubic-band", "--rho", "0", "--a1", "1", "--a2", "2"],
+            RHO_RULE,
+        ),
+        ("integrate-form", {**CUBIC_CFG, "params": {"rho": -1.0, "a1": 1.0, "a2": 2.0}}, [], RHO_RULE),
+        (
+            "integrate-form",
+            None,
+            ["surface", "--preset", "polar-band", "--rho", "-2", "--phi-lo", "0", "--phi-hi", "1"],
+            RHO_RULE,
+        ),
+        ("integrate-form", {**POLAR_CFG, "params": {**POLAR_CFG["params"], "rho": 0.0}}, [], RHO_RULE),
     ],
     ids=[
         "tol-zero",
@@ -585,6 +613,18 @@ SPHERE_AT = {"kind": "surface", "preset": "sphere", "field_name": "identity"}
         "form-flag-not-taken",
         "form-param-not-taken",
         "form-field-list",
+        "cubic-a1-zero",
+        "cubic-a1-negative",
+        "cubic-a1-above-a2",
+        "cubic-a1-equal-a2",
+        "cubic-a1-above-a2-config",
+        "loop-rho-zero",
+        "loop-rho-negative",
+        "loop-rho-negative-config",
+        "cubic-rho-zero",
+        "cubic-rho-negative-config",
+        "polar-rho-negative",
+        "polar-rho-zero-config",
     ],
 )
 def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, cfg, flags, message):
@@ -649,7 +689,24 @@ def test_integrate_form_config_takes_only_tol(tmp_path, capsys):
 
 
 def test_integrate_form_requires_domain(capsys):
-    assert main(["integrate-form"]) == 2
+    for argv in (["integrate-form"], ["integrate-form", "line"], ["integrate-form", "--preset", "segment"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: integrate-form needs either --config or KIND and --preset\n"
+        assert captured.out == ""
+
+
+def test_param_flags_and_domains_are_the_preset_table():
+    # one table, FormConfig.PRESETS: the parser's param flags are its params
+    # and every preset has a domain builder
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    form = sub.choices["integrate-form"]
+    flags = {opt for action in form._actions for opt in action.option_strings}
+    others = {"-h", "--help", "--config", "--preset", "--field", "--tol", "--out", "--manifest"}
+    params = {key for kind in FormConfig.PRESETS.values() for takes in kind.values() for key in takes}
+    assert flags - others == {"--" + key.replace("_", "-") for key in params}
+    assert len(params) == 11 and set(FormConfig.PARAMS) == params
+    assert set(cli._DOMAINS) == {preset for kind in FormConfig.PRESETS.values() for preset in kind}
 
 
 @pytest.mark.parametrize(
