@@ -124,6 +124,14 @@ def _pow(x, k):
     return x**k
 
 
+def _max3(a, b, c):
+    """The largest of three values, elementwise for arrays.  Three floats,
+    the common case, skip the _lib call."""
+    if float is type(a) is type(b) is type(c) or _lib(a, b, c) is math:
+        return max(a, b, c)
+    return np.maximum(np.maximum(a, b), c)
+
+
 def _cbrt(n):
     """Real cube root, sign kept, through _pow: the float path's bits on arrays too."""
     return _lib(n).copysign(_pow(abs(n), 1.0 / 3.0), n)
@@ -181,9 +189,7 @@ class Ternary:
         return (self.x0, self.x1, self.x2)
 
     def max_abs(self):
-        if _lib(self.x0, self.x1, self.x2) is np:
-            return np.maximum(np.maximum(abs(self.x0), abs(self.x1)), abs(self.x2))
-        return max(abs(self.x0), abs(self.x1), abs(self.x2))
+        return _max3(abs(self.x0), abs(self.x1), abs(self.x2))
 
     def __add__(self, other):
         return Ternary(self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
@@ -341,8 +347,7 @@ class ComplexTernary:
         return Ternary(self.c0.imag, self.c1.imag, self.c2.imag)
 
     def max_imag(self) -> float:
-        i0, i1, i2 = abs(self.c0.imag), abs(self.c1.imag), abs(self.c2.imag)
-        return np.maximum(np.maximum(i0, i1), i2) if _lib(i0, i1, i2) is np else max(i0, i1, i2)
+        return _max3(abs(self.c0.imag), abs(self.c1.imag), abs(self.c2.imag))
 
     def __add__(self, other):
         return ComplexTernary(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
@@ -420,12 +425,22 @@ def multisine(k: int, phi1: float, phi2: float) -> float:
     """
     if k not in (0, 1, 2):
         raise ValueError(f"multisine index must be 0, 1 or 2, got {k}")
+    return _multisines(phi1, phi2)[k]
+
+
+def _multisines(phi1, phi2):
+    """(m0, m1, m2) at (phi1, phi2), the one kernel of multisine and
+    from_polar: both exponentials are formed once, and each m_k is the
+    expression (big + small cos(psi - 2 pi k/3)) / 3 of the docstring above."""
     s = phi1 + phi2
     psi = (SQRT3 / 2.0) * (phi1 - phi2)
     m = _lib(s)
-    out = (m.exp(s) + 2.0 * m.exp(-0.5 * s) * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0
+    big = m.exp(s)
+    small = 2.0 * m.exp(-0.5 * s)
+    out = tuple((big + small * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0 for k in (0, 1, 2))
     if m is np:  # math.exp overflows and math.cos(inf) raise
-        _fault(~np.isfinite(out), lambda a, b: multisine(k, a, b), phi1, phi2)
+        ok = np.isfinite(out[0]) & np.isfinite(out[1]) & np.isfinite(out[2])
+        _fault(~ok, _multisines, phi1, phi2)
     return out
 
 
@@ -537,11 +552,8 @@ def to_polar(z: Ternary) -> PolarForm:
 
 def from_polar(p: PolarForm) -> Ternary:
     """x_k = rho * m_k(phi1, phi2)."""
-    return Ternary(
-        p.rho * multisine(0, p.phi1, p.phi2),
-        p.rho * multisine(1, p.phi1, p.phi2),
-        p.rho * multisine(2, p.phi1, p.phi2),
-    )
+    m0, m1, m2 = _multisines(p.phi1, p.phi2)
+    return Ternary(p.rho * m0, p.rho * m1, p.rho * m2)
 
 
 def characteristic_matrix(z: Ternary) -> np.ndarray:

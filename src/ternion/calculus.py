@@ -374,6 +374,8 @@ def ternary_laplacian(f, p: Ternary) -> float:
 class Curve:
     """Parametrized curve gamma: [t_start, t_end] -> R^3 (values are Ternary).
 
+    derivative (optional) is called as derivative(t, z) with the point
+    z = gamma(t) already evaluated, and returns the tangent gamma'(t).
     line_integral calls gamma and derivative on a read-only array of
     parameters and reads the Ternary they return elementwise; write them with
     ternion.algebra operations or numpy ufuncs, as for TernaryField.
@@ -392,9 +394,10 @@ class Curve:
         gap = (a - b).max_abs()
         return gap <= EPS_GEO * (1.0 + a.max_abs())
 
-    def velocity(self, t: float) -> Ternary:
+    def velocity(self, t: float, z: Ternary) -> Ternary:
+        """gamma'(t), given z = gamma(t); the central difference ignores z."""
         if self.derivative is not None:
-            return self.derivative(t)
+            return self.derivative(t, z)
         h = _FD1 * (1.0 + abs(t))
         return ta.scale(self.gamma(t + h) - self.gamma(t - h), 1.0 / (2.0 * h))
 
@@ -432,7 +435,8 @@ def line_integral(F, curve: Curve, tol: float = DEFAULT_TOL) -> Ternary:
 
     @_batched
     def integrand(t):
-        return mul(F(curve.gamma(t)), curve.velocity(t)).components()
+        z = curve.gamma(t)
+        return mul(F(z), curve.velocity(t, z)).components()
 
     value = adaptive_quad(integrand, curve.t_start, curve.t_end, tol)
     return Ternary(*value.tolist())
@@ -442,7 +446,9 @@ class SurfacePatch:
     """Surface patch g(u, v) over a rectangle, with an orientation sign.
 
     Positive orientation is the (du, dv) order of the parametrization.
-    partials (optional) returns the pair of tangent Ternary vectors.
+    partials (optional) is called as partials(u, v, x) with the point
+    x = param(u, v) already evaluated, and returns the pair of tangent
+    Ternary vectors.
     surface_integral_2form calls param and partials on read-only arrays of
     (u, v) nodes and reads the Ternary values elementwise; write them with
     ternion.algebra operations or numpy ufuncs, as for TernaryField.
@@ -457,9 +463,10 @@ class SurfacePatch:
         self.orientation = orientation
         self.partials = partials
 
-    def tangents(self, u, v):
+    def tangents(self, u, v, x: Ternary):
+        """(dg/du, dg/dv), given x = param(u, v); the central differences ignore x."""
         if self.partials is not None:
-            return self.partials(u, v)
+            return self.partials(u, v, x)
         hu = _FD1 * (1.0 + abs(u))
         hv = _FD1 * (1.0 + abs(v))
         du = ta.scale(self.param(u + hu, v) - self.param(u - hu, v), 1.0 / (2.0 * hu))
@@ -481,7 +488,7 @@ def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL) -
     @_batched
     def integrand(u, v):
         x = patch.param(u, v)
-        du, dv = patch.tangents(u, v)
+        du, dv = patch.tangents(u, v, x)
         j12 = du.x1 * dv.x2 - du.x2 * dv.x1
         j20 = du.x2 * dv.x0 - du.x0 * dv.x2
         j01 = du.x0 * dv.x1 - du.x1 * dv.x0
@@ -532,15 +539,10 @@ class CubicSurfaceGeometry:
     jacobians: tuple[float, float, float]  # (J12, J20, J01) in (a, theta) order
 
 
-def cubic_surface_geometry(rho: float, a: float, theta: float) -> CubicSurfaceGeometry:
-    """Evaluate the standard parametrization of the cubic surface at (a, theta).
-
-    a and theta may be arrays of one shape; the fields then hold arrays.
-    Returns the surface point, the induced-metric coefficients
-    ((1/3)(2 + 4 rho^6/r^6), (2/3) r^2), the curvature -12 a^4/(4a^3+rho^3)^2,
-    and the pullback Jacobians (J12, J20, J01) whose cubic combination
-    satisfies the ternary Pythagorean identity rho^6/(3 sqrt3 a^3).
-    """
+def _cubic_surface_point(rho: float, a: float, theta: float):
+    """(point, r, cos theta, sin theta) of the cubic surface's parametrization
+    at (a, theta): the one point formula, for cubic_surface_geometry and
+    cubic_band_patch.  a must be positive and rho too (DomainError)."""
     bad = np.less_equal(a, 0.0)
     if bad.any():
         raise DomainError(f"surface coordinate a must be positive, got {np.asarray(a)[bad].flat[0]}")
@@ -552,6 +554,19 @@ def cubic_surface_geometry(rho: float, a: float, theta: float) -> CubicSurfaceGe
         (a + r * (c + math.sqrt(3.0) * s)) / 3.0,
         (a + r * (c - math.sqrt(3.0) * s)) / 3.0,
     )
+    return point, r, c, s
+
+
+def cubic_surface_geometry(rho: float, a: float, theta: float) -> CubicSurfaceGeometry:
+    """Evaluate the standard parametrization of the cubic surface at (a, theta).
+
+    a and theta may be arrays of one shape; the fields then hold arrays.
+    Returns the surface point, the induced-metric coefficients
+    ((1/3)(2 + 4 rho^6/r^6), (2/3) r^2), the curvature -12 a^4/(4a^3+rho^3)^2,
+    and the pullback Jacobians (J12, J20, J01) whose cubic combination
+    satisfies the ternary Pythagorean identity rho^6/(3 sqrt3 a^3).
+    """
+    point, r, c, s = _cubic_surface_point(rho, a, theta)
     metric_r = (2.0 + 4.0 * rho**6 / r**6) / 3.0
     metric_theta = 2.0 * r**2 / 3.0
     gauss = -12.0 * a**4 / (4.0 * a**3 + rho**3) ** 2
@@ -584,6 +599,12 @@ def conformal_jacobian(F, p: Ternary) -> float:
 # Curve and surface presets; each constructor rejects params outside its range
 
 
+# the loop's and the polar band's tangent factors: d/dtheta and d/dphi of
+# e^{(phi + theta) q + (phi - theta) q^2} are the point times these
+_Q_MINUS_Q2 = Q - Q2
+_Q_PLUS_Q2 = Q + Q2
+
+
 def _positive_rho(rho: float) -> None:
     if not rho > 0.0:
         raise DomainError(f"modulus level rho must be positive, got {rho}")
@@ -592,24 +613,21 @@ def _positive_rho(rho: float) -> None:
 def segment(a: Ternary, b: Ternary) -> Curve:
     """Straight segment from a to b, t in [0, 1], with its constant tangent."""
     diff = b - a
-    return Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
+    return Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t, z: diff)
 
 
 def trisectrice_loop(rho: float = 1.0, phi: float = 0.0) -> Curve:
     """Closed loop of constant modulus winding once around the trisectrice.
 
     gamma(t) = from_polar(rho, phi + t, phi - t) for t in [0, 2 pi/sqrt3);
-    the tangent is gamma * (q - q^2), supplied analytically.
+    the tangent is gamma * (q - q^2), supplied analytically from the point.
     """
     _positive_rho(rho)
 
     def gamma(t):
         return ta.from_polar(ta.PolarForm(rho, phi + t, phi - t))
 
-    def velocity(t):
-        return mul(gamma(t), Ternary(0.0, 1.0, -1.0))
-
-    return Curve(gamma, 0.0, ta.THETA_PERIOD, derivative=velocity)
+    return Curve(gamma, 0.0, ta.THETA_PERIOD, derivative=lambda t, z: mul(z, _Q_MINUS_Q2))
 
 
 def cubic_band_patch(rho: float, a1: float, a2: float) -> SurfacePatch:
@@ -623,9 +641,9 @@ def cubic_band_patch(rho: float, a1: float, a2: float) -> SurfacePatch:
         raise DomainError(f"need 0 < a1 < a2, got ({a1}, {a2})")
 
     def param(a, theta):
-        return cubic_surface_geometry(rho, a, theta).point
+        return _cubic_surface_point(rho, a, theta)[0]
 
-    def partials(a, theta):
+    def partials(a, theta, x):
         r = rho**1.5 / np.sqrt(a)
         c, s = np.cos(theta), np.sin(theta)
         s3 = math.sqrt(3.0)
@@ -648,16 +666,18 @@ def polar_band_patch(rho: float, phi_lo: float, phi_hi: float) -> SurfacePatch:
     """Constant-modulus band in polar coordinates (theta, phi).
 
     Full compact turn theta in [0, 2 pi/sqrt3), non-compact angle phi in
-    [phi_lo, phi_hi]; tangents are z*(q - q^2) and z*(q + q^2).
+    [phi_lo, phi_hi] with phi_lo < phi_hi; tangents are z*(q - q^2) and
+    z*(q + q^2), from the point z.
     """
     _positive_rho(rho)
+    if not phi_lo < phi_hi:
+        raise DomainError(f"need phi_lo < phi_hi, got ({phi_lo}, {phi_hi})")
 
     def param(theta, phi):
         return ta.from_polar(ta.PolarForm(rho, phi + theta, phi - theta))
 
-    def partials(theta, phi):
-        z = param(theta, phi)
-        return mul(z, Ternary(0.0, 1.0, -1.0)), mul(z, Ternary(0.0, 1.0, 1.0))
+    def partials(theta, phi, z):
+        return mul(z, _Q_MINUS_Q2), mul(z, _Q_PLUS_Q2)
 
     return SurfacePatch(param, (0.0, ta.THETA_PERIOD), (phi_lo, phi_hi), partials=partials)
 
@@ -675,7 +695,7 @@ def sphere_patch(center: Ternary, radius: float) -> SurfacePatch:
             center.x2 + radius * np.cos(u),
         )
 
-    def partials(u, v):
+    def partials(u, v, x):
         su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
         du = Ternary(radius * cu * cv, radius * cu * sv, -radius * su)
         dv = Ternary(-radius * su * sv, radius * su * cv, 0.0)

@@ -174,6 +174,15 @@ _FIELDS = {
     "inverse-conjugate": lambda z: ta.scale(z, 1.0 / ta.norm_cubed(z)),
 }
 
+def _box(p):
+    """The ((lo, hi), ...) box of a box param; an empty or reversed axis is a DomainError."""
+    box = tuple(zip(p["box"][0::2], p["box"][1::2]))
+    for axis, (lo, hi) in enumerate(box):
+        if not lo < hi:
+            raise DomainError(f"box axis x{axis} needs lo < hi, got ({lo}, {hi})")
+    return box
+
+
 #: Per preset of FormConfig.PRESETS, the curve, patch or box its params give;
 #: the constructors reject params outside their range with DomainError.
 _DOMAINS = {
@@ -182,7 +191,7 @@ _DOMAINS = {
     "cubic-band": lambda p: tc.cubic_band_patch(p["rho"], p["a1"], p["a2"]),
     "polar-band": lambda p: tc.polar_band_patch(p["rho"], p["phi_lo"], p["phi_hi"]),
     "sphere": lambda p: tc.sphere_patch(Ternary(*p["center"]), p["radius"]),
-    "box": lambda p: tuple(zip(p["box"][0::2], p["box"][1::2])),
+    "box": _box,
 }
 
 

@@ -84,7 +84,8 @@ def pointwise(f):
 
 def line_integrand(F, curve):
     def integrand(t):
-        return mul(F(curve.gamma(t)), curve.velocity(t)).components()
+        z = curve.gamma(t)
+        return mul(F(z), curve.velocity(t, z)).components()
 
     return integrand
 
@@ -92,7 +93,7 @@ def line_integrand(F, curve):
 def surface_integrand(Phi, patch):
     def integrand(u, v):
         x = patch.param(u, v)
-        du, dv = patch.tangents(u, v)
+        du, dv = patch.tangents(u, v, x)
         j12 = du.x1 * dv.x2 - du.x2 * dv.x1
         j20 = du.x2 * dv.x0 - du.x0 * dv.x2
         j01 = du.x0 * dv.x1 - du.x1 * dv.x0
@@ -112,6 +113,76 @@ def volume_integrand(W):
         return W(Ternary(x0, x1, x2)).components()
 
     return integrand
+
+
+# The multi-sines and the constant-modulus presets as they were before each
+# quadrature node's point went to its tangent: from_polar called multisine
+# once per component, each call forming both exponentials again; the loop's
+# and the polar band's tangents evaluated the point again, and the cubic band
+# took its point from a whole cubic_surface_geometry.  ternion.algebra and
+# the presets of ternion.calculus must give the same bits and errors.
+
+
+def multisine_each(k, phi1, phi2):
+    s = phi1 + phi2
+    psi = (ta.SQRT3 / 2.0) * (phi1 - phi2)
+    m = ta._lib(s)
+    out = (m.exp(s) + 2.0 * m.exp(-0.5 * s) * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0
+    if m is np:
+        ta._fault(~np.isfinite(out), lambda a, b: multisine_each(k, a, b), phi1, phi2)
+    return out
+
+
+def from_polar_each(p):
+    return Ternary(
+        p.rho * multisine_each(0, p.phi1, p.phi2),
+        p.rho * multisine_each(1, p.phi1, p.phi2),
+        p.rho * multisine_each(2, p.phi1, p.phi2),
+    )
+
+
+def trisectrice_loop_twice(rho, phi):
+    def gamma(t):
+        return from_polar_each(ta.PolarForm(rho, phi + t, phi - t))
+
+    def velocity(t, z):
+        return mul(gamma(t), Ternary(0.0, 1.0, -1.0))
+
+    return tc.Curve(gamma, 0.0, ta.THETA_PERIOD, derivative=velocity)
+
+
+def cubic_band_patch_twice(rho, a1, a2):
+    def param(a, theta):
+        return tc.cubic_surface_geometry(rho, a, theta).point
+
+    def partials(a, theta, x):
+        r = rho**1.5 / np.sqrt(a)
+        c, s = np.cos(theta), np.sin(theta)
+        s3 = math.sqrt(3.0)
+        da = Ternary(
+            (1.0 + r * c / a) / 3.0,
+            (1.0 - r * (c + s3 * s) / (2.0 * a)) / 3.0,
+            (1.0 - r * (c - s3 * s) / (2.0 * a)) / 3.0,
+        )
+        dtheta = Ternary(
+            2.0 * r * s / 3.0,
+            r * (-s + s3 * c) / 3.0,
+            r * (-s - s3 * c) / 3.0,
+        )
+        return da, dtheta
+
+    return tc.SurfacePatch(param, (a1, a2), (0.0, 2.0 * math.pi), partials=partials)
+
+
+def polar_band_patch_twice(rho, phi_lo, phi_hi):
+    def param(theta, phi):
+        return from_polar_each(ta.PolarForm(rho, phi + theta, phi - theta))
+
+    def partials(theta, phi, x):
+        z = param(theta, phi)
+        return mul(z, Ternary(0.0, 1.0, -1.0)), mul(z, Ternary(0.0, 1.0, 1.0))
+
+    return tc.SurfacePatch(param, (0.0, ta.THETA_PERIOD), (phi_lo, phi_hi), partials=partials)
 
 
 # The algebra property suite as it ran before each check became one array
@@ -299,7 +370,7 @@ def calculus_suite_loops(seed: int) -> list:
 
     a, b = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
     diff = b - a
-    line = tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t: diff)
+    line = tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t, z: diff)
     bulge = Ternary(0.3, 1.1, 0.8)
     mid = ta.scale(a + b, 0.5) + bulge
 

@@ -42,6 +42,8 @@ from ternion.errors import DomainError, SingularNumber, TernionError
 from oracles import (
     conjugate_product,
     expm_taylor,
+    from_polar_each,
+    multisine_each,
     random_admissible,
     random_nonsingular,
     random_ternary,
@@ -540,6 +542,53 @@ def test_array_overflow_raises_the_scalar_error():
             exp(Ternary(big, big * 0.625, big * 0.625))
         with pytest.raises(OverflowError):
             norm_cubed(Ternary(np.array([0.0, 1e200]), 0.0, 0.0))
+
+
+def _outcome(kernel, *args):
+    """kernel's result as bytes, or its error's type and message."""
+    try:
+        out = kernel(*args)
+    except (TernionError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return np.array(out.components() if isinstance(out, Ternary) else out, dtype=float).tobytes()
+
+
+def test_multisines_keep_the_bits_and_errors_of_one_call_per_index():
+    # multisine and from_polar share one kernel; each element keeps the
+    # expression a separate multisine call per index gave, bit for bit
+    rng = np.random.default_rng(18)
+    phi1 = np.concatenate([rng.uniform(-30.0, 30.0, 400), [0.0, -0.0, 1e-300, -700.0, 700.0, 1400.0]])
+    phi2 = np.concatenate([rng.uniform(-30.0, 30.0, 400), [-0.0, 0.0, -1e-300, 705.0, -700.0, -1400.0]])
+    rho = np.exp(rng.uniform(-2.0, 2.0, phi1.size))
+    for k in (0, 1, 2):
+        assert _outcome(multisine, k, phi1, phi2) == _outcome(multisine_each, k, phi1, phi2)
+        for a, b in zip(phi1.tolist(), phi2.tolist()):
+            assert _outcome(multisine, k, a, b) == _outcome(multisine_each, k, a, b)
+    p = PolarForm(rho, phi1, phi2)
+    assert _outcome(from_polar, p) == _outcome(from_polar_each, p)
+    for r, a, b in zip(rho.tolist(), phi1.tolist(), phi2.tolist()):
+        assert _outcome(from_polar, PolarForm(r, a, b)) == _outcome(from_polar_each, PolarForm(r, a, b))
+
+
+@pytest.mark.parametrize(
+    "phi1, phi2",
+    [
+        ([0.1, 800.0, -3000.0], [0.2, 0.0, 0.0]),  # e^{s} overflows first
+        ([0.1, -3000.0, 800.0], [0.2, 0.0, 0.0]),  # e^{-s/2} overflows first
+        ([0.1, math.nan, 800.0], [0.2, 0.0, 0.0]),  # nan raises nothing; the next point does
+        ([0.1, math.inf, 800.0], [0.2, -math.inf, 0.0]),  # cos(inf)
+        ([0.1, math.nan, 0.3], [0.2, 0.0, 0.4]),  # no point raises: nan stays
+    ],
+    ids=["exp-big", "exp-small", "nan-then-big", "cos-inf", "nan-only"],
+)
+def test_multisine_array_faults_replay_the_first_flagged_point(phi1, phi2):
+    phi1, phi2 = np.array(phi1), np.array(phi2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (0, 1, 2):
+            assert _outcome(multisine, k, phi1, phi2) == _outcome(multisine_each, k, phi1, phi2)
+        if np.isfinite(phi1).all() and np.isfinite(phi2).all():
+            p = PolarForm(np.ones(3), phi1, phi2)
+            assert _outcome(from_polar, p) == _outcome(from_polar_each, p)
 
 
 def test_array_components_are_read_only():

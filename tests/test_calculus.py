@@ -1,10 +1,13 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ternion import algebra as ta
+from ternion import calculus
 from ternion.algebra import ComplexTernary, Ternary, conjugates, inverse, mul, norm_cubed, scale
 from ternion.calculus import (
     _FD3,
@@ -27,20 +30,25 @@ from ternion.calculus import (
     volume_integral_3form,
     wirtinger_partials,
 )
+from ternion.cli import _FIELDS
 from ternion.errors import (
     DomainError,
     NotHolomorphic,
     NumericalBreakdown,
     SingularOnPath,
+    TernionError,
 )
 from ternion.quadrature import adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
 
 from oracles import (
+    cubic_band_patch_twice,
     line_integrand,
     pointwise,
+    polar_band_patch_twice,
     random_admissible,
     surface_integrand,
     ternary_close,
+    trisectrice_loop_twice,
     volume_integrand,
 )
 
@@ -182,7 +190,7 @@ def straight_line(a: Ternary, b: Ternary) -> Curve:
     def gamma(t):
         return a + scale(diff, t)
 
-    return Curve(gamma, 0.0, 1.0, derivative=lambda t: diff)
+    return Curve(gamma, 0.0, 1.0, derivative=lambda t, z: diff)
 
 
 def test_line_integral_constant_field():
@@ -306,7 +314,7 @@ def test_segment_runs_from_a_to_b():
     a, b = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
     line = segment(a, b)
     assert (line.t_start, line.t_end) == (0.0, 1.0)
-    assert line.gamma(0.0) == a and line.velocity(0.3) == b - a
+    assert line.gamma(0.0) == a and line.velocity(0.3, line.gamma(0.3)) == b - a
     assert (line.gamma(1.0) - b).max_abs() <= 1e-15
     # the integral of 1 dz is b - a
     got = line_integral(TernaryField(lambda z: ta.ONE), line, tol=1e-12)
@@ -514,6 +522,92 @@ def test_batched_integral_matches_pointwise_reference(kind, func, domain):
     ref = Ternary(*ref.tolist())
     assert batched.func.n == reference.func.n
     assert (got - ref).max_abs() <= 1e-15 * ref.max_abs()
+
+
+# The constant-modulus presets against tests/oracles.py's presets that
+# evaluate each node's point twice: the same integrals, bit for bit.
+
+_TWICE = {
+    "trisectrice_loop": trisectrice_loop_twice,
+    "cubic_band_patch": cubic_band_patch_twice,
+    "polar_band_patch": polar_band_patch_twice,
+}
+
+
+def _preset_integral(field, name, build, args):
+    integral = line_integral if name == "trisectrice_loop" else surface_integral_2form
+    try:
+        return [c.hex() for c in integral(TernaryField(field), build(*args), tol=1e-9).components()]
+    except (TernionError, ArithmeticError, ValueError) as exc:  # errors match too, type and message
+        return [type(exc).__name__, str(exc)]
+
+
+@pytest.mark.parametrize("field_name", sorted(_FIELDS))
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("trisectrice_loop", (1.0, 0.0)),
+        ("trisectrice_loop", (1.3, 0.2)),
+        ("trisectrice_loop", (0.5, -0.5)),
+        ("cubic_band_patch", (1.0, 1.0, 2.718281828)),
+        ("cubic_band_patch", (1.1, 0.8, 2.0)),
+        ("cubic_band_patch", (0.7, 0.6, 1.8)),
+        ("polar_band_patch", (1.0, -0.2, 0.3)),
+        ("polar_band_patch", (0.9, -0.3, 0.2)),
+        ("polar_band_patch", (1.5, 0.0, 0.6)),
+    ],
+)
+def test_preset_integrals_match_the_evaluate_twice_oracle(name, args, field_name):
+    field = _FIELDS[field_name]
+    got = _preset_integral(field, name, getattr(calculus, name), args)
+    assert got == _preset_integral(field, name, _TWICE[name], args)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_perfbench_form_draws_match_the_evaluate_twice_oracle(seed, monkeypatch):
+    # the loops and bands of the perfbench forms workload, as it draws them
+    workloads = _perfbench_workloads()
+    built = []
+    for name in _TWICE:
+        original = getattr(calculus, name)
+        monkeypatch.setattr(calculus, name, lambda *args, n=name, f=original: built.append((n, args)) or f(*args))
+    ops, _ = workloads.forms_ops(seed, None)
+    monkeypatch.undo()
+    assert len(built) == 84
+    for (name, args), op in zip(built, ops):
+        field = workloads.reciprocal if name == "trisectrice_loop" else workloads.inverse_conjugate
+        got = [c.hex() for c in op.run().components()]
+        assert got == _preset_integral(field, name, _TWICE[name], args)
+
+
+def test_point_is_evaluated_once_per_cell(monkeypatch):
+    # the loop's and the polar band's tangents take the integrand's point:
+    # one from_polar per quadrature cell, and the field runs once per cell
+    from_polar, calls, cells = ta.from_polar, [], []
+    monkeypatch.setattr(ta, "from_polar", lambda p: calls.append(p) or from_polar(p))
+    field = TernaryField(lambda z: cells.append(z) or inverse(z))
+    line_integral(field, trisectrice_loop(1.3, 0.2), tol=1e-9)
+    assert len(calls) == len(cells) > 0
+    calls.clear()
+    cells.clear()
+    surface_integral_2form(field, polar_band_patch(0.9, -0.3, 0.2), tol=1e-9)
+    assert len(calls) == len(cells) > 0
+    # the cubic band builds no CubicSurfaceGeometry record for its points
+    built = []
+    geometry = calculus.CubicSurfaceGeometry
+    monkeypatch.setattr(calculus, "CubicSurfaceGeometry", lambda *a: built.append(a) or geometry(*a))
+    surface_integral_2form(field, cubic_band_patch(1.1, 0.8, 2.0), tol=1e-9)
+    assert built == []
+    cubic_surface_geometry(1.1, 0.8, 0.3)
+    assert len(built) == 1
 
 
 def test_zero_norm_node_ends_in_singular_on_path_without_warning():

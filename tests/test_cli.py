@@ -86,9 +86,15 @@ def test_algebra_suite_matches_the_loop_oracle(seed):
 
 def test_algebra_suite_failures_match_the_loop_oracle(monkeypatch):
     # with the multi-sines' indices shifted, four checks fail; the array
-    # evaluation must report the counterexample the loops report
-    original = algebra_module.multisine
-    monkeypatch.setattr(algebra_module, "multisine", lambda k, a, b: original((k + 1) % 3, a, b))
+    # evaluation must report the counterexample the loops report.  The shift
+    # is made in the kernel that multisine and from_polar share.
+    original = algebra_module._multisines
+
+    def shifted(phi1, phi2):
+        m0, m1, m2 = original(phi1, phi2)
+        return m1, m2, m0
+
+    monkeypatch.setattr(algebra_module, "_multisines", shifted)
     got, want = algebra_suite(7), algebra_suite_loops(7)
     assert [(r.name, r.passed) for r in got] == [(r.name, r.passed) for r in want]
 
@@ -524,6 +530,8 @@ CUBIC_CFG = {"kind": "surface", "preset": "cubic-band", "params": {"rho": 1.0, "
 POLAR_CFG = {"kind": "surface", "preset": "polar-band", "params": {"rho": 1.0, "phi_lo": 0.0, "phi_hi": 0.5}}
 A1_RULE = "config error: need 0 < a1 < a2, got "
 RHO_RULE = "config error: modulus level rho must be positive, got "
+PHI_RULE = "config error: need phi_lo < phi_hi, got "
+BOX_CFG = {"kind": "volume", "preset": "box", "field_name": "one", "params": {"box": [0, 1, 0, 1, 0, 1]}}
 
 
 @pytest.mark.parametrize(
@@ -594,6 +602,42 @@ RHO_RULE = "config error: modulus level rho must be positive, got "
             RHO_RULE,
         ),
         ("integrate-form", {**POLAR_CFG, "params": {**POLAR_CFG["params"], "rho": 0.0}}, [], RHO_RULE),
+        (
+            "integrate-form",
+            None,
+            ["surface", "--preset", "polar-band", "--rho", "1", "--phi-lo", "0.3", "--phi-hi", "-0.2"],
+            PHI_RULE + "(0.3, -0.2)",
+        ),
+        (
+            "integrate-form",
+            None,
+            ["surface", "--preset", "polar-band", "--phi-lo", "0.3", "--phi-hi", "0.3"],
+            PHI_RULE + "(0.3, 0.3)",
+        ),
+        (
+            "integrate-form",
+            {**POLAR_CFG, "params": {"phi_lo": 0.5, "phi_hi": 0.0}},
+            [],
+            PHI_RULE + "(0.5, 0.0)",
+        ),
+        (
+            "integrate-form",
+            None,
+            ["volume", "--preset", "box", "--box=1,0,0,1,0,1", "--field", "one"],
+            "config error: box axis x0 needs lo < hi, got (1.0, 0.0)",
+        ),
+        (
+            "integrate-form",
+            None,
+            ["volume", "--preset", "box", "--box=0,1,0,1,0.5,0.5", "--field", "one"],
+            "config error: box axis x2 needs lo < hi, got (0.5, 0.5)",
+        ),
+        (
+            "integrate-form",
+            {**BOX_CFG, "params": {"box": [0, 1, 2, -1, 0, 1]}},
+            [],
+            "config error: box axis x1 needs lo < hi, got (2, -1)",
+        ),
     ],
     ids=[
         "tol-zero",
@@ -625,6 +669,12 @@ RHO_RULE = "config error: modulus level rho must be positive, got "
         "cubic-rho-negative-config",
         "polar-rho-negative",
         "polar-rho-zero-config",
+        "polar-phi-reversed",
+        "polar-phi-equal",
+        "polar-phi-reversed-config",
+        "box-x0-reversed",
+        "box-x2-empty",
+        "box-x1-reversed-config",
     ],
 )
 def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, cfg, flags, message):
