@@ -13,8 +13,9 @@ holomorphy:
 
 All derivative checks are numerical (central differences, two step sizes);
 all integrals are adaptive Gauss-Kronrod (see ternion.quadrature).  The form
-integrals evaluate their integrand once per quadrature cell: fields, curves
-and patches get the cell's nodes as arrays and run elementwise.
+integrals evaluate their integrand once for the first quadrature cell, then
+once per bisection on both halves' nodes, the first half first: fields,
+curves and patches get those nodes as arrays and run elementwise.
 
 The derivative kernels (wirtinger_partials, ternary_laplacian and the
 partials below them) follow the array contract of ternion.algebra: a point
@@ -79,9 +80,11 @@ EPS_GEO = 1e-9    # closed-curve / on-surface geometric tolerance
 class TernaryField:
     """A named map R^3 -> ternary numbers; func takes and returns Ternary.
 
-    The form integrals call func once per quadrature cell, on a Ternary whose
-    components are read-only arrays of the cell's nodes, and read the result
-    elementwise (a result with float components stands for every node).
+    The form integrals call func once for the first quadrature cell, then
+    once per bisection on both halves' nodes, the first half first, on a
+    Ternary whose components are read-only arrays of those nodes, and read
+    the result elementwise (a result with float components stands for every
+    node).
     Write func with ternion.algebra operations or numpy ufuncs: math.sin and
     the like raise TypeError on arrays, and so does in-place arithmetic on
     the components.

@@ -392,7 +392,8 @@ def _f_planar(z, z0: float):
 
 def _time_integral(f, a: float, b: float) -> float:
     """Integral of f^-2 from a to b to TIME_TOL, the time of both closed
-    forms; f runs once per quadrature cell, on the cell's 15 nodes."""
+    forms; f runs once on the first quadrature cell's 15 nodes, then once
+    per bisection on the 30 nodes of both halves, the first half first."""
     val = adaptive_quad(lambda u: _pow(f(u), -2.0)[:, None], a, b, TIME_TOL)
     return float(val[0])
 

@@ -6,16 +6,19 @@ K15 estimate, its error on an axis is max |value - the rule with G7 on that
 axis|, and the worst cell is bisected on its worst axis until the summed error
 is <= the absolute tolerance.
 
-Every integrand is batched: the engine calls it once per cell, with one
-read-only array of node coordinates per axis (in itertools.product order),
-and takes back a (15^d, m) array of values.  adaptive_quad, adaptive_quad_2d
-and adaptive_quad_3d are the entry points for 1, 2 and 3 axes; there is no
-pointwise adapter, so an integrand written for floats must be vectorized (or
-wrapped by its caller) first.
+Every integrand is batched: the engine calls it once for the first cell, then
+once per bisection on both halves' nodes, the first half first, with one
+read-only array of node coordinates per axis (each cell's nodes in
+itertools.product order) and takes back a (nodes, m) array of values.
+adaptive_quad, adaptive_quad_2d and adaptive_quad_3d are the entry points for
+1, 2 and 3 axes; there is no pointwise adapter, so an integrand written for
+floats must be vectorized (or wrapped by its caller) first.
 
-Each call owns one budget of 10**6 integrand evaluations.  QuadratureFailure
-is raised when the budget runs out, a cell stalls (see _integrate) or the
-integrand is not finite.
+Each call owns one budget of 10**6 integrand evaluations, charged cell by
+cell.  QuadratureFailure is raised when the budget runs out, a cell stalls
+(see _integrate) or the integrand is not finite.  Every failure is the one
+that one call per cell, in the same order, raises, and so is every bit of
+the value when the integrand works node by node.
 """
 
 from __future__ import annotations
@@ -82,65 +85,90 @@ def _tensor(factors):
 @functools.cache
 def _rule(d):
     """The rule on [-1, 1]^d, in itertools.product order: the nodes, one row
-    per axis; and a (d + 1, 15^d, 1) table of weights, the tensor Kronrod
-    weights in row 0 and in row 1 + i those with G7 on axis i.  Built on
-    first use, so runs without volume integrals never hold the 15^3 tables."""
+    per axis; and a (d + 1, 1, 1, 15^d) table of weights, the tensor Kronrod
+    weights in row 0 and in row 1 + i those with G7 on axis i, nodes last.
+    Built on first use, so runs without volume integrals never hold the 15^3
+    tables."""
     rows = [_tensor([WEIGHTS_K] * d)]
     rows += [_tensor([WEIGHTS_G if j == i else WEIGHTS_K for j in range(d)]) for i in range(d)]
-    return [g.ravel() for g in np.meshgrid(*[NODES] * d, indexing="ij")], np.stack(rows)[:, :, None]
+    return [g.ravel() for g in np.meshgrid(*[NODES] * d, indexing="ij")], np.stack(rows)[:, None, None]
 
 
 def _span(box) -> str:
     return " x ".join(f"[{lo}, {hi}]" for lo, hi in box)
 
 
-def _cell(f, box, budget):
-    """Kronrod value, error estimate and split axis of f on a box.
+def _cells(f, boxes, budget):
+    """Each box's Kronrod value, its error estimates (one per axis) and its
+    split axis (the worst one), from one call of f on the nodes of all the
+    boxes, box after box.
 
-    budget is a one-item list holding the evaluations left.
+    budget is a one-item list holding the evaluations left; it is charged
+    for every box.  When there is more than one box and the budget runs
+    short, or the call or a check fails, the boxes are replayed one call
+    each, in order, and the replay's first failure is raised: the failures
+    are those of one call per box.
     """
-    d = len(box)
-    budget[0] -= 15**d
-    if budget[0] < 0:
-        raise QuadratureFailure("quadrature evaluation budget exhausted")
-    unit_nodes, weights = _rule(d)
-    halves = [0.5 * (hi - lo) for lo, hi in box]
-    axes = [0.5 * (lo + hi) + h * u for (lo, hi), h, u in zip(box, halves, unit_nodes)]
-    for a in axes:
-        a.flags.writeable = False
-    vals = f(*axes)
-    if np.ndim(vals) != 2 or len(vals) != 15**d:
-        # a (nodes,) array would broadcast against the weights into a wrong value
-        raise ValueError(f"integrand returned shape {np.shape(vals)}; expected ({15**d}, m)")
-    # checked before the weights multiply it: inf times a zero G7 weight
-    # would warn
-    if not np.isfinite(vals).all():
-        raise QuadratureFailure(f"non-finite integrand on {_span(box)}")
-    # accumulate adds the nodes one after another, as sum() does, for every
-    # rule at once; reduce would sum a one-column array pairwise and change
-    # the last bits.  In place, a 15^3 cell holds one large temporary, not two.
-    terms = weights * vals
-    sums = math.prod(halves) * np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    k = sums[0]
-    if not np.isfinite(k).all():
-        raise QuadratureFailure(f"non-finite integrand on {_span(box)}")
-    errs = np.abs(sums[1:] - k).max(axis=1)
-    axis = int(errs.argmax())
-    return k, float(errs[axis]), axis
+    left = budget[0]
+    try:
+        d, c = len(boxes[0]), len(boxes)
+        n = 15**d
+        budget[0] -= c * n
+        if budget[0] < 0:
+            raise QuadratureFailure("quadrature evaluation budget exhausted")
+        unit_nodes, weights = _rule(d)
+        # one row of nodes per axis, box after box
+        rows, vols = [], []
+        for box in boxes:
+            halves = [0.5 * (hi - lo) for lo, hi in box]
+            rows.append([0.5 * (lo + hi) + h * u for (lo, hi), h, u in zip(box, halves, unit_nodes)])
+            vols.append(math.prod(halves))
+        axes = rows[0] if c == 1 else [np.concatenate(parts) for parts in zip(*rows)]
+        for a in axes:
+            a.flags.writeable = False
+        vals = np.asarray(f(*axes))
+        if vals.ndim != 2 or len(vals) != c * n:
+            # a (nodes,) array would broadcast against the weights into a wrong value
+            raise ValueError(f"integrand returned shape {vals.shape}; expected ({c * n}, m)")
+        # checked before the weights multiply it: inf times a zero G7 weight
+        # would warn
+        if not np.logical_and.reduce(np.isfinite(vals), axis=None):
+            raise QuadratureFailure(f"non-finite integrand on {' and '.join(map(_span, boxes))}")
+        # nodes last: accumulate adds each (rule, component, box) sum's nodes
+        # one after another along a contiguous axis, as sum() does; reduce
+        # would sum it pairwise and change the last bits.  In place, a 15^3
+        # box holds one large temporary, not two.
+        terms = np.multiply(weights, vals.T.reshape(-1, c, n), order="C")
+        sums = np.multiply(vols, np.add.accumulate(terms, axis=3, out=terms)[..., -1])
+        k = sums[0]
+        if not np.logical_and.reduce(np.isfinite(k), axis=None):
+            raise QuadratureFailure(f"non-finite integrand on {' and '.join(map(_span, boxes))}")
+        errs = np.maximum.reduce(np.abs(sums[1:] - k), axis=1)
+        return zip(k.T, errs.T.tolist(), errs.argmax(axis=0).tolist())
+    except Exception as exc:
+        if len(boxes) == 1:
+            raise
+        error = exc
+    budget[0] = left
+    for box in boxes:
+        _cells(f, (box,), budget)
+    raise error
 
 
 def _integrate(f, box, tol, budget):
     """Bisect the worst cell until the summed error estimate is <= tol.
 
-    Reversed 1D limits flip the sign; a reversed axis of a 2D or 3D box gets
-    a negative half-width, which also gives the oriented value.  A cell
-    stalls, and the integral fails, when its error is 0 or its split axis is
-    no wider than |lo| 1e-15 + 1e-300.
+    f is called once on the first cell, then once per bisection on both
+    halves' nodes, the first half first.  Reversed 1D limits flip the sign;
+    a reversed axis of a 2D or 3D box gets a negative half-width, which also
+    gives the oriented value.  A cell stalls, and the integral fails, when
+    its error is 0 or its split axis is no wider than |lo| 1e-15 + 1e-300.
     """
     if len(box) == 1 and box[0][1] < box[0][0]:
         return -_integrate(f, (box[0][::-1],), tol, budget)
     order = itertools.count()
-    val, err, axis = _cell(f, box, budget)
+    ((val, errs, axis),) = _cells(f, (box,), budget)
+    err = errs[axis]
     heap = [(-err, next(order), box, val, err, axis)]
     total_err = err
     while total_err > tol:
@@ -150,9 +178,9 @@ def _integrate(f, box, tol, budget):
             raise QuadratureFailure(f"cell {_span(box)} stalled with error {err:.3e} (tol {tol:.1e})")
         mid = 0.5 * (lo + hi)
         total_err -= err
-        for part in ((lo, mid), (mid, hi)):
-            half = box[:axis] + (part,) + box[axis + 1 :]
-            hval, herr, haxis = _cell(f, half, budget)
+        parts = [box[:axis] + (part,) + box[axis + 1 :] for part in ((lo, mid), (mid, hi))]
+        for half, (hval, herrs, haxis) in zip(parts, _cells(f, parts, budget)):
+            herr = herrs[haxis]
             total_err += herr
             heapq.heappush(heap, (-herr, next(order), half, hval, herr, haxis))
     return sum(item[3] for item in heap)

@@ -104,7 +104,7 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     out = []
 
     p1, p2 = rng.uniform(-3, 3, size=(2000, 2)).T
-    m = [ta.multisine(k, p1, p2) for k in range(3)]
+    m = ta._multisines(p1, p2)
     r = abs(ta.cubic_form(*m) - 1.0)
     worst, ce = _worst(r, lambda i: {"phi1": p1[i], "phi2": p2[i], "m": [float(v[i]) for v in m]})
     out.append(_bound_check("cubic-identity m0^3+m1^3+m2^3-3m0m1m2=1", worst, 1e-10, ce))
@@ -168,10 +168,10 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     out.append(_bound_check("polar-round-trip", worst, 1e-10, ce))
 
     p1, p2, s1, s2 = rng.uniform(-2, 2, size=(300, 4)).T
+    at_p, at_s = ta._multisines(p1, p2), ta._multisines(s1, s2)
     r = []
-    for k in range(3):
-        lhs = ta.multisine(k, p1 + s1, p2 + s2)
-        rhs = sum(ta.multisine(m, p1, p2) * ta.multisine((k - m) % 3, s1, s2) for m in range(3))
+    for k, lhs in enumerate(ta._multisines(p1 + s1, p2 + s2)):
+        rhs = sum(at_p[j] * at_s[(k - j) % 3] for j in range(3))
         r.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
     worst, ce = _worst(
         np.stack(r, axis=1),
@@ -180,8 +180,8 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     out.append(_bound_check("multisine-addition-law", worst, 1e-11, ce))
 
     p1, p2 = rng.uniform(-2, 2, size=(300, 2)).T
-    m = [ta.multisine(k, p1, p2) for k in range(3)]
-    neg = [ta.multisine(k, -p1, -p2) for k in range(3)]
+    m = ta._multisines(p1, p2)
+    neg = ta._multisines(-p1, -p2)
     scale = 1.0 + np.maximum.reduce([abs(v) for v in m]) ** 2
     r = (
         np.maximum.reduce(
@@ -198,16 +198,14 @@ def algebra_suite(seed: int) -> list[CheckResult]:
 
     h = 1e-5
     p1, p2 = rng.uniform(-2, 2, size=(100, 2)).T
+    m = ta._multisines(p1, p2)
+    up1, down1 = ta._multisines(p1 + h, p2), ta._multisines(p1 - h, p2)
+    up2, down2 = ta._multisines(p1, p2 + h), ta._multisines(p1, p2 - h)
     r = []
     for k in range(3):
-        d1 = (ta.multisine(k, p1 + h, p2) - ta.multisine(k, p1 - h, p2)) / (2 * h)
-        d2 = (ta.multisine(k, p1, p2 + h) - ta.multisine(k, p1, p2 - h)) / (2 * h)
-        r.append(
-            np.maximum(
-                abs(d1 - ta.multisine((k - 1) % 3, p1, p2)),
-                abs(d2 - ta.multisine((k - 2) % 3, p1, p2)),
-            )
-        )
+        d1 = (up1[k] - down1[k]) / (2 * h)
+        d2 = (up2[k] - down2[k]) / (2 * h)
+        r.append(np.maximum(abs(d1 - m[(k - 1) % 3]), abs(d2 - m[(k - 2) % 3])))
     worst, ce = _worst(
         np.stack(r, axis=1), lambda i: {"phi1": p1[i // 3], "phi2": p2[i // 3], "k": i % 3}
     )

@@ -1,5 +1,7 @@
 """Independent numerical oracles used only by the test suite."""
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +18,8 @@ from ternion.dynamics import (
     Trajectory,
     _accel,
 )
-from ternion.errors import DomainError, OnSingularSet, SingularApproach, StepFailure
+from ternion.errors import DomainError, OnSingularSet, QuadratureFailure, SingularApproach, StepFailure
+from ternion.quadrature import _rule, _span
 
 
 def expm_taylor(m: np.ndarray, order: int = 16) -> np.ndarray:
@@ -74,6 +77,61 @@ def pointwise(f):
     whose integrands take one node array per axis: f is called once per
     node, with floats, in node order, and returns a sequence of values."""
     return lambda *axes: np.array([f(*p) for p in zip(*axes)], dtype=float).reshape(len(axes[0]), -1)
+
+
+# The refinement loop as it ran before the two halves of a bisected cell
+# shared one integrand call: one call per cell, each cell's weighted sums
+# taken over a (rules, nodes, components) table.  ternion.quadrature._integrate
+# must give the same bits, call the integrand on the same nodes in the same
+# order, and fail with the same error.
+
+
+def _one_cell(f, box, budget):
+    d = len(box)
+    budget[0] -= 15**d
+    if budget[0] < 0:
+        raise QuadratureFailure("quadrature evaluation budget exhausted")
+    unit_nodes, weights = _rule(d)
+    halves = [0.5 * (hi - lo) for lo, hi in box]
+    axes = [0.5 * (lo + hi) + h * u for (lo, hi), h, u in zip(box, halves, unit_nodes)]
+    for a in axes:
+        a.flags.writeable = False
+    vals = f(*axes)
+    if np.ndim(vals) != 2 or len(vals) != 15**d:
+        raise ValueError(f"integrand returned shape {np.shape(vals)}; expected ({15**d}, m)")
+    if not np.isfinite(vals).all():
+        raise QuadratureFailure(f"non-finite integrand on {_span(box)}")
+    terms = weights.reshape(d + 1, -1, 1) * vals
+    sums = math.prod(halves) * np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    k = sums[0]
+    if not np.isfinite(k).all():
+        raise QuadratureFailure(f"non-finite integrand on {_span(box)}")
+    errs = np.abs(sums[1:] - k).max(axis=1)
+    axis = int(errs.argmax())
+    return k, float(errs[axis]), axis
+
+
+def integrate_one_call_per_cell(f, box, tol, budget):
+    """ternion.quadrature._integrate with one integrand call per cell."""
+    if len(box) == 1 and box[0][1] < box[0][0]:
+        return -integrate_one_call_per_cell(f, (box[0][::-1],), tol, budget)
+    order = itertools.count()
+    val, err, axis = _one_cell(f, box, budget)
+    heap = [(-err, next(order), box, val, err, axis)]
+    total_err = err
+    while total_err > tol:
+        _, _, box, val, err, axis = heapq.heappop(heap)
+        lo, hi = box[axis]
+        if err <= 0.0 or abs(hi - lo) <= abs(lo) * 1e-15 + 1e-300:
+            raise QuadratureFailure(f"cell {_span(box)} stalled with error {err:.3e} (tol {tol:.1e})")
+        mid = 0.5 * (lo + hi)
+        total_err -= err
+        for part in ((lo, mid), (mid, hi)):
+            half = box[:axis] + (part,) + box[axis + 1 :]
+            hval, herr, haxis = _one_cell(f, half, budget)
+            total_err += herr
+            heapq.heappush(heap, (-herr, next(order), half, hval, herr, haxis))
+    return sum(item[3] for item in heap)
 
 
 # Pointwise form integrands: one call per quadrature node, with floats, as the

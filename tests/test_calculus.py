@@ -588,9 +588,9 @@ def test_perfbench_form_draws_match_the_evaluate_twice_oracle(seed, monkeypatch)
         assert got == _preset_integral(field, name, _TWICE[name], args)
 
 
-def test_point_is_evaluated_once_per_cell(monkeypatch):
+def test_point_is_evaluated_once_per_integrand_call(monkeypatch):
     # the loop's and the polar band's tangents take the integrand's point:
-    # one from_polar per quadrature cell, and the field runs once per cell
+    # one from_polar per integrand call, and the field runs once per call
     from_polar, calls, cells = ta.from_polar, [], []
     monkeypatch.setattr(ta, "from_polar", lambda p: calls.append(p) or from_polar(p))
     field = TernaryField(lambda z: cells.append(z) or inverse(z))

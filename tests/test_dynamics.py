@@ -632,27 +632,34 @@ def test_closed_form_times_match_scipy_quad(rng):
         assert sol.t(y) == pytest.approx((sol.m0 / sol.g**2) * ref, rel=1e-10, abs=0.0)
 
 
-def test_time_kernels_run_once_per_cell_on_15_nodes(monkeypatch):
-    cells, node_counts = [], []
-    cell = quadrature._cell
+def test_time_kernels_run_once_per_bisection_on_both_halves(monkeypatch):
+    # per integral, one call on the first cell's 15 nodes, then one per
+    # bisection on the 30 nodes of its two halves
+    integrals = []  # [cells, node counts of the kernel's calls]
+    evaluate = quadrature._cells
 
-    def counted_cell(f, box, budget):
-        cells.append(box)
-        return cell(f, box, budget)
+    def counted_cells(f, boxes, budget):
+        integrals[-1][0] += len(boxes)
+        return evaluate(f, boxes, budget)
 
     def counted_quad(f, a, b, tol):
+        counts = [0, []]
+        integrals.append(counts)
+
         def kernel(u):
-            node_counts.append(len(u))
+            counts[1].append(len(u))
             return f(u)
 
         return quadrature.adaptive_quad(kernel, a, b, tol)
 
-    monkeypatch.setattr(quadrature, "_cell", counted_cell)
+    monkeypatch.setattr(quadrature, "_cells", counted_cells)
     monkeypatch.setattr(dynamics, "adaptive_quad", counted_quad)
     planar_solution(1.0, 1.0, 1.0, 2.0).t(1.9)
     general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1).t(0.2)
-    assert len(cells) > 2
-    assert node_counts == [15] * len(cells)
+    assert len(integrals) == 2 and all(cells > 2 for cells, _ in integrals)
+    for cells, node_counts in integrals:
+        assert node_counts == [15] + [30] * (len(node_counts) - 1)
+        assert cells % 2 == 1 and len(node_counts) == (cells + 1) // 2
 
 
 def test_general_planar_limit():
