@@ -75,9 +75,6 @@ EPS_JACOBIAN = 1e-12
 #: An outward walk toward a branch end at infinity stops this many spans out.
 FAR_SPANS = 1e9
 
-#: Allowed imaginary residue in the closed-form velocity (it must be real).
-EPS_IMAG = 1e-12
-
 #: Accepted plus rejected steps allowed in one integrate call.
 MAX_STEPS = 10**6
 
@@ -210,8 +207,12 @@ def integrate(
     SINGULAR_GUARD times the initial scale cubed, rather than chasing the
     collapse; StepFailure means the controller stalled, used up MAX_STEPS,
     or met an error norm out of the float range (a tol near 1e-200 or less).
-    Both carry the trajectory up to the last accepted step.
+    Both carry the trajectory up to the last accepted step.  A non-finite
+    t_end, g or component of s0 raises DomainError before the first step.
     """
+    for name, value in (("t_end", t_end), ("g", g), *vars(s0).items()):
+        if not math.isfinite(value):
+            raise DomainError(f"integrate needs a finite {name}, got {value}")
     t = float(s0.t)
     if t_end <= t:
         raise DomainError(f"t_end must exceed the initial time, got {t_end} <= {t}")
@@ -542,11 +543,20 @@ def _pole_residue(m1: float, m2: float) -> float:
 class _Coefficients:
     """The closed-form constants that depend on (M1, M2) alone: the pole
     -M1/M2 (None for M2 = 0), the log pair's coefficient a = -0.5i/(M1 + i M2)
-    and its conjugate, and c3 = M2/(M1^2 + M2^2).
+    and c3 = M2/(M1^2 + M2^2).
 
     The base-slope solve builds one set per scattering map and evaluates
     every trial y0 through it; GeneralSolution extends it with the base
     points.
+
+    The closed forms hold a complex-log pair a L + conj(a) conj(L) and
+    evaluate it as 2 Re(a L).  Complex division, product and log are
+    conjugate-symmetric in floating point (cmath's and numpy's alike), so
+    the pair's imaginary part is exactly 0.0 (NaN at a non-finite slope) and
+    its real part is 2 Re(a L) bit for bit, but for the sign of a zero or a
+    NaN: where a difference cancels, x - x is +0.0 in either half, so the
+    pair can sum -0.0 + 0.0 where the fold keeps -0.0 (v1 at y = y0 with
+    M2 = 0 and |y0| >= 1).  tests/test_conjugate_pair.py keeps the pair.
     """
 
     def __init__(self, m1: float, m2: float):
@@ -554,10 +564,12 @@ class _Coefficients:
         self.m2 = m2
         self.pole = (-m1 / m2) if m2 != 0.0 else None
         self._a = -0.5j / complex(m1, m2)
-        self._abar = self._a.conjugate()
         self._c3 = _pole_residue(m1, m2)
 
     def _check_side(self, y: float, base: float):
+        """Raises PoleOnRange when y and base straddle the pole; the hot
+        paths test (y - pole) (base - pole) <= 0 inline and call this only to
+        raise."""
         if self.pole is not None and (y - self.pole) * (base - self.pole) <= 0.0:
             raise PoleOnRange(
                 f"y = {y} and y = {base} straddle the pole at y = {self.pole}"
@@ -570,16 +582,13 @@ class _Coefficients:
 
     def _v1(self, g: float, y: float, y0: float) -> float:
         """v1(y) of the solution with base slope y0 (the caller checks sides)."""
-        s = self._a * cmath.log(complex(y, -1.0) / complex(y0, -1.0))
-        s += self._abar * cmath.log(complex(y, 1.0) / complex(y0, 1.0))
+        s = 2.0 * (self._a * cmath.log(complex(y, -1.0) / complex(y0, -1.0))).real
         if self.m2 != 0.0:
             ratio = (self.m1 + self.m2 * y) / (self.m1 + self.m2 * y0)
             if ratio <= 0.0:
                 raise PoleOnRange(f"log argument crossed the pole between {y0} and {y}")
             s += self._c3 * math.log(ratio)
-        if abs(s.imag) > EPS_IMAG * (1.0 + abs(s)):
-            raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in v1({y})")
-        return g * s.real
+        return g * s
 
 
 class GeneralSolution(_Coefficients):
@@ -592,13 +601,14 @@ class GeneralSolution(_Coefficients):
         r1(y) = -(M0/g) / psi(y),  psi(y) = integral from y1 to y of v1/g,
         t(y)  = (M0/g^2) * integral from y0 to y of psi^(-2).
 
-    The complex-log pair is conjugate, so the velocity is real; the imaginary
-    residue is asserted below EPS_IMAG.  A pole at y = -M1/M2 (the l = 0
-    plane) must not lie between the evaluation point and the base points.
+    The complex-log pair is conjugate, so the velocity is real; it is
+    evaluated as twice the real part of its first half (see _Coefficients).
+    A pole at y = -M1/M2 (the l = 0 plane) must not lie between the
+    evaluation point and the base points.
 
-    The constants of the base point y0 (complex(y0, -1), complex(y0, 1) and
-    M1 + M2 y0) are computed once here.  psi memoizes its base term A(y1),
-    the antiderivative at y1, on first use; every thread that fills the memo
+    The constants of the base point y0 (complex(y0, -1) and M1 + M2 y0) are
+    computed once here.  psi memoizes its base term A(y1), the
+    antiderivative at y1, on first use; every thread that fills the memo
     stores the same value, so a solution stays safe to share.
     """
 
@@ -613,7 +623,6 @@ class GeneralSolution(_Coefficients):
         self.y0 = y0
         self.y1 = y1
         self._w0 = complex(y0, -1.0)
-        self._w0bar = complex(y0, 1.0)
         self._den = m1 + m2 * y0
         self._base_term = None
         self._check_bases(y0, y1)
@@ -629,27 +638,19 @@ class GeneralSolution(_Coefficients):
         (psi picks m by algebra._lib, so floats pay for no type check here).
         """
         if m is np:
-            w, wbar, clog = y - 1j, y + 1j, np.log
+            w, clog = y - 1j, np.log
         else:
-            w, wbar, clog = complex(y, -1.0), complex(y, 1.0), cmath.log
-        t1 = self._a * w * (clog(w / self._w0) - 1.0)
-        t2 = self._abar * wbar * (clog(wbar / self._w0bar) - 1.0)
-        s = t1 + t2
-        residue = abs(s.imag) > EPS_IMAG * (1.0 + abs(s))
+            w, clog = complex(y, -1.0), cmath.log
+        pair = 2.0 * (self._a * w * (clog(w / self._w0) - 1.0)).real
         if self.m2 == 0.0:
-            ratio = 1.0
-        else:
-            num = self.m1 + self.m2 * y
-            ratio = num / self._den
+            return pair
+        num = self.m1 + self.m2 * y
+        ratio = num / self._den
         if m is np:
-            _fault(residue | (ratio <= 0.0), self._antiderivative, y)
-        elif residue:
-            raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in psi({y})")
+            _fault(ratio <= 0.0, self._antiderivative, y)
         elif ratio <= 0.0:
             raise PoleOnRange(f"antiderivative crossed the pole at y = {self.pole}")
-        if self.m2 == 0.0:
-            return s.real
-        return s.real + self._c3 * (num / self.m2) * (m.log(ratio) - 1.0)
+        return pair + self._c3 * (num / self.m2) * (m.log(ratio) - 1.0)
 
     # Derivatives in (M1, M2) at fixed y and y0.  With c = M1 + i M2 the log
     # pair's coefficient is a = -0.5i/c, so da/dM1 = 0.5i/c^2 and da/dM2 is
@@ -685,10 +686,11 @@ class GeneralSolution(_Coefficients):
         antiderivative.  A(y) is evaluated first, then A(y1) is taken from
         the memo, which the first call fills; an A(y1) that raises is not
         stored, so every call raises what the unmemoized psi would."""
-        m = _lib(y)
+        m, pole = _lib(y), self.pole
         if m is math:
-            self._check_side(y, self.y1)
-        elif self.pole is not None and ((y - self.pole) * (self.y1 - self.pole) <= 0.0).any():
+            if pole is not None and (y - pole) * (self.y1 - pole) <= 0.0:
+                self._check_side(y, self.y1)
+        elif pole is not None and ((y - pole) * (self.y1 - pole) <= 0.0).any():
             # psi replays every slope in order, so the first slope whose
             # scalar psi faults raises, across the pole or otherwise
             _fault(True, self.psi, y)
@@ -759,6 +761,9 @@ class ScatteringSetup:
     m2: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"scattering setup needs a finite {name}, got {value}")
         if self.g == 0.0 or self.z1 == 0.0 or self.v1_inf == 0.0:
             raise DomainError("scattering setup needs g, z1 and v1_inf nonzero")
         if self.m1 + self.m2 * self.y1 == 0.0:
@@ -817,9 +822,11 @@ def _solve_y0(g, m1, m2, y1, v1_inf):
     The (M1, M2) constants are computed once, and every trial y0 evaluates
     v1(y1) through them with the formula GeneralSolution.v1 uses, so no
     trial builds a solution.  Each trial still runs every check a solution
-    would: PoleOnRange when y0 lies on the pole or y0 and y1 straddle it,
-    PoleOnRange when the log ratio is not positive, and NumericalBreakdown
-    when the imaginary residue exceeds EPS_IMAG.
+    would: PoleOnRange when y0 lies on the pole or y0 and y1 straddle it
+    (tested inline, with _check_bases called only to raise), and PoleOnRange
+    when the log ratio is not positive.  No trial tests an imaginary
+    residue: the formula's complex-log pair is exactly real in floating
+    point too (see _Coefficients).
 
     Near the pole |dv1/dy0| = |g k(y0)| grows like 1/|y0 - pole|, and Brent's
     x error d = brent_xerr(y0) alone moves v1 past the plain residual bound.
@@ -832,7 +839,10 @@ def _solve_y0(g, m1, m2, y1, v1_inf):
     direction = -1.0 if (v1_inf > 0.0) == (g * (m1 + m2 * y1) > 0.0) else 1.0
 
     def vel_from_y0(y0):
-        coeffs._check_bases(y0, y1)
+        if pole is not None:
+            d0 = y0 - pole
+            if d0 * d0 <= 0.0 or (y1 - pole) * d0 <= 0.0:
+                coeffs._check_bases(y0, y1)
         return coeffs._v1(g, y1, y0) - v1_inf
 
     points = _branch_walk(y1, direction, 1.0 + abs(y1), pole)

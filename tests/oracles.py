@@ -1,5 +1,6 @@
 """Independent numerical oracles used only by the test suite."""
 
+import cmath
 import heapq
 import itertools
 import math
@@ -18,7 +19,15 @@ from ternion.dynamics import (
     Trajectory,
     _accel,
 )
-from ternion.errors import DomainError, OnSingularSet, QuadratureFailure, SingularApproach, StepFailure
+from ternion.errors import (
+    DomainError,
+    NumericalBreakdown,
+    OnSingularSet,
+    PoleOnRange,
+    QuadratureFailure,
+    SingularApproach,
+    StepFailure,
+)
 from ternion.quadrature import _rule, _span
 
 
@@ -763,3 +772,65 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
         if max_step is not None:
             dt = min(dt, max_step)
     return traj
+
+
+#: The imaginary residue the conjugate-pair closed forms allowed.
+EPS_IMAG = 1e-12
+
+
+def v1_pair(coeffs, y, y0):
+    """The complex-log pair of v1/g, both halves evaluated:
+    a log((y - i)/(y0 - i)) + conj(a) log((y + i)/(y0 + i))."""
+    a = coeffs._a
+    s = a * cmath.log(complex(y, -1.0) / complex(y0, -1.0))
+    return s + a.conjugate() * cmath.log(complex(y, 1.0) / complex(y0, 1.0))
+
+
+def v1_conjugate_pair(coeffs, g, y, y0):
+    """dynamics._Coefficients._v1 as it was before its log pair was folded
+    to twice the real part of one half: the pair evaluated in full, and an
+    imaginary residue above EPS_IMAG raised as NumericalBreakdown.  The
+    folded _v1 must agree with it bit for bit: value, error type, message."""
+    s = v1_pair(coeffs, y, y0)
+    if coeffs.m2 != 0.0:
+        ratio = (coeffs.m1 + coeffs.m2 * y) / (coeffs.m1 + coeffs.m2 * y0)
+        if ratio <= 0.0:
+            raise PoleOnRange(f"log argument crossed the pole between {y0} and {y}")
+        s += coeffs._c3 * math.log(ratio)
+    if abs(s.imag) > EPS_IMAG * (1.0 + abs(s)):
+        raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in v1({y})")
+    return g * s.real
+
+
+def antiderivative_pair(sol, y, m=math):
+    """The complex-log pair of GeneralSolution._antiderivative, both halves
+    evaluated, at a float slope or (m = np) elementwise on an array."""
+    if m is np:
+        w, wbar, clog = y - 1j, y + 1j, np.log
+    else:
+        w, wbar, clog = complex(y, -1.0), complex(y, 1.0), cmath.log
+    a = sol._a
+    t1 = a * w * (clog(w / complex(sol.y0, -1.0)) - 1.0)
+    return t1 + a.conjugate() * wbar * (clog(wbar / complex(sol.y0, 1.0)) - 1.0)
+
+
+def antiderivative_conjugate_pair(sol, y, m=math):
+    """GeneralSolution._antiderivative as it was before its log pair was
+    folded, on both paths; an array replays its faulting slopes through the
+    float path of this reference."""
+    s = antiderivative_pair(sol, y, m)
+    residue = abs(s.imag) > EPS_IMAG * (1.0 + abs(s))
+    if sol.m2 == 0.0:
+        ratio = 1.0
+    else:
+        num = sol.m1 + sol.m2 * y
+        ratio = num / sol._den
+    if m is np:
+        ta._fault(residue | (ratio <= 0.0), lambda u: antiderivative_conjugate_pair(sol, u), y)
+    elif residue:
+        raise NumericalBreakdown(f"imaginary residue {s.imag:.3e} in psi({y})")
+    elif ratio <= 0.0:
+        raise PoleOnRange(f"antiderivative crossed the pole at y = {sol.pole}")
+    if sol.m2 == 0.0:
+        return s.real
+    return s.real + sol._c3 * (num / sol.m2) * (m.log(ratio) - 1.0)

@@ -142,6 +142,23 @@ def test_integrate_rejects_bad_time():
         integrate(s0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["t_end", "g", "l", "r1", "r2", "v0", "v1", "v2", "t"])
+def test_integrate_rejects_non_finite_input_before_a_step(monkeypatch, name, value):
+    # a NaN t_end used to return one sample as a success, a NaN l to run
+    # the whole step budget
+    args = {"g": 1.0, "t_end": 1.0}
+    state = {"l": 1.0, "r1": 1.0, "r2": 0.0, "v0": -1.0, "v1": 0.0, "v2": 0.0}
+    (args if name in args else state)[name] = value
+
+    def no_step(*a):
+        raise AssertionError("integrate evaluated the field")
+
+    monkeypatch.setattr(dynamics, "_accel", no_step)
+    with pytest.raises(DomainError, match=f"finite {name}, got {value}"):
+        integrate(MonopoleState(**state), args["g"], args["t_end"])
+
+
 def test_singular_approach_detected():
     # aimed straight at the l = 0 plane
     s0 = MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0)
@@ -723,6 +740,16 @@ def test_setup_validation():
         ScatteringSetup(g=1.0, y1=0.0, z1=0.0, v1_inf=0.5, m1=-1.0, m2=0.9)
     with pytest.raises(DomainError):
         ScatteringSetup(g=1.0, y1=0.0, z1=0.8, v1_inf=0.5, m1=0.0, m2=0.9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["g", "y1", "z1", "v1_inf", "m1", "m2"])
+def test_setup_rejects_non_finite_fields(name, value):
+    # a NaN M1, M2, y1, g or v1_inf used to read RootFindingFailure from
+    # the map, a NaN z1 NumericalBreakdown
+    fields = {"g": 1.0, "y1": 0.0, "z1": 0.8, "v1_inf": 0.5, "m1": -1.0, "m2": 0.9, name: value}
+    with pytest.raises(DomainError, match=f"finite {name}, got {value}"):
+        ScatteringSetup(**fields)
 
 
 def test_scattering_map_consistency():

@@ -264,21 +264,27 @@ def _avx512_dispatch():
     return [t for t in targets if features.get(t) and (t.startswith("AVX512") or t == "X86_V4")]
 
 
-def test_one_call_per_cell_loop_agrees_under_a_reduced_simd_dispatch():
-    # numpy's exp and cos follow the SIMD dispatch, so the form integrals'
-    # bits differ between AVX-512 and AVX2 hosts; within one dispatch the
-    # engine and the loop must still agree
+def rerun_under_reduced_dispatch(test_file, keyword):
+    """Runs the tests of test_file that keyword selects in a subprocess with
+    numpy's AVX-512 targets disabled, and asserts that they pass."""
     targets = _avx512_dispatch()
     if not targets:
         pytest.skip("numpy dispatches to no AVX-512 target on this CPU")
-    here = Path(__file__).resolve()
+    here = Path(test_file).resolve()
     src = str(here.parents[1] / "src")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    tests = [str(here), "-k", "one_call_per_cell_loop and not reduced"]
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning",
+         str(here), "-k", keyword],
         env=env, capture_output=True, text=True, cwd=here.parents[1],
     )
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
     assert " passed" in run.stdout.splitlines()[-1]
+
+
+def test_one_call_per_cell_loop_agrees_under_a_reduced_simd_dispatch():
+    # numpy's exp and cos follow the SIMD dispatch, so the form integrals'
+    # bits differ between AVX-512 and AVX2 hosts; within one dispatch the
+    # engine and the loop must still agree
+    rerun_under_reduced_dispatch(__file__, "one_call_per_cell_loop and not reduced")
