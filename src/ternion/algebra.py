@@ -30,6 +30,10 @@ and ternion.dynamics follow it.
   array call that meets a fault replays the flagged points, in order, on
   floats (_fault): the first point whose float call raises decides the
   error, which is that call's error, type and message.
+* Layout.  A batched result of several components holds them first and the
+  points last, one contiguous row per component: field's vectors,
+  calculus._on_stencil, and the (m, nodes) values that the quadrature
+  integrands return (see ternion.quadrature).
 * One point only.  Some results speak for a single point, and over many a
   failing point would hide: calculus.check_holo_type1, check_holo_type2 and
   conformal_jacobian raise DomainError on array components.

@@ -12,10 +12,11 @@ holomorphy:
   their product.
 
 All derivative checks are numerical (central differences, two step sizes);
-all integrals are adaptive Gauss-Kronrod (see ternion.quadrature).  The form
-integrals evaluate their integrand once for the first quadrature cell, then
-once per bisection on both halves' nodes, the first half first: fields,
-curves and patches get those nodes as arrays and run elementwise.
+all integrals are adaptive Gauss-Kronrod (see ternion.quadrature, which
+states when its integrands are called and the (m, nodes) layout they
+return).  The form integrals evaluate their integrand on all the nodes of a
+quadrature call at once: fields, curves and patches get those nodes as
+arrays and run elementwise.
 
 The derivative kernels (wirtinger_partials, ternary_laplacian and the
 partials below them) follow the array contract of ternion.algebra: a point
@@ -80,11 +81,10 @@ EPS_GEO = 1e-9    # closed-curve / on-surface geometric tolerance
 class TernaryField:
     """A named map R^3 -> ternary numbers; func takes and returns Ternary.
 
-    The form integrals call func once for the first quadrature cell, then
-    once per bisection on both halves' nodes, the first half first, on a
-    Ternary whose components are read-only arrays of those nodes, and read
-    the result elementwise (a result with float components stands for every
-    node).
+    The form integrals call func once per quadrature call (see
+    ternion.quadrature), on a Ternary whose components are read-only arrays
+    of that call's nodes, and read the result elementwise (a result with
+    float components stands for every node).
     Write func with ternion.algebra operations or numpy ufuncs: math.sin and
     the like raise TypeError on arrays, and so does in-place arithmetic on
     the components.
@@ -253,7 +253,12 @@ def check_holo_type1(F, p: Ternary) -> HoloType1Report:
     p is one point: array components raise DomainError.
     """
     _one_point("check_holo_type1", p)
-    cart = _type1_cartesian(_checked_partials(F, p))
+    return _type1_report(F, p, _checked_partials(F, p))
+
+
+def _type1_report(F, p: Ternary, m) -> HoloType1Report:
+    """check_holo_type1's report at the point p, given m = _checked_partials(F, p)."""
+    cart = _type1_cartesian(m)
 
     def h(c):
         z = ta.from_polar(ta.PolarForm(*c))
@@ -407,7 +412,8 @@ class Curve:
 
 def _batched(evaluate):
     """The quadrature integrand of evaluate, which maps node arrays to a tuple
-    of components (arrays or floats, broadcast to the nodes).
+    of components (arrays or floats, broadcast to the nodes): one row each of
+    the (m, nodes) values.
 
     Division by zero raises instead of warning, and with SingularNumber it
     ends in SingularOnPath; overflow and invalid operations leave inf or nan
@@ -420,9 +426,9 @@ def _batched(evaluate):
                 components = evaluate(*nodes)
         except (SingularNumber, ZeroDivisionError, FloatingPointError) as exc:
             raise SingularOnPath(f"integrand hit the singular set: {exc}") from exc
-        vals = np.empty((len(nodes[0]), len(components)))
+        vals = np.empty((len(components), len(nodes[0])))
         for j, c in enumerate(components):
-            vals[:, j] = c
+            vals[j] = c
         return vals
 
     return wrapped
@@ -589,13 +595,14 @@ def conformal_jacobian(F, p: Ternary) -> float:
     DomainError.
     """
     _one_point("conformal_jacobian", p)
-    report = check_holo_type1(F, p)
+    m = _checked_partials(F, p)
+    report = _type1_report(F, p, m)
     if not report.passed:
         raise NotHolomorphic(
             f"type-1 residual {max(report.max_cartesian, report.max_polar or 0.0):.3e} "
             f"exceeds {EPS_FD:.1e} at {p}"
         )
-    return float(np.linalg.det(_checked_partials(F, p)))
+    return float(np.linalg.det(m))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,13 @@ def angular_momentum(y) -> tuple:
     return (r1 * v2 - r2 * v1, r2 * v0 - l * v2, l * v1 - r1 * v0)
 
 
+def _require_finite(what: str, **inputs):
+    """Raises DomainError naming the first input that is not finite."""
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{what} needs a finite {name}, got {value}")
+
+
 def _kinetic_energy(y) -> float:
     v0, v1, v2 = y[3:]
     return 0.5 * (v0 * v0 + v1 * v1 + v2 * v2)
@@ -210,9 +217,7 @@ def integrate(
     Both carry the trajectory up to the last accepted step.  A non-finite
     t_end, g or component of s0 raises DomainError before the first step.
     """
-    for name, value in (("t_end", t_end), ("g", g), *vars(s0).items()):
-        if not math.isfinite(value):
-            raise DomainError(f"integrate needs a finite {name}, got {value}")
+    _require_finite("integrate", t_end=t_end, g=g, **vars(s0))
     t = float(s0.t)
     if t_end <= t:
         raise DomainError(f"t_end must exceed the initial time, got {t_end} <= {t}")
@@ -253,131 +258,129 @@ def integrate(
     ) = _TABLEAU
     eps, max_steps, sqrt = EPS_FIELD, MAX_STEPS, math.sqrt
     n_accepted = n_rejected = 0
-    while t < t_end:
-        if n_accepted + n_rejected >= max_steps:
-            traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
-            raise StepFailure(f"step budget {max_steps} exhausted at t = {t}", traj)
-        rest = t_end - t
-        if rest < dt:
-            dt = rest
-        at = abs(t)
-        if dt < 1e-14 * (at if at > 1.0 else 1.0):
-            traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
-            raise StepFailure(f"step size underflow at t = {t}", traj)
-        try:
-            u20 = v0 + dt * (0.0 + A21 * a10)
-            u21 = v1 + dt * (0.0 + A21 * a11)
-            u22 = v2 + dt * (0.0 + A21 * a12)
-            x = l + dt * (0.0 + A21 * v0)
-            y = r1 + dt * (0.0 + A21 * v1)
-            z = r2 + dt * (0.0 + A21 * v2)
-            rsq = y * y + z * z
-            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
-                raise OnSingularSet
-            lr = x * rsq
-            a20, a21, a22 = -g / rsq, -g * y / lr, -g * z / lr
-            u30 = v0 + dt * (0.0 + A31 * a10 + A32 * a20)
-            u31 = v1 + dt * (0.0 + A31 * a11 + A32 * a21)
-            u32 = v2 + dt * (0.0 + A31 * a12 + A32 * a22)
-            x = l + dt * (0.0 + A31 * v0 + A32 * u20)
-            y = r1 + dt * (0.0 + A31 * v1 + A32 * u21)
-            z = r2 + dt * (0.0 + A31 * v2 + A32 * u22)
-            rsq = y * y + z * z
-            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
-                raise OnSingularSet
-            lr = x * rsq
-            a30, a31, a32 = -g / rsq, -g * y / lr, -g * z / lr
-            u40 = v0 + dt * (0.0 + A41 * a10 + A42 * a20 + A43 * a30)
-            u41 = v1 + dt * (0.0 + A41 * a11 + A42 * a21 + A43 * a31)
-            u42 = v2 + dt * (0.0 + A41 * a12 + A42 * a22 + A43 * a32)
-            x = l + dt * (0.0 + A41 * v0 + A42 * u20 + A43 * u30)
-            y = r1 + dt * (0.0 + A41 * v1 + A42 * u21 + A43 * u31)
-            z = r2 + dt * (0.0 + A41 * v2 + A42 * u22 + A43 * u32)
-            rsq = y * y + z * z
-            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
-                raise OnSingularSet
-            lr = x * rsq
-            a40, a41, a42 = -g / rsq, -g * y / lr, -g * z / lr
-            u50 = v0 + dt * (0.0 + A51 * a10 + A52 * a20 + A53 * a30 + A54 * a40)
-            u51 = v1 + dt * (0.0 + A51 * a11 + A52 * a21 + A53 * a31 + A54 * a41)
-            u52 = v2 + dt * (0.0 + A51 * a12 + A52 * a22 + A53 * a32 + A54 * a42)
-            x = l + dt * (0.0 + A51 * v0 + A52 * u20 + A53 * u30 + A54 * u40)
-            y = r1 + dt * (0.0 + A51 * v1 + A52 * u21 + A53 * u31 + A54 * u41)
-            z = r2 + dt * (0.0 + A51 * v2 + A52 * u22 + A53 * u32 + A54 * u42)
-            rsq = y * y + z * z
-            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
-                raise OnSingularSet
-            lr = x * rsq
-            a50, a51, a52 = -g / rsq, -g * y / lr, -g * z / lr
-            u60 = v0 + dt * (0.0 + A61 * a10 + A62 * a20 + A63 * a30 + A64 * a40 + A65 * a50)
-            u61 = v1 + dt * (0.0 + A61 * a11 + A62 * a21 + A63 * a31 + A64 * a41 + A65 * a51)
-            u62 = v2 + dt * (0.0 + A61 * a12 + A62 * a22 + A63 * a32 + A64 * a42 + A65 * a52)
-            x = l + dt * (0.0 + A61 * v0 + A62 * u20 + A63 * u30 + A64 * u40 + A65 * u50)
-            y = r1 + dt * (0.0 + A61 * v1 + A62 * u21 + A63 * u31 + A64 * u41 + A65 * u51)
-            z = r2 + dt * (0.0 + A61 * v2 + A62 * u22 + A63 * u32 + A64 * u42 + A65 * u52)
-            rsq = y * y + z * z
-            if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
-                raise OnSingularSet
-            lr = x * rsq
-            a60, a61, a62 = -g / rsq, -g * y / lr, -g * z / lr
-            # the 5th-order solution (p7, u7) is the 7th stage's state
-            u70 = v0 + dt * (0.0 + A71 * a10 + A73 * a30 + A74 * a40 + A75 * a50 + A76 * a60)
-            u71 = v1 + dt * (0.0 + A71 * a11 + A73 * a31 + A74 * a41 + A75 * a51 + A76 * a61)
-            u72 = v2 + dt * (0.0 + A71 * a12 + A73 * a32 + A74 * a42 + A75 * a52 + A76 * a62)
-            p70 = l + dt * (0.0 + A71 * v0 + A73 * u30 + A74 * u40 + A75 * u50 + A76 * u60)
-            p71 = r1 + dt * (0.0 + A71 * v1 + A73 * u31 + A74 * u41 + A75 * u51 + A76 * u61)
-            p72 = r2 + dt * (0.0 + A71 * v2 + A73 * u32 + A74 * u42 + A75 * u52 + A76 * u62)
-            rsq = p71 * p71 + p72 * p72
-            if rsq <= (eps * (1.0 + abs(p70))) ** 2 or abs(p70) <= eps:
-                raise OnSingularSet
-            lr = p70 * rsq
-            a70, a71, a72 = -g / rsq, -g * p71 / lr, -g * p72 / lr
-            if abs(p70) * rsq < guard:
-                raise OnSingularSet
-        except OnSingularSet:
-            traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
-            last = traj.final_state()
-            raise SingularApproach(
-                f"approached the singular set near t = {t:.6g}", traj, last
-            ) from None
-        # error estimate per component, RMS-normed against tol (1 + max(|old|, |new|))
-        e0 = dt * (0.0 + E1 * v0 + E3 * u30 + E4 * u40 + E5 * u50 + E6 * u60 + E7 * u70)
-        e1 = dt * (0.0 + E1 * v1 + E3 * u31 + E4 * u41 + E5 * u51 + E6 * u61 + E7 * u71)
-        e2 = dt * (0.0 + E1 * v2 + E3 * u32 + E4 * u42 + E5 * u52 + E6 * u62 + E7 * u72)
-        e3 = dt * (0.0 + E1 * a10 + E3 * a30 + E4 * a40 + E5 * a50 + E6 * a60 + E7 * a70)
-        e4 = dt * (0.0 + E1 * a11 + E3 * a31 + E4 * a41 + E5 * a51 + E6 * a61 + E7 * a71)
-        e5 = dt * (0.0 + E1 * a12 + E3 * a32 + E4 * a42 + E5 * a52 + E6 * a62 + E7 * a72)
-        o0, o1, o2, o3, o4, o5 = abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2)
-        n0, n1, n2, n3, n4, n5 = abs(p70), abs(p71), abs(p72), abs(u70), abs(u71), abs(u72)
-        try:
-            err = (
-                (e0 / (tol + tol * (n0 if n0 > o0 else o0))) ** 2
-                + (e1 / (tol + tol * (n1 if n1 > o1 else o1))) ** 2
-                + (e2 / (tol + tol * (n2 if n2 > o2 else o2))) ** 2
-                + (e3 / (tol + tol * (n3 if n3 > o3 else o3))) ** 2
-                + (e4 / (tol + tol * (n4 if n4 > o4 else o4))) ** 2
-                + (e5 / (tol + tol * (n5 if n5 > o5 else o5))) ** 2
-            )
-        except OverflowError:  # float ** raises where a product would give inf
-            traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
-            msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
-            raise StepFailure(msg, traj) from None
-        err = sqrt(err / 6.0)
-        if err <= 1.0:
-            t += dt
-            l, r1, r2, v0, v1, v2 = p70, p71, p72, u70, u71, u72
-            a10, a11, a12 = a70, a71, a72  # first-same-as-last
-            times.append(t)
-            states.append((l, r1, r2, v0, v1, v2))
-            n_accepted += 1
-        else:
-            n_rejected += 1
-        factor = 0.9 * (err ** -0.2 if err > 0.0 else 5.0)
-        factor = factor if factor > 0.2 else 0.2
-        dt *= factor if factor < 5.0 else 5.0
-        if max_step is not None and max_step < dt:
-            dt = max_step
-    traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
+    try:
+        while t < t_end:
+            if n_accepted + n_rejected >= max_steps:
+                raise StepFailure(f"step budget {max_steps} exhausted at t = {t}", traj)
+            rest = t_end - t
+            if rest < dt:
+                dt = rest
+            at = abs(t)
+            if dt < 1e-14 * (at if at > 1.0 else 1.0):
+                raise StepFailure(f"step size underflow at t = {t}", traj)
+            try:
+                u20 = v0 + dt * (0.0 + A21 * a10)
+                u21 = v1 + dt * (0.0 + A21 * a11)
+                u22 = v2 + dt * (0.0 + A21 * a12)
+                x = l + dt * (0.0 + A21 * v0)
+                y = r1 + dt * (0.0 + A21 * v1)
+                z = r2 + dt * (0.0 + A21 * v2)
+                rsq = y * y + z * z
+                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a20, a21, a22 = -g / rsq, -g * y / lr, -g * z / lr
+                u30 = v0 + dt * (0.0 + A31 * a10 + A32 * a20)
+                u31 = v1 + dt * (0.0 + A31 * a11 + A32 * a21)
+                u32 = v2 + dt * (0.0 + A31 * a12 + A32 * a22)
+                x = l + dt * (0.0 + A31 * v0 + A32 * u20)
+                y = r1 + dt * (0.0 + A31 * v1 + A32 * u21)
+                z = r2 + dt * (0.0 + A31 * v2 + A32 * u22)
+                rsq = y * y + z * z
+                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a30, a31, a32 = -g / rsq, -g * y / lr, -g * z / lr
+                u40 = v0 + dt * (0.0 + A41 * a10 + A42 * a20 + A43 * a30)
+                u41 = v1 + dt * (0.0 + A41 * a11 + A42 * a21 + A43 * a31)
+                u42 = v2 + dt * (0.0 + A41 * a12 + A42 * a22 + A43 * a32)
+                x = l + dt * (0.0 + A41 * v0 + A42 * u20 + A43 * u30)
+                y = r1 + dt * (0.0 + A41 * v1 + A42 * u21 + A43 * u31)
+                z = r2 + dt * (0.0 + A41 * v2 + A42 * u22 + A43 * u32)
+                rsq = y * y + z * z
+                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a40, a41, a42 = -g / rsq, -g * y / lr, -g * z / lr
+                u50 = v0 + dt * (0.0 + A51 * a10 + A52 * a20 + A53 * a30 + A54 * a40)
+                u51 = v1 + dt * (0.0 + A51 * a11 + A52 * a21 + A53 * a31 + A54 * a41)
+                u52 = v2 + dt * (0.0 + A51 * a12 + A52 * a22 + A53 * a32 + A54 * a42)
+                x = l + dt * (0.0 + A51 * v0 + A52 * u20 + A53 * u30 + A54 * u40)
+                y = r1 + dt * (0.0 + A51 * v1 + A52 * u21 + A53 * u31 + A54 * u41)
+                z = r2 + dt * (0.0 + A51 * v2 + A52 * u22 + A53 * u32 + A54 * u42)
+                rsq = y * y + z * z
+                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a50, a51, a52 = -g / rsq, -g * y / lr, -g * z / lr
+                u60 = v0 + dt * (0.0 + A61 * a10 + A62 * a20 + A63 * a30 + A64 * a40 + A65 * a50)
+                u61 = v1 + dt * (0.0 + A61 * a11 + A62 * a21 + A63 * a31 + A64 * a41 + A65 * a51)
+                u62 = v2 + dt * (0.0 + A61 * a12 + A62 * a22 + A63 * a32 + A64 * a42 + A65 * a52)
+                x = l + dt * (0.0 + A61 * v0 + A62 * u20 + A63 * u30 + A64 * u40 + A65 * u50)
+                y = r1 + dt * (0.0 + A61 * v1 + A62 * u21 + A63 * u31 + A64 * u41 + A65 * u51)
+                z = r2 + dt * (0.0 + A61 * v2 + A62 * u22 + A63 * u32 + A64 * u42 + A65 * u52)
+                rsq = y * y + z * z
+                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a60, a61, a62 = -g / rsq, -g * y / lr, -g * z / lr
+                # the 5th-order solution (p7, u7) is the 7th stage's state
+                u70 = v0 + dt * (0.0 + A71 * a10 + A73 * a30 + A74 * a40 + A75 * a50 + A76 * a60)
+                u71 = v1 + dt * (0.0 + A71 * a11 + A73 * a31 + A74 * a41 + A75 * a51 + A76 * a61)
+                u72 = v2 + dt * (0.0 + A71 * a12 + A73 * a32 + A74 * a42 + A75 * a52 + A76 * a62)
+                p70 = l + dt * (0.0 + A71 * v0 + A73 * u30 + A74 * u40 + A75 * u50 + A76 * u60)
+                p71 = r1 + dt * (0.0 + A71 * v1 + A73 * u31 + A74 * u41 + A75 * u51 + A76 * u61)
+                p72 = r2 + dt * (0.0 + A71 * v2 + A73 * u32 + A74 * u42 + A75 * u52 + A76 * u62)
+                rsq = p71 * p71 + p72 * p72
+                if rsq <= (eps * (1.0 + abs(p70))) ** 2 or abs(p70) <= eps:
+                    raise OnSingularSet
+                lr = p70 * rsq
+                a70, a71, a72 = -g / rsq, -g * p71 / lr, -g * p72 / lr
+                if abs(p70) * rsq < guard:
+                    raise OnSingularSet
+            except OnSingularSet:
+                last = traj.final_state()
+                raise SingularApproach(
+                    f"approached the singular set near t = {t:.6g}", traj, last
+                ) from None
+            # error estimate per component, RMS-normed against tol (1 + max(|old|, |new|))
+            e0 = dt * (0.0 + E1 * v0 + E3 * u30 + E4 * u40 + E5 * u50 + E6 * u60 + E7 * u70)
+            e1 = dt * (0.0 + E1 * v1 + E3 * u31 + E4 * u41 + E5 * u51 + E6 * u61 + E7 * u71)
+            e2 = dt * (0.0 + E1 * v2 + E3 * u32 + E4 * u42 + E5 * u52 + E6 * u62 + E7 * u72)
+            e3 = dt * (0.0 + E1 * a10 + E3 * a30 + E4 * a40 + E5 * a50 + E6 * a60 + E7 * a70)
+            e4 = dt * (0.0 + E1 * a11 + E3 * a31 + E4 * a41 + E5 * a51 + E6 * a61 + E7 * a71)
+            e5 = dt * (0.0 + E1 * a12 + E3 * a32 + E4 * a42 + E5 * a52 + E6 * a62 + E7 * a72)
+            o0, o1, o2, o3, o4, o5 = abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2)
+            n0, n1, n2, n3, n4, n5 = abs(p70), abs(p71), abs(p72), abs(u70), abs(u71), abs(u72)
+            try:
+                err = (
+                    (e0 / (tol + tol * (n0 if n0 > o0 else o0))) ** 2
+                    + (e1 / (tol + tol * (n1 if n1 > o1 else o1))) ** 2
+                    + (e2 / (tol + tol * (n2 if n2 > o2 else o2))) ** 2
+                    + (e3 / (tol + tol * (n3 if n3 > o3 else o3))) ** 2
+                    + (e4 / (tol + tol * (n4 if n4 > o4 else o4))) ** 2
+                    + (e5 / (tol + tol * (n5 if n5 > o5 else o5))) ** 2
+                )
+            except OverflowError:  # float ** raises where a product would give inf
+                msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
+                raise StepFailure(msg, traj) from None
+            err = sqrt(err / 6.0)
+            if err <= 1.0:
+                t += dt
+                l, r1, r2, v0, v1, v2 = p70, p71, p72, u70, u71, u72
+                a10, a11, a12 = a70, a71, a72  # first-same-as-last
+                times.append(t)
+                states.append((l, r1, r2, v0, v1, v2))
+                n_accepted += 1
+            else:
+                n_rejected += 1
+            factor = 0.9 * (err ** -0.2 if err > 0.0 else 5.0)
+            factor = factor if factor > 0.2 else 0.2
+            dt *= factor if factor < 5.0 else 5.0
+            if max_step is not None and max_step < dt:
+                dt = max_step
+    finally:
+        traj.n_accepted, traj.n_rejected = n_accepted, n_rejected
     return traj
 
 
@@ -393,9 +396,9 @@ def _f_planar(z, z0: float):
 
 def _time_integral(f, a: float, b: float) -> float:
     """Integral of f^-2 from a to b to TIME_TOL, the time of both closed
-    forms; f runs once on the first quadrature cell's 15 nodes, then once
-    per bisection on the 30 nodes of both halves, the first half first."""
-    val = adaptive_quad(lambda u: _pow(f(u), -2.0)[:, None], a, b, TIME_TOL)
+    forms; f runs once per quadrature call (see ternion.quadrature), on 15
+    nodes for the first cell and 30 for a bisection's halves."""
+    val = adaptive_quad(lambda u: _pow(f(u), -2.0)[None], a, b, TIME_TOL)
     return float(val[0])
 
 
@@ -425,8 +428,10 @@ def asymptote_solve(z0: float, z1: float) -> float:
     side of z0; raises NoSecondSolution otherwise.  In u = ln(z/z0) the left
     side z0 e^u (u - 1) falls from 0 at -inf to -z0 at 0 and rises back to 0
     at 1: one sign change on (-inf, 0) or (0, 1), found by Brent in u (so to
-    a relative tolerance in z) to a residual of 1e-12 z0.
+    a relative tolerance in z) to a residual of 1e-12 z0.  A z0 or z1 that
+    is not finite raises DomainError.
     """
+    _require_finite("asymptote equation", z0=z0, z1=z1)
     if z0 <= 0.0 or z1 <= 0.0:
         raise DomainError(f"asymptote equation normalized to z0 > 0, z1 > 0; got ({z0}, {z1})")
     target = _f_planar(z1, z0)
@@ -454,10 +459,12 @@ class PlanarSolution:
     between the two asymptotic slopes in the turnaround regime, or on
     (0, z1) when no second asymptote exists and the trajectory reaches the
     center.  t diverges at the branch ends (the asymptotes are reached only
-    as t -> +-infinity); t is referenced so t(z0) = 0.
+    as t -> +-infinity); t is referenced so t(z0) = 0.  An input that is not
+    finite raises DomainError.
     """
 
     def __init__(self, g: float, m2: float, z0: float, z1: float):
+        _require_finite("planar solution", g=g, m2=m2, z0=z0, z1=z1)
         if m2 == 0.0:
             raise DomainError("planar solution needs M2 != 0")
         if z0 <= 0.0 or z1 <= 0.0:
@@ -609,10 +616,12 @@ class GeneralSolution(_Coefficients):
     The constants of the base point y0 (complex(y0, -1) and M1 + M2 y0) are
     computed once here.  psi memoizes its base term A(y1), the
     antiderivative at y1, on first use; every thread that fills the memo
-    stores the same value, so a solution stays safe to share.
+    stores the same value, so a solution stays safe to share.  An input that
+    is not finite raises DomainError.
     """
 
     def __init__(self, g: float, m0: float, m1: float, m2: float, y0: float, y1: float):
+        _require_finite("general solution", g=g, m0=m0, m1=m1, m2=m2, y0=y0, y1=y1)
         if m0 == 0.0:
             raise DomainError("general solution needs M0 != 0")
         if g == 0.0:
@@ -761,9 +770,7 @@ class ScatteringSetup:
     m2: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise DomainError(f"scattering setup needs a finite {name}, got {value}")
+        _require_finite("scattering setup", **vars(self))
         if self.g == 0.0 or self.z1 == 0.0 or self.v1_inf == 0.0:
             raise DomainError("scattering setup needs g, z1 and v1_inf nonzero")
         if self.m1 + self.m2 * self.y1 == 0.0:

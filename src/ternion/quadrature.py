@@ -6,13 +6,16 @@ K15 estimate, its error on an axis is max |value - the rule with G7 on that
 axis|, and the worst cell is bisected on its worst axis until the summed error
 is <= the absolute tolerance.
 
-Every integrand is batched: the engine calls it once for the first cell, then
-once per bisection on both halves' nodes, the first half first, with one
-read-only array of node coordinates per axis (each cell's nodes in
-itertools.product order) and takes back a (nodes, m) array of values.
-adaptive_quad, adaptive_quad_2d and adaptive_quad_3d are the entry points for
-1, 2 and 3 axes; there is no pointwise adapter, so an integrand written for
-floats must be vectorized (or wrapped by its caller) first.
+Every integrand is batched, and this is the one place that says how.  The
+engine calls it once on the first cell, then once per bisection on both
+halves, the first half first.  A call gets one read-only array of node
+coordinates per axis (each cell's nodes in itertools.product order) and
+returns an (m, nodes) array: one row per component, nodes last, the layout of
+every batched result in the package (see the array contract of
+ternion.algebra).  adaptive_quad, adaptive_quad_2d and adaptive_quad_3d are
+the entry points for 1, 2 and 3 axes; there is no pointwise adapter, so an
+integrand written for floats must be vectorized (or wrapped by its caller)
+first.
 
 Each call owns one budget of 10**6 integrand evaluations, charged cell by
 cell.  QuadratureFailure is raised when the budget runs out, a cell stalls
@@ -127,9 +130,9 @@ def _cells(f, boxes, budget):
         for a in axes:
             a.flags.writeable = False
         vals = np.asarray(f(*axes))
-        if vals.ndim != 2 or len(vals) != c * n:
-            # a (nodes,) array would broadcast against the weights into a wrong value
-            raise ValueError(f"integrand returned shape {vals.shape}; expected ({c * n}, m)")
+        if vals.ndim != 2 or vals.shape[1] != c * n:
+            # one layout only: a (nodes,) array would pass the reshape below
+            raise ValueError(f"integrand returned shape {vals.shape}; expected (m, {c * n})")
         # checked before the weights multiply it: inf times a zero G7 weight
         # would warn
         if not np.logical_and.reduce(np.isfinite(vals), axis=None):
@@ -138,13 +141,13 @@ def _cells(f, boxes, budget):
         # one after another along a contiguous axis, as sum() does; reduce
         # would sum it pairwise and change the last bits.  In place, a 15^3
         # box holds one large temporary, not two.
-        terms = np.multiply(weights, vals.T.reshape(-1, c, n), order="C")
+        terms = np.multiply(weights, vals.reshape(-1, c, n))
         sums = np.multiply(vols, np.add.accumulate(terms, axis=3, out=terms)[..., -1])
         k = sums[0]
         if not np.logical_and.reduce(np.isfinite(k), axis=None):
             raise QuadratureFailure(f"non-finite integrand on {' and '.join(map(_span, boxes))}")
         errs = np.maximum.reduce(np.abs(sums[1:] - k), axis=1)
-        return zip(k.T, errs.T.tolist(), errs.argmax(axis=0).tolist())
+        return zip([k[:, i] for i in range(c)], zip(*errs.tolist()), errs.argmax(axis=0).tolist())
     except Exception as exc:
         if len(boxes) == 1:
             raise
@@ -158,10 +161,9 @@ def _cells(f, boxes, budget):
 def _integrate(f, box, tol, budget):
     """Bisect the worst cell until the summed error estimate is <= tol.
 
-    f is called once on the first cell, then once per bisection on both
-    halves' nodes, the first half first.  Reversed 1D limits flip the sign;
-    a reversed axis of a 2D or 3D box gets a negative half-width, which also
-    gives the oriented value.  A cell stalls, and the integral fails, when
+    f is called as the module docstring says.  Reversed 1D limits flip the
+    sign; a reversed axis of a 2D or 3D box gets a negative half-width, which
+    also gives the oriented value.  A cell stalls, and the integral fails, when
     its error is 0 or its split axis is no wider than |lo| 1e-15 + 1e-300.
     """
     if len(box) == 1 and box[0][1] < box[0][0]:
@@ -189,7 +191,7 @@ def _integrate(f, box, tol, budget):
 def adaptive_quad(f, a, b, tol=DEFAULT_TOL):
     """Integrate f(x) over [a, b] to absolute tolerance tol.
 
-    f is batched: it takes an array of nodes and returns a (nodes, m) array.
+    f is batched: it takes an array of nodes and returns an (m, nodes) array.
     Reversed limits flip the sign, as usual.
     """
     return _integrate(f, ((a, b),), tol, [BUDGET])

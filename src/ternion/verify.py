@@ -483,7 +483,7 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
     gsol = td.general_solution(g, m0, m1, m2, 0.9, 0.1)
 
     def kernel(u):
-        return (1.0 / ((1 + u * u) * (m1 + m2 * u)))[:, None]
+        return (1.0 / ((1 + u * u) * (m1 + m2 * u)))[None]
 
     worst, ce = 0.0, None
     for y in (0.2, 0.5, 1.2):

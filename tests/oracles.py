@@ -84,8 +84,9 @@ def ternary_close(a: Ternary, b: Ternary, tol: float) -> bool:
 def pointwise(f):
     """The batched form of a pointwise integrand f for ternion.quadrature,
     whose integrands take one node array per axis: f is called once per
-    node, with floats, in node order, and returns a sequence of values."""
-    return lambda *axes: np.array([f(*p) for p in zip(*axes)], dtype=float).reshape(len(axes[0]), -1)
+    node, with floats, in node order, and returns a sequence of values, one
+    per component: the (m, nodes) array holds them row by row."""
+    return lambda *axes: np.array(list(zip(*[f(*p) for p in zip(*axes)])), dtype=float)
 
 
 # The refinement loop as it ran before the two halves of a bisected cell
@@ -106,8 +107,10 @@ def _one_cell(f, box, budget):
     for a in axes:
         a.flags.writeable = False
     vals = f(*axes)
-    if np.ndim(vals) != 2 or len(vals) != 15**d:
-        raise ValueError(f"integrand returned shape {np.shape(vals)}; expected ({15**d}, m)")
+    if np.ndim(vals) != 2 or np.shape(vals)[1] != 15**d:
+        raise ValueError(f"integrand returned shape {np.shape(vals)}; expected (m, {15**d})")
+    # this loop's own layout: a (nodes, components) table per cell
+    vals = np.transpose(vals)
     if not np.isfinite(vals).all():
         raise QuadratureFailure(f"non-finite integrand on {_span(box)}")
     terms = weights.reshape(d + 1, -1, 1) * vals

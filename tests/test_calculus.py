@@ -443,6 +443,17 @@ def test_conformal_jacobian_rejects_non_holomorphic():
         conformal_jacobian(x0_field, Ternary(0.5, 0.1, -0.2))
 
 
+def test_conformal_jacobian_evaluates_the_partials_once():
+    # 12 field calls for the partials at two steps, shared by the type-1
+    # report and the determinant, and 6 for the polar residuals
+    calls = []
+    counted = TernaryField(lambda z: calls.append(z) or mul(z, z))
+    p = Ternary(0.7, -0.3, 0.4)
+    got = conformal_jacobian(counted, p)
+    assert len(calls) == 18
+    assert got == float(np.linalg.det(_checked_partials(square_field, p)))
+
+
 def test_closedness_of_holomorphic_one_form(rng):
     # d(F dz) = 0: the curl of each component 1-form vanishes for a random
     # polynomial F = c0 + c1 z + c2 z^2.

@@ -111,6 +111,12 @@ def test_folded_kernels_match_the_conjugate_pair(case):
         for a, b in ((y, y0), (y0, y)):
             _agree(coeffs._v1, lambda *args: v1_conjugate_pair(coeffs, *args), g, a, b)
             _real_pair(lambda: v1_pair(coeffs, a, b), a, b)
+    if not math.isfinite(y0):
+        # a solution rejects a base slope that is not finite, so its
+        # antiderivative never meets one
+        with pytest.raises(dynamics.DomainError, match="finite y0"):
+            dynamics.general_solution(g, 1.0, m1, m2, y0, y0)
+        return
     try:
         sol = dynamics.general_solution(g, 1.0, m1, m2, y0, y0)
     except dynamics.PoleOnRange:  # y0 on the pole

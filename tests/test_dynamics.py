@@ -99,6 +99,38 @@ def test_planar_center_reaching_branch():
     assert abs(sol.t(1e-3)) < 1e3
 
 
+_NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("name", ["g", "m2", "z0", "z1"])
+def test_planar_solution_rejects_non_finite_input(name, value):
+    # a NaN g or M2 used to give NaN v1 and t silently, M2 = inf a time of
+    # -inf, and a NaN z0 or z1 to end in RootFindingFailure
+    args = {"g": 1.0, "m2": 1.0, "z0": 1.0, "z1": 2.0, name: value}
+    with pytest.raises(DomainError, match=f"planar solution needs a finite {name}, got {value}"):
+        planar_solution(**args)
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("name", ["z0", "z1"])
+def test_asymptote_solve_rejects_non_finite_input(name, value):
+    # z0 = inf used to raise a bare ValueError, a NaN RootFindingFailure
+    args = {"z0": 1.0, "z1": 1.5, name: value}
+    with pytest.raises(DomainError, match=f"asymptote equation needs a finite {name}, got {value}"):
+        asymptote_solve(**args)
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("name", ["g", "m0", "m1", "m2", "y0", "y1"])
+def test_general_solution_rejects_non_finite_input(name, value):
+    # y0 = inf used to build a solution whose v1 raised a bare ValueError,
+    # and a NaN y0, y1 or g one whose v1 raised PoleOnRange
+    args = {"g": 1.0, "m0": 0.5, "m1": -1.0, "m2": 0.8, "y0": 0.9, "y1": 0.1, name: value}
+    with pytest.raises(DomainError, match=f"general solution needs a finite {name}, got {value}"):
+        general_solution(**args)
+
+
 def test_planar_run_conserves_and_matches_closed_form():
     sol = make_planar()
     z_start, z_end = 1.9, 0.35

@@ -77,10 +77,11 @@ def test_non_finite_integrand_fails_2d():
         adaptive_quad_2d(pointwise(lambda u, v: (1.0, math.nan)), (0.0, 1.0), (0.0, 1.0))
 
 
-@pytest.mark.parametrize("shape", [(15,), (1, 15), (14, 1)])
+@pytest.mark.parametrize("shape", [(15,), (15, 1), (1, 14)])
 def test_integrand_of_the_wrong_shape_is_rejected(shape):
-    # integrands are batched: one row of values per node
-    with pytest.raises(ValueError, match=r"integrand returned shape .*; expected \(15, m\)"):
+    # integrands are batched: one row of values per component, nodes last;
+    # neither a bare (nodes,) row nor the transposed (nodes, m) is accepted
+    with pytest.raises(ValueError, match=r"integrand returned shape .*; expected \(m, 15\)"):
         adaptive_quad(lambda x: np.ones(shape), 0.0, 1.0)
 
 
@@ -89,7 +90,7 @@ def test_batched_integrand_gets_one_call_per_cell():
 
     def f(x):
         calls.append(x.shape)
-        return (x * x)[:, None]
+        return (x * x)[None]
 
     assert adaptive_quad(f, 0.0, 1.0)[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert calls == [(15,)]
@@ -155,7 +156,7 @@ _TOLS = {1: 1e-12, 2: 1e-8, 3: 1e-3}
 
 def _peaked(*x):
     r2 = sum(a * a for a in x)
-    return np.stack([1.0 / (0.05 + r2), np.exp(x[0]) * np.cos(x[-1] + r2)], axis=1)
+    return np.stack([1.0 / (0.05 + r2), np.exp(x[0]) * np.cos(x[-1] + r2)])
 
 
 def _recording(f):
@@ -215,15 +216,17 @@ def _failing(kind, first, second):
         if kind in ("raise-second", "inf-then-raise") and at_second.any():
             raise ZeroDivisionError("node of the second half")
         if kind == "inf-then-raise":
-            vals[at_first] = math.inf
+            vals[:, at_first] = math.inf
         if kind == "wrong-shape" and at_second.any():
-            return vals[:-1]
+            return vals[:, :-1]
+        if kind == "old-layout" and at_second.any():
+            return vals.T
         return vals
 
     return f
 
 
-@pytest.mark.parametrize("kind", ["raise-first", "raise-second", "inf-then-raise", "wrong-shape"])
+@pytest.mark.parametrize("kind", ["raise-first", "raise-second", "inf-then-raise", "wrong-shape", "old-layout"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_failures_match_the_one_call_per_cell_loop(d, kind):
     # the third bisection's halves fail: the pair's call fails, the halves
@@ -247,7 +250,7 @@ def test_budget_exhaustion_matches_the_one_call_per_cell_loop(d, budget):
     # of a bisection, after the first half is evaluated alone (6666 cells of
     # 15 nodes in 10**5 too); 10**5 runs out on the first half of 15^3 nodes
     def f(*x):
-        return np.sin(1e8 * x[0])[:, None]
+        return np.sin(1e8 * x[0])[None]
 
     error, calls = _run(quadrature._integrate, f, d, 1e-10, budget)
     want, cells = _run(integrate_one_call_per_cell, f, d, 1e-10, budget)
