@@ -432,19 +432,27 @@ def multisine(k: int, phi1: float, phi2: float) -> float:
     return _multisines(phi1, phi2)[k]
 
 
-def _multisines(phi1, phi2):
-    """(m0, m1, m2) at (phi1, phi2), the one kernel of multisine and
-    from_polar: both exponentials are formed once, and each m_k is the
-    expression (big + small cos(psi - 2 pi k/3)) / 3 of the docstring above."""
+def _multisines(phi1, phi2, shift=0.0, replay=None):
+    """(m0, m1, m2) at (phi1, phi2), each times e^shift: the one kernel of
+    multisine, from_polar and exp.  Both exponentials are formed once, with
+    the shift inside them, e^(shift + s) and e^(shift - s/2), so a large
+    shift cannot overflow a product spuriously; each m_k is the expression
+    (big + small cos(psi - 2 pi k/3)) / 3 of the docstring above.
+
+    An array call replays its points with a non-finite m_k on floats through
+    replay(phi1, phi2, shift), by default this kernel.  exp passes its own
+    float call, which also raises where no exponential overflows but a sum
+    or 2 e^(shift - s/2) does, so its first such point decides the error.
+    """
     s = phi1 + phi2
     psi = (SQRT3 / 2.0) * (phi1 - phi2)
-    m = _lib(s)
-    big = m.exp(s)
-    small = 2.0 * m.exp(-0.5 * s)
+    m = _lib(shift, s)
+    big = m.exp(shift + s)
+    small = 2.0 * m.exp(shift - 0.5 * s)
     out = tuple((big + small * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0 for k in (0, 1, 2))
     if m is np:  # math.exp overflows and math.cos(inf) raise
         ok = np.isfinite(out[0]) & np.isfinite(out[1]) & np.isfinite(out[2])
-        _fault(~ok, _multisines, phi1, phi2)
+        _fault(~ok, replay or _multisines, phi1, phi2, shift)
     return out
 
 
@@ -452,24 +460,11 @@ def exp(z: Ternary) -> Ternary:
     """Componentwise e^z = e^{x0} (m0(x1,x2) + m1(x1,x2) q + m2(x1,x2) q^2).
 
     The two exponential scales e^{x0+x1+x2} and e^{x0-(x1+x2)/2} are formed
-    directly so intermediate products cannot overflow spuriously; a genuine
-    overflow of either scale raises OverflowError.
+    directly (the multi-sines with shift x0) so intermediate products cannot
+    overflow spuriously; a genuine overflow of either scale raises
+    OverflowError.
     """
-    s = z.x1 + z.x2
-    t = z.x0 + s
-    m = _lib(t)
-    big = m.exp(t)          # may raise OverflowError
-    small = 2.0 * m.exp(z.x0 - 0.5 * s)
-    psi = (SQRT3 / 2.0) * (z.x1 - z.x2)
-    x = (
-        (big + small * m.cos(psi)) / 3.0,
-        (big + small * m.cos(psi - 2.0 * math.pi / 3.0)) / 3.0,
-        (big + small * m.cos(psi - 4.0 * math.pi / 3.0)) / 3.0,
-    )
-    if m is np:
-        ok = np.isfinite(x[0]) & np.isfinite(x[1]) & np.isfinite(x[2])
-        _fault(~ok, lambda *c: exp(Ternary(*c)), *z.components())
-    return Ternary(*x)
+    return Ternary(*_multisines(z.x1, z.x2, z.x0, lambda x1, x2, x0: exp(Ternary(x0, x1, x2))))
 
 
 def _log_parts(z: Ternary) -> tuple[float, float, float]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as ta
-from .algebra import ComplexTernary, Ternary, J, J2, Q, Q2, _fault, _lib, _pow, mul
+from .algebra import ONE, ComplexTernary, Ternary, J, J2, Q, Q2, _fault, _lib, _pow, mul
 from .errors import (
     DomainError,
     NotHolomorphic,
@@ -452,42 +452,27 @@ def line_integral(F, curve: Curve, tol: float = DEFAULT_TOL) -> Ternary:
 
 
 class SurfacePatch:
-    """Surface patch g(u, v) over a rectangle, with an orientation sign.
+    """Surface patch over a rectangle of (u, v), given by its frame.
 
-    Positive orientation is the (du, dv) order of the parametrization.
-    partials (optional) is called as partials(u, v, x) with the point
-    x = param(u, v) already evaluated, and returns the pair of tangent
-    Ternary vectors.
-    surface_integral_2form calls param and partials on read-only arrays of
-    (u, v) nodes and reads the Ternary values elementwise; write them with
-    ternion.algebra operations or numpy ufuncs, as for TernaryField.
+    frame(u, v) returns (x, t1, t2): the point and its two tangent Ternary
+    vectors, from one evaluation.  The order of the tangents orients the
+    patch: t1 x t2 points along its positive normal.
+    surface_integral_2form calls frame on read-only arrays of (u, v) nodes
+    and reads the Ternary values elementwise; write it with ternion.algebra
+    operations or numpy ufuncs, as for TernaryField.
     """
 
-    def __init__(self, param, u_range, v_range, orientation=1, partials=None):
-        self.param = param
+    def __init__(self, frame, u_range, v_range):
+        self.frame = frame
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self.v_range = (float(v_range[0]), float(v_range[1]))
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        self.orientation = orientation
-        self.partials = partials
-
-    def tangents(self, u, v, x: Ternary):
-        """(dg/du, dg/dv), given x = param(u, v); the central differences ignore x."""
-        if self.partials is not None:
-            return self.partials(u, v, x)
-        hu = _FD1 * (1.0 + abs(u))
-        hv = _FD1 * (1.0 + abs(v))
-        du = ta.scale(self.param(u + hu, v) - self.param(u - hu, v), 1.0 / (2.0 * hu))
-        dv = ta.scale(self.param(u, v + hv) - self.param(u, v - hv), 1.0 / (2.0 * hv))
-        return du, dv
 
 
 def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL) -> Ternary:
     """Integral over the patch of the three 2-forms attached to Phi.
 
-    With the pullback Jacobians J12, J20, J01 (areas on the coordinate
-    planes), the components are
+    With the pullback Jacobians (J12, J20, J01) = t1 x t2 (areas on the
+    coordinate planes), the components are
 
         Omega0 = Phi0 J12 + Phi1 J20 + Phi2 J01
         Omega1 = Phi1 J12 + Phi2 J20 + Phi0 J01
@@ -496,17 +481,15 @@ def surface_integral_2form(Phi, patch: SurfacePatch, tol: float = DEFAULT_TOL) -
 
     @_batched
     def integrand(u, v):
-        x = patch.param(u, v)
-        du, dv = patch.tangents(u, v, x)
-        j12 = du.x1 * dv.x2 - du.x2 * dv.x1
-        j20 = du.x2 * dv.x0 - du.x0 * dv.x2
-        j01 = du.x0 * dv.x1 - du.x1 * dv.x0
+        x, t1, t2 = patch.frame(u, v)
+        j12 = t1.x1 * t2.x2 - t1.x2 * t2.x1
+        j20 = t1.x2 * t2.x0 - t1.x0 * t2.x2
+        j01 = t1.x0 * t2.x1 - t1.x1 * t2.x0
         f0, f1, f2 = Phi(x).components()
-        o = patch.orientation
         return (
-            o * (f0 * j12 + f1 * j20 + f2 * j01),
-            o * (f1 * j12 + f2 * j20 + f0 * j01),
-            o * (f2 * j12 + f0 * j20 + f1 * j01),
+            f0 * j12 + f1 * j20 + f2 * j01,
+            f1 * j12 + f2 * j20 + f0 * j01,
+            f2 * j12 + f0 * j20 + f1 * j01,
         )
 
     value = adaptive_quad_2d(integrand, patch.u_range, patch.v_range, tol)
@@ -644,19 +627,16 @@ def cubic_band_patch(rho: float, a1: float, a2: float) -> SurfacePatch:
     """Band of the cubic surface between trisectrice coordinates a1 < a2.
 
     Parametrized by (a, theta) with theta over a full turn; tangents are
-    analytic.  Positive orientation is the (a, theta) order.
+    analytic, from the point's r, cos theta and sin theta, in (a, theta)
+    order.
     """
     _positive_rho(rho)
     if not (0.0 < a1 < a2):
         raise DomainError(f"need 0 < a1 < a2, got ({a1}, {a2})")
+    s3 = math.sqrt(3.0)
 
-    def param(a, theta):
-        return _cubic_surface_point(rho, a, theta)[0]
-
-    def partials(a, theta, x):
-        r = rho**1.5 / np.sqrt(a)
-        c, s = np.cos(theta), np.sin(theta)
-        s3 = math.sqrt(3.0)
+    def frame(a, theta):
+        x, r, c, s = _cubic_surface_point(rho, a, theta)
         da = Ternary(
             (1.0 + r * c / a) / 3.0,
             (1.0 - r * (c + s3 * s) / (2.0 * a)) / 3.0,
@@ -667,9 +647,9 @@ def cubic_band_patch(rho: float, a1: float, a2: float) -> SurfacePatch:
             r * (-s + s3 * c) / 3.0,
             r * (-s - s3 * c) / 3.0,
         )
-        return da, dtheta
+        return x, da, dtheta
 
-    return SurfacePatch(param, (a1, a2), (0.0, 2.0 * math.pi), partials=partials)
+    return SurfacePatch(frame, (a1, a2), (0.0, 2.0 * math.pi))
 
 
 def polar_band_patch(rho: float, phi_lo: float, phi_hi: float) -> SurfacePatch:
@@ -683,48 +663,45 @@ def polar_band_patch(rho: float, phi_lo: float, phi_hi: float) -> SurfacePatch:
     if not phi_lo < phi_hi:
         raise DomainError(f"need phi_lo < phi_hi, got ({phi_lo}, {phi_hi})")
 
-    def param(theta, phi):
-        return ta.from_polar(ta.PolarForm(rho, phi + theta, phi - theta))
+    def frame(theta, phi):
+        z = ta.from_polar(ta.PolarForm(rho, phi + theta, phi - theta))
+        return z, mul(z, _Q_MINUS_Q2), mul(z, _Q_PLUS_Q2)
 
-    def partials(theta, phi, z):
-        return mul(z, _Q_MINUS_Q2), mul(z, _Q_PLUS_Q2)
-
-    return SurfacePatch(param, (0.0, ta.THETA_PERIOD), (phi_lo, phi_hi), partials=partials)
+    return SurfacePatch(frame, (0.0, ta.THETA_PERIOD), (phi_lo, phi_hi))
 
 
 def sphere_patch(center: Ternary, radius: float) -> SurfacePatch:
-    """Round sphere (closed surface) with outward orientation."""
+    """Round sphere (closed surface), its tangents ordered so that
+    t1 x t2 is the outward normal."""
     if not radius > 0.0:
         raise DomainError(f"sphere radius must be positive, got {radius}")
 
-    def param(u, v):
-        su = np.sin(u)
-        return Ternary(
-            center.x0 + radius * su * np.cos(v),
-            center.x1 + radius * su * np.sin(v),
-            center.x2 + radius * np.cos(u),
-        )
-
-    def partials(u, v, x):
+    def frame(u, v):
         su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+        x = Ternary(
+            center.x0 + radius * su * cv,
+            center.x1 + radius * su * sv,
+            center.x2 + radius * cu,
+        )
         du = Ternary(radius * cu * cv, radius * cu * sv, -radius * su)
         dv = Ternary(-radius * su * sv, radius * su * cv, 0.0)
-        return du, dv
+        return x, du, dv
 
-    return SurfacePatch(param, (0.0, math.pi), (0.0, 2.0 * math.pi), partials=partials)
+    return SurfacePatch(frame, (0.0, math.pi), (0.0, 2.0 * math.pi))
 
 
 def box_boundary_patches(box) -> list[SurfacePatch]:
-    """The six faces of a box, each oriented with the outward normal."""
+    """The six faces of a box, each oriented with the outward normal: its
+    constant unit tangents are ordered so that t1 x t2 is that normal."""
     (a0, b0), (a1, b1), (a2, b2) = box
-    faces = []
-    # x0 faces: (u, v) = (x1, x2)
-    faces.append(SurfacePatch(lambda u, v: Ternary(b0, u, v), (a1, b1), (a2, b2), orientation=1))
-    faces.append(SurfacePatch(lambda u, v: Ternary(a0, u, v), (a1, b1), (a2, b2), orientation=-1))
-    # x1 faces: (u, v) = (x2, x0)
-    faces.append(SurfacePatch(lambda u, v: Ternary(v, b1, u), (a2, b2), (a0, b0), orientation=1))
-    faces.append(SurfacePatch(lambda u, v: Ternary(v, a1, u), (a2, b2), (a0, b0), orientation=-1))
-    # x2 faces: (u, v) = (x0, x1)
-    faces.append(SurfacePatch(lambda u, v: Ternary(u, v, b2), (a0, b0), (a1, b1), orientation=1))
-    faces.append(SurfacePatch(lambda u, v: Ternary(u, v, a2), (a0, b0), (a1, b1), orientation=-1))
-    return faces
+    return [
+        # x0 faces: (u, v) = (x1, x2)
+        SurfacePatch(lambda u, v: (Ternary(b0, u, v), Q, Q2), (a1, b1), (a2, b2)),
+        SurfacePatch(lambda u, v: (Ternary(a0, u, v), Q2, Q), (a1, b1), (a2, b2)),
+        # x1 faces: (u, v) = (x2, x0)
+        SurfacePatch(lambda u, v: (Ternary(v, b1, u), Q2, ONE), (a2, b2), (a0, b0)),
+        SurfacePatch(lambda u, v: (Ternary(v, a1, u), ONE, Q2), (a2, b2), (a0, b0)),
+        # x2 faces: (u, v) = (x0, x1)
+        SurfacePatch(lambda u, v: (Ternary(u, v, b2), ONE, Q), (a0, b0), (a1, b1)),
+        SurfacePatch(lambda u, v: (Ternary(u, v, a2), Q, ONE), (a0, b0), (a1, b1)),
+    ]

@@ -235,7 +235,7 @@ def integrate(
     try:
         a10, a11, a12 = _accel(l, r1, r2, g)
     except OnSingularSet as exc:
-        raise SingularApproach("initial state inadmissible", traj, s0) from exc
+        raise SingularApproach("initial state inadmissible", traj) from exc
 
     span = t_end - t
     fnorm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + a10 * a10 + a11 * a11 + a12 * a12)
@@ -339,10 +339,7 @@ def integrate(
                 if abs(p70) * rsq < guard:
                     raise OnSingularSet
             except OnSingularSet:
-                last = traj.final_state()
-                raise SingularApproach(
-                    f"approached the singular set near t = {t:.6g}", traj, last
-                ) from None
+                raise SingularApproach(f"approached the singular set near t = {t:.6g}", traj) from None
             # error estimate per component, RMS-normed against tol (1 + max(|old|, |new|))
             e0 = dt * (0.0 + E1 * v0 + E3 * u30 + E4 * u40 + E5 * u50 + E6 * u60 + E7 * u70)
             e1 = dt * (0.0 + E1 * v1 + E3 * u31 + E4 * u41 + E5 * u51 + E6 * u61 + E7 * u71)
@@ -467,6 +464,8 @@ class PlanarSolution:
         _require_finite("planar solution", g=g, m2=m2, z0=z0, z1=z1)
         if m2 == 0.0:
             raise DomainError("planar solution needs M2 != 0")
+        if g == 0.0:
+            raise DomainError("planar solution needs g != 0")
         if z0 <= 0.0 or z1 <= 0.0:
             raise DomainError(f"normalized to z0 > 0, z1 > 0; got ({z0}, {z1})")
         if z1 == z0:
@@ -514,13 +513,13 @@ def planar_solution(g: float, m2: float, z0: float, z1: float) -> PlanarSolution
     return PlanarSolution(g, m2, z0, z1)
 
 
-def state_from_planar(sol: PlanarSolution, z: float, t: float = 0.0) -> MonopoleState:
+def state_from_planar(sol: PlanarSolution, z: float) -> MonopoleState:
     """Exact planar state at slope z (for seeding or checking integrations)."""
     r1 = sol.r1(z)
     l = z * r1
     v1 = sol.v1(z)
     v0 = (l * v1 - sol.m2) / r1
-    return MonopoleState(l, r1, 0.0, v0, v1, 0.0, t=t)
+    return MonopoleState(l, r1, 0.0, v0, v1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +625,8 @@ class GeneralSolution(_Coefficients):
             raise DomainError("general solution needs M0 != 0")
         if g == 0.0:
             raise DomainError("general solution needs g != 0")
+        if m1 == 0.0 and m2 == 0.0:
+            raise DomainError("general solution needs M1 != 0 or M2 != 0")
         super().__init__(m1, m2)
         self.g = g
         self.m0 = m0
@@ -737,7 +738,7 @@ def general_solution(g, m0, m1, m2, y0, y1) -> GeneralSolution:
     return GeneralSolution(g, m0, m1, m2, y0, y1)
 
 
-def state_from_general(sol: GeneralSolution, y: float, t: float = 0.0) -> MonopoleState:
+def state_from_general(sol: GeneralSolution, y: float) -> MonopoleState:
     """Exact general-case state at slope y."""
     r1 = sol.r1(y)
     r2 = y * r1
@@ -745,7 +746,7 @@ def state_from_general(sol: GeneralSolution, y: float, t: float = 0.0) -> Monopo
     v1 = sol.v1(y)
     v2 = y * v1 + sol.m0 / r1
     v0 = -(sol.m1 + sol.m2 * y) * v1 / sol.m0 - sol.m2 / r1
-    return MonopoleState(l, r1, r2, v0, v1, v2, t=t)
+    return MonopoleState(l, r1, r2, v0, v1, v2)
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,13 @@ class SingularApproach(TernionError):
 
     Attributes
     ----------
-    trajectory : the samples accepted before the stop
-    state      : last good state
+    trajectory : the samples accepted before the stop; its final_state()
+                 is the last good state
     """
 
-    def __init__(self, message, trajectory=None, state=None):
+    def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-        self.state = state
 
 
 class StepFailure(TernionError):

@@ -162,17 +162,15 @@ def line_integrand(F, curve):
 
 def surface_integrand(Phi, patch):
     def integrand(u, v):
-        x = patch.param(u, v)
-        du, dv = patch.tangents(u, v, x)
-        j12 = du.x1 * dv.x2 - du.x2 * dv.x1
-        j20 = du.x2 * dv.x0 - du.x0 * dv.x2
-        j01 = du.x0 * dv.x1 - du.x1 * dv.x0
+        x, t1, t2 = patch.frame(u, v)
+        j12 = t1.x1 * t2.x2 - t1.x2 * t2.x1
+        j20 = t1.x2 * t2.x0 - t1.x0 * t2.x2
+        j01 = t1.x0 * t2.x1 - t1.x1 * t2.x0
         f0, f1, f2 = Phi(x).components()
-        o = patch.orientation
         return (
-            o * (f0 * j12 + f1 * j20 + f2 * j01),
-            o * (f1 * j12 + f2 * j20 + f0 * j01),
-            o * (f2 * j12 + f0 * j20 + f1 * j01),
+            f0 * j12 + f1 * j20 + f2 * j01,
+            f1 * j12 + f2 * j20 + f0 * j01,
+            f2 * j12 + f0 * j20 + f1 * j01,
         )
 
     return integrand
@@ -225,7 +223,8 @@ def cubic_band_patch_twice(rho, a1, a2):
     def param(a, theta):
         return tc.cubic_surface_geometry(rho, a, theta).point
 
-    def partials(a, theta, x):
+    def frame(a, theta):
+        x = param(a, theta)
         r = rho**1.5 / np.sqrt(a)
         c, s = np.cos(theta), np.sin(theta)
         s3 = math.sqrt(3.0)
@@ -239,20 +238,21 @@ def cubic_band_patch_twice(rho, a1, a2):
             r * (-s + s3 * c) / 3.0,
             r * (-s - s3 * c) / 3.0,
         )
-        return da, dtheta
+        return x, da, dtheta
 
-    return tc.SurfacePatch(param, (a1, a2), (0.0, 2.0 * math.pi), partials=partials)
+    return tc.SurfacePatch(frame, (a1, a2), (0.0, 2.0 * math.pi))
 
 
 def polar_band_patch_twice(rho, phi_lo, phi_hi):
     def param(theta, phi):
         return from_polar_each(ta.PolarForm(rho, phi + theta, phi - theta))
 
-    def partials(theta, phi, x):
+    def frame(theta, phi):
+        x = param(theta, phi)
         z = param(theta, phi)
-        return mul(z, Ternary(0.0, 1.0, -1.0)), mul(z, Ternary(0.0, 1.0, 1.0))
+        return x, mul(z, Ternary(0.0, 1.0, -1.0)), mul(z, Ternary(0.0, 1.0, 1.0))
 
-    return tc.SurfacePatch(param, (0.0, ta.THETA_PERIOD), (phi_lo, phi_hi), partials=partials)
+    return tc.SurfacePatch(frame, (0.0, ta.THETA_PERIOD), (phi_lo, phi_hi))
 
 
 # The algebra property suite as it ran before each check became one array
@@ -660,7 +660,7 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
     try:
         a10, a11, a12 = _accel(l, r1, r2, g)
     except OnSingularSet as exc:
-        raise SingularApproach("initial state inadmissible", traj, s0) from exc
+        raise SingularApproach("initial state inadmissible", traj) from exc
 
     span = t_end - t
     fnorm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + a10 * a10 + a11 * a11 + a12 * a12)
@@ -737,10 +737,7 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
             if abs(p70) * (p71 * p71 + p72 * p72) < guard:
                 raise OnSingularSet("singular-approach guard tripped")
         except OnSingularSet:
-            last = traj.final_state()
-            raise SingularApproach(
-                f"approached the singular set near t = {t:.6g}", traj, last
-            ) from None
+            raise SingularApproach(f"approached the singular set near t = {t:.6g}", traj) from None
         # error estimate per component, RMS-normed against tol (1 + max(|old|, |new|))
         e0 = dt * (0.0 + _E1 * v0 + _E3 * u30 + _E4 * u40 + _E5 * u50 + _E6 * u60 + _E7 * u70)
         e1 = dt * (0.0 + _E1 * v1 + _E3 * u31 + _E4 * u41 + _E5 * u51 + _E6 * u61 + _E7 * u71)

@@ -591,6 +591,20 @@ def test_multisine_array_faults_replay_the_first_flagged_point(phi1, phi2):
             assert _outcome(from_polar, p) == _outcome(from_polar_each, p)
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1]], ids=["product-first", "exp-first"])
+def test_exp_array_fault_is_the_first_faulting_points_float_error(order):
+    # at x0 = 709.5 no exponential overflows but 2 e^(x0 - s/2) does, which
+    # the float call reports as a non-finite component; at x0 = 800
+    # e^(x0 + s) overflows.  The array call raises the earlier point's error.
+    x0 = np.array([0.0, 709.5, 800.0])[order]
+    x1 = np.array([0.0, -0.0005, 0.0])[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _outcome(exp, Ternary(x0, x1, x1))
+    each = [_outcome(exp, Ternary(a, b, b)) for a, b in zip(x0.tolist(), x1.tolist())]
+    assert got == next(o for o in each if isinstance(o, tuple))
+    assert got[0] is (ValueError if order[1] == 1 else OverflowError)
+
+
 def test_array_components_are_read_only():
     x = np.linspace(0.0, 1.0, 5)
     z = Ternary(x, 1.0, x)

@@ -619,6 +619,44 @@ def test_point_is_evaluated_once_per_integrand_call(monkeypatch):
     assert built == []
     cubic_surface_geometry(1.1, 0.8, 0.3)
     assert len(built) == 1
+    # the cubic band's frame takes its point, r, cos theta and sin theta
+    # from one _cubic_surface_point call per integrand call
+    points, surface_point = [], calculus._cubic_surface_point
+    monkeypatch.setattr(calculus, "_cubic_surface_point", lambda *a: points.append(a) or surface_point(*a))
+    cells.clear()
+    surface_integral_2form(field, cubic_band_patch(1.1, 0.8, 2.0), tol=1e-9)
+    assert len(points) == len(cells) > 0
+    # and the sphere's frame, point and tangents together, runs once per call
+    sphere = sphere_patch(Ternary(0.0, 0.0, 2.0), 0.5)
+    frames, frame = [], sphere.frame
+    sphere.frame = lambda u, v: frames.append(u) or frame(u, v)
+    cells.clear()
+    surface_integral_2form(field, sphere, tol=1e-9)
+    assert len(frames) == len(cells) > 0
+
+
+def test_box_face_tangents_cross_to_the_outward_unit_normal():
+    # each face's constant tangents are unit vectors ordered so that t1 x t2
+    # is exactly the outward normal, and its points lie on the face
+    box = ((-0.5, 0.4), (0.1, 1.2), (-1.0, 0.3))
+    faces = box_boundary_patches(box)
+    assert len(faces) == 6
+    for k, face in enumerate(faces):
+        axis, sign = k // 2, 1.0 if k % 2 == 0 else -1.0
+        u = np.linspace(*face.u_range, 4)
+        v = np.linspace(*face.v_range, 4)
+        x, t1, t2 = face.frame(u, v)
+        cross = (
+            t1.x1 * t2.x2 - t1.x2 * t2.x1,
+            t1.x2 * t2.x0 - t1.x0 * t2.x2,
+            t1.x0 * t2.x1 - t1.x1 * t2.x0,
+        )
+        normal = tuple(sign if i == axis else 0.0 for i in range(3))
+        assert cross == normal
+        assert sorted(t1.components()) == sorted(t2.components()) == [0.0, 0.0, 1.0]
+        assert x.components()[axis] == box[axis][1 if sign > 0 else 0]
+        others = sorted(np.ravel(c).tolist() for i, c in enumerate(x.components()) if i != axis)
+        assert others == sorted([u.tolist(), v.tolist()])
 
 
 def test_zero_norm_node_ends_in_singular_on_path_without_warning():

@@ -85,13 +85,14 @@ def test_algebra_suite_matches_the_loop_oracle(seed):
 
 
 def test_algebra_suite_failures_match_the_loop_oracle(monkeypatch):
-    # with the multi-sines' indices shifted, four checks fail; the array
-    # evaluation must report the counterexample the loops report.  The shift
-    # is made in the kernel that multisine and from_polar share.
+    # with the multi-sines' indices shifted, six checks fail (two of them
+    # through exp); the array evaluation must report the counterexample the
+    # loops report.  The shift is made in the kernel that multisine,
+    # from_polar and exp share.
     original = algebra_module._multisines
 
-    def shifted(phi1, phi2):
-        m0, m1, m2 = original(phi1, phi2)
+    def shifted(phi1, phi2, *shift_and_replay):
+        m0, m1, m2 = original(phi1, phi2, *shift_and_replay)
         return m1, m2, m0
 
     monkeypatch.setattr(algebra_module, "_multisines", shifted)
@@ -101,7 +102,7 @@ def test_algebra_suite_failures_match_the_loop_oracle(monkeypatch):
     def failures(results):
         return json.dumps([(r.detail, r.counterexample) for r in results if not r.passed], default=str)
 
-    assert sum(not r.passed for r in want) == 4
+    assert sum(not r.passed for r in want) == 6
     assert failures(got) == failures(want)
 
 

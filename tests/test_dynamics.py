@@ -112,6 +112,13 @@ def test_planar_solution_rejects_non_finite_input(name, value):
         planar_solution(**args)
 
 
+def test_planar_solution_rejects_zero_g():
+    # g = 0 used to build a solution whose v1 read 0.0 and whose r1 and t
+    # raised a bare ZeroDivisionError
+    with pytest.raises(DomainError, match="planar solution needs g != 0"):
+        planar_solution(0.0, 1.0, 1.0, 2.0)
+
+
 @_NON_FINITE
 @pytest.mark.parametrize("name", ["z0", "z1"])
 def test_asymptote_solve_rejects_non_finite_input(name, value):
@@ -129,6 +136,16 @@ def test_general_solution_rejects_non_finite_input(name, value):
     args = {"g": 1.0, "m0": 0.5, "m1": -1.0, "m2": 0.8, "y0": 0.9, "y1": 0.1, name: value}
     with pytest.raises(DomainError, match=f"general solution needs a finite {name}, got {value}"):
         general_solution(**args)
+
+
+@pytest.mark.parametrize("m1, m2", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])
+def test_general_solution_rejects_zero_m1_and_m2(m1, m2):
+    # M1 = M2 = 0 used to raise a bare ZeroDivisionError from the log pair's
+    # coefficient -0.5i/(M1 + i M2); either alone nonzero still builds
+    with pytest.raises(DomainError, match="general solution needs M1 != 0 or M2 != 0"):
+        general_solution(1.0, 0.5, m1, m2, 0.9, 0.1)
+    assert general_solution(1.0, 0.5, 0.0, 0.8, 0.9, 0.1).v1(0.5) != 0.0
+    assert general_solution(1.0, 0.5, -1.0, 0.0, 0.9, 0.1).v1(0.5) != 0.0
 
 
 def test_planar_run_conserves_and_matches_closed_form():
@@ -198,7 +215,8 @@ def test_singular_approach_detected():
         integrate(s0, 1.0, 10.0, tol=1e-8)
     assert info.value.trajectory is not None
     assert len(info.value.trajectory) > 1
-    assert info.value.state is not None
+    # the last good state is the trajectory's final sample
+    assert all(map(math.isfinite, info.value.trajectory.final_state().as_tuple()))
 
 
 def test_trajectory_csv(tmp_path):

@@ -24,7 +24,6 @@ def test_every_exported_name_exists(name):
 OPTIONS = {
     "ternion.calculus.Curve": ["derivative"],
     "ternion.calculus.HoloType1Report": ["residuals_polar"],
-    "ternion.calculus.SurfacePatch": ["orientation", "partials"],
     "ternion.calculus.TernaryField": ["name"],
     "ternion.calculus.line_integral": ["tol"],
     "ternion.calculus.surface_integral_2form": ["tol"],
@@ -38,8 +37,6 @@ OPTIONS = {
     "ternion.config.write_manifest": ["extras"],
     "ternion.dynamics.MonopoleState": ["t"],
     "ternion.dynamics.integrate": ["tol", "max_step"],
-    "ternion.dynamics.state_from_general": ["t"],
-    "ternion.dynamics.state_from_planar": ["t"],
     "ternion.dynamics.write_trajectory_csv": ["extra"],
     "ternion.quadrature.adaptive_quad": ["tol"],
     "ternion.quadrature.adaptive_quad_2d": ["tol"],
