@@ -160,6 +160,14 @@ def _fault(mask, kernel, *args) -> bool:
     return False
 
 
+def _finite(x, kernel, *args):
+    """x, the components of kernel(*args), once the array points where one is
+    not finite are replayed through kernel (see _fault)."""
+    if _lib(*x) is np:
+        _fault(~(np.isfinite(x[0]) & np.isfinite(x[1]) & np.isfinite(x[2])), kernel, *args)
+    return x
+
+
 @dataclass(frozen=True)
 class Ternary:
     """z = x0 + x1*q + x2*q^2 with real, finite components.
@@ -184,7 +192,7 @@ class Ternary:
             x = self.components()
             if _lib(*x) is math:
                 raise
-            _fault(~(np.isfinite(x[0]) & np.isfinite(x[1]) & np.isfinite(x[2])), Ternary, *x)
+            _finite(x, Ternary, *x)
             for c in x:
                 if _lib(c) is np:
                     c.flags.writeable = False
@@ -429,31 +437,26 @@ def multisine(k: int, phi1: float, phi2: float) -> float:
     """
     if k not in (0, 1, 2):
         raise ValueError(f"multisine index must be 0, 1 or 2, got {k}")
-    return _multisines(phi1, phi2)[k]
+    return _finite(_multisines(phi1, phi2), lambda a, b: multisine(k, a, b), phi1, phi2)[k]
 
 
-def _multisines(phi1, phi2, shift=0.0, replay=None):
+def _multisines(phi1, phi2, shift=0.0):
     """(m0, m1, m2) at (phi1, phi2), each times e^shift: the one kernel of
     multisine, from_polar and exp.  Both exponentials are formed once, with
     the shift inside them, e^(shift + s) and e^(shift - s/2), so a large
     shift cannot overflow a product spuriously; each m_k is the expression
     (big + small cos(psi - 2 pi k/3)) / 3 of the docstring above.
 
-    An array call replays its points with a non-finite m_k on floats through
-    replay(phi1, phi2, shift), by default this kernel.  exp passes its own
-    float call, which also raises where no exponential overflows but a sum
-    or 2 e^(shift - s/2) does, so its first such point decides the error.
+    Array points where an exponential overflows are left inf or nan; each
+    caller replays the points where its own result is not finite through its
+    float call (see _finite), so that call's first error is raised.
     """
     s = phi1 + phi2
     psi = (SQRT3 / 2.0) * (phi1 - phi2)
     m = _lib(shift, s)
     big = m.exp(shift + s)
     small = 2.0 * m.exp(shift - 0.5 * s)
-    out = tuple((big + small * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0 for k in (0, 1, 2))
-    if m is np:  # math.exp overflows and math.cos(inf) raise
-        ok = np.isfinite(out[0]) & np.isfinite(out[1]) & np.isfinite(out[2])
-        _fault(~ok, replay or _multisines, phi1, phi2, shift)
-    return out
+    return tuple((big + small * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0 for k in (0, 1, 2))
 
 
 def exp(z: Ternary) -> Ternary:
@@ -464,7 +467,7 @@ def exp(z: Ternary) -> Ternary:
     overflow spuriously; a genuine overflow of either scale raises
     OverflowError.
     """
-    return Ternary(*_multisines(z.x1, z.x2, z.x0, lambda x1, x2, x0: exp(Ternary(x0, x1, x2))))
+    return Ternary(*_finite(_multisines(z.x1, z.x2, z.x0), lambda *c: exp(Ternary(*c)), *z.components()))
 
 
 def _log_parts(z: Ternary) -> tuple[float, float, float]:
@@ -552,7 +555,8 @@ def to_polar(z: Ternary) -> PolarForm:
 def from_polar(p: PolarForm) -> Ternary:
     """x_k = rho * m_k(phi1, phi2)."""
     m0, m1, m2 = _multisines(p.phi1, p.phi2)
-    return Ternary(p.rho * m0, p.rho * m1, p.rho * m2)
+    x = (p.rho * m0, p.rho * m1, p.rho * m2)
+    return Ternary(*_finite(x, lambda *c: from_polar(PolarForm(*c)), p.rho, p.phi1, p.phi2))
 
 
 def characteristic_matrix(z: Ternary) -> np.ndarray:

@@ -380,34 +380,23 @@ def ternary_laplacian(f, p: Ternary) -> float:
 
 
 class Curve:
-    """Parametrized curve gamma: [t_start, t_end] -> R^3 (values are Ternary).
+    """Parametrized curve over [t_start, t_end] in R^3, given by its frame.
 
-    derivative (optional) is called as derivative(t, z) with the point
-    z = gamma(t) already evaluated, and returns the tangent gamma'(t).
-    line_integral calls gamma and derivative on a read-only array of
-    parameters and reads the Ternary they return elementwise; write them with
+    frame(t) returns (z, dz): the point and its tangent Ternary, from one
+    evaluation.  line_integral calls frame on a read-only array of
+    parameters and reads the Ternary values elementwise; write it with
     ternion.algebra operations or numpy ufuncs, as for TernaryField.
     """
 
-    def __init__(self, gamma, t_start, t_end, derivative=None):
-        self.gamma = gamma
+    def __init__(self, frame, t_start, t_end):
+        self.frame = frame
         self.t_start = float(t_start)
         self.t_end = float(t_end)
-        self.derivative = derivative
 
     @property
     def closed(self) -> bool:
-        a = self.gamma(self.t_start)
-        b = self.gamma(self.t_end)
-        gap = (a - b).max_abs()
-        return gap <= EPS_GEO * (1.0 + a.max_abs())
-
-    def velocity(self, t: float, z: Ternary) -> Ternary:
-        """gamma'(t), given z = gamma(t); the central difference ignores z."""
-        if self.derivative is not None:
-            return self.derivative(t, z)
-        h = _FD1 * (1.0 + abs(t))
-        return ta.scale(self.gamma(t + h) - self.gamma(t - h), 1.0 / (2.0 * h))
+        a, b = self.frame(self.t_start)[0], self.frame(self.t_end)[0]
+        return (a - b).max_abs() <= EPS_GEO * (1.0 + a.max_abs())
 
 
 def _batched(evaluate):
@@ -438,14 +427,15 @@ def line_integral(F, curve: Curve, tol: float = DEFAULT_TOL) -> Ternary:
     """Integral of the 1-form F dz along the curve.
 
     The three component 1-forms are exactly the components of the algebra
-    product F(gamma(t)) * gamma'(t), so the integrand is that product.  For a
-    type-1 holomorphic F the result is primitive(end) - primitive(start).
+    product F(z) * dz, with (z, dz) the curve's frame at t, so the integrand
+    is that product.  For a type-1 holomorphic F the result is
+    primitive(end) - primitive(start).
     """
 
     @_batched
     def integrand(t):
-        z = curve.gamma(t)
-        return mul(F(z), curve.velocity(t, z)).components()
+        z, dz = curve.frame(t)
+        return mul(F(z), dz).components()
 
     value = adaptive_quad(integrand, curve.t_start, curve.t_end, tol)
     return Ternary(*value.tolist())
@@ -606,21 +596,22 @@ def _positive_rho(rho: float) -> None:
 def segment(a: Ternary, b: Ternary) -> Curve:
     """Straight segment from a to b, t in [0, 1], with its constant tangent."""
     diff = b - a
-    return Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t, z: diff)
+    return Curve(lambda t: (a + ta.scale(diff, t), diff), 0.0, 1.0)
 
 
 def trisectrice_loop(rho: float = 1.0, phi: float = 0.0) -> Curve:
     """Closed loop of constant modulus winding once around the trisectrice.
 
-    gamma(t) = from_polar(rho, phi + t, phi - t) for t in [0, 2 pi/sqrt3);
-    the tangent is gamma * (q - q^2), supplied analytically from the point.
+    The point is from_polar(rho, phi + t, phi - t) for t in [0, 2 pi/sqrt3);
+    the tangent is the point times (q - q^2).
     """
     _positive_rho(rho)
 
-    def gamma(t):
-        return ta.from_polar(ta.PolarForm(rho, phi + t, phi - t))
+    def frame(t):
+        z = ta.from_polar(ta.PolarForm(rho, phi + t, phi - t))
+        return z, mul(z, _Q_MINUS_Q2)
 
-    return Curve(gamma, 0.0, ta.THETA_PERIOD, derivative=lambda t, z: mul(z, _Q_MINUS_Q2))
+    return Curve(frame, 0.0, ta.THETA_PERIOD)
 
 
 def cubic_band_patch(rho: float, a1: float, a2: float) -> SurfacePatch:

@@ -313,9 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=sorted(_FIELDS), help="default: inverse-conjugate")
     p.add_argument("--tol", type=float, default=None, help="default 1e-9; overrides the config tolerance")
     for key in FormConfig.PARAMS:  # one number, or a point or box as comma-separated text
+        flag = "--" + key.replace("_", "-")
         size = FormConfig.VECTOR_PARAMS.get(key)
-        text = f"{size} comma-separated numbers" if size else None
-        p.add_argument("--" + key.replace("_", "-"), type=None if size else float, help=text)
+        text = f"{size} comma-separated numbers; give a negative first one as {flag}=-1,..." if size else None
+        p.add_argument(flag, type=None if size else float, help=text)
     p.add_argument("--out", default="-")
     p.add_argument("--manifest")
     p.set_defaults(func=_cmd_form)

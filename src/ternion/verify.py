@@ -262,7 +262,8 @@ def calculus_suite(seed: int) -> list[CheckResult]:
 
     def arc(t):
         u = 1.0 - t
-        return ta.scale(a, u * u) + ta.scale(mid, 2 * u * t) + ta.scale(b, t * t)
+        point = ta.scale(a, u * u) + ta.scale(mid, 2 * u * t) + ta.scale(b, t * t)
+        return point, ta.scale(mid - a, 2 * u) + ta.scale(b - mid, 2 * t)
 
     tol = 1e-11
     v_line = tc.line_integral(square, line, tol=tol)

@@ -154,8 +154,8 @@ def integrate_one_call_per_cell(f, box, tol, budget):
 
 def line_integrand(F, curve):
     def integrand(t):
-        z = curve.gamma(t)
-        return mul(F(z), curve.velocity(t, z)).components()
+        z, dz = curve.frame(t)
+        return mul(F(z), dz).components()
 
     return integrand
 
@@ -210,13 +210,13 @@ def from_polar_each(p):
 
 
 def trisectrice_loop_twice(rho, phi):
-    def gamma(t):
+    def point(t):
         return from_polar_each(ta.PolarForm(rho, phi + t, phi - t))
 
-    def velocity(t, z):
-        return mul(gamma(t), Ternary(0.0, 1.0, -1.0))
+    def frame(t):
+        return point(t), mul(point(t), Ternary(0.0, 1.0, -1.0))
 
-    return tc.Curve(gamma, 0.0, ta.THETA_PERIOD, derivative=velocity)
+    return tc.Curve(frame, 0.0, ta.THETA_PERIOD)
 
 
 def cubic_band_patch_twice(rho, a1, a2):
@@ -440,13 +440,14 @@ def calculus_suite_loops(seed: int) -> list:
 
     a, b = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
     diff = b - a
-    line = tc.Curve(lambda t: a + ta.scale(diff, t), 0.0, 1.0, derivative=lambda t, z: diff)
+    line = tc.Curve(lambda t: (a + ta.scale(diff, t), diff), 0.0, 1.0)
     bulge = Ternary(0.3, 1.1, 0.8)
     mid = ta.scale(a + b, 0.5) + bulge
 
     def arc(t):
         u = 1.0 - t
-        return ta.scale(a, u * u) + ta.scale(mid, 2 * u * t) + ta.scale(b, t * t)
+        point = ta.scale(a, u * u) + ta.scale(mid, 2 * u * t) + ta.scale(b, t * t)
+        return point, ta.scale(mid - a, 2 * u) + ta.scale(b - mid, 2 * t)
 
     tol = 1e-11
     v_line = tc.line_integral(square, line, tol=tol)

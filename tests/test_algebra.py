@@ -605,6 +605,19 @@ def test_exp_array_fault_is_the_first_faulting_points_float_error(order):
     assert got[0] is (ValueError if order[1] == 1 else OverflowError)
 
 
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["product-first", "exp-first"])
+def test_from_polar_array_fault_is_the_first_faulting_points_float_error(order):
+    # at phi1 = 709.499 e^(phi1 + phi2) is finite but rho * m_0 overflows,
+    # which the float call reports as a non-finite component; at 800 the
+    # exponential overflows.  The array call raises the earlier point's error.
+    phi1 = np.array([709.499, 800.0])[order]
+    with np.errstate(over="ignore"):
+        got = _outcome(from_polar, PolarForm(10.0, phi1, np.zeros(2)))
+    each = [_outcome(from_polar, PolarForm(10.0, a, 0.0)) for a in phi1.tolist()]
+    assert got == next(o for o in each if isinstance(o, tuple))
+    assert got[0] is (ValueError if order[0] == 0 else OverflowError)
+
+
 def test_array_components_are_read_only():
     x = np.linspace(0.0, 1.0, 5)
     z = Ternary(x, 1.0, x)

@@ -15,6 +15,7 @@ import ternion
 import ternion.algebra as algebra_module
 import ternion.field as field_module
 from ternion import cli
+from ternion.algebra import Ternary, mul
 from ternion.calculus import _FD3
 from ternion.cli import main
 from ternion.config import FormConfig, ScatterConfig, SimulateConfig, load_config
@@ -70,7 +71,7 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
     # the printed report, residual digits included, is pinned
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "41a789204dfa487d13d978aab3b31391dcd7858f8d815aa7a980b3ea44584218"
+        "1f0e96afb4103494503bc447d052a900933d8cc02e7fb8b121fe7f2aa6ef31c7"
     )
 
 
@@ -91,8 +92,8 @@ def test_algebra_suite_failures_match_the_loop_oracle(monkeypatch):
     # from_polar and exp share.
     original = algebra_module._multisines
 
-    def shifted(phi1, phi2, *shift_and_replay):
-        m0, m1, m2 = original(phi1, phi2, *shift_and_replay)
+    def shifted(phi1, phi2, *shift):
+        m0, m1, m2 = original(phi1, phi2, *shift)
         return m1, m2, m0
 
     monkeypatch.setattr(algebra_module, "_multisines", shifted)
@@ -745,6 +746,19 @@ def test_integrate_form_requires_domain(capsys):
         captured = capsys.readouterr()
         assert captured.err == "config error: integrate-form needs either --config or KIND and --preset\n"
         assert captured.out == ""
+
+
+def test_vector_flag_with_a_leading_minus_takes_the_equals_form(capsys):
+    # argparse reads a separate "-1,0.5,0" as a flag; joined by = it is the value
+    argv = ["integrate-form", "line", "--preset", "segment", "--to", "1,1,1", "--field", "square"]
+    assert main([*argv, "--from", "-1,0.5,0"]) == 2
+    assert "argument --from: expected one argument" in capsys.readouterr().err
+    assert main([*argv, "--from=-1,0.5,0"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    # z^2 dz has the primitive z^3/3
+    a, b = Ternary(-1.0, 0.5, 0.0), Ternary(1.0, 1.0, 1.0)
+    cubes = mul(mul(b, b), b) - mul(mul(a, a), a)
+    assert np.allclose(result["value"], np.array(cubes.components()) / 3.0, rtol=0.0, atol=1e-12)
 
 
 def test_param_flags_and_domains_are_the_preset_table():

@@ -22,7 +22,6 @@ def test_every_exported_name_exists(name):
 # class constructor and public method, by qualified name; names without
 # options are left out.  A new knob or a removed one shows up here.
 OPTIONS = {
-    "ternion.calculus.Curve": ["derivative"],
     "ternion.calculus.HoloType1Report": ["residuals_polar"],
     "ternion.calculus.TernaryField": ["name"],
     "ternion.calculus.line_integral": ["tol"],
