@@ -437,7 +437,13 @@ def multisine(k: int, phi1: float, phi2: float) -> float:
     """
     if k not in (0, 1, 2):
         raise ValueError(f"multisine index must be 0, 1 or 2, got {k}")
-    return _finite(_multisines(phi1, phi2), lambda a, b: multisine(k, a, b), phi1, phi2)[k]
+    try:
+        m = _multisines(phi1, phi2)
+    except OverflowError:
+        raise OverflowError(
+            f"multisine out of float range at (phi1, phi2) = ({phi1}, {phi2})"
+        ) from None
+    return _finite(m, lambda a, b: multisine(k, a, b), phi1, phi2)[k]
 
 
 def _multisines(phi1, phi2, shift=0.0):
@@ -447,9 +453,11 @@ def _multisines(phi1, phi2, shift=0.0):
     shift cannot overflow a product spuriously; each m_k is the expression
     (big + small cos(psi - 2 pi k/3)) / 3 of the docstring above.
 
-    Array points where an exponential overflows are left inf or nan; each
-    caller replays the points where its own result is not finite through its
-    float call (see _finite), so that call's first error is raised.
+    At a float point an exponential that overflows raises OverflowError,
+    which each caller reraises naming itself and the point.  Array points
+    where one overflows are left inf or nan; each caller replays the points
+    where its own result is not finite through its float call (see _finite),
+    so that call's first error is raised.
     """
     s = phi1 + phi2
     psi = (SQRT3 / 2.0) * (phi1 - phi2)
@@ -465,9 +473,13 @@ def exp(z: Ternary) -> Ternary:
     The two exponential scales e^{x0+x1+x2} and e^{x0-(x1+x2)/2} are formed
     directly (the multi-sines with shift x0) so intermediate products cannot
     overflow spuriously; a genuine overflow of either scale raises
-    OverflowError.
+    OverflowError naming the point.
     """
-    return Ternary(*_finite(_multisines(z.x1, z.x2, z.x0), lambda *c: exp(Ternary(*c)), *z.components()))
+    try:
+        m = _multisines(z.x1, z.x2, z.x0)
+    except OverflowError:
+        raise OverflowError(f"exp out of float range at z = ({z.x0}, {z.x1}, {z.x2})") from None
+    return Ternary(*_finite(m, lambda *c: exp(Ternary(*c)), *z.components()))
 
 
 def _log_parts(z: Ternary) -> tuple[float, float, float]:
@@ -553,8 +565,14 @@ def to_polar(z: Ternary) -> PolarForm:
 
 
 def from_polar(p: PolarForm) -> Ternary:
-    """x_k = rho * m_k(phi1, phi2)."""
-    m0, m1, m2 = _multisines(p.phi1, p.phi2)
+    """x_k = rho * m_k(phi1, phi2); an exponential of m_k that leaves the
+    float range raises OverflowError naming the point."""
+    try:
+        m0, m1, m2 = _multisines(p.phi1, p.phi2)
+    except OverflowError:
+        raise OverflowError(
+            f"from_polar out of float range at (rho, phi1, phi2) = ({p.rho}, {p.phi1}, {p.phi2})"
+        ) from None
     x = (p.rho * m0, p.rho * m1, p.rho * m2)
     return Ternary(*_finite(x, lambda *c: from_polar(PolarForm(*c)), p.rho, p.phi1, p.phi2))
 

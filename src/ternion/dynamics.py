@@ -172,32 +172,126 @@ def write_trajectory_csv(traj: Trajectory, path, extra=None):
 def _accel(l, r1, r2, g):
     """Acceleration -g h; raises OnSingularSet near the singular sets."""
     rsq = r1 * r1 + r2 * r2
-    if rsq <= (EPS_FIELD * (1.0 + abs(l))) ** 2 or abs(l) <= EPS_FIELD:
+    edge = EPS_FIELD * (1.0 + abs(l))
+    if rsq <= edge * edge or abs(l) <= EPS_FIELD:
         raise OnSingularSet(f"state at (l, r1, r2) = ({l}, {r1}, {r2})")
     lr = l * rsq
     return (-g / rsq, -g * r1 / lr, -g * r2 / lr)
 
 
-# Dormand-Prince 5(4) tableau, zero entries left out.  Row 7 holds the
-# 5th-order weights, so the 7th stage is the slope at the new state: the next
-# step's first stage (first-same-as-last).  _E* are the 5th- minus 4th-order
-# weights of the error estimate.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1 = 35 / 384 - 5179 / 57600
-_E3 = 500 / 1113 - 7571 / 16695
-_E4 = 125 / 192 - 393 / 640
-_E5 = -2187 / 6784 + 92097 / 339200
-_E6 = 11 / 84 - 187 / 2100
-_E7 = -1 / 40
-_TABLEAU = (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
-    _A71, _A73, _A74, _A75, _A76, _E1, _E3, _E4, _E5, _E6, _E7,
+# DOP853, the Dormand-Prince 8(5,3) pair, as scipy 1.17.1 lists it
+# (scipy/integrate/_ivp/dop853_coefficients.py).  Row i of _DOP853_A holds
+# a_i1 .. a_i,i-1 of stage i = 2..12; _DOP853_B holds the 8th-order weights,
+# which are also the row of a 13th stage at the new state, whose slope is the
+# next step's first (first-same-as-last).  _DOP853_E5 holds the weights of the
+# 5th-order error estimate over stages 1..13; the 3rd-order one's are b minus
+# _DOP853_BHAT3, with a 13th entry of 0.0.
+_DOP853_A = (
+    (  # stage 2
+        5.26001519587677318785587544488e-2,
+    ),
+    (  # stage 3
+        1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2,
+    ),
+    (  # stage 4
+        2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2,
+    ),
+    (  # stage 5
+        2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (  # stage 6
+        3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ),
+    (  # stage 7
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ),
+    (  # stage 8
+        3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (  # stage 9
+        6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+    ),
+    (  # stage 10
+        4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (  # stage 11
+        -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ),
+    (  # stage 12
+        2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
 )
+_DOP853_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+_DOP853_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0.0,
+)
+_DOP853_BHAT3 = (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
+)
+
+_DOP853_E3 = tuple(b - bhat for b, bhat in zip(_DOP853_B, _DOP853_BHAT3)) + (0.0,)
+
+
+def _row_sum(row) -> float:
+    """Plain float sum from 0.0 in row order (builtin sum compensates from
+    Python 3.12 on, which would move bits)."""
+    s = 0.0
+    for x in row:
+        s += x
+    return s
+
+
+def _times_a(w) -> tuple:
+    """w A for weights w over stages 1..n (n <= 13, b as row 13): entry k
+    is the sum over j of w_j a_jk, k = 1..n-1, from 0.0 in stage order."""
+    rows = ((),) + _DOP853_A + (_DOP853_B,)
+    out = []
+    for k in range(len(w) - 1):
+        s = 0.0
+        for j in range(k + 1, len(w)):
+            s += w[j] * rows[j][k]
+        out.append(s)
+    return tuple(out)
+
+
+# DOP853 in Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I, II.14).
+# The force depends on the position alone, so stage i's velocity
+# v + dt sum_k a_ik a_k enters only positions and folds into the tables:
+# stage i sits at x + dt (c_i v + dt sum_k abar_ik a_k), the new state is
+# (x + dt (v + dt sum_k bbar_k a_k), v + dt sum_k b_k a_k), and the position
+# errors are dt^2 sum_k ebar_k a_k, with c_i = sum_j a_ij, abar = A A,
+# bbar = b A and ebar = E A.  No stage velocity is formed.
+_C = tuple(_row_sum(row) for row in _DOP853_A)
+_ABAR = tuple(_times_a(row) for row in _DOP853_A)
+_BBAR = _times_a(_DOP853_B)
+_EBAR5 = _times_a(_DOP853_E5)
+_EBAR3 = _times_a(_DOP853_E3)
 
 
 def integrate(
@@ -207,7 +301,7 @@ def integrate(
     tol: float = 1e-10,
     max_step: float | None = None,
 ) -> Trajectory:
-    """Adaptive Dormand-Prince integration from s0.t to t_end.
+    """Adaptive DOP853 integration in Nystrom form from s0.t to t_end.
 
     Every accepted step is recorded.  The run stops with SingularApproach
     (carrying the partial trajectory) when |l| |r|^2 falls below
@@ -222,41 +316,60 @@ def integrate(
     if t_end <= t:
         raise DomainError(f"t_end must exceed the initial time, got {t_end} <= {t}")
     l, r1, r2, v0, v1, v2 = s0.as_tuple()
-    scale0 = math.sqrt(s0.l**2 + s0.r1**2 + s0.r2**2)
-    guard = SINGULAR_GUARD * scale0**3
+    scale0 = math.sqrt(l * l + r1 * r1 + r2 * r2)
+    guard = SINGULAR_GUARD * (scale0 * scale0 * scale0)
     traj = Trajectory()
     times, states = traj.times, traj.states
     times.append(t)
     states.append((l, r1, r2, v0, v1, v2))
 
-    # Stage m has slope (u_m, a_m): the velocity and acceleration of its
-    # state.  u_1 is the state's own velocity (v0, v1, v2) and a_1 is carried
-    # over from the previous step.
+    # Stage k's slope is the acceleration (ak_0, ak_1, ak_2) at its position;
+    # stage 1's is carried over from the previous step.
     try:
-        a10, a11, a12 = _accel(l, r1, r2, g)
+        a1_0, a1_1, a1_2 = _accel(l, r1, r2, g)
     except OnSingularSet as exc:
         raise SingularApproach("initial state inadmissible", traj) from exc
 
     span = t_end - t
-    fnorm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + a10 * a10 + a11 * a11 + a12 * a12)
+    fnorm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + a1_0 * a1_0 + a1_1 * a1_1 + a1_2 * a1_2)
     ynorm = math.sqrt(l * l + r1 * r1 + r2 * r2 + v0 * v0 + v1 * v1 + v2 * v2)
     dt = min(span / 100.0, 0.01 * (1.0 + ynorm) / (1.0 + fnorm))
     if max_step is not None:
         dt = min(dt, max_step)
 
     # The step is written out for speed, with no call but abs, list.append and
-    # one sqrt.  Each stage's admissibility test and acceleration repeat
+    # math.sqrt (correctly rounded, so no libm reaches a step's bits).  The
+    # tables' nonzero entries are unpacked into locals: C_i = c_i, AAi_k =
+    # abar_ik, BA_k = bbar_k, B_k = b_k, E5_k and E3_k the velocity error
+    # weights and E5A_k and E3A_k the position ones; the _ are zero entries,
+    # left out.  Each stage's admissibility test and acceleration repeat
     # _accel's expressions, and each min/max is a conditional that picks what
     # min/max would (the first argument on ties and NaN); tests/oracles.py
     # keeps the loop with the calls as the bit-for-bit reference.  Each sum
     # starts at 0.0, so that a sum of zero terms is +0.0 and never -0.0, and
-    # adds its terms in tableau order: the samples' bits, signed zeros
-    # included, are pinned in tests/test_dynamics.py.
+    # adds its terms in stage order: the samples' bits, signed zeros included,
+    # are pinned in tests/test_dynamics.py.
+    C_2, C_3, C_4, C_5, C_6, C_7, C_8, C_9, C_10, C_11, C_12 = _C
     (
-        A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
-        A71, A73, A74, A75, A76, E1, E3, E4, E5, E6, E7,
-    ) = _TABLEAU
-    eps, max_steps, sqrt = EPS_FIELD, MAX_STEPS, math.sqrt
+        (),
+        (AA3_1,),
+        (AA4_1, AA4_2),
+        (AA5_1, AA5_2, AA5_3),
+        (AA6_1, _, AA6_3, AA6_4),
+        (AA7_1, _, AA7_3, AA7_4, AA7_5),
+        (AA8_1, _, AA8_3, AA8_4, AA8_5, AA8_6),
+        (AA9_1, _, AA9_3, AA9_4, AA9_5, AA9_6, AA9_7),
+        (AA10_1, _, AA10_3, AA10_4, AA10_5, AA10_6, AA10_7, AA10_8),
+        (AA11_1, _, AA11_3, AA11_4, AA11_5, AA11_6, AA11_7, AA11_8, AA11_9),
+        (AA12_1, _, AA12_3, AA12_4, AA12_5, AA12_6, AA12_7, AA12_8, AA12_9, AA12_10),
+    ) = _ABAR
+    BA_1, _, _, BA_4, BA_5, BA_6, BA_7, BA_8, BA_9, BA_10, BA_11 = _BBAR
+    B_1, _, _, _, _, B_6, B_7, B_8, B_9, B_10, B_11, B_12 = _DOP853_B
+    E5A_1, _, _, E5A_4, E5A_5, E5A_6, E5A_7, E5A_8, E5A_9, E5A_10, E5A_11, _ = _EBAR5
+    E5_1, _, _, _, _, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11, E5_12, _ = _DOP853_E5
+    E3A_1, _, _, E3A_4, E3A_5, E3A_6, E3A_7, E3A_8, E3A_9, E3A_10, E3A_11, _ = _EBAR3
+    E3_1, _, _, _, _, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11, E3_12, _ = _DOP853_E3
+    eps, max_steps, sqrt, inf = EPS_FIELD, MAX_STEPS, math.sqrt, math.inf
     n_accepted = n_rejected = 0
     try:
         while t < t_end:
@@ -269,109 +382,286 @@ def integrate(
             if dt < 1e-14 * (at if at > 1.0 else 1.0):
                 raise StepFailure(f"step size underflow at t = {t}", traj)
             try:
-                u20 = v0 + dt * (0.0 + A21 * a10)
-                u21 = v1 + dt * (0.0 + A21 * a11)
-                u22 = v2 + dt * (0.0 + A21 * a12)
-                x = l + dt * (0.0 + A21 * v0)
-                y = r1 + dt * (0.0 + A21 * v1)
-                z = r2 + dt * (0.0 + A21 * v2)
+                # stage 2: its AA row is empty, so its sum is the 0.0 every sum starts at
+                x = l + dt * (C_2 * v0 + 0.0)
+                y = r1 + dt * (C_2 * v1 + 0.0)
+                z = r2 + dt * (C_2 * v2 + 0.0)
                 rsq = y * y + z * z
-                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
                 lr = x * rsq
-                a20, a21, a22 = -g / rsq, -g * y / lr, -g * z / lr
-                u30 = v0 + dt * (0.0 + A31 * a10 + A32 * a20)
-                u31 = v1 + dt * (0.0 + A31 * a11 + A32 * a21)
-                u32 = v2 + dt * (0.0 + A31 * a12 + A32 * a22)
-                x = l + dt * (0.0 + A31 * v0 + A32 * u20)
-                y = r1 + dt * (0.0 + A31 * v1 + A32 * u21)
-                z = r2 + dt * (0.0 + A31 * v2 + A32 * u22)
+                a2_0, a2_1, a2_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 3
+                x = l + dt * (C_3 * v0 + dt * (0.0 + AA3_1 * a1_0))
+                y = r1 + dt * (C_3 * v1 + dt * (0.0 + AA3_1 * a1_1))
+                z = r2 + dt * (C_3 * v2 + dt * (0.0 + AA3_1 * a1_2))
                 rsq = y * y + z * z
-                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
                 lr = x * rsq
-                a30, a31, a32 = -g / rsq, -g * y / lr, -g * z / lr
-                u40 = v0 + dt * (0.0 + A41 * a10 + A42 * a20 + A43 * a30)
-                u41 = v1 + dt * (0.0 + A41 * a11 + A42 * a21 + A43 * a31)
-                u42 = v2 + dt * (0.0 + A41 * a12 + A42 * a22 + A43 * a32)
-                x = l + dt * (0.0 + A41 * v0 + A42 * u20 + A43 * u30)
-                y = r1 + dt * (0.0 + A41 * v1 + A42 * u21 + A43 * u31)
-                z = r2 + dt * (0.0 + A41 * v2 + A42 * u22 + A43 * u32)
+                a3_0, a3_1, a3_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 4
+                x = l + dt * (C_4 * v0 + dt * (0.0 + AA4_1 * a1_0 + AA4_2 * a2_0))
+                y = r1 + dt * (C_4 * v1 + dt * (0.0 + AA4_1 * a1_1 + AA4_2 * a2_1))
+                z = r2 + dt * (C_4 * v2 + dt * (0.0 + AA4_1 * a1_2 + AA4_2 * a2_2))
                 rsq = y * y + z * z
-                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
                 lr = x * rsq
-                a40, a41, a42 = -g / rsq, -g * y / lr, -g * z / lr
-                u50 = v0 + dt * (0.0 + A51 * a10 + A52 * a20 + A53 * a30 + A54 * a40)
-                u51 = v1 + dt * (0.0 + A51 * a11 + A52 * a21 + A53 * a31 + A54 * a41)
-                u52 = v2 + dt * (0.0 + A51 * a12 + A52 * a22 + A53 * a32 + A54 * a42)
-                x = l + dt * (0.0 + A51 * v0 + A52 * u20 + A53 * u30 + A54 * u40)
-                y = r1 + dt * (0.0 + A51 * v1 + A52 * u21 + A53 * u31 + A54 * u41)
-                z = r2 + dt * (0.0 + A51 * v2 + A52 * u22 + A53 * u32 + A54 * u42)
+                a4_0, a4_1, a4_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 5
+                x = l + dt * (C_5 * v0 + dt * (0.0 + AA5_1 * a1_0 + AA5_2 * a2_0 + AA5_3 * a3_0))
+                y = r1 + dt * (C_5 * v1 + dt * (0.0 + AA5_1 * a1_1 + AA5_2 * a2_1 + AA5_3 * a3_1))
+                z = r2 + dt * (C_5 * v2 + dt * (0.0 + AA5_1 * a1_2 + AA5_2 * a2_2 + AA5_3 * a3_2))
                 rsq = y * y + z * z
-                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
                 lr = x * rsq
-                a50, a51, a52 = -g / rsq, -g * y / lr, -g * z / lr
-                u60 = v0 + dt * (0.0 + A61 * a10 + A62 * a20 + A63 * a30 + A64 * a40 + A65 * a50)
-                u61 = v1 + dt * (0.0 + A61 * a11 + A62 * a21 + A63 * a31 + A64 * a41 + A65 * a51)
-                u62 = v2 + dt * (0.0 + A61 * a12 + A62 * a22 + A63 * a32 + A64 * a42 + A65 * a52)
-                x = l + dt * (0.0 + A61 * v0 + A62 * u20 + A63 * u30 + A64 * u40 + A65 * u50)
-                y = r1 + dt * (0.0 + A61 * v1 + A62 * u21 + A63 * u31 + A64 * u41 + A65 * u51)
-                z = r2 + dt * (0.0 + A61 * v2 + A62 * u22 + A63 * u32 + A64 * u42 + A65 * u52)
+                a5_0, a5_1, a5_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 6
+                x = l + dt * (C_6 * v0 + dt * (0.0 + AA6_1 * a1_0 + AA6_3 * a3_0 + AA6_4 * a4_0))
+                y = r1 + dt * (C_6 * v1 + dt * (0.0 + AA6_1 * a1_1 + AA6_3 * a3_1 + AA6_4 * a4_1))
+                z = r2 + dt * (C_6 * v2 + dt * (0.0 + AA6_1 * a1_2 + AA6_3 * a3_2 + AA6_4 * a4_2))
                 rsq = y * y + z * z
-                if rsq <= (eps * (1.0 + abs(x))) ** 2 or abs(x) <= eps:
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
                 lr = x * rsq
-                a60, a61, a62 = -g / rsq, -g * y / lr, -g * z / lr
-                # the 5th-order solution (p7, u7) is the 7th stage's state
-                u70 = v0 + dt * (0.0 + A71 * a10 + A73 * a30 + A74 * a40 + A75 * a50 + A76 * a60)
-                u71 = v1 + dt * (0.0 + A71 * a11 + A73 * a31 + A74 * a41 + A75 * a51 + A76 * a61)
-                u72 = v2 + dt * (0.0 + A71 * a12 + A73 * a32 + A74 * a42 + A75 * a52 + A76 * a62)
-                p70 = l + dt * (0.0 + A71 * v0 + A73 * u30 + A74 * u40 + A75 * u50 + A76 * u60)
-                p71 = r1 + dt * (0.0 + A71 * v1 + A73 * u31 + A74 * u41 + A75 * u51 + A76 * u61)
-                p72 = r2 + dt * (0.0 + A71 * v2 + A73 * u32 + A74 * u42 + A75 * u52 + A76 * u62)
-                rsq = p71 * p71 + p72 * p72
-                if rsq <= (eps * (1.0 + abs(p70))) ** 2 or abs(p70) <= eps:
+                a6_0, a6_1, a6_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 7
+                x = l + dt * (C_7 * v0 + dt * (
+                    0.0 + AA7_1 * a1_0 + AA7_3 * a3_0 + AA7_4 * a4_0 + AA7_5 * a5_0
+                ))
+                y = r1 + dt * (C_7 * v1 + dt * (
+                    0.0 + AA7_1 * a1_1 + AA7_3 * a3_1 + AA7_4 * a4_1 + AA7_5 * a5_1
+                ))
+                z = r2 + dt * (C_7 * v2 + dt * (
+                    0.0 + AA7_1 * a1_2 + AA7_3 * a3_2 + AA7_4 * a4_2 + AA7_5 * a5_2
+                ))
+                rsq = y * y + z * z
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = p70 * rsq
-                a70, a71, a72 = -g / rsq, -g * p71 / lr, -g * p72 / lr
-                if abs(p70) * rsq < guard:
+                lr = x * rsq
+                a7_0, a7_1, a7_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 8
+                x = l + dt * (C_8 * v0 + dt * (
+                    0.0 + AA8_1 * a1_0 + AA8_3 * a3_0 + AA8_4 * a4_0 + AA8_5 * a5_0 + AA8_6 * a6_0
+                ))
+                y = r1 + dt * (C_8 * v1 + dt * (
+                    0.0 + AA8_1 * a1_1 + AA8_3 * a3_1 + AA8_4 * a4_1 + AA8_5 * a5_1 + AA8_6 * a6_1
+                ))
+                z = r2 + dt * (C_8 * v2 + dt * (
+                    0.0 + AA8_1 * a1_2 + AA8_3 * a3_2 + AA8_4 * a4_2 + AA8_5 * a5_2 + AA8_6 * a6_2
+                ))
+                rsq = y * y + z * z
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a8_0, a8_1, a8_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 9
+                x = l + dt * (C_9 * v0 + dt * (
+                    0.0 + AA9_1 * a1_0 + AA9_3 * a3_0 + AA9_4 * a4_0 + AA9_5 * a5_0 + AA9_6 * a6_0
+                    + AA9_7 * a7_0
+                ))
+                y = r1 + dt * (C_9 * v1 + dt * (
+                    0.0 + AA9_1 * a1_1 + AA9_3 * a3_1 + AA9_4 * a4_1 + AA9_5 * a5_1 + AA9_6 * a6_1
+                    + AA9_7 * a7_1
+                ))
+                z = r2 + dt * (C_9 * v2 + dt * (
+                    0.0 + AA9_1 * a1_2 + AA9_3 * a3_2 + AA9_4 * a4_2 + AA9_5 * a5_2 + AA9_6 * a6_2
+                    + AA9_7 * a7_2
+                ))
+                rsq = y * y + z * z
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a9_0, a9_1, a9_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 10
+                x = l + dt * (C_10 * v0 + dt * (
+                    0.0 + AA10_1 * a1_0 + AA10_3 * a3_0 + AA10_4 * a4_0 + AA10_5 * a5_0
+                    + AA10_6 * a6_0 + AA10_7 * a7_0 + AA10_8 * a8_0
+                ))
+                y = r1 + dt * (C_10 * v1 + dt * (
+                    0.0 + AA10_1 * a1_1 + AA10_3 * a3_1 + AA10_4 * a4_1 + AA10_5 * a5_1
+                    + AA10_6 * a6_1 + AA10_7 * a7_1 + AA10_8 * a8_1
+                ))
+                z = r2 + dt * (C_10 * v2 + dt * (
+                    0.0 + AA10_1 * a1_2 + AA10_3 * a3_2 + AA10_4 * a4_2 + AA10_5 * a5_2
+                    + AA10_6 * a6_2 + AA10_7 * a7_2 + AA10_8 * a8_2
+                ))
+                rsq = y * y + z * z
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a10_0, a10_1, a10_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 11
+                x = l + dt * (C_11 * v0 + dt * (
+                    0.0 + AA11_1 * a1_0 + AA11_3 * a3_0 + AA11_4 * a4_0 + AA11_5 * a5_0
+                    + AA11_6 * a6_0 + AA11_7 * a7_0 + AA11_8 * a8_0 + AA11_9 * a9_0
+                ))
+                y = r1 + dt * (C_11 * v1 + dt * (
+                    0.0 + AA11_1 * a1_1 + AA11_3 * a3_1 + AA11_4 * a4_1 + AA11_5 * a5_1
+                    + AA11_6 * a6_1 + AA11_7 * a7_1 + AA11_8 * a8_1 + AA11_9 * a9_1
+                ))
+                z = r2 + dt * (C_11 * v2 + dt * (
+                    0.0 + AA11_1 * a1_2 + AA11_3 * a3_2 + AA11_4 * a4_2 + AA11_5 * a5_2
+                    + AA11_6 * a6_2 + AA11_7 * a7_2 + AA11_8 * a8_2 + AA11_9 * a9_2
+                ))
+                rsq = y * y + z * z
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a11_0, a11_1, a11_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # stage 12
+                x = l + dt * (C_12 * v0 + dt * (
+                    0.0 + AA12_1 * a1_0 + AA12_3 * a3_0 + AA12_4 * a4_0 + AA12_5 * a5_0
+                    + AA12_6 * a6_0 + AA12_7 * a7_0 + AA12_8 * a8_0 + AA12_9 * a9_0
+                    + AA12_10 * a10_0
+                ))
+                y = r1 + dt * (C_12 * v1 + dt * (
+                    0.0 + AA12_1 * a1_1 + AA12_3 * a3_1 + AA12_4 * a4_1 + AA12_5 * a5_1
+                    + AA12_6 * a6_1 + AA12_7 * a7_1 + AA12_8 * a8_1 + AA12_9 * a9_1
+                    + AA12_10 * a10_1
+                ))
+                z = r2 + dt * (C_12 * v2 + dt * (
+                    0.0 + AA12_1 * a1_2 + AA12_3 * a3_2 + AA12_4 * a4_2 + AA12_5 * a5_2
+                    + AA12_6 * a6_2 + AA12_7 * a7_2 + AA12_8 * a8_2 + AA12_9 * a9_2
+                    + AA12_10 * a10_2
+                ))
+                rsq = y * y + z * z
+                edge = eps * (1.0 + abs(x))
+                if rsq <= edge * edge or abs(x) <= eps:
+                    raise OnSingularSet
+                lr = x * rsq
+                a12_0, a12_1, a12_2 = -g / rsq, -g * y / lr, -g * z / lr
+                # the new position; its slope is the next step's first (first-same-as-last)
+                p0 = l + dt * (v0 + dt * (
+                    0.0 + BA_1 * a1_0 + BA_4 * a4_0 + BA_5 * a5_0 + BA_6 * a6_0 + BA_7 * a7_0
+                    + BA_8 * a8_0 + BA_9 * a9_0 + BA_10 * a10_0 + BA_11 * a11_0
+                ))
+                p1 = r1 + dt * (v1 + dt * (
+                    0.0 + BA_1 * a1_1 + BA_4 * a4_1 + BA_5 * a5_1 + BA_6 * a6_1 + BA_7 * a7_1
+                    + BA_8 * a8_1 + BA_9 * a9_1 + BA_10 * a10_1 + BA_11 * a11_1
+                ))
+                p2 = r2 + dt * (v2 + dt * (
+                    0.0 + BA_1 * a1_2 + BA_4 * a4_2 + BA_5 * a5_2 + BA_6 * a6_2 + BA_7 * a7_2
+                    + BA_8 * a8_2 + BA_9 * a9_2 + BA_10 * a10_2 + BA_11 * a11_2
+                ))
+                rsq = p1 * p1 + p2 * p2
+                edge = eps * (1.0 + abs(p0))
+                if rsq <= edge * edge or abs(p0) <= eps:
+                    raise OnSingularSet
+                lr = p0 * rsq
+                a13_0, a13_1, a13_2 = -g / rsq, -g * p1 / lr, -g * p2 / lr
+                if abs(p0) * rsq < guard:
                     raise OnSingularSet
             except OnSingularSet:
                 raise SingularApproach(f"approached the singular set near t = {t:.6g}", traj) from None
-            # error estimate per component, RMS-normed against tol (1 + max(|old|, |new|))
-            e0 = dt * (0.0 + E1 * v0 + E3 * u30 + E4 * u40 + E5 * u50 + E6 * u60 + E7 * u70)
-            e1 = dt * (0.0 + E1 * v1 + E3 * u31 + E4 * u41 + E5 * u51 + E6 * u61 + E7 * u71)
-            e2 = dt * (0.0 + E1 * v2 + E3 * u32 + E4 * u42 + E5 * u52 + E6 * u62 + E7 * u72)
-            e3 = dt * (0.0 + E1 * a10 + E3 * a30 + E4 * a40 + E5 * a50 + E6 * a60 + E7 * a70)
-            e4 = dt * (0.0 + E1 * a11 + E3 * a31 + E4 * a41 + E5 * a51 + E6 * a61 + E7 * a71)
-            e5 = dt * (0.0 + E1 * a12 + E3 * a32 + E4 * a42 + E5 * a52 + E6 * a62 + E7 * a72)
+            # the new velocity
+            u0 = v0 + dt * (
+                0.0 + B_1 * a1_0 + B_6 * a6_0 + B_7 * a7_0 + B_8 * a8_0 + B_9 * a9_0 + B_10 * a10_0
+                + B_11 * a11_0 + B_12 * a12_0
+            )
+            u1 = v1 + dt * (
+                0.0 + B_1 * a1_1 + B_6 * a6_1 + B_7 * a7_1 + B_8 * a8_1 + B_9 * a9_1 + B_10 * a10_1
+                + B_11 * a11_1 + B_12 * a12_1
+            )
+            u2 = v2 + dt * (
+                0.0 + B_1 * a1_2 + B_6 * a6_2 + B_7 * a7_2 + B_8 * a8_2 + B_9 * a9_2 + B_10 * a10_2
+                + B_11 * a11_2 + B_12 * a12_2
+            )
+            # 5th- and 3rd-order error estimates: dt^2 sums in the positions, dt sums
+            # in the velocities
+            h2 = dt * dt
+            d5_0 = h2 * (
+                0.0 + E5A_1 * a1_0 + E5A_4 * a4_0 + E5A_5 * a5_0 + E5A_6 * a6_0 + E5A_7 * a7_0
+                + E5A_8 * a8_0 + E5A_9 * a9_0 + E5A_10 * a10_0 + E5A_11 * a11_0
+            )
+            d5_1 = h2 * (
+                0.0 + E5A_1 * a1_1 + E5A_4 * a4_1 + E5A_5 * a5_1 + E5A_6 * a6_1 + E5A_7 * a7_1
+                + E5A_8 * a8_1 + E5A_9 * a9_1 + E5A_10 * a10_1 + E5A_11 * a11_1
+            )
+            d5_2 = h2 * (
+                0.0 + E5A_1 * a1_2 + E5A_4 * a4_2 + E5A_5 * a5_2 + E5A_6 * a6_2 + E5A_7 * a7_2
+                + E5A_8 * a8_2 + E5A_9 * a9_2 + E5A_10 * a10_2 + E5A_11 * a11_2
+            )
+            d5_3 = dt * (
+                0.0 + E5_1 * a1_0 + E5_6 * a6_0 + E5_7 * a7_0 + E5_8 * a8_0 + E5_9 * a9_0
+                + E5_10 * a10_0 + E5_11 * a11_0 + E5_12 * a12_0
+            )
+            d5_4 = dt * (
+                0.0 + E5_1 * a1_1 + E5_6 * a6_1 + E5_7 * a7_1 + E5_8 * a8_1 + E5_9 * a9_1
+                + E5_10 * a10_1 + E5_11 * a11_1 + E5_12 * a12_1
+            )
+            d5_5 = dt * (
+                0.0 + E5_1 * a1_2 + E5_6 * a6_2 + E5_7 * a7_2 + E5_8 * a8_2 + E5_9 * a9_2
+                + E5_10 * a10_2 + E5_11 * a11_2 + E5_12 * a12_2
+            )
+            d3_0 = h2 * (
+                0.0 + E3A_1 * a1_0 + E3A_4 * a4_0 + E3A_5 * a5_0 + E3A_6 * a6_0 + E3A_7 * a7_0
+                + E3A_8 * a8_0 + E3A_9 * a9_0 + E3A_10 * a10_0 + E3A_11 * a11_0
+            )
+            d3_1 = h2 * (
+                0.0 + E3A_1 * a1_1 + E3A_4 * a4_1 + E3A_5 * a5_1 + E3A_6 * a6_1 + E3A_7 * a7_1
+                + E3A_8 * a8_1 + E3A_9 * a9_1 + E3A_10 * a10_1 + E3A_11 * a11_1
+            )
+            d3_2 = h2 * (
+                0.0 + E3A_1 * a1_2 + E3A_4 * a4_2 + E3A_5 * a5_2 + E3A_6 * a6_2 + E3A_7 * a7_2
+                + E3A_8 * a8_2 + E3A_9 * a9_2 + E3A_10 * a10_2 + E3A_11 * a11_2
+            )
+            d3_3 = dt * (
+                0.0 + E3_1 * a1_0 + E3_6 * a6_0 + E3_7 * a7_0 + E3_8 * a8_0 + E3_9 * a9_0
+                + E3_10 * a10_0 + E3_11 * a11_0 + E3_12 * a12_0
+            )
+            d3_4 = dt * (
+                0.0 + E3_1 * a1_1 + E3_6 * a6_1 + E3_7 * a7_1 + E3_8 * a8_1 + E3_9 * a9_1
+                + E3_10 * a10_1 + E3_11 * a11_1 + E3_12 * a12_1
+            )
+            d3_5 = dt * (
+                0.0 + E3_1 * a1_2 + E3_6 * a6_2 + E3_7 * a7_2 + E3_8 * a8_2 + E3_9 * a9_2
+                + E3_10 * a10_2 + E3_11 * a11_2 + E3_12 * a12_2
+            )
+            # RMS norms over the per-component scale tol (1 + max(|old|, |new|)),
+            # combined as DOP853 does: err5^2 / sqrt((err5^2 + 0.01 err3^2) 6)
             o0, o1, o2, o3, o4, o5 = abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2)
-            n0, n1, n2, n3, n4, n5 = abs(p70), abs(p71), abs(p72), abs(u70), abs(u71), abs(u72)
-            try:
-                err = (
-                    (e0 / (tol + tol * (n0 if n0 > o0 else o0))) ** 2
-                    + (e1 / (tol + tol * (n1 if n1 > o1 else o1))) ** 2
-                    + (e2 / (tol + tol * (n2 if n2 > o2 else o2))) ** 2
-                    + (e3 / (tol + tol * (n3 if n3 > o3 else o3))) ** 2
-                    + (e4 / (tol + tol * (n4 if n4 > o4 else o4))) ** 2
-                    + (e5 / (tol + tol * (n5 if n5 > o5 else o5))) ** 2
-                )
-            except OverflowError:  # float ** raises where a product would give inf
+            n0, n1, n2, n3, n4, n5 = abs(p0), abs(p1), abs(p2), abs(u0), abs(u1), abs(u2)
+            w0 = tol + tol * (n0 if n0 > o0 else o0)
+            w1 = tol + tol * (n1 if n1 > o1 else o1)
+            w2 = tol + tol * (n2 if n2 > o2 else o2)
+            w3 = tol + tol * (n3 if n3 > o3 else o3)
+            w4 = tol + tol * (n4 if n4 > o4 else o4)
+            w5 = tol + tol * (n5 if n5 > o5 else o5)
+            q0, q1, q2 = d5_0 / w0, d5_1 / w1, d5_2 / w2
+            q3, q4, q5 = d5_3 / w3, d5_4 / w4, d5_5 / w5
+            err5 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5
+            q0, q1, q2 = d3_0 / w0, d3_1 / w1, d3_2 / w2
+            q3, q4, q5 = d3_3 / w3, d3_4 / w4, d3_5 / w5
+            err3 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5
+            denom = (err5 + 0.01 * err3) * 6.0
+            if denom == inf:
                 msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
-                raise StepFailure(msg, traj) from None
-            err = sqrt(err / 6.0)
+                raise StepFailure(msg, traj)
+            err = err5 / sqrt(denom) if err5 > 0.0 else 0.0
             if err <= 1.0:
                 t += dt
-                l, r1, r2, v0, v1, v2 = p70, p71, p72, u70, u71, u72
-                a10, a11, a12 = a70, a71, a72  # first-same-as-last
+                l, r1, r2, v0, v1, v2 = p0, p1, p2, u0, u1, u2
+                a1_0, a1_1, a1_2 = a13_0, a13_1, a13_2  # first-same-as-last
                 times.append(t)
                 states.append((l, r1, r2, v0, v1, v2))
                 n_accepted += 1
             else:
                 n_rejected += 1
-            factor = 0.9 * (err ** -0.2 if err > 0.0 else 5.0)
+            # err^(-1/8) as three square roots
+            factor = 0.9 * (1.0 / sqrt(sqrt(sqrt(err))) if err > 0.0 else 5.0)
             factor = factor if factor > 0.2 else 0.2
             dt *= factor if factor < 5.0 else 5.0
             if max_step is not None and max_step < dt:

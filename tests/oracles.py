@@ -13,12 +13,7 @@ from ternion import dynamics as td
 from ternion import field as tf
 from ternion import verify as tv
 from ternion.algebra import ComplexTernary, Ternary, conjugates, mul
-from ternion.dynamics import (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
-    _A71, _A73, _A74, _A75, _A76, _E1, _E3, _E4, _E5, _E6, _E7,
-    Trajectory,
-    _accel,
-)
+from ternion.dynamics import Trajectory, _accel
 from ternion.errors import (
     DomainError,
     NumericalBreakdown,
@@ -191,22 +186,34 @@ def volume_integrand(W):
 # the presets of ternion.calculus must give the same bits and errors.
 
 
-def multisine_each(k, phi1, phi2):
+def _multisine_expr(k, phi1, phi2):
     s = phi1 + phi2
     psi = (ta.SQRT3 / 2.0) * (phi1 - phi2)
     m = ta._lib(s)
-    out = (m.exp(s) + 2.0 * m.exp(-0.5 * s) * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0
-    if m is np:
+    return (m.exp(s) + 2.0 * m.exp(-0.5 * s) * m.cos(psi - 2.0 * math.pi * k / 3.0)) / 3.0
+
+
+def multisine_each(k, phi1, phi2):
+    try:
+        out = _multisine_expr(k, phi1, phi2)
+    except OverflowError:  # a float point
+        msg = f"multisine out of float range at (phi1, phi2) = ({phi1}, {phi2})"
+        raise OverflowError(msg) from None
+    if ta._lib(out) is np:
         ta._fault(~np.isfinite(out), lambda a, b: multisine_each(k, a, b), phi1, phi2)
     return out
 
 
 def from_polar_each(p):
-    return Ternary(
-        p.rho * multisine_each(0, p.phi1, p.phi2),
-        p.rho * multisine_each(1, p.phi1, p.phi2),
-        p.rho * multisine_each(2, p.phi1, p.phi2),
-    )
+    try:
+        x = [p.rho * _multisine_expr(k, p.phi1, p.phi2) for k in (0, 1, 2)]
+    except OverflowError:  # a float point
+        msg = f"from_polar out of float range at (rho, phi1, phi2) = ({p.rho}, {p.phi1}, {p.phi2})"
+        raise OverflowError(msg) from None
+    if ta._lib(*x) is np:
+        bad = ~(np.isfinite(x[0]) & np.isfinite(x[1]) & np.isfinite(x[2]))
+        ta._fault(bad, lambda *c: from_polar_each(ta.PolarForm(*c)), p.rho, p.phi1, p.phi2)
+    return Ternary(*x)
 
 
 def trisectrice_loop_twice(rho, phi):
@@ -641,38 +648,43 @@ def field_suite_loops(seed: int) -> list:
 
 
 def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
-    """dynamics.integrate as it was before its stages were written out: one
-    _accel call per stage, min/max builtins and counters kept on the
-    Trajectory.  It must agree with integrate bit for bit: samples, counts,
-    exception type, message, state and partial trajectory."""
+    """dynamics.integrate as a loop over the Nystrom tables: one _accel call
+    per stage, one weighted sum per table row and component, min/max
+    builtins and counters kept on the Trajectory.  It must agree with
+    integrate bit for bit: samples, counts, exception type, message, state
+    and partial trajectory."""
     t = float(s0.t)
     if t_end <= t:
         raise DomainError(f"t_end must exceed the initial time, got {t_end} <= {t}")
-    l, r1, r2, v0, v1, v2 = s0.as_tuple()
-    scale0 = math.sqrt(s0.l**2 + s0.r1**2 + s0.r2**2)
-    guard = td.SINGULAR_GUARD * scale0**3
+    x, v = s0.as_tuple()[:3], s0.as_tuple()[3:]
+    scale0 = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    guard = td.SINGULAR_GUARD * (scale0 * scale0 * scale0)
     traj = Trajectory()
     traj.times.append(t)
-    traj.states.append((l, r1, r2, v0, v1, v2))
+    traj.states.append((*x, *v))
 
-    # Stage m has slope (u_m, a_m): the velocity and acceleration of its
-    # state.  u_1 is the state's own velocity (v0, v1, v2) and a_1 is carried
-    # over from the previous step.
     try:
-        a10, a11, a12 = _accel(l, r1, r2, g)
+        a1 = _accel(*x, g)
     except OnSingularSet as exc:
         raise SingularApproach("initial state inadmissible", traj) from exc
 
     span = t_end - t
-    fnorm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + a10 * a10 + a11 * a11 + a12 * a12)
-    ynorm = math.sqrt(l * l + r1 * r1 + r2 * r2 + v0 * v0 + v1 * v1 + v2 * v2)
+    fnorm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+                      + a1[0] * a1[0] + a1[1] * a1[1] + a1[2] * a1[2])
+    ynorm = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+                      + v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     dt = min(span / 100.0, 0.01 * (1.0 + ynorm) / (1.0 + fnorm))
     if max_step is not None:
         dt = min(dt, max_step)
 
-    # Each sum starts at 0.0, so that a sum of zero terms is +0.0 and never
-    # -0.0, and adds its terms in tableau order: the samples' bits, signed
-    # zeros included, are pinned in tests/test_dynamics.py.
+    def weighted(weights, slopes, m):
+        # from 0.0 in stage order, zero weights left out, as the step does
+        s = 0.0
+        for w, a in zip(weights, slopes):
+            if w != 0.0:
+                s += w * a[m]
+        return s
+
     steps = 0
     while t < t_end:
         if steps >= td.MAX_STEPS:
@@ -681,94 +693,42 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
         if dt < 1e-14 * max(1.0, abs(t)):
             raise StepFailure(f"step size underflow at t = {t}", traj)
         steps += 1
+        slopes = [a1]
         try:
-            u20 = v0 + dt * (0.0 + _A21 * a10)
-            u21 = v1 + dt * (0.0 + _A21 * a11)
-            u22 = v2 + dt * (0.0 + _A21 * a12)
-            a20, a21, a22 = _accel(
-                l + dt * (0.0 + _A21 * v0),
-                r1 + dt * (0.0 + _A21 * v1),
-                r2 + dt * (0.0 + _A21 * v2),
-                g,
-            )
-            u30 = v0 + dt * (0.0 + _A31 * a10 + _A32 * a20)
-            u31 = v1 + dt * (0.0 + _A31 * a11 + _A32 * a21)
-            u32 = v2 + dt * (0.0 + _A31 * a12 + _A32 * a22)
-            a30, a31, a32 = _accel(
-                l + dt * (0.0 + _A31 * v0 + _A32 * u20),
-                r1 + dt * (0.0 + _A31 * v1 + _A32 * u21),
-                r2 + dt * (0.0 + _A31 * v2 + _A32 * u22),
-                g,
-            )
-            u40 = v0 + dt * (0.0 + _A41 * a10 + _A42 * a20 + _A43 * a30)
-            u41 = v1 + dt * (0.0 + _A41 * a11 + _A42 * a21 + _A43 * a31)
-            u42 = v2 + dt * (0.0 + _A41 * a12 + _A42 * a22 + _A43 * a32)
-            a40, a41, a42 = _accel(
-                l + dt * (0.0 + _A41 * v0 + _A42 * u20 + _A43 * u30),
-                r1 + dt * (0.0 + _A41 * v1 + _A42 * u21 + _A43 * u31),
-                r2 + dt * (0.0 + _A41 * v2 + _A42 * u22 + _A43 * u32),
-                g,
-            )
-            u50 = v0 + dt * (0.0 + _A51 * a10 + _A52 * a20 + _A53 * a30 + _A54 * a40)
-            u51 = v1 + dt * (0.0 + _A51 * a11 + _A52 * a21 + _A53 * a31 + _A54 * a41)
-            u52 = v2 + dt * (0.0 + _A51 * a12 + _A52 * a22 + _A53 * a32 + _A54 * a42)
-            a50, a51, a52 = _accel(
-                l + dt * (0.0 + _A51 * v0 + _A52 * u20 + _A53 * u30 + _A54 * u40),
-                r1 + dt * (0.0 + _A51 * v1 + _A52 * u21 + _A53 * u31 + _A54 * u41),
-                r2 + dt * (0.0 + _A51 * v2 + _A52 * u22 + _A53 * u32 + _A54 * u42),
-                g,
-            )
-            u60 = v0 + dt * (0.0 + _A61 * a10 + _A62 * a20 + _A63 * a30 + _A64 * a40 + _A65 * a50)
-            u61 = v1 + dt * (0.0 + _A61 * a11 + _A62 * a21 + _A63 * a31 + _A64 * a41 + _A65 * a51)
-            u62 = v2 + dt * (0.0 + _A61 * a12 + _A62 * a22 + _A63 * a32 + _A64 * a42 + _A65 * a52)
-            a60, a61, a62 = _accel(
-                l + dt * (0.0 + _A61 * v0 + _A62 * u20 + _A63 * u30 + _A64 * u40 + _A65 * u50),
-                r1 + dt * (0.0 + _A61 * v1 + _A62 * u21 + _A63 * u31 + _A64 * u41 + _A65 * u51),
-                r2 + dt * (0.0 + _A61 * v2 + _A62 * u22 + _A63 * u32 + _A64 * u42 + _A65 * u52),
-                g,
-            )
-            # the 5th-order solution (p7, u7) is the 7th stage's state
-            u70 = v0 + dt * (0.0 + _A71 * a10 + _A73 * a30 + _A74 * a40 + _A75 * a50 + _A76 * a60)
-            u71 = v1 + dt * (0.0 + _A71 * a11 + _A73 * a31 + _A74 * a41 + _A75 * a51 + _A76 * a61)
-            u72 = v2 + dt * (0.0 + _A71 * a12 + _A73 * a32 + _A74 * a42 + _A75 * a52 + _A76 * a62)
-            p70 = l + dt * (0.0 + _A71 * v0 + _A73 * u30 + _A74 * u40 + _A75 * u50 + _A76 * u60)
-            p71 = r1 + dt * (0.0 + _A71 * v1 + _A73 * u31 + _A74 * u41 + _A75 * u51 + _A76 * u61)
-            p72 = r2 + dt * (0.0 + _A71 * v2 + _A73 * u32 + _A74 * u42 + _A75 * u52 + _A76 * u62)
-            a70, a71, a72 = _accel(p70, p71, p72, g)
-            if abs(p70) * (p71 * p71 + p72 * p72) < guard:
+            for c, row in zip(td._C, td._ABAR):
+                stage = [x[m] + dt * (c * v[m] + dt * weighted(row, slopes, m)) for m in range(3)]
+                slopes.append(_accel(*stage, g))
+            new_x = [x[m] + dt * (v[m] + dt * weighted(td._BBAR, slopes, m)) for m in range(3)]
+            slopes.append(_accel(*new_x, g))
+            if abs(new_x[0]) * (new_x[1] * new_x[1] + new_x[2] * new_x[2]) < guard:
                 raise OnSingularSet("singular-approach guard tripped")
         except OnSingularSet:
             raise SingularApproach(f"approached the singular set near t = {t:.6g}", traj) from None
-        # error estimate per component, RMS-normed against tol (1 + max(|old|, |new|))
-        e0 = dt * (0.0 + _E1 * v0 + _E3 * u30 + _E4 * u40 + _E5 * u50 + _E6 * u60 + _E7 * u70)
-        e1 = dt * (0.0 + _E1 * v1 + _E3 * u31 + _E4 * u41 + _E5 * u51 + _E6 * u61 + _E7 * u71)
-        e2 = dt * (0.0 + _E1 * v2 + _E3 * u32 + _E4 * u42 + _E5 * u52 + _E6 * u62 + _E7 * u72)
-        e3 = dt * (0.0 + _E1 * a10 + _E3 * a30 + _E4 * a40 + _E5 * a50 + _E6 * a60 + _E7 * a70)
-        e4 = dt * (0.0 + _E1 * a11 + _E3 * a31 + _E4 * a41 + _E5 * a51 + _E6 * a61 + _E7 * a71)
-        e5 = dt * (0.0 + _E1 * a12 + _E3 * a32 + _E4 * a42 + _E5 * a52 + _E6 * a62 + _E7 * a72)
-        try:
-            err = (
-                (e0 / (tol + tol * max(abs(l), abs(p70)))) ** 2
-                + (e1 / (tol + tol * max(abs(r1), abs(p71)))) ** 2
-                + (e2 / (tol + tol * max(abs(r2), abs(p72)))) ** 2
-                + (e3 / (tol + tol * max(abs(v0), abs(u70)))) ** 2
-                + (e4 / (tol + tol * max(abs(v1), abs(u71)))) ** 2
-                + (e5 / (tol + tol * max(abs(v2), abs(u72)))) ** 2
-            )
-        except OverflowError:
+        new_v = [v[m] + dt * weighted(td._DOP853_B, slopes, m) for m in range(3)]
+        norms = []
+        for pos_weights, vel_weights in ((td._EBAR5, td._DOP853_E5), (td._EBAR3, td._DOP853_E3)):
+            errs = [dt * dt * weighted(pos_weights, slopes, m) for m in range(3)]
+            errs += [dt * weighted(vel_weights, slopes, m) for m in range(3)]
+            total = 0.0
+            for e, old, new in zip(errs, (*x, *v), (*new_x, *new_v)):
+                q = e / (tol + tol * max(abs(old), abs(new)))
+                total += q * q
+            norms.append(total)
+        err5, err3 = norms
+        denom = (err5 + 0.01 * err3) * 6.0
+        if math.isinf(denom):
             msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
-            raise StepFailure(msg, traj) from None
-        err = math.sqrt(err / 6.0)
+            raise StepFailure(msg, traj)
+        err = err5 / math.sqrt(denom) if err5 > 0.0 else 0.0
         if err <= 1.0:
             t += dt
-            l, r1, r2, v0, v1, v2 = p70, p71, p72, u70, u71, u72
-            a10, a11, a12 = a70, a71, a72  # first-same-as-last
+            x, v, a1 = new_x, new_v, slopes[-1]  # first-same-as-last
             traj.times.append(t)
-            traj.states.append((l, r1, r2, v0, v1, v2))
+            traj.states.append((*x, *v))
             traj.n_accepted += 1
         else:
             traj.n_rejected += 1
-        factor = 0.9 * (err ** -0.2 if err > 0.0 else 5.0)
+        factor = 0.9 * (1.0 / math.sqrt(math.sqrt(math.sqrt(err))) if err > 0.0 else 5.0)
         dt *= min(5.0, max(0.2, factor))
         if max_step is not None:
             dt = min(dt, max_step)

@@ -240,6 +240,28 @@ def test_exp_overflow():
         exp(Ternary(400.0, 250.0, 250.0))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exp(Ternary(800.0, 0.0, 0.0)), "exp out of float range at z = (800.0, 0.0, 0.0)"),
+        (
+            lambda: from_polar(PolarForm(1.0, 400.0, 399.5)),
+            "from_polar out of float range at (rho, phi1, phi2) = (1.0, 400.0, 399.5)",
+        ),
+        (
+            lambda: multisine(2, 400.0, 399.5),
+            "multisine out of float range at (phi1, phi2) = (400.0, 399.5)",
+        ),
+    ],
+    ids=["exp", "from_polar", "multisine"],
+)
+def test_exponential_overflow_names_the_operation_and_the_point(call, message):
+    # libm's exp reports only "math range error"
+    with pytest.raises(OverflowError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_log_values():
     assert log(ONE) == ta.ZERO
     with pytest.raises(SingularNumber):
@@ -538,7 +560,7 @@ def test_array_non_finite_component_names_its_value(bad):
 def test_array_overflow_raises_the_scalar_error():
     big = np.array([1.0, 400.0, 1.0])
     with np.errstate(over="ignore"):
-        with pytest.raises(OverflowError, match="math range error"):
+        with pytest.raises(OverflowError, match=r"^exp out of float range at z = \(400.0, 250.0, 250.0\)$"):
             exp(Ternary(big, big * 0.625, big * 0.625))
         with pytest.raises(OverflowError):
             norm_cubed(Ternary(np.array([0.0, 1e200]), 0.0, 0.0))

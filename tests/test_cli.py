@@ -71,7 +71,7 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
     # the printed report, residual digits included, is pinned
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1f0e96afb4103494503bc447d052a900933d8cc02e7fb8b121fe7f2aa6ef31c7"
+        "62dd65e98bc098a8a5b780b8366ed7a4e1ecec0d9f1e4eb4303c8496824ecd25"
     )
 
 
@@ -258,7 +258,7 @@ def test_simulate_planar_demo(tmp_path, capsys):
     assert "max relative deviation from closed-form" in text
     # README's planar.json; t_end comes from the closed-form time PlanarSolution.t
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "858811146f7b07499e4c803ad5e5c4496b3390e8b3e9aa50a1281004231444bc"
+    assert digest == "f0ea8b22ec40e13789cd0a68015b63a6b2416e672cdb167942082c059ffc774d"
     lines = out.read_text().splitlines()
     assert lines[0] == "t,l,r1,r2,v0,v1,v2,M0,M1,M2,E,r1_closed"
     data = np.array([[float(c) for c in row.split(",")] for row in lines[1:]])
@@ -861,6 +861,16 @@ def test_numeric_failure_is_not_a_config_error(capsys, flags, message):
     err = capsys.readouterr().err
     assert any(line.startswith(message) for line in err.splitlines())
     assert "config error" not in err and "Traceback" not in err
+
+
+def test_form_out_of_float_range_names_the_point(capsys):
+    # e^(phi1 + phi2) on the loop overflows: a failed run, one stderr line
+    # naming the operation and the point
+    argv = ["integrate-form", "line", "--preset", "trisectrice-loop", "--rho", "1", "--phi", "400"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("OverflowError: from_polar out of float range at (rho, phi1, phi2) = (1.0, ")
 
 
 def test_config_round_trips():

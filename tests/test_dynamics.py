@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -256,19 +257,19 @@ def test_integrate_bits_are_pinned():
     state, t_end = PLANAR_PIN
     traj = integrate(MonopoleState(*state), 1.0, t_end, tol=1e-10, max_step=t_end / 12000)
     assert (traj.n_accepted, traj.n_rejected) == (12001, 0)
-    assert _digest(traj) == "69636d853092b5cd88ffd61a0728cc7b7caf7e4314be58e249b9008e9be633a7"
+    assert _digest(traj) == "d958244d51ea97cb6985b8745a6465a98fafd9edcacde1a382d3399fede07c9a"
 
     state, t_end = GENERAL_PIN
     traj = integrate(MonopoleState(*state), 1.0, t_end, tol=1e-10)
-    assert (traj.n_accepted, traj.n_rejected) == (175, 0)
-    assert _digest(traj) == "80c1ccc72a9c0ff1741e9ea13bf1f80cdb0bde6e7a7e97abecafcea34087c978"
+    assert (traj.n_accepted, traj.n_rejected) == (44, 17)
+    assert _digest(traj) == "e65facb9ddb42ce756ce6029016daeb908382b3d2b04c8544890cccee9f288a9"
 
     with pytest.raises(SingularApproach) as info:
         integrate(MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0), 1.0, 10.0, tol=1e-8)
     part = info.value.trajectory
-    assert str(info.value) == "approached the singular set near t = 0.711046"
-    assert (len(part), part.n_accepted, part.n_rejected) == (66, 65, 62)
-    assert _digest(part) == "107248426c4a83d9531634971fcad2ea5398d5aba9c6975fe0e7d3730a0c4029"
+    assert str(info.value) == "approached the singular set near t = 0.711042"
+    assert (len(part), part.n_accepted, part.n_rejected) == (35, 34, 32)
+    assert _digest(part) == "d52ee8ce05ea9bda076fc053da5b8e3dd2851ea32961cd32cd613964e62bffba"
 
 
 def test_step_budget_failure(monkeypatch):
@@ -280,17 +281,17 @@ def test_step_budget_failure(monkeypatch):
     with pytest.raises(StepFailure) as info:
         integrate(s0, 1.0, s0.t + 30.0, tol=1e-10)
     part = info.value.trajectory
-    assert str(info.value) == "step budget 5 exhausted at t = 4.513353530529863"
-    assert (len(part), part.n_accepted, part.n_rejected) == (6, 5, 0)
-    assert _digest(part) == "552e6440e3f3908ab3afb161d2bd0b4955b603da3fa2e9c0f45f2eab1f8c93e4"
+    assert str(info.value) == "step budget 5 exhausted at t = 7.831663817752167"
+    assert (len(part), part.n_accepted, part.n_rejected) == (5, 4, 1)
+    assert _digest(part) == "13db734da9cfb311b2d5154b51d05715fe86778a2ba64cdd69ffe085398ddd57"
 
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 50)
     with pytest.raises(StepFailure) as info:
         integrate(MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0), 1.0, 10.0, tol=1e-8)
     part = info.value.trajectory
-    assert str(info.value) == "step budget 100 exhausted at t = 0.7109232337080034"
-    assert (len(part), part.n_accepted, part.n_rejected) == (52, 51, 49)
-    assert _digest(part) == "abc8b7cae8f6e3f5613df03040a0a2f84c1908ab98d10d18c2e799dd0780b98a"
+    assert str(info.value) == "step budget 50 exhausted at t = 0.7108576554132093"
+    assert (len(part), part.n_accepted, part.n_rejected) == (27, 26, 24)
+    assert _digest(part) == "91bf074994b7a50b7bcdba32d234c8e858e592cdc3da2cfa534067c2393981d7"
 
 
 def test_step_size_underflow_failure():
@@ -311,9 +312,9 @@ def test_step_size_underflow_failure():
     with pytest.raises(StepFailure) as info:
         integrate(s0, 1.0, 1e10 + 10.0, tol=1e-8)
     part = info.value.trajectory
-    assert str(info.value) == "step size underflow at t = 10000000000.710526"
-    assert (len(part), part.n_accepted, part.n_rejected) == (45, 44, 42)
-    assert _digest(part) == "d62cf02468bf2a9e2a9ec6e6bacf2d0d6f56732f0d73d15d6069d2a279ca9810"
+    assert str(info.value) == "step size underflow at t = 10000000000.710773"
+    assert (len(part), part.n_accepted, part.n_rejected) == (26, 25, 24)
+    assert _digest(part) == "5968ffd85d9594962dd32f738fed499650116dcba7030a81e3c9c6a13d79ecf1"
 
 
 @pytest.mark.parametrize("tol", [1e-200, 1e-300])
@@ -366,11 +367,11 @@ def _reference_batch(rng):
         state = MonopoleState(float(l), float(r1), float(r2), float(v0), float(v1), float(v2), t=t0)
         runs.append((state, float(rng.uniform(0.5, 2.0)), t0 + float(rng.uniform(0.5, 6.0)), kw))
     # Nearly straight first steps of dt = 0.01 that put stage k's position
-    # (node c_k, k = 2..5) on the l = 0 plane, or 1e-8 off the r1 axis, with
+    # (node c_k, k = 2..11) on the l = 0 plane, or 1e-8 off the r1 axis, with
     # the stages before it off the singular set and the step's end past it:
-    # stage k's admissibility test alone stops the run.  Stage 6 shares the
+    # stage k's admissibility test alone stops the run.  Stage 12 shares the
     # node 1 with the step's end, whose own test stops the same runs.
-    for c in (0.2, 0.3, 0.8, 8 / 9):
+    for c in dynamics._C[:-1]:
         for s0 in (
             MonopoleState(0.01 * c, 1.0, 0.0, -1.0, 0.0, 0.0),
             MonopoleState(1.0, 0.01 * c + 1e-8, 0.0, 0.0, -1.0, 0.0),
@@ -388,11 +389,11 @@ def _reference_batch(rng):
 
 
 @pytest.mark.parametrize(
-    "patch", [{}, {"MAX_STEPS": 40}, {"EPS_FIELD": 0.05}], ids=["shipped", "budget", "margin"]
+    "patch", [{}, {"MAX_STEPS": 10}, {"EPS_FIELD": 0.05}], ids=["shipped", "budget", "margin"]
 )
 def test_integrate_matches_the_reference_loop_bit_for_bit(monkeypatch, patch):
     # integrate writes each stage's acceleration out; the reference calls
-    # _accel per stage.  A budget of 40 ends most runs on the budget exit.  In
+    # _accel per stage.  A budget of 10 ends most runs on the budget exit.  In
     # the seeded runs the singular-approach guard trips before a stage's
     # admissibility test at EPS_FIELD = 1e-8; a margin of 0.05 lets the stage
     # tests stop them.
@@ -413,7 +414,7 @@ def test_trajectory_csv_bits_are_pinned(tmp_path):
     path = tmp_path / "traj.csv"
     assert write_trajectory_csv(traj, path) == 12002
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "55c8676387caaed77207aa04dbee13d133529bb002e759b7acff19574452af22"
+    assert digest == "9a49c710365a2eced9f25f131a78e31a2eeea0a32d619fedca73be93ce78a38a"
 
 
 @pytest.mark.parametrize("pin", [PLANAR_PIN, GENERAL_PIN], ids=["planar", "general"])
@@ -429,6 +430,77 @@ def test_integrate_matches_scipy_dop853(pin):
     got = integrate(MonopoleState(*state), 1.0, t_end, tol=1e-10).final_state().as_tuple()
     for a, b in zip(got, ref.y[:, -1]):
         assert abs(a - b) <= 1e-7 * abs(b)
+
+
+# scipy 1.17.1's DOP853 nodes c_2 .. c_12 (dop853_coefficients.C), which
+# integrate derives as the row sums of its A
+DOP853_C = (
+    0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+)
+
+
+def _exact_sum(terms):
+    """The exact sum of float products (pairs) and the largest |term|."""
+    terms = [Fraction(a) * Fraction(b) for a, b in terms]
+    return sum(terms, Fraction(0)), max((abs(x) for x in terms), default=Fraction(0))
+
+
+def test_dop853_tableau_conditions():
+    # each sum of the literals, exactly, to 1e-15 of its largest term: the
+    # literals of size ~40 in rows 9-12 round by up to 3.6e-15 each
+    rows = list(zip(dynamics._DOP853_A, DOP853_C))
+    rows += [(dynamics._DOP853_B, 1.0), (dynamics._DOP853_E5, 0.0), (dynamics._DOP853_E3, 0.0)]
+    for row, want in rows:
+        total, largest = _exact_sum((w, 1.0) for w in row)
+        assert abs(total - Fraction(want)) <= Fraction(1e-15) * largest, (row, want)
+    for c, row in zip(dynamics._C, dynamics._DOP853_A):
+        total, largest = _exact_sum((w, 1.0) for w in row)
+        assert abs(Fraction(c) - total) <= Fraction(1e-15) * largest
+
+
+def test_nystrom_tables_match_exact_sums_of_products():
+    # abar = A A, bbar = b A and ebar = E A (b as row 13), each entry to
+    # 1e-15 of its sum's largest product; an entry with no nonzero product
+    # is exactly 0.0, which the written-out step leaves out
+    a = ((),) + dynamics._DOP853_A + (dynamics._DOP853_B,)
+    tables = [(row, dynamics._ABAR[i]) for i, row in enumerate(dynamics._DOP853_A)]
+    tables += [
+        (dynamics._DOP853_B, dynamics._BBAR),
+        (dynamics._DOP853_E5, dynamics._EBAR5),
+        (dynamics._DOP853_E3, dynamics._EBAR3),
+    ]
+    for w, got in tables:
+        assert len(got) == len(w) - 1
+        for k, value in enumerate(got):
+            total, largest = _exact_sum((w[j], a[j][k]) for j in range(k + 1, len(w)))
+            if largest == 0:
+                assert value == 0.0
+            else:
+                assert abs(Fraction(value) - total) <= Fraction(1e-15) * largest
+
+
+def test_integrate_has_order_eight():
+    # at tol 1e-2 a fixed max_step h sets every step after the first few, and
+    # no step is rejected; halving h cuts the final-state error by 2^8 for an
+    # 8th-order method, here by more than 2^7
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    state, t_end = PLANAR_PIN
+
+    def rhs(t, y):
+        return [y[3], y[4], y[5], *newton_rhs(MonopoleState(*y), 1.0)]
+
+    ref = solve_ivp(rhs, (0.0, t_end), state, method="DOP853", rtol=1e-13, atol=1e-13)
+    assert ref.success
+    errors = []
+    for h in (t_end / 16, t_end / 32):
+        traj = integrate(MonopoleState(*state), 1.0, t_end, tol=1e-2, max_step=h)
+        assert traj.n_rejected == 0
+        got = traj.final_state().as_tuple()
+        errors.append(max(abs(x - y) for x, y in zip(got, ref.y[:, -1])))
+    assert errors[0] >= 2.0**7 * errors[1], errors
 
 
 # --- asymptote equation ------------------------------------------------------
