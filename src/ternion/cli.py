@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 failed properties, singular stop or numerical
 failure, 2 bad usage, config or unwritable output, 3 scatter grid entirely
 failed.  A simulation stopped by the singular-approach guard or a step
 failure still writes its CSV up to the last accepted step and its manifest,
-with status singular-stop or step-failure.
+with status singular-stop or step-failure.  ternion.config formats and
+writes every output file, whole or not at all.
 """
 
 from __future__ import annotations
@@ -16,13 +17,23 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from . import algebra as ta
 from . import calculus as tc
 from . import dynamics as td
 from .algebra import Ternary
-from .config import ConfigError, FormConfig, load_config, write_manifest
+from .config import (
+    ConfigError,
+    FormConfig,
+    json_text,
+    load_config,
+    write_json,
+    write_manifest,
+    write_scatter_csv,
+    write_trajectory_csv,
+)
 from .errors import DomainError, SingularApproach, StepFailure, TernionError
 from .verify import SUITE_NAMES, run_suite
 
@@ -41,11 +52,7 @@ def _cmd_verify(args) -> int:
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed (seed {args.seed})")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(
-                [dataclasses.asdict(r) for r in results], fh, indent=2, sort_keys=True, default=str
-            )
-            fh.write("\n")
+        write_json(args.out, [dataclasses.asdict(r) for r in results])
     if failed:
         first = failed[0]
         print(
@@ -54,6 +61,23 @@ def _cmd_verify(args) -> int:
         )
         return 1
     return 0
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, else a usage error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
+def _check_outputs(out, manifest):
+    """ConfigError, before the run, when --out and --manifest name one file."""
+    if out and manifest and os.path.realpath(out) == os.path.realpath(manifest):
+        raise ConfigError(f"--out {out} and --manifest {manifest} name one file")
 
 
 # --------------------------------------------------------------------------
@@ -73,6 +97,7 @@ def _simulate_run(cfg):
 
 
 def _cmd_simulate(args) -> int:
+    _check_outputs(args.out, args.manifest)
     cfg = load_config(args.config, "simulate")
     if args.tol is not None:
         cfg = dataclasses.replace(cfg, tol=args.tol)
@@ -98,7 +123,7 @@ def _cmd_simulate(args) -> int:
         devs = (abs(c - y[1]) / max(1e-300, abs(y[1])) for c, y in zip(closed, traj.states))
         max_dev = max(0.0, *devs)
         extra = ("r1_closed", closed)
-    td.write_trajectory_csv(traj, args.out, extra)
+    write_trajectory_csv(traj, args.out, extra)
 
     drift = traj.max_m_drift()
     print(
@@ -122,7 +147,7 @@ def _cmd_simulate(args) -> int:
             extras["truncated"] = "stopped at the singular-approach guard"
         if failure is not None:
             extras["message"] = failure
-        write_manifest(args.manifest, "simulate", cfg, {"trajectory_csv": args.out}, status, extras)
+        write_manifest(args.manifest, cfg, {"trajectory_csv": args.out}, status, extras)
     if failure is not None or (status == "singular-stop" and not args.allow_singular_stop):
         return 1
     return 0
@@ -143,15 +168,15 @@ def _scatter_row(cfg, m1, m2):
 
 
 def _cmd_scatter(args) -> int:
+    _check_outputs(args.out, args.manifest)
     cfg = load_config(args.config, "scatter")
     rows = [_scatter_row(cfg, m1, m2) for m1 in cfg.m1_grid for m2 in cfg.m2_grid]
-    td.write_scatter_csv(rows, args.out)
+    write_scatter_csv(rows, args.out)
     n_ok = sum(1 for r in rows if r[3] == "ok")
     print(f"{n_ok}/{len(rows)} grid points solved -> {args.out}")
     if args.manifest:
         write_manifest(
             args.manifest,
-            "scatter",
             cfg,
             {"table_csv": args.out},
             "ok" if n_ok else "all-failed",
@@ -224,6 +249,8 @@ def _form_config(args) -> FormConfig:
 
 
 def _cmd_form(args) -> int:
+    to_file = args.out not in ("", "-")
+    _check_outputs(args.out if to_file else None, args.manifest)
     cfg = _form_config(args)
     if not isinstance(cfg.field_name, str) or cfg.field_name not in _FIELDS:
         raise ConfigError(f"unknown field {cfg.field_name!r}; choose from {sorted(_FIELDS)}")
@@ -245,14 +272,12 @@ def _cmd_form(args) -> int:
         "tol": cfg.tol,
         "value": list(value.components()),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if to_file:
+        write_json(args.out, doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(doc))
     if args.manifest:
-        write_manifest(args.manifest, "integrate-form", cfg, {"result": args.out or "-"}, "ok")
+        write_manifest(args.manifest, cfg, {"result": args.out or "-"}, "ok")
     return 0
 
 
@@ -278,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded property suite")
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=_cmd_verify)
 

@@ -1,14 +1,22 @@
-"""Run configurations and JSON manifests for the CLI.
+"""Run files for the CLI: configs in, and every output out.
 
 Configs round-trip exactly through JSON (parse(serialize(c)) == c) and every
 tolerance a run uses is written into its manifest, so a rerun from a manifest
 reproduces the output byte for byte.
+
+The outputs (trajectory and scattering CSVs, manifests and JSON reports) are
+formatted here and written whole or not at all: the text goes to a temp file
+beside the target, which then replaces it.  A run that fails mid-write leaves
+the target as it was and no temp file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import __version__
@@ -18,8 +26,14 @@ __all__ = [
     "SimulateConfig",
     "ScatterConfig",
     "FormConfig",
+    "TRAJECTORY_HEADER",
+    "SCATTER_HEADER",
     "load_config",
+    "json_text",
+    "write_json",
     "write_manifest",
+    "write_trajectory_csv",
+    "write_scatter_csv",
 ]
 
 
@@ -256,18 +270,91 @@ def load_config(path, command: str):
     return _CONFIG_TYPES[command].from_dict(data)
 
 
-def write_manifest(path, command: str, config, outputs: dict, status: str, extras: dict | None = None):
+#: The command of each config type, as manifests record it.
+_COMMANDS = {cls: command for command, cls in _CONFIG_TYPES.items()}
+
+TRAJECTORY_HEADER = "t,l,r1,r2,v0,v1,v2,M0,M1,M2,E"
+
+SCATTER_HEADER = "M1,M2,ytilde1,E,J,dsigma,status"
+
+
+def _write(path, text: str):
+    """Writes text to path whole or not at all.
+
+    The text goes to <path>.<pid>.tmp beside the target, which os.replace
+    then puts in its place, so the target's directory must be writable and a
+    replaced file gets a new file's mode; on any failure the temp file is
+    removed and the error raised.  An existing path that is not a regular
+    file (/dev/stdout, a FIFO, a symlink) is written in place instead.
+    """
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def json_text(doc) -> str:
+    """doc as indented, key-sorted JSON text ending in a newline; a value
+    JSON cannot hold is written as its str."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+
+
+def write_json(path, doc):
+    """Writes json_text(doc) to path."""
+    _write(path, json_text(doc))
+
+
+def write_manifest(path, config, outputs: dict, status: str, extras: dict | None = None):
+    """Writes the run's manifest: the command its config type names, the
+    config, the output paths, the status and any extras."""
     doc = {
         "tool": "ternion",
         "version": __version__,
-        "command": command,
+        "command": _COMMANDS[type(config)],
         "config": config.to_dict(),
         "outputs": outputs,
         "status": status,
     }
     if extras:
         doc.update(extras)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
     return doc
+
+
+def write_trajectory_csv(traj, path, extra=None):
+    """One row per sample of a dynamics.Trajectory; extra = (name, values)
+    appends a column."""
+    header = TRAJECTORY_HEADER if extra is None else f"{TRAJECTORY_HEADER},{extra[0]}"
+    extras = [()] * len(traj) if extra is None else [(v,) for v in extra[1]]
+    lines = [header + "\n"]
+    for t, y, m, e, x in zip(traj.times, traj.states, traj.m_ledger, traj.energy, extras):
+        cells = (t, *y, *m, e, *x)
+        lines.append(",".join(repr(float(c)) for c in cells) + "\n")
+    _write(path, "".join(lines))
+    return len(traj)
+
+
+def write_scatter_csv(rows, path):
+    """Rows are (m1, m2, result_or_None, status); failures keep their row."""
+    lines = [SCATTER_HEADER + "\n"]
+    for m1, m2, res, status in rows:
+        if res is None:
+            lines.append(f"{m1!r},{m2!r},,,,,{status}\n")
+        else:
+            cells = (m1, m2, res.ytilde1, res.energy, res.jacobian, res.dsigma)
+            lines.append(",".join(repr(float(c)) for c in cells) + f",{status}\n")
+    _write(path, "".join(lines))
+    return len(rows)

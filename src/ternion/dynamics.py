@@ -49,8 +49,6 @@ __all__ = [
     "GeneralSolution",
     "ScatteringSetup",
     "ScatteringResult",
-    "TRAJECTORY_HEADER",
-    "SCATTER_HEADER",
     "angular_momentum",
     "integrate",
     "planar_solution",
@@ -59,8 +57,6 @@ __all__ = [
     "scattering_map",
     "state_from_planar",
     "state_from_general",
-    "write_trajectory_csv",
-    "write_scatter_csv",
 ]
 
 #: Singular-approach guard: stop when |l| |r|^2 falls below this times scale^3.
@@ -116,9 +112,6 @@ def _kinetic_energy(y) -> float:
     return 0.5 * (v0 * v0 + v1 * v1 + v2 * v2)
 
 
-TRAJECTORY_HEADER = "t,l,r1,r2,v0,v1,v2,M0,M1,M2,E"
-
-
 class Trajectory:
     """Accepted samples of an integration run; the conserved-quantity ledger
     is derived from the stored states."""
@@ -155,18 +148,6 @@ class Trajectory:
 
     def energy_change(self) -> float:
         return abs(_kinetic_energy(self.states[-1]) - _kinetic_energy(self.states[0]))
-
-
-def write_trajectory_csv(traj: Trajectory, path, extra=None):
-    """One row per sample; extra = (name, values) appends a column."""
-    header = TRAJECTORY_HEADER if extra is None else f"{TRAJECTORY_HEADER},{extra[0]}"
-    extras = [()] * len(traj) if extra is None else [(v,) for v in extra[1]]
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, y, m, e, x in zip(traj.times, traj.states, traj.m_ledger, traj.energy, extras):
-            cells = (t, *y, *m, e, *x)
-            fh.write(",".join(repr(float(c)) for c in cells) + "\n")
-    return len(traj)
 
 
 def _accel(l, r1, r2, g):
@@ -690,16 +671,17 @@ def _time_integral(f, a: float, b: float) -> float:
 
 
 def _root_on_grid(fun, points, bound, what, missing):
-    """Brent on the first sign change of fun along points; raises missing if
-    the scan finds none or runs into the pole.  The root must meet |fun| <=
-    bound(root); bound is called only after the solve, so a failed scan costs
-    no extra evaluations."""
+    """Brent on the first sign change of fun along points; raises missing()
+    if the scan finds none or runs into the pole, so that a solve that
+    succeeds formats no message.  The root must meet |fun| <= bound(root);
+    bound is called only after the solve, so a failed scan costs no extra
+    evaluations."""
     try:
         bracket = scan_bracket(fun, points)
     except PoleOnRange:
         bracket = None
     if bracket is None:
-        raise missing
+        raise missing()
     a, b, fa, fb = bracket
     root = a if a == b else brent(fun, a, b, fa, fb)
     res, limit = abs(fun(root)), bound(root)
@@ -730,7 +712,10 @@ def asymptote_solve(z0: float, z1: float) -> float:
 
     # exp(-750) underflows to 0, the value at u = -inf
     end = -750.0 if z1 > z0 else 1.0
-    missing = RootFindingFailure(f"no bracket for the second asymptote near z0 = {z0}")
+
+    def missing():
+        return RootFindingFailure(f"no bracket for the second asymptote near z0 = {z0}")
+
     u = _root_on_grid(fun, (0.0, end), lambda u: ROOT_RESIDUAL * z0, "asymptote", missing)
     return z0 * math.exp(u)
 
@@ -1144,9 +1129,9 @@ def _solve_y0(g, m1, m2, y1, v1_inf):
         return coeffs._v1(g, y1, y0) - v1_inf
 
     points = _branch_walk(y1, direction, 1.0 + abs(y1), pole)
-    missing = RootFindingFailure(
-        f"no base slope y0 matches v1_inf = {v1_inf} (M1 = {m1}, M2 = {m2})"
-    )
+
+    def missing():
+        return RootFindingFailure(f"no base slope y0 matches v1_inf = {v1_inf} (M1 = {m1}, M2 = {m2})")
 
     def bound(y0):
         limit = ROOT_RESIDUAL * (1.0 + abs(v1_inf))
@@ -1162,9 +1147,12 @@ def _solve_ytilde1(sol: GeneralSolution):
     y0, away from y1, so it is the one sign change there."""
     y0, y1 = sol.y0, sol.y1
     points = _branch_walk(y0, math.copysign(1.0, y0 - y1), 1.0 + abs(y0 - y1), sol.pole)
-    missing = NoSecondSolution(
-        f"velocity integral has no second zero beyond y0 = {y0} (M1 = {sol.m1}, M2 = {sol.m2})"
-    )
+
+    def missing():
+        return NoSecondSolution(
+            f"velocity integral has no second zero beyond y0 = {y0} (M1 = {sol.m1}, M2 = {sol.m2})"
+        )
+
     return _root_on_grid(
         sol.psi, points, lambda yt: ROOT_RESIDUAL * (1.0 + abs(sol.psi(y0))), "exit-slope", missing
     )
@@ -1262,23 +1250,3 @@ def scattering_map(setup: ScatteringSetup) -> ScatteringResult:
         where = f"(M1, M2) = ({setup.m1}, {setup.m2})"
         raise NumericalBreakdown(f"{type(exc).__name__}: {exc} at {where}") from exc
 
-
-SCATTER_HEADER = "M1,M2,ytilde1,E,J,dsigma,status"
-
-
-def write_scatter_csv(rows, path):
-    """Rows are (m1, m2, result_or_None, status); failures keep their row."""
-    with open(path, "w") as fh:
-        fh.write(SCATTER_HEADER + "\n")
-        for m1, m2, res, status in rows:
-            if res is None:
-                fh.write(f"{m1!r},{m2!r},,,,,{status}\n")
-            else:
-                fh.write(
-                    ",".join(
-                        repr(float(c))
-                        for c in (m1, m2, res.ytilde1, res.energy, res.jacobian, res.dsigma)
-                    )
-                    + f",{status}\n"
-                )
-    return len(rows)

@@ -693,6 +693,71 @@ def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, comm
     assert "Traceback" not in captured.err
 
 
+# main in a fresh interpreter whose files may grow to 2048 bytes, with
+# SIGXFSZ ignored, so that a longer write fails with EFBIG instead of
+# killing the process; the limit is set after the imports.
+SMALL_FILES = """
+import resource, signal, sys
+from ternion.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (2048, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _run_with_small_files(workdir, argv):
+    src = str(Path(ternion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", SMALL_FILES, *argv], cwd=workdir, env=env, capture_output=True, text=True
+    )
+
+
+def test_a_failed_write_leaves_the_old_output_whole(tmp_path, capsys):
+    # the README planar CSV (~4 kB) and a 100-point scatter manifest (~3 kB)
+    # outgrow the limit: each run exits 2 with one line, the file it would
+    # have replaced keeps its bytes and no temp file is left behind
+    write_json(tmp_path / "planar.json", PLANAR_CFG)
+    write_json(tmp_path / "scatter.json", {**SCATTER_CFG, "m1_grid": {"start": -1.2, "stop": -0.8, "num": 100}})
+    old = b"t,l,r1,r2,v0,v1,v2,M0,M1,M2,E\n0.0,1.0,2.0,0.0,0.1,0.2,0.0,0.0,0.0,-0.2,0.025\n"
+    for name in ("traj.csv", "run.json"):
+        (tmp_path / name).write_bytes(old)
+    for argv in (
+        ["simulate", "--config", "planar.json", "--out", "traj.csv"],
+        ["scatter", "--config", "scatter.json", "--out", "/dev/null", "--manifest", "run.json"],
+    ):
+        run = _run_with_small_files(tmp_path, argv)
+        assert run.returncode == 2, run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot write output: "), run.stderr
+    assert (tmp_path / "traj.csv").read_bytes() == old
+    assert (tmp_path / "run.json").read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["planar.json", "run.json", "scatter.json", "traj.csv"]
+
+    # a path that is not a regular file is written in place: the limit does
+    # not apply to a pipe, which receives the whole CSV
+    run = _run_with_small_files(tmp_path, ["simulate", "--config", "planar.json", "--out", "/dev/stdout"])
+    assert run.returncode == 0, run.stderr
+    ref = tmp_path / "ref.csv"
+    assert main(["simulate", "--config", str(tmp_path / "planar.json"), "--out", str(ref)]) == 0
+    capsys.readouterr()
+    assert run.stdout.startswith(ref.read_text())
+
+
+@pytest.mark.parametrize(
+    "command, cfg", [("simulate", PLANAR_CFG), ("scatter", SCATTER_CFG), ("integrate-form", CUBIC_CFG)]
+)
+def test_out_and_manifest_naming_one_file_exit_2_before_the_run(tmp_path, monkeypatch, capsys, command, cfg):
+    # the manifest would replace the output; paths are compared resolved
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", "cfg.json", "--out", "out.csv", "--manifest", "./out.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: --out out.csv and --manifest ./out.csv name one file"]
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_integrate_form_loop(tmp_path, capsys):
     out = tmp_path / "loop.json"
     code = main(
@@ -774,6 +839,9 @@ def test_param_flags_and_domains_are_the_preset_table():
     assert set(cli._DOMAINS) == {preset for kind in FormConfig.PRESETS.values() for preset in kind}
 
 
+SEED_RULE = "ternion verify: error: argument --seed: must be a non-negative integer, got "
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -784,8 +852,19 @@ def test_param_flags_and_domains_are_the_preset_table():
         (["verify", "bogus"], "ternion verify: error: argument suite: invalid choice: 'bogus'"),
         (["simulate"], "ternion simulate: error: the following arguments are required: --config"),
         (["verify", "all", "--bogus"], "ternion: error: unrecognized arguments: --bogus"),
+        (["verify", "algebra", "--seed", "-1"], SEED_RULE + "'-1'"),
+        (["verify", "dynamics", "--seed", "-1"], SEED_RULE + "'-1'"),
+        (["verify", "all", "--seed", "1.5"], SEED_RULE + "'1.5'"),
     ],
-    ids=["bad-field", "unknown-suite", "simulate-without-config", "unknown-flag"],
+    ids=[
+        "bad-field",
+        "unknown-suite",
+        "simulate-without-config",
+        "unknown-flag",
+        "negative-seed-algebra",
+        "negative-seed-dynamics",
+        "seed-not-an-integer",
+    ],
 )
 def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
     assert main(argv) == 2

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ternion import dynamics, quadrature
+from ternion.config import write_scatter_csv, write_trajectory_csv
 from ternion.dynamics import (
     MonopoleState,
     ScatteringSetup,
@@ -21,8 +22,6 @@ from ternion.dynamics import (
     scattering_map,
     state_from_general,
     state_from_planar,
-    write_scatter_csv,
-    write_trajectory_csv,
 )
 from ternion.errors import (
     DomainError,

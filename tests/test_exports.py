@@ -34,9 +34,9 @@ OPTIONS = {
         "g", "tol", "max_step", "m2", "z0", "z1", "z_start", "z_stop", "state", "t_end",
     ],
     "ternion.config.write_manifest": ["extras"],
+    "ternion.config.write_trajectory_csv": ["extra"],
     "ternion.dynamics.MonopoleState": ["t"],
     "ternion.dynamics.integrate": ["tol", "max_step"],
-    "ternion.dynamics.write_trajectory_csv": ["extra"],
     "ternion.quadrature.adaptive_quad": ["tol"],
     "ternion.quadrature.adaptive_quad_2d": ["tol"],
     "ternion.quadrature.adaptive_quad_3d": ["tol"],
@@ -74,3 +74,9 @@ def test_package_does_not_import_scipy():
     pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
     sources = Path(ternion.__file__).parent.glob("*.py")
     assert [p.name for p in sources if pattern.search(p.read_text())] == []
+
+
+def test_only_config_opens_files():
+    # every output is written by config's one writer, whole or not at all
+    sources = Path(ternion.__file__).parent.glob("*.py")
+    assert [p.name for p in sources if "open(" in p.read_text() and p.name != "config.py"] == []

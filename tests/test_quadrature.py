@@ -54,9 +54,15 @@ def _pinned_values():
 def test_quadrature_bits_are_pinned():
     # bit for bit (repr keeps signed zeros and the last bits); the values
     # sum cells in the order the refinement leaves them, so a change of rule,
-    # sum order or loop shows here
-    digest = hashlib.sha256(repr(_pinned_values()).encode()).hexdigest()
-    assert digest == "d494933c9b42559ddf374246896a94d8cb70e7867dca2446cabb08c911c1790c"
+    # sum order or loop shows here.  The polar band's second and third
+    # components are rounding residue near 1e-17 whose bits follow libm and
+    # numpy's SIMD dispatch, so they are pinned by a bound instead
+    values = _pinned_values()
+    c0, *residue = values[2]
+    assert all(abs(c) <= 1e-16 * abs(c0) for c in residue), values[2]
+    values[2] = (c0,)
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "9eccc06da512a91f7b182ed221086e60124fa79ce5c4d05e7512bd061af64672"
 
 
 def test_form_integrals_and_times_match_the_one_call_per_cell_loop(monkeypatch):
