@@ -101,26 +101,41 @@ class TernaryField:
         return f"TernaryField({self.name})"
 
 
-def _on_stencil(fun, points) -> np.ndarray:
-    """fun at every stencil point, as one array with fun's components first
-    and the stencil points last: v[..., k] is fun(points[k]).
+def _on_stencil(fun, coords, steps, offsets) -> np.ndarray:
+    """fun at the stencil points, one per offset, as one array with fun's
+    components first and the points last: v[..., k] is fun at point k.
 
-    fun takes a coordinate list and returns a sequence of components.  Float
-    points are evaluated one by one; points with array coordinates are
-    stacked along a new last axis, so fun runs once on all of them, and each
-    component is broadcast to the stacked shape.
+    Point k's coordinate i is coords[i] + offsets[k][i] * steps[i]; a zero
+    offset leaves coords[i] as it is, so a -0.0 stays -0.0.  fun takes a
+    coordinate list and returns a sequence of components.  Float points are
+    evaluated one by one; points with array coordinates are stacked along a
+    new last axis, so fun runs once on all of them, and each component is
+    broadcast to the stacked shape.  On a fault the array points are
+    replayed one by one on floats, so the first faulting point's float error
+    is raised (see algebra._fault).
     """
-    coords = [x for c in points for x in c]
-    if _lib(*coords) is math:
-        return np.moveaxis(np.array([fun(c) for c in points]), 0, -1)
-    shape = np.broadcast_shapes(*map(np.shape, coords)) + (len(points),)
-    stacked = []
-    for i in range(len(points[0])):
-        coordinate = np.empty(shape)
-        for k, c in enumerate(points):
-            coordinate[..., k] = c[i]
-        stacked.append(coordinate)
-    return np.array([np.broadcast_to(v, np.broadcast_shapes(np.shape(v), shape)) for v in fun(stacked)])
+    points = [[c if o == 0 else c + o * h for c, h, o in zip(coords, steps, offset)] for offset in offsets]
+    try:
+        flat = [x for c in points for x in c]
+        if _lib(*flat) is math:
+            return np.moveaxis(np.array([fun(c) for c in points]), 0, -1)
+        shape = np.broadcast_shapes(*map(np.shape, flat)) + (len(points),)
+        stacked = []
+        for i in range(len(coords)):
+            coordinate = np.empty(shape)
+            for k, c in enumerate(points):
+                coordinate[..., k] = c[i]
+            stacked.append(coordinate)
+        return np.array([np.broadcast_to(v, np.broadcast_shapes(np.shape(v), shape)) for v in fun(stacked)])
+    except (TernionError, ArithmeticError, ValueError):
+        n = len(coords)
+        _fault(True, lambda *c: _on_stencil(fun, c[:n], c[n:], offsets), *coords, *steps)
+        raise
+
+
+def _axis_offsets(n, ds):
+    """For each of n axes in turn, the offsets ds along that axis alone."""
+    return [tuple(d if i == j else 0 for i in range(n)) for j in range(n) for d in ds]
 
 
 def _partials(fun, coords, steps) -> np.ndarray:
@@ -132,19 +147,7 @@ def _partials(fun, coords, steps) -> np.ndarray:
     once, on the stencils of all points (see _on_stencil), and each m[i, j]
     is the array of the points' partials.
     """
-    points = []
-    for j, h in enumerate(steps):
-        up = list(coords)
-        dn = list(coords)
-        up[j] = up[j] + h
-        dn[j] = dn[j] - h
-        points += [up, dn]
-    try:
-        v = _on_stencil(fun, points)
-    except (TernionError, ArithmeticError, ValueError):
-        k = len(coords)
-        _fault(True, lambda *c: _partials(fun, c[:k], c[k:]), *coords, *steps)
-        raise
+    v = _on_stencil(fun, coords, steps, _axis_offsets(len(coords), (1, -1)))
     return np.stack([(v[..., 2 * j] - v[..., 2 * j + 1]) / (2.0 * h) for j, h in enumerate(steps)], axis=1)
 
 
@@ -342,8 +345,11 @@ def check_holo_type2(F, p: Ternary) -> HoloType2Report:
     )
 
 
-# sign triples of the mixed third difference's corner points
-_CORNERS = [(s0, s1, s2) for s0 in (1.0, -1.0) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+# the 20 offsets of ternary_laplacian's stencil: 2, 1, -1, -2 steps along
+# each axis in turn, then the eight corners, whose sign products weigh the
+# mixed third difference
+_CORNERS = [(s0, s1, s2) for s0 in (1, -1) for s1 in (1, -1) for s2 in (1, -1)]
+_LAPLACIAN_OFFSETS = _axis_offsets(3, (2, 1, -1, -2)) + _CORNERS
 
 
 def ternary_laplacian(f, p: Ternary) -> float:
@@ -355,19 +361,7 @@ def ternary_laplacian(f, p: Ternary) -> float:
     the result is an array.
     """
     h = _FD3 * (1.0 + p.max_abs())
-    x = p.components()
-    points = []
-    for axis in range(3):
-        for d in (2 * h, h, -h, -2 * h):
-            c = list(x)
-            c[axis] = c[axis] + d
-            points.append(c)
-    points += [[x[0] + s0 * h, x[1] + s1 * h, x[2] + s2 * h] for s0, s1, s2 in _CORNERS]
-    try:
-        v = _on_stencil(lambda c: (f(Ternary(*c)),), points)[0]
-    except (TernionError, ArithmeticError, ValueError):
-        _fault(True, lambda *c: ternary_laplacian(f, Ternary(*c)), *x)
-        raise
+    v = _on_stencil(lambda c: (f(Ternary(*c)),), p.components(), (h, h, h), _LAPLACIAN_OFFSETS)[0]
     h3 = _pow(h, 3)
     total = 0.0
     for k in (0, 4, 8):

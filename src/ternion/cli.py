@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from .algebra import Ternary
 from .config import (
     ConfigError,
     FormConfig,
-    json_text,
     load_config,
     write_json,
     write_manifest,
@@ -74,10 +74,13 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _check_outputs(out, manifest):
-    """ConfigError, before the run, when --out and --manifest name one file."""
-    if out and manifest and os.path.realpath(out) == os.path.realpath(manifest):
-        raise ConfigError(f"--out {out} and --manifest {manifest} name one file")
+def _check_outputs(config, out, manifest):
+    """ConfigError, before the run, when two of --config, --out and
+    --manifest name one file, compared as resolved paths."""
+    named = [(flag, path) for flag, path in (("--config", config), ("--out", out), ("--manifest", manifest)) if path]
+    for (flag1, path1), (flag2, path2) in itertools.combinations(named, 2):
+        if os.path.realpath(path1) == os.path.realpath(path2):
+            raise ConfigError(f"{flag1} {path1} and {flag2} {path2} name one file")
 
 
 # --------------------------------------------------------------------------
@@ -97,14 +100,17 @@ def _simulate_run(cfg):
 
 
 def _cmd_simulate(args) -> int:
-    _check_outputs(args.out, args.manifest)
+    _check_outputs(args.config, args.out, args.manifest)
     cfg = load_config(args.config, "simulate")
     if args.tol is not None:
         cfg = dataclasses.replace(cfg, tol=args.tol)
     if args.compare_closed_form and cfg.kind != "planar":
         raise ConfigError("--compare-closed-form needs a planar config")
 
-    sol, s0, t_end = _simulate_run(cfg)
+    try:
+        sol, s0, t_end = _simulate_run(cfg)
+    except DomainError as exc:  # a planar seed the closed form rejects
+        raise ConfigError(str(exc)) from None
     # both stops carry the trajectory up to the last accepted step, which
     # is written before the exit code reports the stop
     status, failure = "ok", None
@@ -168,7 +174,7 @@ def _scatter_row(cfg, m1, m2):
 
 
 def _cmd_scatter(args) -> int:
-    _check_outputs(args.out, args.manifest)
+    _check_outputs(args.config, args.out, args.manifest)
     cfg = load_config(args.config, "scatter")
     rows = [_scatter_row(cfg, m1, m2) for m1 in cfg.m1_grid for m2 in cfg.m2_grid]
     write_scatter_csv(rows, args.out)
@@ -249,8 +255,8 @@ def _form_config(args) -> FormConfig:
 
 
 def _cmd_form(args) -> int:
-    to_file = args.out not in ("", "-")
-    _check_outputs(args.out if to_file else None, args.manifest)
+    out = args.out or "-"
+    _check_outputs(args.config, out, args.manifest)
     cfg = _form_config(args)
     if not isinstance(cfg.field_name, str) or cfg.field_name not in _FIELDS:
         raise ConfigError(f"unknown field {cfg.field_name!r}; choose from {sorted(_FIELDS)}")
@@ -272,12 +278,9 @@ def _cmd_form(args) -> int:
         "tol": cfg.tol,
         "value": list(value.components()),
     }
-    if to_file:
-        write_json(args.out, doc)
-    else:
-        sys.stdout.write(json_text(doc))
+    write_json(out, doc)
     if args.manifest:
-        write_manifest(args.manifest, cfg, {"result": args.out or "-"}, "ok")
+        write_manifest(args.manifest, cfg, {"result": out}, "ok")
     return 0
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import stat
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import __version__
@@ -29,7 +30,6 @@ __all__ = [
     "TRAJECTORY_HEADER",
     "SCATTER_HEADER",
     "load_config",
-    "json_text",
     "write_json",
     "write_manifest",
     "write_trajectory_csv",
@@ -278,6 +278,19 @@ TRAJECTORY_HEADER = "t,l,r1,r2,v0,v1,v2,M0,M1,M2,E"
 SCATTER_HEADER = "M1,M2,ytilde1,E,J,dsigma,status"
 
 
+def _is_stdout(path) -> bool:
+    """Whether path is "-" or names the file that sys.stdout has open: the
+    same device and inode as its file descriptor.  A stdout without one (a
+    capture in memory) names no file."""
+    if path == "-":
+        return True
+    try:
+        target, out = os.stat(path), os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):
+        return False
+    return (target.st_dev, target.st_ino) == (out.st_dev, out.st_ino)
+
+
 def _write(path, text: str):
     """Writes text to path whole or not at all.
 
@@ -285,15 +298,20 @@ def _write(path, text: str):
     then puts in its place, so the target's directory must be writable and a
     replaced file gets a new file's mode; on any failure the temp file is
     removed and the error raised.  An existing path that is not a regular
-    file (/dev/stdout, a FIFO, a symlink) is written in place instead.
+    file (/dev/stdout, a FIFO, a symlink) is written in place instead; "-",
+    and a path that names stdout's file, through sys.stdout, so that the
+    text keeps its place among what the run prints.
     """
     try:
-        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+        in_place = path == "-" or not stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         in_place = False
     if in_place:
-        with open(path, "w") as fh:
-            fh.write(text)
+        if _is_stdout(path):
+            sys.stdout.write(text)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -306,15 +324,10 @@ def _write(path, text: str):
         raise
 
 
-def json_text(doc) -> str:
-    """doc as indented, key-sorted JSON text ending in a newline; a value
-    JSON cannot hold is written as its str."""
-    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
-
-
 def write_json(path, doc):
-    """Writes json_text(doc) to path."""
-    _write(path, json_text(doc))
+    """Writes doc to path as indented, key-sorted JSON text ending in a
+    newline; a value JSON cannot hold is written as its str."""
+    _write(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def write_manifest(path, config, outputs: dict, status: str, extras: dict | None = None):

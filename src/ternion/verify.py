@@ -199,13 +199,8 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     h = 1e-5
     p1, p2 = rng.uniform(-2, 2, size=(100, 2)).T
     m = ta._multisines(p1, p2)
-    up1, down1 = ta._multisines(p1 + h, p2), ta._multisines(p1 - h, p2)
-    up2, down2 = ta._multisines(p1, p2 + h), ta._multisines(p1, p2 - h)
-    r = []
-    for k in range(3):
-        d1 = (up1[k] - down1[k]) / (2 * h)
-        d2 = (up2[k] - down2[k]) / (2 * h)
-        r.append(np.maximum(abs(d1 - m[(k - 1) % 3]), abs(d2 - m[(k - 2) % 3])))
+    d = tc._partials(lambda c: ta._multisines(*c), (p1, p2), (h, h))
+    r = [np.maximum(abs(d[k, 0] - m[(k - 1) % 3]), abs(d[k, 1] - m[(k - 2) % 3])) for k in range(3)]
     worst, ce = _worst(
         np.stack(r, axis=1), lambda i: {"phi1": p1[i // 3], "phi2": p2[i // 3], "k": i % 3}
     )

@@ -761,6 +761,66 @@ def test_array_laplacian_of_log_within_1_ulp_per_stencil_term(rng):
         assert np.all(np.abs(got - want) <= np.spacing(terms) * 12.0 / h**3)
 
 
+def _stencil_points(run, x):
+    """The points that run(fun, x) hands fun, where fun records each
+    coordinate list it is given and returns one zero: as a list of float
+    triples for a float x, and as such a list per point of an array x."""
+    seen = []
+
+    def fun(c):
+        seen.append(list(c))
+        return (0.0 * c[0],)
+
+    run(fun, x)
+    if np.ndim(x[0]) == 0:
+        return np.array(seen)
+    (stacked,) = seen
+    return np.stack(np.broadcast_arrays(*stacked), axis=-1)
+
+
+def _moved(x, steps, offsets):
+    """The expected stencil points: coordinate i of a point is x[i] as it is
+    where its offset is 0, else x[i] + offset * steps[i]."""
+    return np.array([[c if o == 0 else c + o * h for c, h, o in zip(x, steps, off)] for off in offsets])
+
+
+# the stencils' offsets in the order fun sees their points
+_PARTIAL_OFFSETS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+_LAPLACIAN_STENCIL = (
+    [(d, 0, 0) for d in (2, 1, -1, -2)]
+    + [(0, d, 0) for d in (2, 1, -1, -2)]
+    + [(0, 0, d) for d in (2, 1, -1, -2)]
+    + [(s0, s1, s2) for s0 in (1, -1) for s1 in (1, -1) for s2 in (1, -1)]
+)
+
+
+def test_stencils_hand_fun_their_points_in_offset_order_with_unmoved_coordinates_exact():
+    # a -0.0 that a point does not move stays -0.0: c + 0.0 * h would make it 0.0
+    steps = (1e-3, 2e-3, 4e-3)
+
+    def partials(fun, x):
+        calculus._partials(fun, x, steps)
+
+    def laplacian(fun, x):
+        ternary_laplacian(lambda z: fun(z.components())[0], Ternary(*x))
+
+    x = (0.25, -0.0, -0.0)
+    got = _stencil_points(partials, x)
+    assert got.tobytes() == _moved(x, steps, _PARTIAL_OFFSETS).tobytes()
+    h = _FD3 * 1.25
+    got = _stencil_points(laplacian, x)
+    assert got.tobytes() == _moved(x, (h, h, h), _LAPLACIAN_STENCIL).tobytes()
+    assert math.copysign(1.0, got[0, 1]) == -1.0
+
+    xs = (np.array([0.25, -1.5]), np.array([-0.0, 0.75]), -0.0)
+    for i in range(2):
+        x = (float(xs[0][i]), float(xs[1][i]), xs[2])
+        assert _stencil_points(partials, xs)[i].tobytes() == _moved(x, steps, _PARTIAL_OFFSETS).tobytes()
+        h = _FD3 * (1.0 + max(map(abs, x)))
+        got = _stencil_points(laplacian, xs)[i]
+        assert got.tobytes() == _moved(x, (h, h, h), _LAPLACIAN_STENCIL).tobytes()
+
+
 def _rough_above_one(z):
     return Ternary(np.sin(1e8 * z.x0) * (z.x0 > 1.0), 0.0, 0.0)
 

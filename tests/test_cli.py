@@ -13,6 +13,7 @@ import pytest
 
 import ternion
 import ternion.algebra as algebra_module
+import ternion.dynamics as td
 import ternion.field as field_module
 from ternion import cli
 from ternion.algebra import Ternary, mul
@@ -20,6 +21,7 @@ from ternion.calculus import _FD3
 from ternion.cli import main
 from ternion.config import FormConfig, ScatterConfig, SimulateConfig, load_config
 from ternion.dynamics import ScatteringSetup
+from ternion.errors import QuadratureFailure, RootFindingFailure
 from ternion.verify import (
     _admissible_rows,
     _far_from_trisectrice,
@@ -335,6 +337,18 @@ def test_simulate_compare_flag_needs_planar(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv"), "--compare-closed-form"]) == 2
 
 
+@pytest.mark.parametrize("error", [QuadratureFailure, RootFindingFailure])
+def test_planar_seed_that_fails_numerically_exits_1(tmp_path, monkeypatch, capsys, error):
+    # only a DomainError of the closed form is a bad config
+    def fail(*args):
+        raise error("no solve")
+
+    monkeypatch.setattr(td, "planar_solution", fail)
+    cfg = write_json(tmp_path / "cfg.json", PLANAR_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "traj.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{error.__name__}: no solve"]
+
+
 def test_scatter_demo_grid(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", SCATTER_CFG)
     out = tmp_path / "scatter.csv"
@@ -545,6 +559,13 @@ BOX_CFG = {"kind": "volume", "preset": "box", "field_name": "one", "params": {"b
         ("simulate", {**STATE_CFG, "t_end": float("nan")}, [], "config error: 't_end' must be a finite"),
         ("simulate", {**STATE_CFG, "t_end": -1.0}, [], "config error: 't_end' must be > 0"),
         ("simulate", PLANAR_CFG, ["--tol", "0"], "config error: 'tol' must be > 0"),
+        ("simulate", {**PLANAR_CFG, "m2": 0.0}, [], "config error: planar solution needs M2 != 0"),
+        (
+            "simulate",
+            {**PLANAR_CFG, "z_start": 5.0},
+            [],
+            "config error: z = 5.0 outside the trajectory branch (0.26258284104916146, 2.0)",
+        ),
         ("simulate", PLANAR_CFG, ["--out", "missing/t.csv"], "cannot write output: "),
         ("scatter", {**SCATTER_CFG, "g": "1.0"}, [], "config error: 'g' must be a finite number"),
         ("scatter", {**SCATTER_CFG, "m1_grid": [float("nan")]}, [], "config error: 'm1_grid' must be"),
@@ -648,6 +669,8 @@ BOX_CFG = {"kind": "volume", "preset": "box", "field_name": "one", "params": {"b
         "t_end-nan",
         "t_end-negative",
         "tol-flag-zero",
+        "planar-m2-zero",
+        "planar-z_start-off-branch",
         "simulate-missing-dir",
         "scatter-g-string",
         "grid-nan",
@@ -691,7 +714,11 @@ def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, comm
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message)
     assert "Traceback" not in captured.err
+    if message.startswith("config error"):  # found before the run, which writes nothing
+        assert not (tmp_path / "out.csv").exists()
 
+
+MAIN = "import sys; from ternion.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # main in a fresh interpreter whose files may grow to 2048 bytes, with
 # SIGXFSZ ignored, so that a longer write fails with EFBIG instead of
@@ -705,12 +732,19 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _run_with_small_files(workdir, argv):
+def _run_main(workdir, argv, script=MAIN, unbuffered=False, **kwargs):
+    """main(argv) run by script in a fresh interpreter in workdir, with this
+    checkout's package on the path and, if unbuffered, PYTHONUNBUFFERED set."""
     src = str(Path(ternion.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-c", SMALL_FILES, *argv], cwd=workdir, env=env, capture_output=True, text=True
-    )
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-c", script, *argv], cwd=workdir, env=env, text=True, **kwargs)
+
+
+def _run_with_small_files(workdir, argv):
+    return _run_main(workdir, argv, SMALL_FILES, capture_output=True)
 
 
 def test_a_failed_write_leaves_the_old_output_whole(tmp_path, capsys):
@@ -748,14 +782,48 @@ def test_a_failed_write_leaves_the_old_output_whole(tmp_path, capsys):
     "command, cfg", [("simulate", PLANAR_CFG), ("scatter", SCATTER_CFG), ("integrate-form", CUBIC_CFG)]
 )
 def test_out_and_manifest_naming_one_file_exit_2_before_the_run(tmp_path, monkeypatch, capsys, command, cfg):
-    # the manifest would replace the output; paths are compared resolved
+    # the manifest would replace the output, or an output the config that
+    # the run reads; paths are compared resolved
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "cfg.json", cfg)
-    assert main([command, "--config", "cfg.json", "--out", "out.csv", "--manifest", "./out.csv"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["config error: --out out.csv and --manifest ./out.csv name one file"]
-    assert captured.out == ""
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    config = (tmp_path / "cfg.json").read_bytes()
+    for outputs, named in (
+        (["--out", "out.csv", "--manifest", "./out.csv"], "--out out.csv and --manifest ./out.csv"),
+        (["--out", "./cfg.json"], "--config cfg.json and --out ./cfg.json"),
+        (["--out", "out.csv", "--manifest", "./cfg.json"], "--config cfg.json and --manifest ./cfg.json"),
+    ):
+        assert main([command, "--config", "cfg.json", *outputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: {named} name one file"]
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        assert (tmp_path / "cfg.json").read_bytes() == config
+
+
+def test_out_to_the_file_stdout_has_open_keeps_every_byte_in_order(tmp_path, monkeypatch, capsys):
+    # with stdout redirected to a regular file, --out /dev/stdout names that
+    # file: the output goes through sys.stdout, after what the run printed
+    # before writing it and before what it prints after, buffered or not;
+    # so does --out -
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "planar.json", PLANAR_CFG)
+    assert main(["simulate", "--config", "planar.json", "--out", "ref.csv"]) == 0
+    summary = capsys.readouterr().out
+    assert main(["verify", "algebra", "--seed", "42", "--out", "ref.json"]) == 0
+    report = capsys.readouterr().out
+    for argv, want in (
+        (["simulate", "--config", "planar.json", "--out", "/dev/stdout"], (tmp_path / "ref.csv").read_text() + summary),
+        (["verify", "algebra", "--seed", "42", "--out", "/dev/stdout"], report + (tmp_path / "ref.json").read_text()),
+    ):
+        for unbuffered in (False, True):
+            with open(tmp_path / "log.txt", "w") as log:
+                run = _run_main(tmp_path, argv, unbuffered=unbuffered, stdout=log, stderr=subprocess.PIPE)
+            assert run.returncode == 0, run.stderr
+            assert (tmp_path / "log.txt").read_text() == want
+        run = _run_main(tmp_path, argv, capture_output=True)  # a pipe
+        assert run.returncode == 0 and run.stdout == want, run.stderr
+        assert main([*argv[:-1], "-"]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_integrate_form_loop(tmp_path, capsys):
