@@ -297,21 +297,23 @@ def _write(path, text: str):
     The text goes to <path>.<pid>.tmp beside the target, which os.replace
     then puts in its place, so the target's directory must be writable and a
     replaced file gets a new file's mode; on any failure the temp file is
-    removed and the error raised.  An existing path that is not a regular
-    file (/dev/stdout, a FIFO, a symlink) is written in place instead; "-",
-    and a path that names stdout's file, through sys.stdout, so that the
-    text keeps its place among what the run prints.
+    removed and the error raised.  "-", and a path that names stdout's file,
+    regular or not, go through sys.stdout, so that the text keeps its place
+    among what the run prints: a rename over the file that stdout is
+    redirected to would leave stdout on the old, unlinked inode.  Any other
+    existing path that is not a regular file (a FIFO, a device, a symlink) is
+    written in place.
     """
+    if _is_stdout(path):
+        sys.stdout.write(text)
+        return
     try:
-        in_place = path == "-" or not stat.S_ISREG(os.lstat(path).st_mode)
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         in_place = False
     if in_place:
-        if _is_stdout(path):
-            sys.stdout.write(text)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
+        with open(path, "w") as fh:
+            fh.write(text)
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:

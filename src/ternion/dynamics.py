@@ -151,13 +151,15 @@ class Trajectory:
 
 
 def _accel(l, r1, r2, g):
-    """Acceleration -g h; raises OnSingularSet near the singular sets."""
+    """Acceleration -g h = k (l, r1, r2) with k = -g / (l |r|^2): the force is
+    central, so one division gives all three components.  Raises
+    OnSingularSet near the singular sets."""
     rsq = r1 * r1 + r2 * r2
     edge = EPS_FIELD * (1.0 + abs(l))
     if rsq <= edge * edge or abs(l) <= EPS_FIELD:
         raise OnSingularSet(f"state at (l, r1, r2) = ({l}, {r1}, {r2})")
-    lr = l * rsq
-    return (-g / rsq, -g * r1 / lr, -g * r2 / lr)
+    k = -g / (l * rsq)
+    return (k * l, k * r1, k * r2)
 
 
 # DOP853, the Dormand-Prince 8(5,3) pair, as scipy 1.17.1 lists it
@@ -284,6 +286,11 @@ def integrate(
 ) -> Trajectory:
     """Adaptive DOP853 integration in Nystrom form from s0.t to t_end.
 
+    Each stage evaluates the central force as one scalar k = -g / (l |r|^2)
+    times the position.  The step size follows Gustafsson's predictive
+    controller (Hairer & Wanner, Solving ODEs II, IV.8): after an accept the
+    factor is the smaller of the usual 0.9 err^(-1/8) and 0.9 (dt / dt_acc)
+    (err_acc / err^2)^(1/8) from the previous accept, clamped to [0.2, 5].
     Every accepted step is recorded.  The run stops with SingularApproach
     (carrying the partial trajectory) when |l| |r|^2 falls below
     SINGULAR_GUARD times the initial scale cubed, rather than chasing the
@@ -327,9 +334,8 @@ def integrate(
     # _accel's expressions, and each min/max is a conditional that picks what
     # min/max would (the first argument on ties and NaN); tests/oracles.py
     # keeps the loop with the calls as the bit-for-bit reference.  Each sum
-    # starts at 0.0, so that a sum of zero terms is +0.0 and never -0.0, and
-    # adds its terms in stage order: the samples' bits, signed zeros included,
-    # are pinned in tests/test_dynamics.py.
+    # starts at its first term and adds the rest in stage order: the samples'
+    # bits, signed zeros included, are pinned in tests/test_dynamics.py.
     C_2, C_3, C_4, C_5, C_6, C_7, C_8, C_9, C_10, C_11, C_12 = _C
     (
         (),
@@ -352,6 +358,7 @@ def integrate(
     E3_1, _, _, _, _, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11, E3_12, _ = _DOP853_E3
     eps, max_steps, sqrt, inf = EPS_FIELD, MAX_STEPS, math.sqrt, math.inf
     n_accepted = n_rejected = 0
+    dt_acc = err_acc = 1.0  # the last accepted step and its error, floored at 0.01
     try:
         while t < t_end:
             if n_accepted + n_rejected >= max_steps:
@@ -363,158 +370,158 @@ def integrate(
             if dt < 1e-14 * (at if at > 1.0 else 1.0):
                 raise StepFailure(f"step size underflow at t = {t}", traj)
             try:
-                # stage 2: its AA row is empty, so its sum is the 0.0 every sum starts at
-                x = l + dt * (C_2 * v0 + 0.0)
-                y = r1 + dt * (C_2 * v1 + 0.0)
-                z = r2 + dt * (C_2 * v2 + 0.0)
+                # stage 2: its AA row is empty, so it has no sum
+                x = l + dt * (C_2 * v0)
+                y = r1 + dt * (C_2 * v1)
+                z = r2 + dt * (C_2 * v2)
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a2_0, a2_1, a2_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a2_0, a2_1, a2_2 = k * x, k * y, k * z
                 # stage 3
-                x = l + dt * (C_3 * v0 + dt * (0.0 + AA3_1 * a1_0))
-                y = r1 + dt * (C_3 * v1 + dt * (0.0 + AA3_1 * a1_1))
-                z = r2 + dt * (C_3 * v2 + dt * (0.0 + AA3_1 * a1_2))
+                x = l + dt * (C_3 * v0 + dt * (AA3_1 * a1_0))
+                y = r1 + dt * (C_3 * v1 + dt * (AA3_1 * a1_1))
+                z = r2 + dt * (C_3 * v2 + dt * (AA3_1 * a1_2))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a3_0, a3_1, a3_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a3_0, a3_1, a3_2 = k * x, k * y, k * z
                 # stage 4
-                x = l + dt * (C_4 * v0 + dt * (0.0 + AA4_1 * a1_0 + AA4_2 * a2_0))
-                y = r1 + dt * (C_4 * v1 + dt * (0.0 + AA4_1 * a1_1 + AA4_2 * a2_1))
-                z = r2 + dt * (C_4 * v2 + dt * (0.0 + AA4_1 * a1_2 + AA4_2 * a2_2))
+                x = l + dt * (C_4 * v0 + dt * (AA4_1 * a1_0 + AA4_2 * a2_0))
+                y = r1 + dt * (C_4 * v1 + dt * (AA4_1 * a1_1 + AA4_2 * a2_1))
+                z = r2 + dt * (C_4 * v2 + dt * (AA4_1 * a1_2 + AA4_2 * a2_2))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a4_0, a4_1, a4_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a4_0, a4_1, a4_2 = k * x, k * y, k * z
                 # stage 5
-                x = l + dt * (C_5 * v0 + dt * (0.0 + AA5_1 * a1_0 + AA5_2 * a2_0 + AA5_3 * a3_0))
-                y = r1 + dt * (C_5 * v1 + dt * (0.0 + AA5_1 * a1_1 + AA5_2 * a2_1 + AA5_3 * a3_1))
-                z = r2 + dt * (C_5 * v2 + dt * (0.0 + AA5_1 * a1_2 + AA5_2 * a2_2 + AA5_3 * a3_2))
+                x = l + dt * (C_5 * v0 + dt * (AA5_1 * a1_0 + AA5_2 * a2_0 + AA5_3 * a3_0))
+                y = r1 + dt * (C_5 * v1 + dt * (AA5_1 * a1_1 + AA5_2 * a2_1 + AA5_3 * a3_1))
+                z = r2 + dt * (C_5 * v2 + dt * (AA5_1 * a1_2 + AA5_2 * a2_2 + AA5_3 * a3_2))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a5_0, a5_1, a5_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a5_0, a5_1, a5_2 = k * x, k * y, k * z
                 # stage 6
-                x = l + dt * (C_6 * v0 + dt * (0.0 + AA6_1 * a1_0 + AA6_3 * a3_0 + AA6_4 * a4_0))
-                y = r1 + dt * (C_6 * v1 + dt * (0.0 + AA6_1 * a1_1 + AA6_3 * a3_1 + AA6_4 * a4_1))
-                z = r2 + dt * (C_6 * v2 + dt * (0.0 + AA6_1 * a1_2 + AA6_3 * a3_2 + AA6_4 * a4_2))
+                x = l + dt * (C_6 * v0 + dt * (AA6_1 * a1_0 + AA6_3 * a3_0 + AA6_4 * a4_0))
+                y = r1 + dt * (C_6 * v1 + dt * (AA6_1 * a1_1 + AA6_3 * a3_1 + AA6_4 * a4_1))
+                z = r2 + dt * (C_6 * v2 + dt * (AA6_1 * a1_2 + AA6_3 * a3_2 + AA6_4 * a4_2))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a6_0, a6_1, a6_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a6_0, a6_1, a6_2 = k * x, k * y, k * z
                 # stage 7
                 x = l + dt * (C_7 * v0 + dt * (
-                    0.0 + AA7_1 * a1_0 + AA7_3 * a3_0 + AA7_4 * a4_0 + AA7_5 * a5_0
+                    AA7_1 * a1_0 + AA7_3 * a3_0 + AA7_4 * a4_0 + AA7_5 * a5_0
                 ))
                 y = r1 + dt * (C_7 * v1 + dt * (
-                    0.0 + AA7_1 * a1_1 + AA7_3 * a3_1 + AA7_4 * a4_1 + AA7_5 * a5_1
+                    AA7_1 * a1_1 + AA7_3 * a3_1 + AA7_4 * a4_1 + AA7_5 * a5_1
                 ))
                 z = r2 + dt * (C_7 * v2 + dt * (
-                    0.0 + AA7_1 * a1_2 + AA7_3 * a3_2 + AA7_4 * a4_2 + AA7_5 * a5_2
+                    AA7_1 * a1_2 + AA7_3 * a3_2 + AA7_4 * a4_2 + AA7_5 * a5_2
                 ))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a7_0, a7_1, a7_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a7_0, a7_1, a7_2 = k * x, k * y, k * z
                 # stage 8
                 x = l + dt * (C_8 * v0 + dt * (
-                    0.0 + AA8_1 * a1_0 + AA8_3 * a3_0 + AA8_4 * a4_0 + AA8_5 * a5_0 + AA8_6 * a6_0
+                    AA8_1 * a1_0 + AA8_3 * a3_0 + AA8_4 * a4_0 + AA8_5 * a5_0 + AA8_6 * a6_0
                 ))
                 y = r1 + dt * (C_8 * v1 + dt * (
-                    0.0 + AA8_1 * a1_1 + AA8_3 * a3_1 + AA8_4 * a4_1 + AA8_5 * a5_1 + AA8_6 * a6_1
+                    AA8_1 * a1_1 + AA8_3 * a3_1 + AA8_4 * a4_1 + AA8_5 * a5_1 + AA8_6 * a6_1
                 ))
                 z = r2 + dt * (C_8 * v2 + dt * (
-                    0.0 + AA8_1 * a1_2 + AA8_3 * a3_2 + AA8_4 * a4_2 + AA8_5 * a5_2 + AA8_6 * a6_2
+                    AA8_1 * a1_2 + AA8_3 * a3_2 + AA8_4 * a4_2 + AA8_5 * a5_2 + AA8_6 * a6_2
                 ))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a8_0, a8_1, a8_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a8_0, a8_1, a8_2 = k * x, k * y, k * z
                 # stage 9
                 x = l + dt * (C_9 * v0 + dt * (
-                    0.0 + AA9_1 * a1_0 + AA9_3 * a3_0 + AA9_4 * a4_0 + AA9_5 * a5_0 + AA9_6 * a6_0
+                    AA9_1 * a1_0 + AA9_3 * a3_0 + AA9_4 * a4_0 + AA9_5 * a5_0 + AA9_6 * a6_0
                     + AA9_7 * a7_0
                 ))
                 y = r1 + dt * (C_9 * v1 + dt * (
-                    0.0 + AA9_1 * a1_1 + AA9_3 * a3_1 + AA9_4 * a4_1 + AA9_5 * a5_1 + AA9_6 * a6_1
+                    AA9_1 * a1_1 + AA9_3 * a3_1 + AA9_4 * a4_1 + AA9_5 * a5_1 + AA9_6 * a6_1
                     + AA9_7 * a7_1
                 ))
                 z = r2 + dt * (C_9 * v2 + dt * (
-                    0.0 + AA9_1 * a1_2 + AA9_3 * a3_2 + AA9_4 * a4_2 + AA9_5 * a5_2 + AA9_6 * a6_2
+                    AA9_1 * a1_2 + AA9_3 * a3_2 + AA9_4 * a4_2 + AA9_5 * a5_2 + AA9_6 * a6_2
                     + AA9_7 * a7_2
                 ))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a9_0, a9_1, a9_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a9_0, a9_1, a9_2 = k * x, k * y, k * z
                 # stage 10
                 x = l + dt * (C_10 * v0 + dt * (
-                    0.0 + AA10_1 * a1_0 + AA10_3 * a3_0 + AA10_4 * a4_0 + AA10_5 * a5_0
+                    AA10_1 * a1_0 + AA10_3 * a3_0 + AA10_4 * a4_0 + AA10_5 * a5_0
                     + AA10_6 * a6_0 + AA10_7 * a7_0 + AA10_8 * a8_0
                 ))
                 y = r1 + dt * (C_10 * v1 + dt * (
-                    0.0 + AA10_1 * a1_1 + AA10_3 * a3_1 + AA10_4 * a4_1 + AA10_5 * a5_1
+                    AA10_1 * a1_1 + AA10_3 * a3_1 + AA10_4 * a4_1 + AA10_5 * a5_1
                     + AA10_6 * a6_1 + AA10_7 * a7_1 + AA10_8 * a8_1
                 ))
                 z = r2 + dt * (C_10 * v2 + dt * (
-                    0.0 + AA10_1 * a1_2 + AA10_3 * a3_2 + AA10_4 * a4_2 + AA10_5 * a5_2
+                    AA10_1 * a1_2 + AA10_3 * a3_2 + AA10_4 * a4_2 + AA10_5 * a5_2
                     + AA10_6 * a6_2 + AA10_7 * a7_2 + AA10_8 * a8_2
                 ))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a10_0, a10_1, a10_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a10_0, a10_1, a10_2 = k * x, k * y, k * z
                 # stage 11
                 x = l + dt * (C_11 * v0 + dt * (
-                    0.0 + AA11_1 * a1_0 + AA11_3 * a3_0 + AA11_4 * a4_0 + AA11_5 * a5_0
+                    AA11_1 * a1_0 + AA11_3 * a3_0 + AA11_4 * a4_0 + AA11_5 * a5_0
                     + AA11_6 * a6_0 + AA11_7 * a7_0 + AA11_8 * a8_0 + AA11_9 * a9_0
                 ))
                 y = r1 + dt * (C_11 * v1 + dt * (
-                    0.0 + AA11_1 * a1_1 + AA11_3 * a3_1 + AA11_4 * a4_1 + AA11_5 * a5_1
+                    AA11_1 * a1_1 + AA11_3 * a3_1 + AA11_4 * a4_1 + AA11_5 * a5_1
                     + AA11_6 * a6_1 + AA11_7 * a7_1 + AA11_8 * a8_1 + AA11_9 * a9_1
                 ))
                 z = r2 + dt * (C_11 * v2 + dt * (
-                    0.0 + AA11_1 * a1_2 + AA11_3 * a3_2 + AA11_4 * a4_2 + AA11_5 * a5_2
+                    AA11_1 * a1_2 + AA11_3 * a3_2 + AA11_4 * a4_2 + AA11_5 * a5_2
                     + AA11_6 * a6_2 + AA11_7 * a7_2 + AA11_8 * a8_2 + AA11_9 * a9_2
                 ))
                 rsq = y * y + z * z
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a11_0, a11_1, a11_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a11_0, a11_1, a11_2 = k * x, k * y, k * z
                 # stage 12
                 x = l + dt * (C_12 * v0 + dt * (
-                    0.0 + AA12_1 * a1_0 + AA12_3 * a3_0 + AA12_4 * a4_0 + AA12_5 * a5_0
+                    AA12_1 * a1_0 + AA12_3 * a3_0 + AA12_4 * a4_0 + AA12_5 * a5_0
                     + AA12_6 * a6_0 + AA12_7 * a7_0 + AA12_8 * a8_0 + AA12_9 * a9_0
                     + AA12_10 * a10_0
                 ))
                 y = r1 + dt * (C_12 * v1 + dt * (
-                    0.0 + AA12_1 * a1_1 + AA12_3 * a3_1 + AA12_4 * a4_1 + AA12_5 * a5_1
+                    AA12_1 * a1_1 + AA12_3 * a3_1 + AA12_4 * a4_1 + AA12_5 * a5_1
                     + AA12_6 * a6_1 + AA12_7 * a7_1 + AA12_8 * a8_1 + AA12_9 * a9_1
                     + AA12_10 * a10_1
                 ))
                 z = r2 + dt * (C_12 * v2 + dt * (
-                    0.0 + AA12_1 * a1_2 + AA12_3 * a3_2 + AA12_4 * a4_2 + AA12_5 * a5_2
+                    AA12_1 * a1_2 + AA12_3 * a3_2 + AA12_4 * a4_2 + AA12_5 * a5_2
                     + AA12_6 * a6_2 + AA12_7 * a7_2 + AA12_8 * a8_2 + AA12_9 * a9_2
                     + AA12_10 * a10_2
                 ))
@@ -522,93 +529,93 @@ def integrate(
                 edge = eps * (1.0 + abs(x))
                 if rsq <= edge * edge or abs(x) <= eps:
                     raise OnSingularSet
-                lr = x * rsq
-                a12_0, a12_1, a12_2 = -g / rsq, -g * y / lr, -g * z / lr
+                k = -g / (x * rsq)
+                a12_0, a12_1, a12_2 = k * x, k * y, k * z
                 # the new position; its slope is the next step's first (first-same-as-last)
                 p0 = l + dt * (v0 + dt * (
-                    0.0 + BA_1 * a1_0 + BA_4 * a4_0 + BA_5 * a5_0 + BA_6 * a6_0 + BA_7 * a7_0
+                    BA_1 * a1_0 + BA_4 * a4_0 + BA_5 * a5_0 + BA_6 * a6_0 + BA_7 * a7_0
                     + BA_8 * a8_0 + BA_9 * a9_0 + BA_10 * a10_0 + BA_11 * a11_0
                 ))
                 p1 = r1 + dt * (v1 + dt * (
-                    0.0 + BA_1 * a1_1 + BA_4 * a4_1 + BA_5 * a5_1 + BA_6 * a6_1 + BA_7 * a7_1
+                    BA_1 * a1_1 + BA_4 * a4_1 + BA_5 * a5_1 + BA_6 * a6_1 + BA_7 * a7_1
                     + BA_8 * a8_1 + BA_9 * a9_1 + BA_10 * a10_1 + BA_11 * a11_1
                 ))
                 p2 = r2 + dt * (v2 + dt * (
-                    0.0 + BA_1 * a1_2 + BA_4 * a4_2 + BA_5 * a5_2 + BA_6 * a6_2 + BA_7 * a7_2
+                    BA_1 * a1_2 + BA_4 * a4_2 + BA_5 * a5_2 + BA_6 * a6_2 + BA_7 * a7_2
                     + BA_8 * a8_2 + BA_9 * a9_2 + BA_10 * a10_2 + BA_11 * a11_2
                 ))
                 rsq = p1 * p1 + p2 * p2
                 edge = eps * (1.0 + abs(p0))
                 if rsq <= edge * edge or abs(p0) <= eps:
                     raise OnSingularSet
-                lr = p0 * rsq
-                a13_0, a13_1, a13_2 = -g / rsq, -g * p1 / lr, -g * p2 / lr
+                k = -g / (p0 * rsq)
+                a13_0, a13_1, a13_2 = k * p0, k * p1, k * p2
                 if abs(p0) * rsq < guard:
                     raise OnSingularSet
             except OnSingularSet:
                 raise SingularApproach(f"approached the singular set near t = {t:.6g}", traj) from None
             # the new velocity
             u0 = v0 + dt * (
-                0.0 + B_1 * a1_0 + B_6 * a6_0 + B_7 * a7_0 + B_8 * a8_0 + B_9 * a9_0 + B_10 * a10_0
+                B_1 * a1_0 + B_6 * a6_0 + B_7 * a7_0 + B_8 * a8_0 + B_9 * a9_0 + B_10 * a10_0
                 + B_11 * a11_0 + B_12 * a12_0
             )
             u1 = v1 + dt * (
-                0.0 + B_1 * a1_1 + B_6 * a6_1 + B_7 * a7_1 + B_8 * a8_1 + B_9 * a9_1 + B_10 * a10_1
+                B_1 * a1_1 + B_6 * a6_1 + B_7 * a7_1 + B_8 * a8_1 + B_9 * a9_1 + B_10 * a10_1
                 + B_11 * a11_1 + B_12 * a12_1
             )
             u2 = v2 + dt * (
-                0.0 + B_1 * a1_2 + B_6 * a6_2 + B_7 * a7_2 + B_8 * a8_2 + B_9 * a9_2 + B_10 * a10_2
+                B_1 * a1_2 + B_6 * a6_2 + B_7 * a7_2 + B_8 * a8_2 + B_9 * a9_2 + B_10 * a10_2
                 + B_11 * a11_2 + B_12 * a12_2
             )
             # 5th- and 3rd-order error estimates: dt^2 sums in the positions, dt sums
             # in the velocities
             h2 = dt * dt
             d5_0 = h2 * (
-                0.0 + E5A_1 * a1_0 + E5A_4 * a4_0 + E5A_5 * a5_0 + E5A_6 * a6_0 + E5A_7 * a7_0
+                E5A_1 * a1_0 + E5A_4 * a4_0 + E5A_5 * a5_0 + E5A_6 * a6_0 + E5A_7 * a7_0
                 + E5A_8 * a8_0 + E5A_9 * a9_0 + E5A_10 * a10_0 + E5A_11 * a11_0
             )
             d5_1 = h2 * (
-                0.0 + E5A_1 * a1_1 + E5A_4 * a4_1 + E5A_5 * a5_1 + E5A_6 * a6_1 + E5A_7 * a7_1
+                E5A_1 * a1_1 + E5A_4 * a4_1 + E5A_5 * a5_1 + E5A_6 * a6_1 + E5A_7 * a7_1
                 + E5A_8 * a8_1 + E5A_9 * a9_1 + E5A_10 * a10_1 + E5A_11 * a11_1
             )
             d5_2 = h2 * (
-                0.0 + E5A_1 * a1_2 + E5A_4 * a4_2 + E5A_5 * a5_2 + E5A_6 * a6_2 + E5A_7 * a7_2
+                E5A_1 * a1_2 + E5A_4 * a4_2 + E5A_5 * a5_2 + E5A_6 * a6_2 + E5A_7 * a7_2
                 + E5A_8 * a8_2 + E5A_9 * a9_2 + E5A_10 * a10_2 + E5A_11 * a11_2
             )
             d5_3 = dt * (
-                0.0 + E5_1 * a1_0 + E5_6 * a6_0 + E5_7 * a7_0 + E5_8 * a8_0 + E5_9 * a9_0
+                E5_1 * a1_0 + E5_6 * a6_0 + E5_7 * a7_0 + E5_8 * a8_0 + E5_9 * a9_0
                 + E5_10 * a10_0 + E5_11 * a11_0 + E5_12 * a12_0
             )
             d5_4 = dt * (
-                0.0 + E5_1 * a1_1 + E5_6 * a6_1 + E5_7 * a7_1 + E5_8 * a8_1 + E5_9 * a9_1
+                E5_1 * a1_1 + E5_6 * a6_1 + E5_7 * a7_1 + E5_8 * a8_1 + E5_9 * a9_1
                 + E5_10 * a10_1 + E5_11 * a11_1 + E5_12 * a12_1
             )
             d5_5 = dt * (
-                0.0 + E5_1 * a1_2 + E5_6 * a6_2 + E5_7 * a7_2 + E5_8 * a8_2 + E5_9 * a9_2
+                E5_1 * a1_2 + E5_6 * a6_2 + E5_7 * a7_2 + E5_8 * a8_2 + E5_9 * a9_2
                 + E5_10 * a10_2 + E5_11 * a11_2 + E5_12 * a12_2
             )
             d3_0 = h2 * (
-                0.0 + E3A_1 * a1_0 + E3A_4 * a4_0 + E3A_5 * a5_0 + E3A_6 * a6_0 + E3A_7 * a7_0
+                E3A_1 * a1_0 + E3A_4 * a4_0 + E3A_5 * a5_0 + E3A_6 * a6_0 + E3A_7 * a7_0
                 + E3A_8 * a8_0 + E3A_9 * a9_0 + E3A_10 * a10_0 + E3A_11 * a11_0
             )
             d3_1 = h2 * (
-                0.0 + E3A_1 * a1_1 + E3A_4 * a4_1 + E3A_5 * a5_1 + E3A_6 * a6_1 + E3A_7 * a7_1
+                E3A_1 * a1_1 + E3A_4 * a4_1 + E3A_5 * a5_1 + E3A_6 * a6_1 + E3A_7 * a7_1
                 + E3A_8 * a8_1 + E3A_9 * a9_1 + E3A_10 * a10_1 + E3A_11 * a11_1
             )
             d3_2 = h2 * (
-                0.0 + E3A_1 * a1_2 + E3A_4 * a4_2 + E3A_5 * a5_2 + E3A_6 * a6_2 + E3A_7 * a7_2
+                E3A_1 * a1_2 + E3A_4 * a4_2 + E3A_5 * a5_2 + E3A_6 * a6_2 + E3A_7 * a7_2
                 + E3A_8 * a8_2 + E3A_9 * a9_2 + E3A_10 * a10_2 + E3A_11 * a11_2
             )
             d3_3 = dt * (
-                0.0 + E3_1 * a1_0 + E3_6 * a6_0 + E3_7 * a7_0 + E3_8 * a8_0 + E3_9 * a9_0
+                E3_1 * a1_0 + E3_6 * a6_0 + E3_7 * a7_0 + E3_8 * a8_0 + E3_9 * a9_0
                 + E3_10 * a10_0 + E3_11 * a11_0 + E3_12 * a12_0
             )
             d3_4 = dt * (
-                0.0 + E3_1 * a1_1 + E3_6 * a6_1 + E3_7 * a7_1 + E3_8 * a8_1 + E3_9 * a9_1
+                E3_1 * a1_1 + E3_6 * a6_1 + E3_7 * a7_1 + E3_8 * a8_1 + E3_9 * a9_1
                 + E3_10 * a10_1 + E3_11 * a11_1 + E3_12 * a12_1
             )
             d3_5 = dt * (
-                0.0 + E3_1 * a1_2 + E3_6 * a6_2 + E3_7 * a7_2 + E3_8 * a8_2 + E3_9 * a9_2
+                E3_1 * a1_2 + E3_6 * a6_2 + E3_7 * a7_2 + E3_8 * a8_2 + E3_9 * a9_2
                 + E3_10 * a10_2 + E3_11 * a11_2 + E3_12 * a12_2
             )
             # RMS norms over the per-component scale tol (1 + max(|old|, |new|)),
@@ -632,6 +639,8 @@ def integrate(
                 msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
                 raise StepFailure(msg, traj)
             err = err5 / sqrt(denom) if err5 > 0.0 else 0.0
+            # err^(-1/8) as three square roots
+            factor = 0.9 * (1.0 / sqrt(sqrt(sqrt(err))) if err > 0.0 else 5.0)
             if err <= 1.0:
                 t += dt
                 l, r1, r2, v0, v1, v2 = p0, p1, p2, u0, u1, u2
@@ -639,10 +648,18 @@ def integrate(
                 times.append(t)
                 states.append((l, r1, r2, v0, v1, v2))
                 n_accepted += 1
+                # Gustafsson's predictive control: from the second accept on, the
+                # factor is at most 0.9 (dt / dt_acc) (err_acc / err^2)^(1/8), which
+                # keeps a steadily shrinking step from growing into a rejection.
+                # err_acc is divided by err twice: err^2 underflows to 0.0 for
+                # err below 1e-162 (g = 1e-165 reaches it), where this gives inf
+                if n_accepted > 1 and err > 0.0:
+                    pred = 0.9 * (dt / dt_acc) * sqrt(sqrt(sqrt(err_acc / err / err)))
+                    if pred < factor:
+                        factor = pred
+                dt_acc, err_acc = dt, (0.01 if err < 0.01 else err)
             else:
                 n_rejected += 1
-            # err^(-1/8) as three square roots
-            factor = 0.9 * (1.0 / sqrt(sqrt(sqrt(err))) if err > 0.0 else 5.0)
             factor = factor if factor > 0.2 else 0.2
             dt *= factor if factor < 5.0 else 5.0
             if max_step is not None and max_step < dt:

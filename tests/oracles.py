@@ -678,14 +678,15 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
         dt = min(dt, max_step)
 
     def weighted(weights, slopes, m):
-        # from 0.0 in stage order, zero weights left out, as the step does
-        s = 0.0
-        for w, a in zip(weights, slopes):
-            if w != 0.0:
-                s += w * a[m]
+        # from the first term in stage order, zero weights left out, as the step does
+        terms = [w * a[m] for w, a in zip(weights, slopes) if w != 0.0]
+        s = terms[0]
+        for term in terms[1:]:
+            s += term
         return s
 
     steps = 0
+    dt_acc = err_acc = None
     while t < t_end:
         if steps >= td.MAX_STEPS:
             raise StepFailure(f"step budget {td.MAX_STEPS} exhausted at t = {t}", traj)
@@ -696,7 +697,8 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
         slopes = [a1]
         try:
             for c, row in zip(td._C, td._ABAR):
-                stage = [x[m] + dt * (c * v[m] + dt * weighted(row, slopes, m)) for m in range(3)]
+                stage = [x[m] + dt * (c * v[m] + dt * weighted(row, slopes, m) if row else c * v[m])
+                         for m in range(3)]
                 slopes.append(_accel(*stage, g))
             new_x = [x[m] + dt * (v[m] + dt * weighted(td._BBAR, slopes, m)) for m in range(3)]
             slopes.append(_accel(*new_x, g))
@@ -720,15 +722,19 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
             msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
             raise StepFailure(msg, traj)
         err = err5 / math.sqrt(denom) if err5 > 0.0 else 0.0
+        factor = 0.9 * (1.0 / math.sqrt(math.sqrt(math.sqrt(err))) if err > 0.0 else 5.0)
         if err <= 1.0:
             t += dt
             x, v, a1 = new_x, new_v, slopes[-1]  # first-same-as-last
             traj.times.append(t)
             traj.states.append((*x, *v))
             traj.n_accepted += 1
+            if traj.n_accepted > 1 and err > 0.0:  # predictive, from the last accept
+                pred = 0.9 * (dt / dt_acc) * math.sqrt(math.sqrt(math.sqrt(err_acc / err / err)))
+                factor = min(factor, pred)
+            dt_acc, err_acc = dt, max(err, 0.01)
         else:
             traj.n_rejected += 1
-        factor = 0.9 * (1.0 / math.sqrt(math.sqrt(math.sqrt(err))) if err > 0.0 else 5.0)
         dt *= min(5.0, max(0.2, factor))
         if max_step is not None:
             dt = min(dt, max_step)

@@ -73,7 +73,7 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
     # the printed report, residual digits included, is pinned
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "62dd65e98bc098a8a5b780b8366ed7a4e1ecec0d9f1e4eb4303c8496824ecd25"
+        "7d2bb3cad02b6fad52e1a91c4e57df4fdd3e1cb4bf962450e0b5f6bbb5599931"
     )
 
 
@@ -260,7 +260,7 @@ def test_simulate_planar_demo(tmp_path, capsys):
     assert "max relative deviation from closed-form" in text
     # README's planar.json; t_end comes from the closed-form time PlanarSolution.t
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "f0ea8b22ec40e13789cd0a68015b63a6b2416e672cdb167942082c059ffc774d"
+    assert digest == "d8195f101c599fdf1a281608e255411fdd7b2e113afa3d4f5f92816363fce5f1"
     lines = out.read_text().splitlines()
     assert lines[0] == "t,l,r1,r2,v0,v1,v2,M0,M1,M2,E,r1_closed"
     data = np.array([[float(c) for c in row.split(",")] for row in lines[1:]])
@@ -824,6 +824,31 @@ def test_out_to_the_file_stdout_has_open_keeps_every_byte_in_order(tmp_path, mon
         assert run.returncode == 0 and run.stdout == want, run.stderr
         assert main([*argv[:-1], "-"]) == 0
         assert capsys.readouterr().out == want
+
+
+def test_out_naming_the_regular_file_stdout_is_redirected_to_keeps_the_printed_lines(
+    tmp_path, monkeypatch, capsys
+):
+    # `--out log.txt > log.txt`: a rename over log.txt left stdout on the old,
+    # unlinked inode, so the lines printed after the write were lost.  A
+    # regular file that is stdout's goes through sys.stdout, in order, and no
+    # temp file is left beside it.
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "planar.json", PLANAR_CFG)
+    assert main(["simulate", "--config", "planar.json", "--out", "ref.csv"]) == 0
+    summary = capsys.readouterr().out
+    assert main(["verify", "algebra", "--seed", "42", "--out", "ref.json"]) == 0
+    report = capsys.readouterr().out
+    for argv, want in (
+        (["simulate", "--config", "planar.json", "--out", "log.txt"], (tmp_path / "ref.csv").read_text() + summary),
+        (["verify", "algebra", "--seed", "42", "--out", "log.txt"], report + (tmp_path / "ref.json").read_text()),
+    ):
+        for unbuffered in (False, True):
+            with open(tmp_path / "log.txt", "w") as log:
+                run = _run_main(tmp_path, argv, unbuffered=unbuffered, stdout=log, stderr=subprocess.PIPE)
+            assert run.returncode == 0, run.stderr
+            assert (tmp_path / "log.txt").read_text() == want
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt", "planar.json", "ref.csv", "ref.json"]
 
 
 def test_integrate_form_loop(tmp_path, capsys):
