@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -34,7 +35,7 @@ from .config import (
     write_scatter_csv,
     write_trajectory_csv,
 )
-from .errors import DomainError, SingularApproach, StepFailure, TernionError
+from .errors import DomainError, SingularApproach, SingularNumber, StepFailure, TernionError
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -72,6 +73,13 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return seed
+
+
+def _path(text: str) -> str:
+    """An --out or --manifest value: a path that is not empty, else a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("needs a path, got ''")
+    return text
 
 
 def _check_outputs(config, out, manifest):
@@ -195,6 +203,15 @@ def _cmd_scatter(args) -> int:
 # integrate-form
 
 
+def _inverse_conjugate(z):
+    """z / ||z||^3; SingularNumber where 1/||z||^3 is out of float range."""
+    n = ta.norm_cubed(z)
+    c = 1.0 / n
+    if ta._fault(abs(c) == math.inf, lambda *x: _inverse_conjugate(Ternary(*x)), *z.components()):
+        raise SingularNumber(f"1/||z||^3 out of float range: ||z||^3 = {n:.3e} for z = {z}")
+    return ta.scale(z, c)
+
+
 #: The fields by name.  Builders and fields look up ta.* and tc.* when they
 #: run, so that a function patched on its module is the one called.
 _FIELDS = {
@@ -202,7 +219,7 @@ _FIELDS = {
     "identity": lambda z: z,
     "square": lambda z: ta.mul(z, z),
     "reciprocal": lambda z: ta.inverse(z),
-    "inverse-conjugate": lambda z: ta.scale(z, 1.0 / ta.norm_cubed(z)),
+    "inverse-conjugate": _inverse_conjugate,
 }
 
 def _box(p):
@@ -255,8 +272,7 @@ def _form_config(args) -> FormConfig:
 
 
 def _cmd_form(args) -> int:
-    out = args.out or "-"
-    _check_outputs(args.config, out, args.manifest)
+    _check_outputs(args.config, args.out, args.manifest)
     cfg = _form_config(args)
     if not isinstance(cfg.field_name, str) or cfg.field_name not in _FIELDS:
         raise ConfigError(f"unknown field {cfg.field_name!r}; choose from {sorted(_FIELDS)}")
@@ -278,9 +294,9 @@ def _cmd_form(args) -> int:
         "tol": cfg.tol,
         "value": list(value.components()),
     }
-    write_json(out, doc)
+    write_json(args.out, doc)
     if args.manifest:
-        write_manifest(args.manifest, cfg, {"result": out}, "ok")
+        write_manifest(args.manifest, cfg, {"result": args.out}, "ok")
     return 0
 
 
@@ -307,15 +323,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a seeded property suite")
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", help="optional JSON report path")
+    p.add_argument("--out", type=_path, help="optional JSON report path")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="integrate a monopole trajectory to CSV")
     p.add_argument(
         "--config", required=True, help="JSON config (or a previous manifest); --tol overrides its tol"
     )
-    p.add_argument("--out", default="trajectory.csv")
-    p.add_argument("--manifest", help="write a JSON run manifest here")
+    p.add_argument("--out", type=_path, default="trajectory.csv")
+    p.add_argument("--manifest", type=_path, help="write a JSON run manifest here")
     p.add_argument("--tol", type=float, default=None, help="override the config tolerance")
     p.add_argument("--allow-singular-stop", action="store_true")
     p.add_argument(
@@ -327,8 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", help="scattering table over an (M1, M2) grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default="scatter.csv")
-    p.add_argument("--manifest")
+    p.add_argument("--out", type=_path, default="scatter.csv")
+    p.add_argument("--manifest", type=_path)
     p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("integrate-form", help="line/surface/volume form integrals")
@@ -345,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
         size = FormConfig.VECTOR_PARAMS.get(key)
         text = f"{size} comma-separated numbers; give a negative first one as {flag}=-1,..." if size else None
         p.add_argument(flag, type=None if size else float, help=text)
-    p.add_argument("--out", default="-")
-    p.add_argument("--manifest")
+    p.add_argument("--out", type=_path, default="-")
+    p.add_argument("--manifest", type=_path)
     p.set_defaults(func=_cmd_form)
 
     return parser

@@ -864,22 +864,8 @@ class _Coefficients:
         self._a = -0.5j / complex(m1, m2)
         self._c3 = _pole_residue(m1, m2)
 
-    def _check_side(self, y: float, base: float):
-        """Raises PoleOnRange when y and base straddle the pole; the hot
-        paths test (y - pole) (base - pole) <= 0 inline and call this only to
-        raise."""
-        if self.pole is not None and (y - self.pole) * (base - self.pole) <= 0.0:
-            raise PoleOnRange(
-                f"y = {y} and y = {base} straddle the pole at y = {self.pole}"
-            )
-
-    def _check_bases(self, y0: float, y1: float):
-        """Neither base point on the pole, and y1 on y0's side of it."""
-        self._check_side(y0, y0)
-        self._check_side(y1, y0)
-
     def _v1(self, g: float, y: float, y0: float) -> float:
-        """v1(y) of the solution with base slope y0 (the caller checks sides)."""
+        """v1(y) of the solution with base slope y0, y0 off the pole."""
         s = 2.0 * (self._a * cmath.log(complex(y, -1.0) / complex(y0, -1.0))).real
         if self.m2 != 0.0:
             ratio = (self.m1 + self.m2 * y) / (self.m1 + self.m2 * y0)
@@ -899,8 +885,6 @@ class GeneralSolution(_Coefficients):
         r1(y) = -(M0/g) / psi(y),  psi(y) = integral from y1 to y of v1/g,
         t(y)  = (M0/g^2) * integral from y0 to y of psi^(-2).
 
-    The complex-log pair is conjugate, so the velocity is real; it is
-    evaluated as twice the real part of its first half (see _Coefficients).
     A pole at y = -M1/M2 (the l = 0 plane) must not lie between the
     evaluation point and the base points.
 
@@ -927,11 +911,12 @@ class GeneralSolution(_Coefficients):
         self._w0 = complex(y0, -1.0)
         self._den = m1 + m2 * y0
         self._base_term = None
-        self._check_bases(y0, y1)
+        if m2 != 0.0 and (self._den == 0.0 or (m1 + m2 * y1) / self._den <= 0.0):
+            y = y1 if self._den else y0
+            raise PoleOnRange(f"y = {y} and y = {y0} straddle the pole at y = {self.pole}")
 
     def v1(self, y: float) -> float:
         """Velocity component along r1 as a function of the slope y."""
-        self._check_side(y, self.y0)
         return self._v1(self.g, y, self.y0)
 
     def _antiderivative(self, y, m=math):
@@ -988,15 +973,7 @@ class GeneralSolution(_Coefficients):
         antiderivative.  A(y) is evaluated first, then A(y1) is taken from
         the memo, which the first call fills; an A(y1) that raises is not
         stored, so every call raises what the unmemoized psi would."""
-        m, pole = _lib(y), self.pole
-        if m is math:
-            if pole is not None and (y - pole) * (self.y1 - pole) <= 0.0:
-                self._check_side(y, self.y1)
-        elif pole is not None and ((y - pole) * (self.y1 - pole) <= 0.0).any():
-            # psi replays every slope in order, so the first slope whose
-            # scalar psi faults raises, across the pole or otherwise
-            _fault(True, self.psi, y)
-        at_y = self._antiderivative(y, m)
+        at_y = self._antiderivative(y, _lib(y))
         if self._base_term is None:
             self._base_term = self._antiderivative(self.y1)
         return at_y - self._base_term
@@ -1014,7 +991,6 @@ class GeneralSolution(_Coefficients):
         and the exit slope.  psi has the sign of psi(y0) strictly between them
         and the other sign beyond either, so y must lie where it does.
         """
-        self._check_side(y, self.y0)
         p0, p = self.psi(self.y0), self.psi(y)
         if p * p0 <= 0.0 or abs(p) <= ROOT_RESIDUAL * (1.0 + abs(p0)):
             raise DomainError(
@@ -1121,12 +1097,8 @@ def _solve_y0(g, m1, m2, y1, v1_inf):
 
     The (M1, M2) constants are computed once, and every trial y0 evaluates
     v1(y1) through them with the formula GeneralSolution.v1 uses, so no
-    trial builds a solution.  Each trial still runs every check a solution
-    would: PoleOnRange when y0 lies on the pole or y0 and y1 straddle it
-    (tested inline, with _check_bases called only to raise), and PoleOnRange
-    when the log ratio is not positive.  No trial tests an imaginary
-    residue: the formula's complex-log pair is exactly real in floating
-    point too (see _Coefficients).
+    trial builds a solution; its log ratio raises PoleOnRange where y0 and
+    y1 straddle the pole.  A y1 on the pole has no base slope.
 
     Near the pole |dv1/dy0| = |g k(y0)| grows like 1/|y0 - pole|, and Brent's
     x error d = brent_xerr(y0) alone moves v1 past the plain residual bound.
@@ -1138,17 +1110,12 @@ def _solve_y0(g, m1, m2, y1, v1_inf):
     pole = coeffs.pole
     direction = -1.0 if (v1_inf > 0.0) == (g * (m1 + m2 * y1) > 0.0) else 1.0
 
-    def vel_from_y0(y0):
-        if pole is not None:
-            d0 = y0 - pole
-            if d0 * d0 <= 0.0 or (y1 - pole) * d0 <= 0.0:
-                coeffs._check_bases(y0, y1)
-        return coeffs._v1(g, y1, y0) - v1_inf
-
-    points = _branch_walk(y1, direction, 1.0 + abs(y1), pole)
-
     def missing():
         return RootFindingFailure(f"no base slope y0 matches v1_inf = {v1_inf} (M1 = {m1}, M2 = {m2})")
+
+    if y1 == pole:
+        raise missing()
+    points = _branch_walk(y1, direction, 1.0 + abs(y1), pole)
 
     def bound(y0):
         limit = ROOT_RESIDUAL * (1.0 + abs(v1_inf))
@@ -1156,7 +1123,7 @@ def _solve_y0(g, m1, m2, y1, v1_inf):
             limit += brent_xerr(y0) * abs(g * _kernel(m1, m2, y0))
         return limit
 
-    return _root_on_grid(vel_from_y0, points, bound, "base-slope", missing)
+    return _root_on_grid(lambda y0: coeffs._v1(g, y1, y0) - v1_inf, points, bound, "base-slope", missing)
 
 
 def _solve_ytilde1(sol: GeneralSolution):

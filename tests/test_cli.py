@@ -21,7 +21,7 @@ from ternion.calculus import _FD3
 from ternion.cli import main
 from ternion.config import FormConfig, ScatterConfig, SimulateConfig, load_config
 from ternion.dynamics import ScatteringSetup
-from ternion.errors import QuadratureFailure, RootFindingFailure
+from ternion.errors import QuadratureFailure, RootFindingFailure, SingularNumber
 from ternion.verify import (
     _admissible_rows,
     _far_from_trisectrice,
@@ -948,6 +948,16 @@ SEED_RULE = "ternion verify: error: argument --seed: must be a non-negative inte
         (["verify", "algebra", "--seed", "-1"], SEED_RULE + "'-1'"),
         (["verify", "dynamics", "--seed", "-1"], SEED_RULE + "'-1'"),
         (["verify", "all", "--seed", "1.5"], SEED_RULE + "'1.5'"),
+        (["verify", "all", "--out="], "ternion verify: error: argument --out: needs a path, got ''"),
+        *(
+            (argv + [f"{flag}="], f"ternion {argv[0]}: error: argument {flag}: needs a path, got ''")
+            for argv in (
+                ["simulate", "--config", "run.json"],
+                ["scatter", "--config", "run.json"],
+                ["integrate-form", "line", "--preset", "segment"],
+            )
+            for flag in ("--out", "--manifest")
+        ),
     ],
     ids=[
         "bad-field",
@@ -957,6 +967,13 @@ SEED_RULE = "ternion verify: error: argument --seed: must be a non-negative inte
         "negative-seed-algebra",
         "negative-seed-dynamics",
         "seed-not-an-integer",
+        "verify-empty-out",
+        "simulate-empty-out",
+        "simulate-empty-manifest",
+        "scatter-empty-out",
+        "scatter-empty-manifest",
+        "integrate-form-empty-out",
+        "integrate-form-empty-manifest",
     ],
 )
 def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
@@ -1033,6 +1050,22 @@ def test_numeric_failure_is_not_a_config_error(capsys, flags, message):
     err = capsys.readouterr().err
     assert any(line.startswith(message) for line in err.splitlines())
     assert "config error" not in err and "Traceback" not in err
+
+
+def test_inverse_conjugate_out_of_float_range_is_singular_on_path(capsys):
+    # the segment's nodes close in on the origin until 1/||z||^3 overflows;
+    # that node is on the singular set, as for the reciprocal field
+    argv = ["integrate-form", "line", "--preset", "segment", "--from", "0,0,0", "--to", "1,1,0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("SingularOnPath: integrand hit the singular set: 1/||z||^3 out of float range: ")
+    assert "for z = Ternary(" in err[0]
+    # on an array of nodes, the first whose 1/||z||^3 overflows is named
+    zero = np.zeros(3)
+    with np.errstate(over="ignore"), pytest.raises(SingularNumber) as exc:
+        cli._FIELDS["inverse-conjugate"](Ternary(np.array([1.0, 1e-103, 1e-104]), zero, zero))
+    assert str(exc.value).endswith(f"for z = {Ternary(1e-103, 0.0, 0.0)}")
 
 
 def test_form_out_of_float_range_names_the_point(capsys):

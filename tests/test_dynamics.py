@@ -617,10 +617,34 @@ def test_general_antiderivative_matches_quadrature():
 
 def test_general_pole_guard():
     sol = general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1)  # pole at 1.25
-    with pytest.raises(PoleOnRange):
-        sol.v1(1.4)
-    with pytest.raises(PoleOnRange):
-        general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 2.0)
+    for y in (1.25, 1.4, 3.0):
+        for fun in (sol.v1, sol.psi, sol.r1, sol.t):
+            with pytest.raises(PoleOnRange):
+                fun(y)
+        with pytest.raises(PoleOnRange):
+            sol.psi(np.array([0.5, y, 0.7]))
+    # -1 + 0.8 y is exactly 0 at the pole: y1 across it or on it, y0 on it
+    for y0, y1, named in ((0.9, 2.0, 2.0), (0.9, 1.25, 1.25), (1.25, 0.1, 1.25), (1.25, 1.25, 1.25)):
+        with pytest.raises(PoleOnRange) as exc:
+            general_solution(1.0, 0.5, -1.0, 0.8, y0, y1)
+        assert str(exc.value) == f"y = {named} and y = {y0} straddle the pole at y = 1.25"
+
+
+def test_y1_on_the_rounded_pole_has_no_base_slope(monkeypatch):
+    # fl(-1/49) is not -1/49: M1 + M2 y1 = 1.1e-16, so the setup stands, and
+    # the solve stops before its walk evaluates any trial base slope
+    m1, m2 = 1.0, 49.0
+    y1 = -m1 / m2
+    assert m1 + m2 * y1 != 0.0
+    calls = []
+    v1 = dynamics._Coefficients._v1
+    monkeypatch.setattr(dynamics._Coefficients, "_v1", lambda self, *a: calls.append(a) or v1(self, *a))
+    for v1_inf in (0.5, -0.5):
+        setup = ScatteringSetup(g=1.0, y1=y1, z1=0.8, v1_inf=v1_inf, m1=m1, m2=m2)
+        with pytest.raises(RootFindingFailure) as exc:
+            scattering_map(setup)
+        assert str(exc.value) == f"no base slope y0 matches v1_inf = {v1_inf} (M1 = 1.0, M2 = 49.0)"
+    assert calls == []
 
 
 def test_general_time_refuses_y1_and_beyond(monkeypatch):
@@ -716,8 +740,7 @@ def test_array_planar_kernel_matches_the_float_path(rng):
 
 @pytest.mark.parametrize("kernel", ["psi", "_antiderivative"])
 def test_array_closed_form_raises_the_first_faulting_slopes_error(kernel):
-    # pole at 1.25: psi checks the side of y1 (its message names the slope),
-    # _antiderivative that num/den > 0 against y0
+    # pole at 1.25: psi and _antiderivative test that num/den > 0 against y0
     sol = general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1)
     fun = getattr(sol, kernel)
     array_fun = sol.psi if kernel == "psi" else lambda ys: sol._antiderivative(ys, np)
