@@ -337,6 +337,19 @@ def _complex(x, c=1.0):
     return out
 
 
+def _cmul(a, b):
+    """a * b for complex (or real) a and b, elementwise for arrays with the
+    float path's bits: CPython's real = ar br - ai bi and imag = ar bi + ai br,
+    spelled out in real arithmetic, where numpy's complex product fuses a
+    multiply and an add."""
+    if _lib(a, b) is math:
+        return a * b
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 @dataclass(frozen=True)
 class ComplexTernary:
     """Ternary number with complex components; houses the conjugate copies."""
@@ -370,14 +383,14 @@ class ComplexTernary:
     def __mul__(self, other):
         if isinstance(other, ComplexTernary):
             return ComplexTernary(
-                self.c0 * other.c0 + self.c1 * other.c2 + self.c2 * other.c1,
-                self.c0 * other.c1 + self.c1 * other.c0 + self.c2 * other.c2,
-                self.c0 * other.c2 + self.c1 * other.c1 + self.c2 * other.c0,
+                _cmul(self.c0, other.c0) + _cmul(self.c1, other.c2) + _cmul(self.c2, other.c1),
+                _cmul(self.c0, other.c1) + _cmul(self.c1, other.c0) + _cmul(self.c2, other.c2),
+                _cmul(self.c0, other.c2) + _cmul(self.c1, other.c1) + _cmul(self.c2, other.c0),
             )
-        return ComplexTernary(self.c0 * other, self.c1 * other, self.c2 * other)
+        return ComplexTernary(_cmul(self.c0, other), _cmul(self.c1, other), _cmul(self.c2, other))
 
     def __rmul__(self, other):
-        return ComplexTernary(self.c0 * other, self.c1 * other, self.c2 * other)
+        return ComplexTernary(_cmul(self.c0, other), _cmul(self.c1, other), _cmul(self.c2, other))
 
 
 def conjugates(z: Ternary) -> tuple[ComplexTernary, ComplexTernary]:

@@ -199,8 +199,8 @@ def wirtinger_partials(F, p: Ternary):
     d0 = Ternary(*part[:, 0])
     d1 = Ternary(*part[:, 1])
     d2 = Ternary(*part[:, 2])
-    q2d1 = mul(Q2, d1)
-    qd2 = mul(Q, d2)
+    q2d1 = Ternary(d1.x1, d1.x2, d1.x0)
+    qd2 = Ternary(d2.x2, d2.x0, d2.x1)
     dz = ta.scale(d0 + q2d1 + qd2, 1.0 / 3.0)
     c0 = ComplexTernary.from_real(d0)
     c1 = ComplexTernary.from_real(q2d1)
@@ -573,13 +573,8 @@ def conformal_jacobian(F, p: Ternary) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Curve and surface presets; each constructor rejects params outside its range
-
-
-# the loop's and the polar band's tangent factors: d/dtheta and d/dphi of
-# e^{(phi + theta) q + (phi - theta) q^2} are the point times these
-_Q_MINUS_Q2 = Q - Q2
-_Q_PLUS_Q2 = Q + Q2
+# Curve and surface presets; each constructor rejects params outside its range.
+# q^3 = 1, so a product by q shifts the components: q (x0, x1, x2) = (x2, x0, x1)
 
 
 def _positive_rho(rho: float) -> None:
@@ -603,7 +598,7 @@ def trisectrice_loop(rho: float = 1.0, phi: float = 0.0) -> Curve:
 
     def frame(t):
         z = ta.from_polar(ta.PolarForm(rho, phi + t, phi - t))
-        return z, mul(z, _Q_MINUS_Q2)
+        return z, Ternary(z.x2 - z.x1, z.x0 - z.x2, z.x1 - z.x0)
 
     return Curve(frame, 0.0, ta.THETA_PERIOD)
 
@@ -650,7 +645,7 @@ def polar_band_patch(rho: float, phi_lo: float, phi_hi: float) -> SurfacePatch:
 
     def frame(theta, phi):
         z = ta.from_polar(ta.PolarForm(rho, phi + theta, phi - theta))
-        return z, mul(z, _Q_MINUS_Q2), mul(z, _Q_PLUS_Q2)
+        return z, Ternary(z.x2 - z.x1, z.x0 - z.x2, z.x1 - z.x0), Ternary(z.x2 + z.x1, z.x0 + z.x2, z.x1 + z.x0)
 
     return SurfacePatch(frame, (0.0, ta.THETA_PERIOD), (phi_lo, phi_hi))
 

@@ -204,8 +204,11 @@ def _cmd_scatter(args) -> int:
 
 
 def _inverse_conjugate(z):
-    """z / ||z||^3; SingularNumber where 1/||z||^3 is out of float range."""
+    """z / ||z||^3; SingularNumber where ||z||^3 is 0, tested before the
+    division as ta.inverse tests, or where 1/||z||^3 is out of float range."""
     n = ta.norm_cubed(z)
+    if ta._fault(n == 0.0, lambda *x: _inverse_conjugate(Ternary(*x)), *z.components()):
+        raise SingularNumber(f"non-invertible: ||z||^3 = 0 for z = {z}")
     c = 1.0 / n
     if ta._fault(abs(c) == math.inf, lambda *x: _inverse_conjugate(Ternary(*x)), *z.components()):
         raise SingularNumber(f"1/||z||^3 out of float range: ||z||^3 = {n:.3e} for z = {z}")

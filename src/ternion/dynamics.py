@@ -864,13 +864,15 @@ class _Coefficients:
         self._a = -0.5j / complex(m1, m2)
         self._c3 = _pole_residue(m1, m2)
 
-    def _v1(self, g: float, y: float, y0: float) -> float:
-        """v1(y) of the solution with base slope y0, y0 off the pole."""
-        s = 2.0 * (self._a * cmath.log(complex(y, -1.0) / complex(y0, -1.0))).real
+    def _v1(self, g: float, w: complex, num: float, w0: complex, den: float) -> float:
+        """v1(y) of the solution with base slope y0, y0 off the pole, from the
+        slopes' constants: w = complex(y, -1), num = M1 + M2 y, and w0, den
+        the same of y0."""
+        s = 2.0 * (self._a * cmath.log(w / w0)).real
         if self.m2 != 0.0:
-            ratio = (self.m1 + self.m2 * y) / (self.m1 + self.m2 * y0)
+            ratio = num / den
             if ratio <= 0.0:
-                raise PoleOnRange(f"log argument crossed the pole between {y0} and {y}")
+                raise PoleOnRange(f"log argument crossed the pole between {w0.real} and {w.real}")
             s += self._c3 * math.log(ratio)
         return g * s
 
@@ -917,7 +919,7 @@ class GeneralSolution(_Coefficients):
 
     def v1(self, y: float) -> float:
         """Velocity component along r1 as a function of the slope y."""
-        return self._v1(self.g, y, self.y0)
+        return self._v1(self.g, complex(y, -1.0), self.m1 + self.m2 * y, self._w0, self._den)
 
     def _antiderivative(self, y, m=math):
         """Exact antiderivative of v1/g (base point y0 in the logs), at a
@@ -1095,10 +1097,10 @@ def _solve_y0(g, m1, m2, y1, v1_inf):
     v1(y1) is monotone in y0 on y1's side of the pole and has the sign of
     g (M1 + M2 y1) for y0 < y1, so the sign of v1_inf picks y0's side.
 
-    The (M1, M2) constants are computed once, and every trial y0 evaluates
-    v1(y1) through them with the formula GeneralSolution.v1 uses, so no
-    trial builds a solution; its log ratio raises PoleOnRange where y0 and
-    y1 straddle the pole.  A y1 on the pole has no base slope.
+    The (M1, M2) constants and y1's are computed once, and every trial y0
+    evaluates v1(y1) through them with the formula GeneralSolution.v1 uses,
+    so no trial builds a solution; its log ratio raises PoleOnRange where y0
+    and y1 straddle the pole.  A y1 on the pole has no base slope.
 
     Near the pole |dv1/dy0| = |g k(y0)| grows like 1/|y0 - pole|, and Brent's
     x error d = brent_xerr(y0) alone moves v1 past the plain residual bound.
@@ -1123,7 +1125,12 @@ def _solve_y0(g, m1, m2, y1, v1_inf):
             limit += brent_xerr(y0) * abs(g * _kernel(m1, m2, y0))
         return limit
 
-    return _root_on_grid(lambda y0: coeffs._v1(g, y1, y0) - v1_inf, points, bound, "base-slope", missing)
+    w1, num1 = complex(y1, -1.0), m1 + m2 * y1
+
+    def residual(y0):
+        return coeffs._v1(g, w1, num1, complex(y0, -1.0), m1 + m2 * y0) - v1_inf
+
+    return _root_on_grid(residual, points, bound, "base-slope", missing)
 
 
 def _solve_ytilde1(sol: GeneralSolution):

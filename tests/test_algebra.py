@@ -410,6 +410,31 @@ def test_array_arithmetic_is_bit_identical(cols):
     _matches(lambda a, b, c, *_: ComplexTernary.from_real(_t(a, b, c)).imag_part(), cols)
 
 
+def test_array_complex_products_are_bit_identical(rng):
+    # numpy's complex product fuses a multiply and an add, and on random
+    # components most products differed from the float path in some bit;
+    # the array path spells out CPython's product in real arithmetic
+    n = 1000
+    parts = rng.standard_normal((2, 3, 2, n)) * 10.0 ** rng.integers(-3, 4, (2, 3, 2, n))
+    parts[:, :, :, :8] = [0.0, -0.0, 1.0, -1.0, 0.0, -0.0, -2.5, 3.0]  # signed zeros
+    components = np.empty((2, 3, n), complex)
+    components.real, components.imag = parts[:, :, 0], parts[:, :, 1]
+    x, y = (ComplexTernary(*c) for c in components)
+    products = (
+        lambda a, b: a * b,
+        lambda a, b: ta.J2 * a,
+        lambda a, b: b * (0.3 - 2.1j),
+        lambda a, b: a * (1.0 / 3.0),
+    )
+    for product in products:
+        got = np.array(product(x, y).components())
+        want = [
+            product(*(ComplexTernary(*(complex(c[i]) for c in t.components())) for t in (x, y))).components()
+            for i in range(n)
+        ]
+        assert got.T.tobytes() == np.array(want).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(_columns(3))
 def test_array_cubic_kernels_within_2_ulp_per_power(cols):

@@ -1068,6 +1068,23 @@ def test_inverse_conjugate_out_of_float_range_is_singular_on_path(capsys):
     assert str(exc.value).endswith(f"for z = {Ternary(1e-103, 0.0, 0.0)}")
 
 
+@pytest.mark.parametrize(
+    "argv, node",
+    [
+        (["volume", "--preset", "box", "--box=-1,1,-1,1,-1,1"], Ternary(*[-0.991455371120813] * 3)),
+        (["line", "--preset", "segment", "--from=-1,-1,0", "--to", "1,1,0"], Ternary(0.0, 0.0, 0.0)),
+    ],
+    ids=["box", "segment"],
+)
+def test_inverse_conjugate_at_a_zero_norm_node_names_it(capsys, argv, node):
+    # the default field divides by ||z||^3, which is exactly 0 at the origin
+    # and on the trisectrice x0 = x1 = x2: the first such node is named,
+    # where the division itself used to raise divide by zero
+    assert main(["integrate-form", *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"SingularOnPath: integrand hit the singular set: non-invertible: ||z||^3 = 0 for z = {node}"]
+
+
 def test_form_out_of_float_range_names_the_point(capsys):
     # e^(phi1 + phi2) on the loop overflows: a failed run, one stderr line
     # naming the operation and the point

@@ -109,7 +109,13 @@ def test_folded_kernels_match_the_conjugate_pair(case):
     for y in ys:
         # the solve evaluates v1 at y1 for trial bases, a solution at y for its base
         for a, b in ((y, y0), (y0, y)):
-            _agree(coeffs._v1, lambda *args: v1_conjugate_pair(coeffs, *args), g, a, b)
+            _agree(
+                lambda g, y, y0: coeffs._v1(g, complex(y, -1.0), m1 + m2 * y, complex(y0, -1.0), m1 + m2 * y0),
+                lambda *args: v1_conjugate_pair(coeffs, *args),
+                g,
+                a,
+                b,
+            )
             _real_pair(lambda: v1_pair(coeffs, a, b), a, b)
     if not math.isfinite(y0):
         # a solution rejects a base slope that is not finite, so its
