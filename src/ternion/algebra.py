@@ -325,28 +325,17 @@ def bar(z: Ternary) -> Ternary:
 
 
 def _complex(x, c=1.0):
-    """complex(x) * c for a real x, elementwise for an array with the float
-    path's bits and signed zeros.  numpy's complex product fuses a multiply
-    and an add, which gives a product that underflows to zero the other
-    sign, so the array path spells the product out in real arithmetic."""
-    if _lib(x) is math:
+    """complex(x) * c for a real or complex x and c, elementwise for arrays
+    with the float path's bits and signed zeros.  numpy's complex product
+    fuses a multiply and an add, which changes the last bit of most products
+    and can give a product that underflows to zero the other sign, so the
+    array path spells out CPython's product, real = xr cr - xi ci and
+    imag = xr ci + xi cr, in real arithmetic."""
+    if _lib(x, c) is math:
         return complex(x) * c
-    out = np.empty(np.shape(x), complex)
-    out.real = x * c.real - 0.0 * c.imag
-    out.imag = x * c.imag + 0.0 * c.real
-    return out
-
-
-def _cmul(a, b):
-    """a * b for complex (or real) a and b, elementwise for arrays with the
-    float path's bits: CPython's real = ar br - ai bi and imag = ar bi + ai br,
-    spelled out in real arithmetic, where numpy's complex product fuses a
-    multiply and an add."""
-    if _lib(a, b) is math:
-        return a * b
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(c)), complex)
+    out.real = x.real * c.real - x.imag * c.imag
+    out.imag = x.real * c.imag + x.imag * c.real
     return out
 
 
@@ -383,14 +372,14 @@ class ComplexTernary:
     def __mul__(self, other):
         if isinstance(other, ComplexTernary):
             return ComplexTernary(
-                _cmul(self.c0, other.c0) + _cmul(self.c1, other.c2) + _cmul(self.c2, other.c1),
-                _cmul(self.c0, other.c1) + _cmul(self.c1, other.c0) + _cmul(self.c2, other.c2),
-                _cmul(self.c0, other.c2) + _cmul(self.c1, other.c1) + _cmul(self.c2, other.c0),
+                _complex(self.c0, other.c0) + _complex(self.c1, other.c2) + _complex(self.c2, other.c1),
+                _complex(self.c0, other.c1) + _complex(self.c1, other.c0) + _complex(self.c2, other.c2),
+                _complex(self.c0, other.c2) + _complex(self.c1, other.c1) + _complex(self.c2, other.c0),
             )
-        return ComplexTernary(_cmul(self.c0, other), _cmul(self.c1, other), _cmul(self.c2, other))
+        return ComplexTernary(_complex(self.c0, other), _complex(self.c1, other), _complex(self.c2, other))
 
     def __rmul__(self, other):
-        return ComplexTernary(_cmul(self.c0, other), _cmul(self.c1, other), _cmul(self.c2, other))
+        return ComplexTernary(_complex(self.c0, other), _complex(self.c1, other), _complex(self.c2, other))
 
 
 def conjugates(z: Ternary) -> tuple[ComplexTernary, ComplexTernary]:

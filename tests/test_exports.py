@@ -70,8 +70,8 @@ def test_keyword_options_are_pinned():
 
 
 def test_package_does_not_import_scipy():
-    # scipy is a test-only oracle; the package depends on numpy alone
-    pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    # scipy and mpmath are test-only oracles; the package depends on numpy alone
+    pattern = re.compile(r"^\s*(import|from)\s+(scipy|mpmath)\b", re.MULTILINE)
     sources = Path(ternion.__file__).parent.glob("*.py")
     assert [p.name for p in sources if pattern.search(p.read_text())] == []
 
