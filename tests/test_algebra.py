@@ -411,9 +411,9 @@ def test_array_arithmetic_is_bit_identical(cols):
 
 
 def test_array_complex_products_are_bit_identical(rng):
-    # numpy's complex product fuses a multiply and an add, and on random
-    # components most products differed from the float path in some bit;
-    # the array path spells out CPython's product in real arithmetic
+    # numpy's complex product fuses a multiply and an add, which moves the
+    # last bit of most products, so the array path must spell out CPython's
+    # product: ternary x ternary, and scalar x ternary on either side
     n = 1000
     parts = rng.standard_normal((2, 3, 2, n)) * 10.0 ** rng.integers(-3, 4, (2, 3, 2, n))
     parts[:, :, :, :8] = [0.0, -0.0, 1.0, -1.0, 0.0, -0.0, -2.5, 3.0]  # signed zeros

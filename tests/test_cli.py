@@ -1078,9 +1078,9 @@ def test_inverse_conjugate_out_of_float_range_is_singular_on_path(capsys):
 )
 def test_inverse_conjugate_at_a_zero_norm_node_names_it(capsys, argv, node):
     # the default field divides by ||z||^3, which is exactly 0 on the
-    # trisectrice and on the plane x0 + x1 + x2 = 0: the first such node is
-    # named (the box's first node, the segment's midpoint), where the
-    # division itself used to raise divide by zero
+    # trisectrice and on the plane x0 + x1 + x2 = 0: it is tested before the
+    # division, and the first such node is named (the box's first node, the
+    # segment's midpoint)
     assert main(["integrate-form", *argv]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"SingularOnPath: integrand hit the singular set: non-invertible: ||z||^3 = 0 for z = {node}"]
