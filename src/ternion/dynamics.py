@@ -277,6 +277,64 @@ _EBAR5 = _times_a(_DOP853_E5)
 _EBAR3 = _times_a(_DOP853_E3)
 
 
+# The step is generated: its source is emitted from the tables above once at
+# import and compiled, so that the tables stay the only copy of the tableau's
+# entries and sparsity while the step runs as straight-line code, with no
+# loop and no call but abs (math.sqrt, correctly rounded, is left to the
+# controller, so no libm reaches a step's bits).  Coefficients are repr
+# literals, exactly-zero entries are left out, each sum starts at its first
+# term and adds the rest in stage order, and each stage's admissibility test
+# and acceleration are _accel's, operation for operation: the samples' bits,
+# signed zeros included, are pinned in tests/test_dynamics.py, and
+# tests/oracles.py keeps the loop over the tables with _accel as the
+# bit-for-bit reference.
+def _step_source() -> str:
+    """Source of _step(l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, dt, ng, eps,
+    guard), ng = -g: stages 2..12, the new position (x, y, z) and its slope
+    a13 (stage 13, the next step's first), the new velocity u and the 5th-
+    and 3rd-order error estimates d5 and d3, returned as 21 floats in that
+    order.  It raises OnSingularSet when a stage or the new position fails
+    _accel's test at margin eps, or the new position has |l| |r|^2 below
+    guard."""
+    pos, vel = ("l", "r1", "r2"), ("v0", "v1", "v2")
+
+    def weighted(weights, m):
+        return " + ".join(f"{w!r} * a{k}_{m}" for k, w in enumerate(weights, 1) if w != 0.0)
+
+    lines = ["def _step(l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, dt, ng, eps, guard):"]
+    stages = [(f"{c!r} * ", row) for c, row in zip(_C, _ABAR)] + [("", _BBAR)]
+    for i, (c, row) in enumerate(stages, 2):
+        for m, name in enumerate("xyz"):
+            inner = f" + dt * ({weighted(row, m)})" if any(row) else ""
+            lines.append(f"    {name} = {pos[m]} + dt * ({c}{vel[m]}{inner})")
+        lines += [
+            "    rsq, ax = y * y + z * z, abs(x)",
+            "    edge = eps * (1.0 + ax)",
+            "    if rsq <= edge * edge or ax <= eps:",
+            "        raise OnSingularSet",
+            "    k = ng / (x * rsq)",
+            f"    a{i}_0, a{i}_1, a{i}_2 = k * x, k * y, k * z",
+        ]
+    lines += ["    if ax * rsq < guard:", "        raise OnSingularSet", "    h2 = dt * dt"]
+    lines += [f"    u{m} = {vel[m]} + dt * ({weighted(_DOP853_B, m)})" for m in range(3)]
+    for d, ebar, e in (("d5", _EBAR5, _DOP853_E5), ("d3", _EBAR3, _DOP853_E3)):
+        lines += [f"    {d}_{m} = h2 * ({weighted(ebar, m)})" for m in range(3)]
+        lines += [f"    {d}_{m + 3} = dt * ({weighted(e, m)})" for m in range(3)]
+    names = ["x", "y", "z", "u0", "u1", "u2", "a13_0", "a13_1", "a13_2"]
+    names += [f"{d}_{m}" for d in ("d5", "d3") for m in range(6)]
+    lines.append(f"    return {', '.join(names)}")
+    return "\n".join(lines) + "\n"
+
+
+def _compile_step():
+    namespace = {"OnSingularSet": OnSingularSet}
+    exec(compile(_step_source(), "<DOP853 Nystrom step>", "exec"), namespace)
+    return namespace["_step"]
+
+
+_step = _compile_step()
+
+
 def integrate(
     s0: MonopoleState,
     g: float,
@@ -297,9 +355,14 @@ def integrate(
     collapse; StepFailure means the controller stalled, used up MAX_STEPS,
     or met an error norm out of the float range (a tol near 1e-200 or less).
     Both carry the trajectory up to the last accepted step.  A non-finite
-    t_end, g or component of s0 raises DomainError before the first step.
+    t_end, g or component of s0, or a tol or max_step that is not finite and
+    > 0, raises DomainError before the first step.
     """
     _require_finite("integrate", t_end=t_end, g=g, **vars(s0))
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"integrate needs a finite tol > 0, got {tol}")
+    if max_step is not None and not 0.0 < max_step < math.inf:
+        raise DomainError(f"integrate needs a finite max_step > 0, got {max_step}")
     t = float(s0.t)
     if t_end <= t:
         raise DomainError(f"t_end must exceed the initial time, got {t_end} <= {t}")
@@ -311,8 +374,7 @@ def integrate(
     times.append(t)
     states.append((l, r1, r2, v0, v1, v2))
 
-    # Stage k's slope is the acceleration (ak_0, ak_1, ak_2) at its position;
-    # stage 1's is carried over from the previous step.
+    # Stage 1's slope is carried over from the previous step (first-same-as-last).
     try:
         a1_0, a1_1, a1_2 = _accel(l, r1, r2, g)
     except OnSingularSet as exc:
@@ -325,38 +387,14 @@ def integrate(
     if max_step is not None:
         dt = min(dt, max_step)
 
-    # The step is written out for speed, with no call but abs, list.append and
-    # math.sqrt (correctly rounded, so no libm reaches a step's bits).  The
-    # tables' nonzero entries are unpacked into locals: C_i = c_i, AAi_k =
-    # abar_ik, BA_k = bbar_k, B_k = b_k, E5_k and E3_k the velocity error
-    # weights and E5A_k and E3A_k the position ones; the _ are zero entries,
-    # left out.  Each stage's admissibility test and acceleration repeat
-    # _accel's expressions, and each min/max is a conditional that picks what
-    # min/max would (the first argument on ties and NaN); tests/oracles.py
-    # keeps the loop with the calls as the bit-for-bit reference.  Each sum
-    # starts at its first term and adds the rest in stage order: the samples'
-    # bits, signed zeros included, are pinned in tests/test_dynamics.py.
-    C_2, C_3, C_4, C_5, C_6, C_7, C_8, C_9, C_10, C_11, C_12 = _C
-    (
-        (),
-        (AA3_1,),
-        (AA4_1, AA4_2),
-        (AA5_1, AA5_2, AA5_3),
-        (AA6_1, _, AA6_3, AA6_4),
-        (AA7_1, _, AA7_3, AA7_4, AA7_5),
-        (AA8_1, _, AA8_3, AA8_4, AA8_5, AA8_6),
-        (AA9_1, _, AA9_3, AA9_4, AA9_5, AA9_6, AA9_7),
-        (AA10_1, _, AA10_3, AA10_4, AA10_5, AA10_6, AA10_7, AA10_8),
-        (AA11_1, _, AA11_3, AA11_4, AA11_5, AA11_6, AA11_7, AA11_8, AA11_9),
-        (AA12_1, _, AA12_3, AA12_4, AA12_5, AA12_6, AA12_7, AA12_8, AA12_9, AA12_10),
-    ) = _ABAR
-    BA_1, _, _, BA_4, BA_5, BA_6, BA_7, BA_8, BA_9, BA_10, BA_11 = _BBAR
-    B_1, _, _, _, _, B_6, B_7, B_8, B_9, B_10, B_11, B_12 = _DOP853_B
-    E5A_1, _, _, E5A_4, E5A_5, E5A_6, E5A_7, E5A_8, E5A_9, E5A_10, E5A_11, _ = _EBAR5
-    E5_1, _, _, _, _, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11, E5_12, _ = _DOP853_E5
-    E3A_1, _, _, E3A_4, E3A_5, E3A_6, E3A_7, E3A_8, E3A_9, E3A_10, E3A_11, _ = _EBAR3
-    E3_1, _, _, _, _, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11, E3_12, _ = _DOP853_E3
-    eps, max_steps, sqrt, inf = EPS_FIELD, MAX_STEPS, math.sqrt, math.inf
+    # _step, generated from the tables above, takes the stages; the controller
+    # is written out around it with no call but abs, list.append and math.sqrt.
+    # Each min/max is a conditional that picks what min/max would (the first
+    # argument on ties and NaN), and the old state's magnitudes o are the last
+    # accepted step's new ones n; tests/oracles.py keeps the loop with the
+    # calls as the bit-for-bit reference.
+    step, ng, eps, max_steps, sqrt, inf = _step, -g, EPS_FIELD, MAX_STEPS, math.sqrt, math.inf
+    o0, o1, o2, o3, o4, o5 = abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2)
     n_accepted = n_rejected = 0
     dt_acc = err_acc = 1.0  # the last accepted step and its error, floored at 0.01
     try:
@@ -370,257 +408,14 @@ def integrate(
             if dt < 1e-14 * (at if at > 1.0 else 1.0):
                 raise StepFailure(f"step size underflow at t = {t}", traj)
             try:
-                # stage 2: its AA row is empty, so it has no sum
-                x = l + dt * (C_2 * v0)
-                y = r1 + dt * (C_2 * v1)
-                z = r2 + dt * (C_2 * v2)
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a2_0, a2_1, a2_2 = k * x, k * y, k * z
-                # stage 3
-                x = l + dt * (C_3 * v0 + dt * (AA3_1 * a1_0))
-                y = r1 + dt * (C_3 * v1 + dt * (AA3_1 * a1_1))
-                z = r2 + dt * (C_3 * v2 + dt * (AA3_1 * a1_2))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a3_0, a3_1, a3_2 = k * x, k * y, k * z
-                # stage 4
-                x = l + dt * (C_4 * v0 + dt * (AA4_1 * a1_0 + AA4_2 * a2_0))
-                y = r1 + dt * (C_4 * v1 + dt * (AA4_1 * a1_1 + AA4_2 * a2_1))
-                z = r2 + dt * (C_4 * v2 + dt * (AA4_1 * a1_2 + AA4_2 * a2_2))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a4_0, a4_1, a4_2 = k * x, k * y, k * z
-                # stage 5
-                x = l + dt * (C_5 * v0 + dt * (AA5_1 * a1_0 + AA5_2 * a2_0 + AA5_3 * a3_0))
-                y = r1 + dt * (C_5 * v1 + dt * (AA5_1 * a1_1 + AA5_2 * a2_1 + AA5_3 * a3_1))
-                z = r2 + dt * (C_5 * v2 + dt * (AA5_1 * a1_2 + AA5_2 * a2_2 + AA5_3 * a3_2))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a5_0, a5_1, a5_2 = k * x, k * y, k * z
-                # stage 6
-                x = l + dt * (C_6 * v0 + dt * (AA6_1 * a1_0 + AA6_3 * a3_0 + AA6_4 * a4_0))
-                y = r1 + dt * (C_6 * v1 + dt * (AA6_1 * a1_1 + AA6_3 * a3_1 + AA6_4 * a4_1))
-                z = r2 + dt * (C_6 * v2 + dt * (AA6_1 * a1_2 + AA6_3 * a3_2 + AA6_4 * a4_2))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a6_0, a6_1, a6_2 = k * x, k * y, k * z
-                # stage 7
-                x = l + dt * (C_7 * v0 + dt * (
-                    AA7_1 * a1_0 + AA7_3 * a3_0 + AA7_4 * a4_0 + AA7_5 * a5_0
-                ))
-                y = r1 + dt * (C_7 * v1 + dt * (
-                    AA7_1 * a1_1 + AA7_3 * a3_1 + AA7_4 * a4_1 + AA7_5 * a5_1
-                ))
-                z = r2 + dt * (C_7 * v2 + dt * (
-                    AA7_1 * a1_2 + AA7_3 * a3_2 + AA7_4 * a4_2 + AA7_5 * a5_2
-                ))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a7_0, a7_1, a7_2 = k * x, k * y, k * z
-                # stage 8
-                x = l + dt * (C_8 * v0 + dt * (
-                    AA8_1 * a1_0 + AA8_3 * a3_0 + AA8_4 * a4_0 + AA8_5 * a5_0 + AA8_6 * a6_0
-                ))
-                y = r1 + dt * (C_8 * v1 + dt * (
-                    AA8_1 * a1_1 + AA8_3 * a3_1 + AA8_4 * a4_1 + AA8_5 * a5_1 + AA8_6 * a6_1
-                ))
-                z = r2 + dt * (C_8 * v2 + dt * (
-                    AA8_1 * a1_2 + AA8_3 * a3_2 + AA8_4 * a4_2 + AA8_5 * a5_2 + AA8_6 * a6_2
-                ))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a8_0, a8_1, a8_2 = k * x, k * y, k * z
-                # stage 9
-                x = l + dt * (C_9 * v0 + dt * (
-                    AA9_1 * a1_0 + AA9_3 * a3_0 + AA9_4 * a4_0 + AA9_5 * a5_0 + AA9_6 * a6_0
-                    + AA9_7 * a7_0
-                ))
-                y = r1 + dt * (C_9 * v1 + dt * (
-                    AA9_1 * a1_1 + AA9_3 * a3_1 + AA9_4 * a4_1 + AA9_5 * a5_1 + AA9_6 * a6_1
-                    + AA9_7 * a7_1
-                ))
-                z = r2 + dt * (C_9 * v2 + dt * (
-                    AA9_1 * a1_2 + AA9_3 * a3_2 + AA9_4 * a4_2 + AA9_5 * a5_2 + AA9_6 * a6_2
-                    + AA9_7 * a7_2
-                ))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a9_0, a9_1, a9_2 = k * x, k * y, k * z
-                # stage 10
-                x = l + dt * (C_10 * v0 + dt * (
-                    AA10_1 * a1_0 + AA10_3 * a3_0 + AA10_4 * a4_0 + AA10_5 * a5_0
-                    + AA10_6 * a6_0 + AA10_7 * a7_0 + AA10_8 * a8_0
-                ))
-                y = r1 + dt * (C_10 * v1 + dt * (
-                    AA10_1 * a1_1 + AA10_3 * a3_1 + AA10_4 * a4_1 + AA10_5 * a5_1
-                    + AA10_6 * a6_1 + AA10_7 * a7_1 + AA10_8 * a8_1
-                ))
-                z = r2 + dt * (C_10 * v2 + dt * (
-                    AA10_1 * a1_2 + AA10_3 * a3_2 + AA10_4 * a4_2 + AA10_5 * a5_2
-                    + AA10_6 * a6_2 + AA10_7 * a7_2 + AA10_8 * a8_2
-                ))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a10_0, a10_1, a10_2 = k * x, k * y, k * z
-                # stage 11
-                x = l + dt * (C_11 * v0 + dt * (
-                    AA11_1 * a1_0 + AA11_3 * a3_0 + AA11_4 * a4_0 + AA11_5 * a5_0
-                    + AA11_6 * a6_0 + AA11_7 * a7_0 + AA11_8 * a8_0 + AA11_9 * a9_0
-                ))
-                y = r1 + dt * (C_11 * v1 + dt * (
-                    AA11_1 * a1_1 + AA11_3 * a3_1 + AA11_4 * a4_1 + AA11_5 * a5_1
-                    + AA11_6 * a6_1 + AA11_7 * a7_1 + AA11_8 * a8_1 + AA11_9 * a9_1
-                ))
-                z = r2 + dt * (C_11 * v2 + dt * (
-                    AA11_1 * a1_2 + AA11_3 * a3_2 + AA11_4 * a4_2 + AA11_5 * a5_2
-                    + AA11_6 * a6_2 + AA11_7 * a7_2 + AA11_8 * a8_2 + AA11_9 * a9_2
-                ))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a11_0, a11_1, a11_2 = k * x, k * y, k * z
-                # stage 12
-                x = l + dt * (C_12 * v0 + dt * (
-                    AA12_1 * a1_0 + AA12_3 * a3_0 + AA12_4 * a4_0 + AA12_5 * a5_0
-                    + AA12_6 * a6_0 + AA12_7 * a7_0 + AA12_8 * a8_0 + AA12_9 * a9_0
-                    + AA12_10 * a10_0
-                ))
-                y = r1 + dt * (C_12 * v1 + dt * (
-                    AA12_1 * a1_1 + AA12_3 * a3_1 + AA12_4 * a4_1 + AA12_5 * a5_1
-                    + AA12_6 * a6_1 + AA12_7 * a7_1 + AA12_8 * a8_1 + AA12_9 * a9_1
-                    + AA12_10 * a10_1
-                ))
-                z = r2 + dt * (C_12 * v2 + dt * (
-                    AA12_1 * a1_2 + AA12_3 * a3_2 + AA12_4 * a4_2 + AA12_5 * a5_2
-                    + AA12_6 * a6_2 + AA12_7 * a7_2 + AA12_8 * a8_2 + AA12_9 * a9_2
-                    + AA12_10 * a10_2
-                ))
-                rsq = y * y + z * z
-                edge = eps * (1.0 + abs(x))
-                if rsq <= edge * edge or abs(x) <= eps:
-                    raise OnSingularSet
-                k = -g / (x * rsq)
-                a12_0, a12_1, a12_2 = k * x, k * y, k * z
-                # the new position; its slope is the next step's first (first-same-as-last)
-                p0 = l + dt * (v0 + dt * (
-                    BA_1 * a1_0 + BA_4 * a4_0 + BA_5 * a5_0 + BA_6 * a6_0 + BA_7 * a7_0
-                    + BA_8 * a8_0 + BA_9 * a9_0 + BA_10 * a10_0 + BA_11 * a11_0
-                ))
-                p1 = r1 + dt * (v1 + dt * (
-                    BA_1 * a1_1 + BA_4 * a4_1 + BA_5 * a5_1 + BA_6 * a6_1 + BA_7 * a7_1
-                    + BA_8 * a8_1 + BA_9 * a9_1 + BA_10 * a10_1 + BA_11 * a11_1
-                ))
-                p2 = r2 + dt * (v2 + dt * (
-                    BA_1 * a1_2 + BA_4 * a4_2 + BA_5 * a5_2 + BA_6 * a6_2 + BA_7 * a7_2
-                    + BA_8 * a8_2 + BA_9 * a9_2 + BA_10 * a10_2 + BA_11 * a11_2
-                ))
-                rsq = p1 * p1 + p2 * p2
-                edge = eps * (1.0 + abs(p0))
-                if rsq <= edge * edge or abs(p0) <= eps:
-                    raise OnSingularSet
-                k = -g / (p0 * rsq)
-                a13_0, a13_1, a13_2 = k * p0, k * p1, k * p2
-                if abs(p0) * rsq < guard:
-                    raise OnSingularSet
+                (
+                    p0, p1, p2, u0, u1, u2, a13_0, a13_1, a13_2,
+                    d5_0, d5_1, d5_2, d5_3, d5_4, d5_5, d3_0, d3_1, d3_2, d3_3, d3_4, d3_5,
+                ) = step(l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, dt, ng, eps, guard)
             except OnSingularSet:
                 raise SingularApproach(f"approached the singular set near t = {t:.6g}", traj) from None
-            # the new velocity
-            u0 = v0 + dt * (
-                B_1 * a1_0 + B_6 * a6_0 + B_7 * a7_0 + B_8 * a8_0 + B_9 * a9_0 + B_10 * a10_0
-                + B_11 * a11_0 + B_12 * a12_0
-            )
-            u1 = v1 + dt * (
-                B_1 * a1_1 + B_6 * a6_1 + B_7 * a7_1 + B_8 * a8_1 + B_9 * a9_1 + B_10 * a10_1
-                + B_11 * a11_1 + B_12 * a12_1
-            )
-            u2 = v2 + dt * (
-                B_1 * a1_2 + B_6 * a6_2 + B_7 * a7_2 + B_8 * a8_2 + B_9 * a9_2 + B_10 * a10_2
-                + B_11 * a11_2 + B_12 * a12_2
-            )
-            # 5th- and 3rd-order error estimates: dt^2 sums in the positions, dt sums
-            # in the velocities
-            h2 = dt * dt
-            d5_0 = h2 * (
-                E5A_1 * a1_0 + E5A_4 * a4_0 + E5A_5 * a5_0 + E5A_6 * a6_0 + E5A_7 * a7_0
-                + E5A_8 * a8_0 + E5A_9 * a9_0 + E5A_10 * a10_0 + E5A_11 * a11_0
-            )
-            d5_1 = h2 * (
-                E5A_1 * a1_1 + E5A_4 * a4_1 + E5A_5 * a5_1 + E5A_6 * a6_1 + E5A_7 * a7_1
-                + E5A_8 * a8_1 + E5A_9 * a9_1 + E5A_10 * a10_1 + E5A_11 * a11_1
-            )
-            d5_2 = h2 * (
-                E5A_1 * a1_2 + E5A_4 * a4_2 + E5A_5 * a5_2 + E5A_6 * a6_2 + E5A_7 * a7_2
-                + E5A_8 * a8_2 + E5A_9 * a9_2 + E5A_10 * a10_2 + E5A_11 * a11_2
-            )
-            d5_3 = dt * (
-                E5_1 * a1_0 + E5_6 * a6_0 + E5_7 * a7_0 + E5_8 * a8_0 + E5_9 * a9_0
-                + E5_10 * a10_0 + E5_11 * a11_0 + E5_12 * a12_0
-            )
-            d5_4 = dt * (
-                E5_1 * a1_1 + E5_6 * a6_1 + E5_7 * a7_1 + E5_8 * a8_1 + E5_9 * a9_1
-                + E5_10 * a10_1 + E5_11 * a11_1 + E5_12 * a12_1
-            )
-            d5_5 = dt * (
-                E5_1 * a1_2 + E5_6 * a6_2 + E5_7 * a7_2 + E5_8 * a8_2 + E5_9 * a9_2
-                + E5_10 * a10_2 + E5_11 * a11_2 + E5_12 * a12_2
-            )
-            d3_0 = h2 * (
-                E3A_1 * a1_0 + E3A_4 * a4_0 + E3A_5 * a5_0 + E3A_6 * a6_0 + E3A_7 * a7_0
-                + E3A_8 * a8_0 + E3A_9 * a9_0 + E3A_10 * a10_0 + E3A_11 * a11_0
-            )
-            d3_1 = h2 * (
-                E3A_1 * a1_1 + E3A_4 * a4_1 + E3A_5 * a5_1 + E3A_6 * a6_1 + E3A_7 * a7_1
-                + E3A_8 * a8_1 + E3A_9 * a9_1 + E3A_10 * a10_1 + E3A_11 * a11_1
-            )
-            d3_2 = h2 * (
-                E3A_1 * a1_2 + E3A_4 * a4_2 + E3A_5 * a5_2 + E3A_6 * a6_2 + E3A_7 * a7_2
-                + E3A_8 * a8_2 + E3A_9 * a9_2 + E3A_10 * a10_2 + E3A_11 * a11_2
-            )
-            d3_3 = dt * (
-                E3_1 * a1_0 + E3_6 * a6_0 + E3_7 * a7_0 + E3_8 * a8_0 + E3_9 * a9_0
-                + E3_10 * a10_0 + E3_11 * a11_0 + E3_12 * a12_0
-            )
-            d3_4 = dt * (
-                E3_1 * a1_1 + E3_6 * a6_1 + E3_7 * a7_1 + E3_8 * a8_1 + E3_9 * a9_1
-                + E3_10 * a10_1 + E3_11 * a11_1 + E3_12 * a12_1
-            )
-            d3_5 = dt * (
-                E3_1 * a1_2 + E3_6 * a6_2 + E3_7 * a7_2 + E3_8 * a8_2 + E3_9 * a9_2
-                + E3_10 * a10_2 + E3_11 * a11_2 + E3_12 * a12_2
-            )
             # RMS norms over the per-component scale tol (1 + max(|old|, |new|)),
             # combined as DOP853 does: err5^2 / sqrt((err5^2 + 0.01 err3^2) 6)
-            o0, o1, o2, o3, o4, o5 = abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2)
             n0, n1, n2, n3, n4, n5 = abs(p0), abs(p1), abs(p2), abs(u0), abs(u1), abs(u2)
             w0 = tol + tol * (n0 if n0 > o0 else o0)
             w1 = tol + tol * (n1 if n1 > o1 else o1)
@@ -644,6 +439,7 @@ def integrate(
             if err <= 1.0:
                 t += dt
                 l, r1, r2, v0, v1, v2 = p0, p1, p2, u0, u1, u2
+                o0, o1, o2, o3, o4, o5 = n0, n1, n2, n3, n4, n5
                 a1_0, a1_1, a1_2 = a13_0, a13_1, a13_2  # first-same-as-last
                 times.append(t)
                 states.append((l, r1, r2, v0, v1, v2))

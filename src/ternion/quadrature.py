@@ -18,7 +18,8 @@ integrand written for floats must be vectorized (or wrapped by its caller)
 first.
 
 Each call owns one budget of 10**6 integrand evaluations, charged cell by
-cell.  QuadratureFailure is raised when the budget runs out, a cell stalls
+cell.  A tol that is not finite and > 0 raises DomainError before the first
+call.  QuadratureFailure is raised when the budget runs out, a cell stalls
 (see _integrate) or the integrand is not finite.  Every failure is the one
 that one call per cell, in the same order, raises, and so is every bit of
 the value when the integrand works node by node.
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import DomainError, QuadratureFailure
 
 __all__ = ["adaptive_quad", "adaptive_quad_2d", "adaptive_quad_3d", "DEFAULT_TOL", "BUDGET"]
 
@@ -166,6 +167,8 @@ def _integrate(f, box, tol, budget):
     also gives the oriented value.  A cell stalls, and the integral fails, when
     its error is 0 or its split axis is no wider than |lo| 1e-15 + 1e-300.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"quadrature needs a finite tol > 0, got {tol}")
     if len(box) == 1 and box[0][1] < box[0][0]:
         return -_integrate(f, (box[0][::-1],), tol, budget)
     order = itertools.count()

@@ -208,6 +208,23 @@ def test_integrate_rejects_non_finite_input_before_a_step(monkeypatch, name, val
         integrate(MonopoleState(**state), args["g"], args["t_end"])
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("tol", 0.0), ("tol", -1e-10), ("tol", math.nan), ("tol", math.inf),
+     ("max_step", 0.0), ("max_step", -1.0), ("max_step", math.nan), ("max_step", math.inf)],
+)
+def test_integrate_rejects_a_tol_or_max_step_not_finite_and_positive(monkeypatch, name, value):
+    # past this check a tol of 0.0 divides by zero in the error norm, a NaN
+    # or inf tol accepts every step, a negative tol or a NaN max_step runs
+    # into the singular set and a max_step <= 0 ends in step size underflow
+    def no_step(*a):
+        raise AssertionError("integrate evaluated the field")
+
+    monkeypatch.setattr(dynamics, "_accel", no_step)
+    with pytest.raises(DomainError, match=f"finite {name} > 0, got {value}$"):
+        integrate(MonopoleState(1.0, 0.5, 0.2, 0.1, 0.2, 0.0), 1.0, 1.0, **{name: value})
+
+
 def test_singular_approach_detected():
     # aimed straight at the l = 0 plane
     s0 = MonopoleState(1.0, 1.0, 0.0, -1.0, 0.0, 0.0)
@@ -491,7 +508,7 @@ def test_dop853_tableau_conditions():
 def test_nystrom_tables_match_exact_sums_of_products():
     # abar = A A, bbar = b A and ebar = E A (b as row 13), each entry to
     # 1e-15 of its sum's largest product; an entry with no nonzero product
-    # is exactly 0.0, which the written-out step leaves out
+    # is exactly 0.0, which the generated step leaves out
     a = ((),) + dynamics._DOP853_A + (dynamics._DOP853_B,)
     tables = [(row, dynamics._ABAR[i]) for i, row in enumerate(dynamics._DOP853_A)]
     tables += [
@@ -507,6 +524,12 @@ def test_nystrom_tables_match_exact_sums_of_products():
                 assert value == 0.0
             else:
                 assert abs(Fraction(value) - total) <= Fraction(1e-15) * largest
+
+
+def test_generated_step_names_no_global_but_abs_and_on_singular_set():
+    # a libm call inside the step would tie its bits to the host; math.sqrt
+    # belongs to the controller alone
+    assert set(dynamics._step.__code__.co_names) == {"abs", "OnSingularSet"}
 
 
 def test_integrate_has_order_eight():

@@ -21,7 +21,7 @@ from ternion.calculus import (
     volume_integral_3form,
 )
 from ternion.dynamics import general_solution, planar_solution
-from ternion.errors import QuadratureFailure
+from ternion.errors import DomainError, QuadratureFailure
 from ternion.quadrature import BUDGET, adaptive_quad, adaptive_quad_2d, adaptive_quad_3d
 
 from oracles import integrate_one_call_per_cell, pointwise
@@ -89,6 +89,23 @@ def test_integrand_of_the_wrong_shape_is_rejected(shape):
     # neither a bare (nodes,) row nor the transposed (nodes, m) is accepted
     with pytest.raises(ValueError, match=r"integrand returned shape .*; expected \(m, 15\)"):
         adaptive_quad(lambda x: np.ones(shape), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tol_not_finite_and_positive_is_rejected_before_a_call(d, tol):
+    # a tol of 0.0 would spend the whole budget, a NaN or inf one would
+    # return the first cell's estimate as converged
+    def f(*axes):
+        raise AssertionError("the integrand was called")
+
+    with pytest.raises(DomainError, match=f"finite tol > 0, got {tol}$"):
+        if d == 1:
+            adaptive_quad(f, 0.0, 1.0, tol)
+        elif d == 2:
+            adaptive_quad_2d(f, (0.0, 1.0), (0.0, 1.0), tol)
+        else:
+            adaptive_quad_3d(f, ((0.0, 1.0),) * 3, tol)
 
 
 def test_batched_integrand_gets_one_call_per_cell():
