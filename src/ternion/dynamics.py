@@ -288,14 +288,14 @@ _EBAR3 = _times_a(_DOP853_E3)
 # signed zeros included, are pinned in tests/test_dynamics.py, and
 # tests/oracles.py keeps the loop over the tables with _accel as the
 # bit-for-bit reference.
-def _step_source() -> str:
-    """Source of _step(l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, dt, ng, eps,
-    guard), ng = -g: stages 2..12, the new position (x, y, z) and its slope
-    a13 (stage 13, the next step's first), the new velocity u and the 5th-
-    and 3rd-order error estimates d5 and d3, returned as 21 floats in that
-    order.  It raises OnSingularSet when a stage or the new position fails
-    _accel's test at margin eps, or the new position has |l| |r|^2 below
-    guard."""
+def _emit_step():
+    """_step(l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, dt, ng, eps, guard),
+    ng = -g, compiled from the source emitted here: stages 2..12, the new
+    position (x, y, z) and its slope a13 (stage 13, the next step's first),
+    the new velocity u and the 5th- and 3rd-order error estimates d5 and d3,
+    returned as 21 floats in that order.  It raises OnSingularSet when a
+    stage or the new position fails _accel's test at margin eps, or the new
+    position has |l| |r|^2 below guard."""
     pos, vel = ("l", "r1", "r2"), ("v0", "v1", "v2")
 
     def weighted(weights, m):
@@ -323,16 +323,12 @@ def _step_source() -> str:
     names = ["x", "y", "z", "u0", "u1", "u2", "a13_0", "a13_1", "a13_2"]
     names += [f"{d}_{m}" for d in ("d5", "d3") for m in range(6)]
     lines.append(f"    return {', '.join(names)}")
-    return "\n".join(lines) + "\n"
-
-
-def _compile_step():
     namespace = {"OnSingularSet": OnSingularSet}
-    exec(compile(_step_source(), "<DOP853 Nystrom step>", "exec"), namespace)
+    exec(compile("\n".join(lines), "<DOP853 Nystrom step>", "exec"), namespace)
     return namespace["_step"]
 
 
-_step = _compile_step()
+_step = _emit_step()
 
 
 def integrate(
