@@ -29,7 +29,13 @@ and ternion.dynamics follow it.
 * Faults.  numpy returns inf or nan where the float path raises, so an
   array call that meets a fault replays the flagged points, in order, on
   floats (_fault): the first point whose float call raises decides the
-  error, which is that call's error, type and message.
+  error, which is that call's error, type and message.  When nothing
+  faults, a finiteness check costs one screen (_screen), a sum of squares
+  per array, and builds its exact per-point mask only when the screen
+  trips.  A screen trips on every value that is not finite, and also on
+  huge finite values whose squares overflow; then the exact mask decides,
+  so such values cost time but never an error.  Arrays are told from
+  floats by type, so a 0-d array takes the array path too.
 * Layout.  A batched result of several components holds them first and the
   points last, one contiguous row per component: field's vectors,
   calculus._on_stencil, and the (m, nodes) values that the quadrature
@@ -46,6 +52,7 @@ and characteristic_matrix.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -141,6 +148,32 @@ def _cbrt(n):
     return _lib(n).copysign(_pow(abs(n), 1.0 / 3.0), n)
 
 
+#: Arrays above this many entries skip the screen: OpenBLAS splits a longer
+#: dot over threads, whose wake-up can cost milliseconds, while the exact
+#: test costs such an array about a nanosecond per entry.
+_SCREEN_MAX = 8192
+
+
+def _screen(*xs) -> bool:
+    """Whether xs (floats or arrays) pass the screen that stands before each
+    exact fault test of the array path: one sum of squares per array, the
+    float itself otherwise, must be finite.  It never passes an entry that is
+    not finite, since squares of inf and nan stay inf and nan and squares
+    cannot cancel.  It may trip where every entry is finite, when a sum of
+    squares overflows on huge entries or an array is too long to screen;
+    the exact test then decides.  np.vdot takes any shape and leaves
+    numpy's error state alone, so an overflowing sum warns nothing; the sum
+    of a complex array is complex, hence cmath."""
+    for x in xs:
+        if isinstance(x, _ndarray):
+            if x.size > _SCREEN_MAX:
+                return False
+            x = np.vdot(x, x)
+        if not cmath.isfinite(x):
+            return False
+    return True
+
+
 def _fault(mask, kernel, *args) -> bool:
     """Whether a point faults by mask, the one replay of the array contract.
 
@@ -152,7 +185,7 @@ def _fault(mask, kernel, *args) -> bool:
     if not isinstance(mask, _ndarray):
         if not mask or _lib(*args) is math:
             return mask
-    elif not mask.any():
+    elif not np.count_nonzero(mask):
         return False
     mask, *columns = (a.ravel() for a in np.broadcast_arrays(mask, *args))
     for i in np.flatnonzero(mask):
@@ -162,8 +195,9 @@ def _fault(mask, kernel, *args) -> bool:
 
 def _finite(x, kernel, *args):
     """x, the components of kernel(*args), once the array points where one is
-    not finite are replayed through kernel (see _fault)."""
-    if _lib(*x) is np:
+    not finite are replayed through kernel (see _fault); the exact test runs
+    only where the screen trips."""
+    if not _screen(*x):
         _fault(~(np.isfinite(x[0]) & np.isfinite(x[1]) & np.isfinite(x[2])), kernel, *args)
     return x
 
@@ -172,8 +206,8 @@ def _finite(x, kernel, *args):
 class Ternary:
     """z = x0 + x1*q + x2*q^2 with real, finite components.
 
-    Components are floats or float arrays; array components are marked
-    read-only, as the value is immutable.
+    Components are floats or float arrays; array components, 0-d ones too,
+    are marked read-only, as the value is immutable.
     """
 
     x0: float
@@ -184,18 +218,20 @@ class Ternary:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        try:
-            for c in (self.x0, self.x1, self.x2):
+        x = x0, x1, x2 = self.x0, self.x1, self.x2
+        # three finite floats, the common case, skip the _lib call
+        if float is type(x0) is type(x1) is type(x2):
+            if math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2):
+                return
+        if _lib(*x) is math:
+            for c in x:
                 if not math.isfinite(c):
                     raise ValueError(f"non-finite ternary component: {c!r}")
-        except TypeError:
-            x = self.components()
-            if _lib(*x) is math:
-                raise
+        else:
             _finite(x, Ternary, *x)
             for c in x:
-                if _lib(c) is np:
-                    c.flags.writeable = False
+                if isinstance(c, _ndarray):
+                    c.setflags(write=False)
 
     def components(self):
         return (self.x0, self.x1, self.x2)
@@ -265,9 +301,7 @@ def cubic_form(u: float, v: float, w: float) -> float:
     d = w - u
     s += d * d
     c = (u + v + w) * 0.5 * s
-    if _lib(c) is np:
-        _fault(~np.isfinite(c), cubic_form, u, v, w)
-    elif not math.isfinite(c):
+    if not _screen(c) and _fault(~np.isfinite(c), cubic_form, u, v, w):
         raise OverflowError(f"cubic form out of float range: {c}")
     return c
 
@@ -290,9 +324,7 @@ def singular_tolerance(z: Ternary) -> float:
     """
     m = 1.0 + z.max_abs()
     t = EPS_SINGULAR * (m * m * m)
-    if _lib(t) is np:
-        _fault(~np.isfinite(t), lambda *c: singular_tolerance(Ternary(*c)), *z.components())
-    elif not math.isfinite(t):
+    if not _screen(t) and _fault(~np.isfinite(t), lambda *c: singular_tolerance(Ternary(*c)), *z.components()):
         raise OverflowError(f"singular tolerance out of float range: {t}")
     return t
 
@@ -481,7 +513,14 @@ def exp(z: Ternary) -> Ternary:
         m = _multisines(z.x1, z.x2, z.x0)
     except OverflowError:
         raise OverflowError(f"exp out of float range at z = ({z.x0}, {z.x1}, {z.x2})") from None
-    return Ternary(*_finite(m, lambda *c: exp(Ternary(*c)), *z.components()))
+    try:
+        return Ternary(*m)
+    except ValueError as exc:
+        error = exc
+    # Ternary's check screened the components; now the flagged points replay
+    # through exp, whose float error may come first
+    _finite(m, lambda *c: exp(Ternary(*c)), *z.components())
+    raise error
 
 
 def _log_parts(z: Ternary) -> tuple[float, float, float]:
@@ -529,16 +568,14 @@ class PolarForm:
     phi2: float
 
     def __post_init__(self):
-        try:
-            if not (math.isfinite(self.rho) and self.rho > 0.0):
-                raise DomainError(f"polar modulus must be positive and finite, got {self.rho!r}")
-            if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
+        args = rho, phi1, phi2 = self.rho, self.phi1, self.phi2
+        if _lib(*args) is math:
+            if not (math.isfinite(rho) and rho > 0.0):
+                raise DomainError(f"polar modulus must be positive and finite, got {rho!r}")
+            if not (math.isfinite(phi1) and math.isfinite(phi2)):
                 raise ValueError("non-finite polar angle")
-        except TypeError:
-            args = (self.rho, self.phi1, self.phi2)
-            if _lib(*args) is math:
-                raise
-            ok = np.isfinite(self.rho) & (self.rho > 0.0) & np.isfinite(self.phi1) & np.isfinite(self.phi2)
+        elif not _screen(*args) or np.count_nonzero(rho <= 0.0):
+            ok = np.isfinite(rho) & (rho > 0.0) & np.isfinite(phi1) & np.isfinite(phi2)
             _fault(~ok, PolarForm, *args)
 
     @property
@@ -576,7 +613,12 @@ def from_polar(p: PolarForm) -> Ternary:
             f"from_polar out of float range at (rho, phi1, phi2) = ({p.rho}, {p.phi1}, {p.phi2})"
         ) from None
     x = (p.rho * m0, p.rho * m1, p.rho * m2)
-    return Ternary(*_finite(x, lambda *c: from_polar(PolarForm(*c)), p.rho, p.phi1, p.phi2))
+    try:
+        return Ternary(*x)
+    except ValueError as exc:
+        error = exc
+    _finite(x, lambda *c: from_polar(PolarForm(*c)), p.rho, p.phi1, p.phi2)  # as in exp
+    raise error
 
 
 def characteristic_matrix(z: Ternary) -> np.ndarray:

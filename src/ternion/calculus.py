@@ -520,7 +520,7 @@ def _cubic_surface_point(rho: float, a: float, theta: float):
     at (a, theta): the one point formula, for cubic_surface_geometry and
     cubic_band_patch.  a must be positive and rho too (DomainError)."""
     bad = np.less_equal(a, 0.0)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise DomainError(f"surface coordinate a must be positive, got {np.asarray(a)[bad].flat[0]}")
     _positive_rho(rho)
     r = rho ** 1.5 / np.sqrt(a)

@@ -34,6 +34,7 @@ import math
 
 import numpy as np
 
+from .algebra import _screen
 from .errors import DomainError, QuadratureFailure
 
 __all__ = ["adaptive_quad", "adaptive_quad_2d", "adaptive_quad_3d", "DEFAULT_TOL", "BUDGET"]
@@ -129,14 +130,14 @@ def _cells(f, boxes, budget):
             vols.append(math.prod(halves))
         axes = rows[0] if c == 1 else [np.concatenate(parts) for parts in zip(*rows)]
         for a in axes:
-            a.flags.writeable = False
+            a.setflags(write=False)
         vals = np.asarray(f(*axes))
         if vals.ndim != 2 or vals.shape[1] != c * n:
             # one layout only: a (nodes,) array would pass the reshape below
             raise ValueError(f"integrand returned shape {vals.shape}; expected (m, {c * n})")
         # checked before the weights multiply it: inf times a zero G7 weight
         # would warn
-        if not np.logical_and.reduce(np.isfinite(vals), axis=None):
+        if not _screen(vals) and not np.logical_and.reduce(np.isfinite(vals), axis=None):
             raise QuadratureFailure(f"non-finite integrand on {' and '.join(map(_span, boxes))}")
         # nodes last: accumulate adds each (rule, component, box) sum's nodes
         # one after another along a contiguous axis, as sum() does; reduce
@@ -145,7 +146,7 @@ def _cells(f, boxes, budget):
         terms = np.multiply(weights, vals.reshape(-1, c, n))
         sums = np.multiply(vols, np.add.accumulate(terms, axis=3, out=terms)[..., -1])
         k = sums[0]
-        if not np.logical_and.reduce(np.isfinite(k), axis=None):
+        if not _screen(k) and not np.logical_and.reduce(np.isfinite(k), axis=None):
             raise QuadratureFailure(f"non-finite integrand on {' and '.join(map(_span, boxes))}")
         errs = np.maximum.reduce(np.abs(sums[1:] - k), axis=1)
         return zip([k[:, i] for i in range(c)], zip(*errs.tolist()), errs.argmax(axis=0).tolist())

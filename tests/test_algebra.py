@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ternion import algebra as ta
+from ternion import calculus as tc
+from ternion import quadrature as tq
 from ternion.algebra import (
     ComplexTernary,
     E0,
@@ -672,3 +675,109 @@ def test_array_components_are_read_only():
         z.x0[0] = 2.0
     with pytest.raises(TypeError):
         math.sin(z.x0)
+
+
+def test_zero_dimensional_array_component_is_an_array():
+    # a 0-d array passes math.isfinite, but it takes the array path: it is
+    # marked read-only, and a fault names the float value, as a float call does
+    z = Ternary(np.array(1.5), 0.0, 0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        z.x0[()] = 7.0
+    with pytest.raises(ValueError, match=r"non-finite ternary component: inf$"):
+        Ternary(np.array(math.inf), 0.0, 0.0)
+
+
+def _huge(rng, lo, hi, n=8):
+    """n finite values of magnitude 10^lo to 10^hi, signs drawn."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+
+
+def _ternary(*components):
+    return np.broadcast_arrays(*Ternary(*components).components())
+
+
+def _polar_form(*args):
+    return np.broadcast_arrays(*astuple(PolarForm(*args)))
+
+
+def _line_integral(scale_by):
+    # a linear field, so the rule is exact up to rounding and tol can be relative
+    end = Ternary(2.0, 1.0, -1.0)
+    return tc.line_integral(lambda z: scale(z, scale_by), tc.segment(ONE, end), tol=1e-9 * scale_by)
+
+
+# kernel and arguments: squares of some entries overflow, so screens trip,
+# while every result is finite; the np.float64 scalars beside arrays must not
+# be squared, which would warn
+_FALSE_ALARMS = {
+    "ternary": lambda r: (_ternary, _huge(r, 160, 300), _huge(r, 160, 300), 2.0),
+    "ternary-float64": lambda r: (_ternary, np.float64(1e200), _huge(r, 160, 300), np.float64(-3.0)),
+    "polar": lambda r: (_polar_form, np.abs(_huge(r, 160, 300)), _huge(r, 160, 300), r.uniform(-1.0, 1.0, 8)),
+    "polar-float64": lambda r: (_polar_form, np.float64(1e200), _huge(r, 160, 300), np.float64(0.5)),
+    "norm_cubed": lambda r: (lambda *c: norm_cubed(Ternary(*c)), _huge(r, 60, 100), r.uniform(-1.0, 1.0, 8), 0.5),
+    "norm_cubed-float64": lambda r: (lambda *c: norm_cubed(Ternary(*c)), _huge(r, 60, 100), np.float64(1e90), np.float64(0.0)),
+    "singular_tolerance": lambda r: (lambda *c: singular_tolerance(Ternary(*c)), _huge(r, 60, 100), 1.0, np.float64(-2.0)),
+    "inverse": lambda r: (lambda *c: inverse(Ternary(*c)), _huge(r, 80, 100), r.uniform(-1.0, 1.0, 8), np.float64(0.5)),
+    "exp": lambda r: (lambda *c: exp(Ternary(*c)), r.uniform(360.0, 700.0, 8), r.uniform(-1.0, 1.0, 8), np.float64(0.5)),
+    "from_polar": lambda r: (lambda *a: from_polar(PolarForm(*a)), np.abs(_huge(r, 160, 300)), r.uniform(-1.0, 1.0, 8), np.float64(0.25)),
+    "line_integral": lambda r: (_line_integral, 10.0 ** r.uniform(160.0, 300.0)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_FALSE_ALARMS))
+def test_screen_false_alarms_keep_the_bytes(case, monkeypatch):
+    kernel, *args = _FALSE_ALARMS[case](np.random.default_rng(32))
+    screen, tripped = ta._screen, []
+
+    def watched(*xs):
+        tripped.append(not screen(*xs))
+        return not tripped[-1]
+
+    monkeypatch.setattr(ta, "_screen", watched)
+    monkeypatch.setattr(tq, "_screen", watched)
+    got = _outcome(kernel, *args)
+    assert isinstance(got, bytes) and any(tripped)
+    # every screen tripping runs every exact test: the checks without a screen
+    monkeypatch.setattr(ta, "_screen", lambda *xs: False)
+    monkeypatch.setattr(tq, "_screen", lambda *xs: False)
+    assert got == _outcome(kernel, *args)
+
+
+# kernel, benign points, the columns a fault may take and its values: a
+# non-finite input, or one whose result leaves the float range
+_MISSES = {
+    "ternary": (Ternary, (0.5, 2.0), (0, 1, 2), (math.nan, math.inf, -math.inf)),
+    "polar": (_polar_form, (0.5, 2.0), (0, 1, 2), (math.nan, math.inf, -math.inf)),
+    "cubic_form": (cubic_form, (0.5, 2.0), (0, 1, 2), (math.nan, math.inf, -math.inf)),
+    "norm_cubed": (lambda *c: norm_cubed(Ternary(*c)), (0.5, 2.0), (0, 1, 2), (1e120, -1e150)),
+    "singular_tolerance": (lambda *c: singular_tolerance(Ternary(*c)), (0.5, 2.0), (0, 1, 2), (1e120, -1e150)),
+    "inverse": (lambda *c: inverse(Ternary(*c)), (0.5, 2.0), (0, 1, 2), (1e120, -1e150)),
+    "exp": (lambda *c: exp(Ternary(*c)), (-1.0, 1.0), (0, 1, 2), (800.0, -1500.0)),
+    "from_polar": (lambda *a: from_polar(PolarForm(*a)), (0.5, 2.0), (1, 2), (800.0, -1500.0)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("case", list(_MISSES))
+def test_screen_never_misses_a_fault(case, seed):
+    kernel, (lo, hi), columns, values = _MISSES[case]
+    rng = np.random.default_rng([32, seed])
+    cols = [rng.uniform(lo, hi, 8) for _ in range(3)]
+    cols[rng.choice(columns)][rng.integers(8)] = rng.choice(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # array arithmetic follows numpy's error state
+        got = _outcome(kernel, *cols)
+    each = [_outcome(kernel, *point) for point in zip(*(c.tolist() for c in cols))]
+    assert got == next(o for o in each if isinstance(o, tuple))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_screen_trips_on_every_non_finite_entry(shape):
+    rng = np.random.default_rng(32)
+    for bad in (math.nan, math.inf, -math.inf):
+        x = _huge(rng, -300, 150, int(np.prod(shape))).reshape(shape)
+        assert ta._screen(x, 1.0)
+        x[np.unravel_index(rng.integers(x.size), shape)] = bad
+        assert not ta._screen(x, 1.0)
+        assert not ta._screen(1.0, np.float64(bad))
