@@ -218,11 +218,13 @@ class Ternary:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        x = x0, x1, x2 = self.x0, self.x1, self.x2
-        # three finite floats, the common case, skip the _lib call
-        if float is type(x0) is type(x1) is type(x2):
-            if math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2):
-                return
+        x0, x1, x2 = self.x0, self.x1, self.x2
+        # three floats, the common case, skip the _lib call; as for arrays,
+        # one sum screens them, since no sum of finite floats is nan and inf
+        # stays non-finite in any sum
+        if float is type(x0) is type(x1) is type(x2) and math.isfinite(x0 + x1 + x2):
+            return
+        x = (x0, x1, x2)
         if _lib(*x) is math:
             for c in x:
                 if not math.isfinite(c):
@@ -301,7 +303,10 @@ def cubic_form(u: float, v: float, w: float) -> float:
     d = w - u
     s += d * d
     c = (u + v + w) * 0.5 * s
-    if not _screen(c) and _fault(~np.isfinite(c), cubic_form, u, v, w):
+    if _lib(c) is np:
+        if not _screen(c):
+            _fault(~np.isfinite(c), cubic_form, u, v, w)
+    elif not math.isfinite(c):
         raise OverflowError(f"cubic form out of float range: {c}")
     return c
 
@@ -324,7 +329,10 @@ def singular_tolerance(z: Ternary) -> float:
     """
     m = 1.0 + z.max_abs()
     t = EPS_SINGULAR * (m * m * m)
-    if not _screen(t) and _fault(~np.isfinite(t), lambda *c: singular_tolerance(Ternary(*c)), *z.components()):
+    if _lib(t) is np:
+        if not _screen(t):
+            _fault(~np.isfinite(t), lambda *c: singular_tolerance(Ternary(*c)), *z.components())
+    elif not math.isfinite(t):
         raise OverflowError(f"singular tolerance out of float range: {t}")
     return t
 

@@ -40,7 +40,7 @@ from ternion.algebra import (
     tilde_product,
     to_polar,
 )
-from ternion.errors import DomainError, SingularNumber, TernionError
+from ternion.errors import DomainError, QuadratureFailure, SingularNumber, TernionError
 
 from oracles import (
     conjugate_product,
@@ -770,6 +770,18 @@ def test_screen_never_misses_a_fault(case, seed):
         got = _outcome(kernel, *cols)
     each = [_outcome(kernel, *point) for point in zip(*(c.tolist() for c in cols))]
     assert got == next(o for o in each if isinstance(o, tuple))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(3))
+def test_screen_never_misses_a_non_finite_integrand(seed, monkeypatch):
+    rng = np.random.default_rng([32, seed])
+    at, bad = rng.uniform(0.0, 0.99), rng.choice([math.nan, math.inf, -math.inf])
+    f = lambda t: np.stack([np.cos(t), np.where(t > at, bad, t)])
+    got = _outcome(tq.adaptive_quad, f, 0.0, 1.0)
+    assert got == (QuadratureFailure, "non-finite integrand on [0.0, 1.0]")
+    monkeypatch.setattr(tq, "_screen", lambda *xs: False)
+    assert got == _outcome(tq.adaptive_quad, f, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
