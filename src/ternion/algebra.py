@@ -219,9 +219,9 @@ class Ternary:
 
     def __post_init__(self):
         x0, x1, x2 = self.x0, self.x1, self.x2
-        # three floats, the common case, skip the _lib call; as for arrays,
-        # one sum screens them, since no sum of finite floats is nan and inf
-        # stays non-finite in any sum
+        # three floats, the common case, skip the _lib call: their sum is
+        # finite only if each is, and an overflowing sum falls through to the
+        # loop, as a screen does
         if float is type(x0) is type(x1) is type(x2) and math.isfinite(x0 + x1 + x2):
             return
         x = (x0, x1, x2)
