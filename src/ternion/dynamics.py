@@ -289,19 +289,28 @@ _EBAR3 = _times_a(_DOP853_E3)
 # tests/oracles.py keeps the loop over the tables with _accel as the
 # bit-for-bit reference.
 def _emit_step():
-    """_step(l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, dt, ng, eps, guard),
-    ng = -g, compiled from the source emitted here: stages 2..12, the new
-    position (x, y, z) and its slope a13 (stage 13, the next step's first),
-    the new velocity u and the 5th- and 3rd-order error estimates d5 and d3,
-    returned as 21 floats in that order.  It raises OnSingularSet when a
-    stage or the new position fails _accel's test at margin eps, or the new
-    position has |l| |r|^2 below guard."""
-    pos, vel = ("l", "r1", "r2"), ("v0", "v1", "v2")
+    """_step(s, dt, ng, eps, guard, tol), ng = -g, compiled from the source
+    emitted here.  s is the 15-float state record: the position (l, r1, r2),
+    the velocity, the slope at the position (stage 1, first-same-as-last)
+    and the six magnitudes |l|, ..., |v2|.  The step runs stages 2..12, takes
+    the new position and velocity, and the new position's slope (stage 13,
+    the next step's first), and returns (s_next, err5, err3): the new record
+    and the sums of squares of the 5th- and 3rd-order error estimates, each
+    component divided by its scale tol + tol max(|old|, |new|).  It raises
+    OnSingularSet when a stage or the new position fails _accel's test at
+    margin eps, or the new position has |l| |r|^2 below guard."""
+    pos, vel, new = ("l", "r1", "r2"), ("v0", "v1", "v2"), ("x", "y", "z", "u0", "u1", "u2")
 
     def weighted(weights, m):
         return " + ".join(f"{w!r} * a{k}_{m}" for k, w in enumerate(weights, 1) if w != 0.0)
 
-    lines = ["def _step(l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, dt, ng, eps, guard):"]
+    def six(prefix):
+        return ", ".join(f"{prefix}{m}" for m in range(6))
+
+    lines = [
+        "def _step(s, dt, ng, eps, guard, tol):",
+        f"    {', '.join(pos + vel)}, a1_0, a1_1, a1_2, {six('o')} = s",
+    ]
     stages = [(f"{c!r} * ", row) for c, row in zip(_C, _ABAR)] + [("", _BBAR)]
     for i, (c, row) in enumerate(stages, 2):
         for m, name in enumerate("xyz"):
@@ -317,12 +326,15 @@ def _emit_step():
         ]
     lines += ["    if ax * rsq < guard:", "        raise OnSingularSet", "    h2 = dt * dt"]
     lines += [f"    u{m} = {vel[m]} + dt * ({weighted(_DOP853_B, m)})" for m in range(3)]
-    for d, ebar, e in (("d5", _EBAR5, _DOP853_E5), ("d3", _EBAR3, _DOP853_E3)):
-        lines += [f"    {d}_{m} = h2 * ({weighted(ebar, m)})" for m in range(3)]
-        lines += [f"    {d}_{m + 3} = dt * ({weighted(e, m)})" for m in range(3)]
-    names = ["x", "y", "z", "u0", "u1", "u2", "a13_0", "a13_1", "a13_2"]
-    names += [f"{d}_{m}" for d in ("d5", "d3") for m in range(6)]
-    lines.append(f"    return {', '.join(names)}")
+    lines.append(f"    {six('n')} = {', '.join(f'abs({v})' for v in new)}")
+    # the scale of each component: tol (1 + max(|old|, |new|)), max as a
+    # conditional that picks the old magnitude on ties and NaN
+    lines += [f"    w{m} = tol + tol * (n{m} if n{m} > o{m} else o{m})" for m in range(6)]
+    for err, ebar, e in (("err5", _EBAR5, _DOP853_E5), ("err3", _EBAR3, _DOP853_E3)):
+        lines += [f"    q{m} = h2 * ({weighted(ebar, m)}) / w{m}" for m in range(3)]
+        lines += [f"    q{m + 3} = dt * ({weighted(e, m)}) / w{m + 3}" for m in range(3)]
+        lines.append(f"    {err} = {' + '.join(f'q{m} * q{m}' for m in range(6))}")
+    lines.append(f"    return ({', '.join(new)}, a13_0, a13_1, a13_2, {six('n')}), err5, err3")
     namespace = {"OnSingularSet": OnSingularSet}
     exec(compile("\n".join(lines), "<DOP853 Nystrom step>", "exec"), namespace)
     return namespace["_step"]
@@ -357,7 +369,9 @@ def integrate(
     _require_finite("integrate", t_end=t_end, g=g, **vars(s0))
     if not 0.0 < tol < math.inf:
         raise DomainError(f"integrate needs a finite tol > 0, got {tol}")
-    if max_step is not None and not 0.0 < max_step < math.inf:
+    if max_step is None:
+        max_step = math.inf
+    elif not 0.0 < max_step < math.inf:
         raise DomainError(f"integrate needs a finite max_step > 0, got {max_step}")
     t = float(s0.t)
     if t_end <= t:
@@ -379,18 +393,15 @@ def integrate(
     span = t_end - t
     fnorm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + a1_0 * a1_0 + a1_1 * a1_1 + a1_2 * a1_2)
     ynorm = math.sqrt(l * l + r1 * r1 + r2 * r2 + v0 * v0 + v1 * v1 + v2 * v2)
-    dt = min(span / 100.0, 0.01 * (1.0 + ynorm) / (1.0 + fnorm))
-    if max_step is not None:
-        dt = min(dt, max_step)
+    dt = min(span / 100.0, 0.01 * (1.0 + ynorm) / (1.0 + fnorm), max_step)
 
-    # _step, generated from the tables above, takes the stages; the controller
-    # is written out around it with no call but abs, list.append and math.sqrt.
-    # Each min/max is a conditional that picks what min/max would (the first
-    # argument on ties and NaN), and the old state's magnitudes o are the last
-    # accepted step's new ones n; tests/oracles.py keeps the loop with the
-    # calls as the bit-for-bit reference.
+    # _step, generated from the tables above, does all arithmetic over the
+    # state record s; the controller around it calls nothing but abs,
+    # list.append and math.sqrt.  Each min/max is a conditional that picks
+    # what min/max would (the first argument on ties and NaN); tests/oracles.py
+    # keeps the loop with the calls as the bit-for-bit reference.
     step, ng, eps, max_steps, sqrt, inf = _step, -g, EPS_FIELD, MAX_STEPS, math.sqrt, math.inf
-    o0, o1, o2, o3, o4, o5 = abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2)
+    s = (l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, abs(l), abs(r1), abs(r2), abs(v0), abs(v1), abs(v2))
     n_accepted = n_rejected = 0
     dt_acc = err_acc = 1.0  # the last accepted step and its error, floored at 0.01
     try:
@@ -404,27 +415,10 @@ def integrate(
             if dt < 1e-14 * (at if at > 1.0 else 1.0):
                 raise StepFailure(f"step size underflow at t = {t}", traj)
             try:
-                (
-                    p0, p1, p2, u0, u1, u2, a13_0, a13_1, a13_2,
-                    d5_0, d5_1, d5_2, d5_3, d5_4, d5_5, d3_0, d3_1, d3_2, d3_3, d3_4, d3_5,
-                ) = step(l, r1, r2, v0, v1, v2, a1_0, a1_1, a1_2, dt, ng, eps, guard)
+                s_next, err5, err3 = step(s, dt, ng, eps, guard, tol)
             except OnSingularSet:
                 raise SingularApproach(f"approached the singular set near t = {t:.6g}", traj) from None
-            # RMS norms over the per-component scale tol (1 + max(|old|, |new|)),
-            # combined as DOP853 does: err5^2 / sqrt((err5^2 + 0.01 err3^2) 6)
-            n0, n1, n2, n3, n4, n5 = abs(p0), abs(p1), abs(p2), abs(u0), abs(u1), abs(u2)
-            w0 = tol + tol * (n0 if n0 > o0 else o0)
-            w1 = tol + tol * (n1 if n1 > o1 else o1)
-            w2 = tol + tol * (n2 if n2 > o2 else o2)
-            w3 = tol + tol * (n3 if n3 > o3 else o3)
-            w4 = tol + tol * (n4 if n4 > o4 else o4)
-            w5 = tol + tol * (n5 if n5 > o5 else o5)
-            q0, q1, q2 = d5_0 / w0, d5_1 / w1, d5_2 / w2
-            q3, q4, q5 = d5_3 / w3, d5_4 / w4, d5_5 / w5
-            err5 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5
-            q0, q1, q2 = d3_0 / w0, d3_1 / w1, d3_2 / w2
-            q3, q4, q5 = d3_3 / w3, d3_4 / w4, d3_5 / w5
-            err3 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5
+            # the RMS norms combined as DOP853 does: err5^2 / sqrt((err5^2 + 0.01 err3^2) 6)
             denom = (err5 + 0.01 * err3) * 6.0
             if denom == inf:
                 msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
@@ -434,11 +428,9 @@ def integrate(
             factor = 0.9 * (1.0 / sqrt(sqrt(sqrt(err))) if err > 0.0 else 5.0)
             if err <= 1.0:
                 t += dt
-                l, r1, r2, v0, v1, v2 = p0, p1, p2, u0, u1, u2
-                o0, o1, o2, o3, o4, o5 = n0, n1, n2, n3, n4, n5
-                a1_0, a1_1, a1_2 = a13_0, a13_1, a13_2  # first-same-as-last
+                s = s_next
                 times.append(t)
-                states.append((l, r1, r2, v0, v1, v2))
+                states.append(s_next[:6])
                 n_accepted += 1
                 # Gustafsson's predictive control: from the second accept on, the
                 # factor is at most 0.9 (dt / dt_acc) (err_acc / err^2)^(1/8), which
@@ -454,7 +446,7 @@ def integrate(
                 n_rejected += 1
             factor = factor if factor > 0.2 else 0.2
             dt *= factor if factor < 5.0 else 5.0
-            if max_step is not None and max_step < dt:
+            if max_step < dt:
                 dt = max_step
     finally:
         traj.n_accepted, traj.n_rejected = n_accepted, n_rejected

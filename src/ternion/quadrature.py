@@ -135,16 +135,15 @@ def _cells(f, boxes, budget):
         if vals.ndim != 2 or vals.shape[1] != c * n:
             # one layout only: a (nodes,) array would pass the reshape below
             raise ValueError(f"integrand returned shape {vals.shape}; expected (m, {c * n})")
-        # checked before the weights multiply it: inf times a zero G7 weight
-        # would warn
-        if not _screen(vals) and not np.logical_and.reduce(np.isfinite(vals), axis=None):
-            raise QuadratureFailure(f"non-finite integrand on {' and '.join(map(_span, boxes))}")
         # nodes last: accumulate adds each (rule, component, box) sum's nodes
         # one after another along a contiguous axis, as sum() does; reduce
         # would sum it pairwise and change the last bits.  In place, a 15^3
-        # box holds one large temporary, not two.
-        terms = np.multiply(weights, vals.reshape(-1, c, n))
-        sums = np.multiply(vols, np.add.accumulate(terms, axis=3, out=terms)[..., -1])
+        # box holds one large temporary, not two.  A non-finite node value
+        # (inf times a zero G7 weight is nan) or an overflowing sum passes
+        # quietly here: every Kronrod weight is positive, so it reaches k.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.multiply(weights, vals.reshape(-1, c, n))
+            sums = np.multiply(vols, np.add.accumulate(terms, axis=3, out=terms)[..., -1])
         k = sums[0]
         if not _screen(k) and not np.logical_and.reduce(np.isfinite(k), axis=None):
             raise QuadratureFailure(f"non-finite integrand on {' and '.join(map(_span, boxes))}")

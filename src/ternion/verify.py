@@ -89,6 +89,12 @@ def _worst(r, counterexample):
     return r.flat[i], counterexample(i)
 
 
+def _largest(*residuals):
+    """The largest of the residuals, or the first nan among them, so that a
+    nan fails its bound (max keeps its first argument against a nan)."""
+    return _worst(np.array(residuals), lambda i: None)[0]
+
+
 def _at(z: Ternary, i) -> tuple:
     return tuple(c[i] for c in z.components())
 
@@ -109,11 +115,9 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     worst, ce = _worst(r, lambda i: {"phi1": p1[i], "phi2": p2[i], "m": [float(v[i]) for v in m]})
     out.append(_bound_check("cubic-identity m0^3+m1^3+m2^3-3m0m1m2=1", worst, 1e-10, ce))
 
-    worst, ce = 0.0, None
-    for k in range(3):
-        r = abs(ta.multisine(k, 0.0, 0.0) - (1.0 if k == 0 else 0.0))
-        if r > worst:
-            worst, ce = r, {"k": k, "value": ta.multisine(k, 0.0, 0.0)}
+    values = [ta.multisine(k, 0.0, 0.0) for k in range(3)]
+    r = np.array([abs(values[0] - 1.0), abs(values[1]), abs(values[2])])
+    worst, ce = _worst(r, lambda k: {"k": k, "value": values[k]})
     out.append(_bound_check("multisine-at-origin", worst, 1e-14, ce))
 
     x = rng.uniform(-3, 3, size=(300, 9)).T
@@ -210,12 +214,12 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     back = ta.idempotent_reconstruct(ta.idempotent_decompose(z))
     r = (back - z).max_abs() / (1.0 + z.max_abs())
     worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
-    rel = max(
+    rel = _largest(
         (ta.mul(ta.K0, ta.E0) - ta.ZERO).max_abs(),
         (ta.mul(ta.I_UNIT, ta.I_UNIT) + ta.E0).max_abs(),
         (ta.mul(ta.E0, ta.I_UNIT) - ta.I_UNIT).max_abs(),
     )
-    out.append(_bound_check("idempotent-basis-and-reconstruction", max(worst, rel), 1e-14, ce))
+    out.append(_bound_check("idempotent-basis-and-reconstruction", _largest(worst, rel), 1e-14, ce))
 
     return out
 
@@ -272,15 +276,14 @@ def calculus_suite(seed: int) -> list[CheckResult]:
         )
     )
 
-    worst = 0.0
     pairs = [
         (tc.TernaryField(lambda z: ta.ONE), lambda z: z),
         (tc.TernaryField(lambda z: z), lambda z: ta.scale(ta.mul(z, z), 0.5)),
         (square, lambda z: ta.scale(ta.mul(ta.mul(z, z), z), 1.0 / 3.0)),
     ]
-    for f, prim in pairs:
-        got = tc.line_integral(f, line, tol=1e-12)
-        worst = max(worst, (got - (prim(b) - prim(a))).max_abs())
+    worst = _largest(
+        *[(tc.line_integral(f, line, tol=1e-12) - (prim(b) - prim(a))).max_abs() for f, prim in pairs]
+    )
     out.append(_bound_check("primitive-consistency", worst, 1e-9))
 
     tol = 1e-8
@@ -410,12 +413,12 @@ def field_suite(seed: int) -> list[CheckResult]:
     phi_field = tc.TernaryField(lambda z: ta.scale(z, 1.0 / ta.norm_cubed(z)))
     a1, a2 = 1.0, 2.0
     expected = 2 * math.pi / math.sqrt(3.0) * math.log(a2 / a1)
-    worst, ce = 0.0, None
-    for rho in (1.0, 2.0):
-        got = tc.surface_integral_2form(phi_field, tc.cubic_band_patch(rho, a1, a2), tol=1e-8)
-        r = abs(got.x0 - expected) / expected
-        if r > worst:
-            worst, ce = r, {"rho": rho, "got": got.components(), "expected": expected}
+    levels = (1.0, 2.0)
+    got = [tc.surface_integral_2form(phi_field, tc.cubic_band_patch(rho, a1, a2), tol=1e-8) for rho in levels]
+    worst, ce = _worst(
+        np.array([abs(v.x0 - expected) / expected for v in got]),
+        lambda i: {"rho": levels[i], "got": got[i].components(), "expected": expected},
+    )
     out.append(_bound_check("flux-law-band-integral (level-independent)", worst, 1e-6, ce))
 
     return out
@@ -436,23 +439,21 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
     traj = td.integrate(s0, 1.0, s0.t + span, tol=1e-10)
     drift = float(np.max(traj.max_m_drift()))
     out.append(_bound_check("angular-momentum-conservation (planar run)", drift, 1e-8))
-    planar_dev = max(max(abs(s[2]) for s in traj.states), max(abs(s[5]) for s in traj.states))
+    planar_dev = _largest(*[abs(s[m]) for s in traj.states for m in (2, 5)])
     out.append(_bound_check("planar-run-stays-planar", planar_dev, 1e-9))
 
-    worst, ce = 0.0, None
-    idx = np.linspace(0, len(traj) - 1, 10).astype(int)
-    for i in idx:
-        st = traj.state(i)
-        z = st.l / st.r1
-        r = abs(st.r1 - sol.r1(z)) / abs(st.r1)
-        if r > worst:
-            worst, ce = r, {"t": st.t, "z": z}
+    samples = [traj.state(i) for i in np.linspace(0, len(traj) - 1, 10).astype(int)]
+    zs = [st.l / st.r1 for st in samples]
+    worst, ce = _worst(
+        np.array([abs(st.r1 - sol.r1(z)) / abs(st.r1) for st, z in zip(samples, zs)]),
+        lambda i: {"t": samples[i].t, "z": zs[i]},
+    )
     out.append(_bound_check("planar-closed-form-vs-ode", worst, 1e-4, ce))
 
     end = traj.final_state()
     mirrored = td.MonopoleState(end.l, -end.r1, end.r2, -end.v0, end.v1, -end.v2, t=0.0)
     back = td.integrate(mirrored, 1.0, span, tol=1e-10).final_state()
-    sym_res = max(
+    sym_res = _largest(
         abs(back.l - s0.l),
         abs(back.r1 + s0.r1),
         abs(back.v0 + s0.v0),
@@ -469,10 +470,9 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
     )
 
     z0 = 1.0
-    worst = 0.0
-    for eps in (1e-2, 1e-3):
-        zt = td.asymptote_solve(z0, z0 * (1 + eps))
-        worst = max(worst, abs(zt - z0 * (1 - eps)) / eps**2)
+    worst = _largest(
+        *[abs(td.asymptote_solve(z0, z0 * (1 + eps)) - z0 * (1 - eps)) / eps**2 for eps in (1e-2, 1e-3)]
+    )
     out.append(_bound_check("asymptote-near-limit (quadratic)", worst, 0.5))
 
     g, m0, m1, m2 = 1.0, 0.5, -1.0, 0.8
@@ -481,12 +481,11 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
     def kernel(u):
         return (1.0 / ((1 + u * u) * (m1 + m2 * u)))[None]
 
-    worst, ce = 0.0, None
-    for y in (0.2, 0.5, 1.2):
-        quad = g * float(tq.adaptive_quad(kernel, 0.9, y, 1e-13)[0])
-        r = abs(gsol.v1(y) - quad)
-        if r > worst:
-            worst, ce = r, {"y": y}
+    ys = (0.2, 0.5, 1.2)
+    worst, ce = _worst(
+        np.array([abs(gsol.v1(y) - g * float(tq.adaptive_quad(kernel, 0.9, y, 1e-13)[0])) for y in ys]),
+        lambda i: {"y": ys[i]},
+    )
     out.append(_bound_check("general-velocity-vs-quadrature-oracle", worst, 1e-9, ce))
 
     setup = td.ScatteringSetup(g=1.0, y1=0.0, z1=0.8, v1_inf=0.5, m1=-1.0, m2=0.9)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -15,6 +16,7 @@ import ternion
 import ternion.algebra as algebra_module
 import ternion.dynamics as td
 import ternion.field as field_module
+import ternion.quadrature as quadrature_module
 from ternion import cli
 from ternion.algebra import Ternary, mul
 from ternion.calculus import _FD3
@@ -29,6 +31,7 @@ from ternion.verify import (
     _rejection_rows,
     algebra_suite,
     calculus_suite,
+    dynamics_suite,
     field_suite,
 )
 
@@ -237,6 +240,22 @@ def test_verify_detects_multisine_mutation(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code != 0
     assert "FAIL" in out and "first counterexample" in out
+
+
+@pytest.mark.parametrize(
+    "owner, name, suite, check",
+    [
+        (algebra_module, "multisine", algebra_suite, "multisine-at-origin"),
+        (quadrature_module, "adaptive_quad", dynamics_suite, "general-velocity-vs-quadrature-oracle"),
+    ],
+)
+def test_a_nan_residual_fails_its_check(monkeypatch, owner, name, suite, check):
+    # max and a loop keeping each strictly larger residual both pass a nan
+    # over; the suites call these through the module objects
+    monkeypatch.setattr(owner, name, lambda *args: np.array([math.nan]))
+    (result,) = [r for r in suite(42) if r.name == check]
+    assert not result.passed
+    assert result.detail.startswith("max residual nan")
 
 
 def test_simulate_planar_demo(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,25 @@ def test_non_finite_integrand_fails_1d():
 def test_non_finite_integrand_fails_2d():
     with pytest.raises(QuadratureFailure, match="non-finite integrand"):
         adaptive_quad_2d(pointwise(lambda u, v: (1.0, math.nan)), (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "value, box",
+    [(1e300, ((0.0, 1e10),)), (1e308, ((0.0, 1.0),) * 3), (math.inf, ((0.0, 1.0),) * 3), (math.nan, ((0.0, 1.0),) * 2)],
+    ids=["1d-overflowing-product", "3d-overflowing-sum", "3d-inf", "2d-nan"],
+)
+def test_non_finite_weighted_sum_fails_without_a_warning(value, box):
+    # finite node values whose weighted cell sum overflows fail as a
+    # non-finite integrand does, and no failure warns on the way (inf times a
+    # zero G7 weight is nan), whatever the warning filters
+    def f(*x):
+        return np.full((1, x[0].size), value)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure) as info:
+            quadrature._integrate(f, box, 1e-9, [BUDGET])
+    assert str(info.value) == f"non-finite integrand on {quadrature._span(box)}"
 
 
 @pytest.mark.parametrize("shape", [(15,), (15, 1), (1, 14)])
