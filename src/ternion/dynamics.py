@@ -292,10 +292,10 @@ def _emit_step():
     """_step(s, dt, ng, eps, guard, tol), ng = -g, compiled from the source
     emitted here.  s is the 15-float state record: the position (l, r1, r2),
     the velocity, the slope at the position (stage 1, first-same-as-last)
-    and the six magnitudes |l|, ..., |v2|.  The step runs stages 2..12, takes
-    the new position and velocity, and the new position's slope (stage 13,
-    the next step's first), and returns (s_next, err5, err3): the new record
-    and the sums of squares of the 5th- and 3rd-order error estimates, each
+    and the six magnitudes |l|, ..., |v2|.  The step forms stages 2..12, the
+    new position and velocity and the new position's slope (stage 13, the
+    next step's first), and returns (s_next, err5, err3): the new record and
+    the sums of squares of the 5th- and 3rd-order error estimates, each
     component divided by its scale tol + tol max(|old|, |new|).  It raises
     OnSingularSet when a stage or the new position fails _accel's test at
     margin eps, or the new position has |l| |r|^2 below guard."""

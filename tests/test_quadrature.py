@@ -86,7 +86,12 @@ def test_non_finite_integrand_fails_2d():
 
 @pytest.mark.parametrize(
     "value, box",
-    [(1e300, ((0.0, 1e10),)), (1e308, ((0.0, 1.0),) * 3), (math.inf, ((0.0, 1.0),) * 3), (math.nan, ((0.0, 1.0),) * 2)],
+    [
+        (1e300, ((0.0, 1e10),)),
+        (1e308, ((0.0, 1.0),) * 3),
+        (math.inf, ((0.0, 1.0),) * 3),
+        (math.nan, ((0.0, 1.0),) * 2),
+    ],
     ids=["1d-overflowing-product", "3d-overflowing-sum", "3d-inf", "2d-nan"],
 )
 def test_non_finite_weighted_sum_fails_without_a_warning(value, box):
