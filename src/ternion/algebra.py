@@ -401,7 +401,7 @@ class ComplexTernary:
         return Ternary(self.c0.imag, self.c1.imag, self.c2.imag)
 
     def max_imag(self) -> float:
-        return _max3(abs(self.c0.imag), abs(self.c1.imag), abs(self.c2.imag))
+        return self.imag_part().max_abs()
 
     def __add__(self, other):
         return ComplexTernary(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
@@ -638,12 +638,10 @@ def characteristic_matrix(z: Ternary) -> np.ndarray:
     determinant equals the cubic norm.  Array components of shape S give
     the stack of shape S + (3, 3).
     """
-    k = z.x0 + z.x1 + z.x2
-    e = z.x0 - 0.5 * (z.x1 + z.x2)
-    i = (SQRT3 / 2.0) * (z.x1 - z.x2)
-    out = np.zeros(np.shape(k) + (3, 3))
-    out[..., 0, 0] = k
-    out[..., 1, 1] = out[..., 2, 2] = e
-    out[..., 1, 2] = i
-    out[..., 2, 1] = -i
+    c = idempotent_decompose(z)
+    out = np.zeros(np.shape(c.k) + (3, 3))
+    out[..., 0, 0] = c.k
+    out[..., 1, 1] = out[..., 2, 2] = c.e
+    out[..., 1, 2] = c.i
+    out[..., 2, 1] = -c.i
     return out

@@ -99,7 +99,13 @@ def _simulate_run(cfg):
     if cfg.kind == "planar":
         sol = td.planar_solution(cfg.g, cfg.m2, cfg.z0, cfg.z1)
         s0 = td.state_from_planar(sol, cfg.z_start)
-        t_end = s0.t + (sol.t(cfg.z_stop) - sol.t(cfg.z_start))
+        span = sol.t(cfg.z_stop) - sol.t(cfg.z_start)
+        if not span > 0.0:
+            raise DomainError(
+                f"z_stop = {cfg.z_stop} must come after z_start = {cfg.z_start} on the orbit: "
+                f"the closed-form time span is {span} <= 0"
+            )
+        t_end = s0.t + span
     else:
         sol = None
         s0 = td.MonopoleState(*cfg.state)

@@ -112,9 +112,6 @@ class SimulateConfig:
     def from_dict(data: dict) -> "SimulateConfig":
         return SimulateConfig(**_take(data, SimulateConfig, "simulate", _RETIRED_KEYS))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ScatterConfig:
@@ -142,9 +139,6 @@ class ScatterConfig:
         for key in ("m1_grid", "m2_grid"):
             got[key] = _expand_grid(got[key], key)
         return ScatterConfig(**got)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _expand_grid(spec, key) -> list[float]:
@@ -235,9 +229,6 @@ class FormConfig:
     @staticmethod
     def from_dict(data: dict) -> "FormConfig":
         return FormConfig(**_take(data, FormConfig, "integrate-form"))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _CONFIG_TYPES = {
@@ -339,7 +330,7 @@ def write_manifest(path, config, outputs: dict, status: str, extras: dict | None
         "tool": "ternion",
         "version": __version__,
         "command": _COMMANDS[type(config)],
-        "config": config.to_dict(),
+        "config": asdict(config),
         "outputs": outputs,
         "status": status,
     }

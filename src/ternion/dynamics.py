@@ -361,7 +361,8 @@ def integrate(
     (carrying the partial trajectory) when |l| |r|^2 falls below
     SINGULAR_GUARD times the initial scale cubed, rather than chasing the
     collapse; StepFailure means the controller stalled, used up MAX_STEPS,
-    or met an error norm out of the float range (a tol near 1e-200 or less).
+    or met an error norm that overflows (a tol near 1e-200 or less) or is
+    NaN (a stage out of the float range).
     Both carry the trajectory up to the last accepted step.  A non-finite
     t_end, g or component of s0, or a tol or max_step that is not finite and
     > 0, raises DomainError before the first step.
@@ -420,8 +421,11 @@ def integrate(
                 raise SingularApproach(f"approached the singular set near t = {t:.6g}", traj) from None
             # the RMS norms combined as DOP853 does: err5^2 / sqrt((err5^2 + 0.01 err3^2) 6)
             denom = (err5 + 0.01 * err3) * 6.0
-            if denom == inf:
-                msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
+            if not denom < inf:  # inf, or NaN from a stage out of the float range
+                if denom == inf:
+                    msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
+                else:
+                    msg = f"error norm is NaN at t = {t}: a stage left the float range"
                 raise StepFailure(msg, traj)
             err = err5 / sqrt(denom) if err5 > 0.0 else 0.0
             # err^(-1/8) as three square roots

@@ -33,26 +33,21 @@ class OnSingularSet(TernionError):
     """Field evaluation requested on or too close to the singular set."""
 
 
-class SingularApproach(TernionError):
-    """Trajectory approached the singular set; carries the partial trajectory.
-
-    Attributes
-    ----------
-    trajectory : the samples accepted before the stop; its final_state()
-                 is the last good state
-    """
+class _Stopped(TernionError):
+    """An integration stop.  trajectory holds the samples accepted before
+    the stop; its final_state() is the last good state."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
 
 
-class StepFailure(TernionError):
-    """The adaptive step controller stalled or exhausted its step budget."""
+class SingularApproach(_Stopped):
+    """Trajectory approached the singular set; carries the partial trajectory."""
 
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+
+class StepFailure(_Stopped):
+    """The step controller stalled, used up its budget or left the float range."""
 
 
 class NoSecondSolution(TernionError):

@@ -64,35 +64,12 @@ def _admissible(x) -> np.ndarray:
     return (ta.cubic_form(*x.T) > 1e-2) & (x[:, 0] + x[:, 1] + x[:, 2] > 1e-2)
 
 
-def _admissible_rows(rng, n, lo=-3.0, hi=3.0) -> np.ndarray:
-    """n admissible points (||z||^3 > 1e-2 and x0 + x1 + x2 > 1e-2), as rows
-    of components: the points a rejection loop of uniform draws in
-    [lo, hi)^3 would keep, with the stream advanced as that loop advances it.
-    """
-    return _rejection_rows(rng, n, lo, hi, _admissible)
-
-
-def _frame_rows(rng, n) -> np.ndarray:
-    """n frame points (l, r1, r2) with |l| > 0.25 and |r| > 0.25, as rows: the
-    points a rejection loop of draws l, then (r1, r2), uniform in [-2, 2)
-    would keep, with the stream advanced as that loop advances it."""
-    return _rejection_rows(
-        rng, n, -2.0, 2.0, lambda x: (abs(x[:, 0]) > 0.25) & (np.hypot(x[:, 1], x[:, 2]) > 0.25)
-    )
-
-
 def _worst(r, counterexample):
     """Largest residual of the array r and counterexample(i) at its first
     flat index i: the pair a loop over r keeping each strictly larger residual
     ends with.  A nan counts as largest, so it fails its bound."""
     i = int(np.argmax(r))
     return r.flat[i], counterexample(i)
-
-
-def _largest(*residuals):
-    """The largest of the residuals, or the first nan among them, so that a
-    nan fails its bound (max keeps its first argument against a nan)."""
-    return _worst(np.array(residuals), lambda i: None)[0]
 
 
 def _at(z: Ternary, i) -> tuple:
@@ -149,7 +126,7 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     worst, ce = _worst(r, lambda i: {"z": _at(z, i), "w": _at(w, i)})
     out.append(_bound_check("norm-multiplicativity and matrix-representation", worst, 1e-10, ce))
 
-    z = Ternary(*_admissible_rows(rng, 500).T)
+    z = Ternary(*_rejection_rows(rng, 500, -3.0, 3.0, _admissible).T)
     r = (ta.exp(ta.log(z)) - z).max_abs() / (1.0 + z.max_abs())
     worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
     out.append(_bound_check("exp-log-round-trip", worst, 1e-9, ce))
@@ -163,7 +140,7 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     worst, ce = _worst(r, lambda i: {"w": _at(w, i)})
     out.append(_bound_check("log-exp-round-trip (reduced compact angle)", worst, 1e-9, ce))
 
-    z = Ternary(*_admissible_rows(rng, 300).T)
+    z = Ternary(*_rejection_rows(rng, 300, -3.0, 3.0, _admissible).T)
     p = ta.to_polar(z)
     r = (ta.from_polar(p) - z).max_abs() / (1.0 + z.max_abs())
     theta = p.theta
@@ -214,12 +191,15 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     back = ta.idempotent_reconstruct(ta.idempotent_decompose(z))
     r = (back - z).max_abs() / (1.0 + z.max_abs())
     worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
-    rel = _largest(
-        (ta.mul(ta.K0, ta.E0) - ta.ZERO).max_abs(),
-        (ta.mul(ta.I_UNIT, ta.I_UNIT) + ta.E0).max_abs(),
-        (ta.mul(ta.E0, ta.I_UNIT) - ta.I_UNIT).max_abs(),
+    worst = np.max(
+        (
+            worst,
+            (ta.mul(ta.K0, ta.E0) - ta.ZERO).max_abs(),
+            (ta.mul(ta.I_UNIT, ta.I_UNIT) + ta.E0).max_abs(),
+            (ta.mul(ta.E0, ta.I_UNIT) - ta.I_UNIT).max_abs(),
+        )
     )
-    out.append(_bound_check("idempotent-basis-and-reconstruction", _largest(worst, rel), 1e-14, ce))
+    out.append(_bound_check("idempotent-basis-and-reconstruction", worst, 1e-14, ce))
 
     return out
 
@@ -281,8 +261,8 @@ def calculus_suite(seed: int) -> list[CheckResult]:
         (tc.TernaryField(lambda z: z), lambda z: ta.scale(ta.mul(z, z), 0.5)),
         (square, lambda z: ta.scale(ta.mul(ta.mul(z, z), z), 1.0 / 3.0)),
     ]
-    worst = _largest(
-        *[(tc.line_integral(f, line, tol=1e-12) - (prim(b) - prim(a))).max_abs() for f, prim in pairs]
+    worst = np.max(
+        [(tc.line_integral(f, line, tol=1e-12) - (prim(b) - prim(a))).max_abs() for f, prim in pairs]
     )
     out.append(_bound_check("primitive-consistency", worst, 1e-9))
 
@@ -328,8 +308,14 @@ _FD_STEPS = (1e-5, 1e-5, 1e-5)
 
 
 def _frames(rng, n) -> tf.FrameVector:
-    """n frame points of _frame_rows, as one FrameVector of arrays."""
-    return tf.FrameVector(*_frame_rows(rng, n).T)
+    """n frame points (l, r1, r2) with |l| > 0.25 and |r| > 0.25, as one
+    FrameVector of arrays: the points a rejection loop of draws l, then
+    (r1, r2), uniform in [-2, 2) would keep, with the stream advanced as that
+    loop advances it."""
+    rows = _rejection_rows(
+        rng, n, -2.0, 2.0, lambda x: (abs(x[:, 0]) > 0.25) & (np.hypot(x[:, 1], x[:, 2]) > 0.25)
+    )
+    return tf.FrameVector(*rows.T)
 
 
 def _point(v: tf.FrameVector, i) -> dict:
@@ -439,7 +425,7 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
     traj = td.integrate(s0, 1.0, s0.t + span, tol=1e-10)
     drift = float(np.max(traj.max_m_drift()))
     out.append(_bound_check("angular-momentum-conservation (planar run)", drift, 1e-8))
-    planar_dev = _largest(*[abs(s[m]) for s in traj.states for m in (2, 5)])
+    planar_dev = np.max([abs(s[m]) for s in traj.states for m in (2, 5)])
     out.append(_bound_check("planar-run-stays-planar", planar_dev, 1e-9))
 
     samples = [traj.state(i) for i in np.linspace(0, len(traj) - 1, 10).astype(int)]
@@ -453,11 +439,8 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
     end = traj.final_state()
     mirrored = td.MonopoleState(end.l, -end.r1, end.r2, -end.v0, end.v1, -end.v2, t=0.0)
     back = td.integrate(mirrored, 1.0, span, tol=1e-10).final_state()
-    sym_res = _largest(
-        abs(back.l - s0.l),
-        abs(back.r1 + s0.r1),
-        abs(back.v0 + s0.v0),
-        abs(back.v1 - s0.v1),
+    sym_res = np.max(
+        (abs(back.l - s0.l), abs(back.r1 + s0.r1), abs(back.v0 + s0.v0), abs(back.v1 - s0.v1))
     )
     out.append(_bound_check("time-reversal-reflection-symmetry", sym_res, 1e-6))
 
@@ -470,8 +453,8 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
     )
 
     z0 = 1.0
-    worst = _largest(
-        *[abs(td.asymptote_solve(z0, z0 * (1 + eps)) - z0 * (1 - eps)) / eps**2 for eps in (1e-2, 1e-3)]
+    worst = np.max(
+        [abs(td.asymptote_solve(z0, z0 * (1 + eps)) - z0 * (1 - eps)) / eps**2 for eps in (1e-2, 1e-3)]
     )
     out.append(_bound_check("asymptote-near-limit (quadratic)", worst, 0.5))
 

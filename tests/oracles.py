@@ -718,8 +718,11 @@ def integrate_reference(s0, g, t_end, tol=1e-10, max_step=None):
             norms.append(total)
         err5, err3 = norms
         denom = (err5 + 0.01 * err3) * 6.0
-        if math.isinf(denom):
-            msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
+        if not math.isfinite(denom):
+            if math.isinf(denom):
+                msg = f"error norm overflows at t = {t}: tol = {tol} is too small to resolve"
+            else:
+                msg = f"error norm is NaN at t = {t}: a stage left the float range"
             raise StepFailure(msg, traj)
         err = err5 / math.sqrt(denom) if err5 > 0.0 else 0.0
         factor = 0.9 * (1.0 / math.sqrt(math.sqrt(math.sqrt(err))) if err > 0.0 else 5.0)

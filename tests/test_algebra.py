@@ -413,6 +413,19 @@ def test_array_arithmetic_is_bit_identical(cols):
     _matches(lambda a, b, c, *_: ComplexTernary.from_real(_t(a, b, c)).imag_part(), cols)
 
 
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("array", [False, True], ids=["float", "array"])
+def test_max_imag_rejects_a_nan_imaginary_part(at, array):
+    # the builtin max kept a NaN only in first place: max_imag reads
+    # imag_part(), a Ternary, which rejects a NaN on both paths
+    c = [1 + 0j, 1j, 0j]
+    c[at] = complex(0.0, math.nan)
+    if array:
+        c = [np.array([v, 1j]) for v in c]
+    with pytest.raises(ValueError, match="non-finite ternary component"):
+        ComplexTernary(*c).max_imag()
+
+
 def test_array_complex_products_are_bit_identical(rng):
     # numpy's complex product fuses a multiply and an add, which moves the
     # last bit of most products, so the array path must spell out CPython's

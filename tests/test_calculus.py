@@ -12,6 +12,7 @@ from ternion.algebra import ComplexTernary, Ternary, conjugates, inverse, mul, n
 from ternion.calculus import (
     _FD3,
     Curve,
+    HoloType1Report,
     TernaryField,
     _checked_partials,
     box_boundary_patches,
@@ -445,6 +446,23 @@ def test_conformal_jacobian_equals_norm_of_derivative(rng):
 def test_conformal_jacobian_rejects_non_holomorphic():
     with pytest.raises(NotHolomorphic):
         conformal_jacobian(x0_field, Ternary(0.5, 0.1, -0.2))
+
+
+def test_type1_report_fails_on_a_nan_maximum():
+    # max() keeps its first argument against a NaN: each maximum is tested
+    ok = np.zeros((3, 3))
+    assert HoloType1Report(0.0, None, ok).passed and HoloType1Report(0.0, 0.0, ok).passed
+    assert not HoloType1Report(0.0, math.nan, ok).passed
+    assert not HoloType1Report(math.nan, 0.0, ok).passed
+    assert not HoloType1Report(math.nan, None, ok).passed
+
+
+@pytest.mark.parametrize("cart, polar, printed", [(0.0, math.nan, "nan"), (math.nan, 0.0, "nan"), (2e-6, 0.0, "2.000e-06")])
+def test_conformal_jacobian_names_the_failed_residual(monkeypatch, cart, polar, printed):
+    report = HoloType1Report(cart, polar, np.zeros((3, 3)))
+    monkeypatch.setattr(calculus, "_type1_report", lambda F, p, m: report)
+    with pytest.raises(NotHolomorphic, match=rf"^type-1 residual {printed} exceeds 1\.0e-06 at "):
+        conformal_jacobian(identity_field, Ternary(0.7, -0.3, 0.4))
 
 
 def test_conformal_jacobian_evaluates_the_partials_once():

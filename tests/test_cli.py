@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,9 +26,9 @@ from ternion.config import FormConfig, ScatterConfig, SimulateConfig, load_confi
 from ternion.dynamics import ScatteringSetup
 from ternion.errors import QuadratureFailure, RootFindingFailure, SingularNumber
 from ternion.verify import (
-    _admissible_rows,
+    _admissible,
     _far_from_trisectrice,
-    _frame_rows,
+    _frames,
     _rejection_rows,
     algebra_suite,
     calculus_suite,
@@ -116,7 +117,7 @@ def test_algebra_suite_failures_match_the_loop_oracle(monkeypatch):
 @pytest.mark.parametrize("n, lo, hi", [(1, -3.0, 3.0), (7, -3.0, 3.0), (300, -3.0, 3.0), (40, 0.5, 2.0)])
 def test_admissible_rows_are_the_rejection_loops_draws(seed, n, lo, hi):
     batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
-    rows = _admissible_rows(batch, n, lo, hi)
+    rows = _rejection_rows(batch, n, lo, hi, _admissible)
     want = np.array([_loop_admissible(loop, lo, hi).components() for _ in range(n)])
     assert rows.tobytes() == want.tobytes()
     assert batch.random() == loop.random()
@@ -187,7 +188,7 @@ def test_suite_failures_match_the_loop_oracle(monkeypatch, module, name, mutate,
 @pytest.mark.parametrize("n", [1, 10, 100])
 def test_frame_rows_are_the_rejection_loops_draws(seed, n):
     batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
-    rows = _frame_rows(batch, n)
+    rows = _frames(batch, n).as_array().T
     want = np.array([_rand_frame(loop).as_array() for _ in range(n)])
     assert rows.tobytes() == want.tobytes()
     assert batch.random() == loop.random()
@@ -346,6 +347,35 @@ def test_simulate_tiny_tol_exits_1_with_one_line(tmp_path, capsys):
     assert doc["steps"] == {"accepted": 0, "rejected": 0}
     # a step failure is no singular stop: the flag leaves the exit at 1
     assert main([*argv, "--allow-singular-stop"]) == 1
+
+
+def test_simulate_state_out_of_float_range_exits_1(tmp_path, capsys):
+    # the first step's stage positions overflow and its error norm is NaN:
+    # a step failure with the initial state alone, not an ok run of NaN rows
+    cfg = write_json(
+        tmp_path / "s.json",
+        {"kind": "state", "g": 1.0, "state": [1.0, 1.0, 0.0, 0.0, 1e308, 0.0], "t_end": 1e10},
+    )
+    out, manifest = tmp_path / "s.csv", tmp_path / "m.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--manifest", str(manifest)]) == 1
+    line = "StepFailure: error norm is NaN at t = 0.0: a stage left the float range"
+    assert capsys.readouterr().err == line + "\n"
+    assert len(out.read_text().splitlines()) == 2
+    doc = json.loads(manifest.read_text())
+    assert doc["status"] == "step-failure" and doc["message"] == line
+    assert doc["steps"] == {"accepted": 0, "rejected": 0}
+
+
+@pytest.mark.parametrize("z_stop", [1.8, 0.5])
+def test_planar_stop_not_after_start_exits_2(tmp_path, capsys, z_stop):
+    # time runs from z = 1.8 towards z = 0.5 on this orbit: a z_stop at or
+    # behind z_start is a config error naming both, and nothing is written
+    cfg = write_json(tmp_path / "p.json", {**PLANAR_CFG, "z_start": 0.5, "z_stop": z_stop})
+    out, manifest = tmp_path / "t.csv", tmp_path / "m.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert f"z_stop = {z_stop} must come after z_start = 0.5" in err
+    assert not out.exists() and not manifest.exists()
 
 
 def test_simulate_compare_flag_needs_planar(tmp_path, capsys):
@@ -554,7 +584,7 @@ def test_manifest_with_seed_key_still_reruns(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     sim = write_json(tmp_path / "sim.json", {**PLANAR_CFG, "seed": 5})
     assert load_config(sim, "simulate") == SimulateConfig.from_dict(PLANAR_CFG)
-    assert "seed" not in load_config(old, "scatter").to_dict()
+    assert "seed" not in dataclasses.asdict(load_config(old, "scatter"))
 
 
 STATE_CFG = {"kind": "state", "g": 1.0, "state": [-10.0, -8.0, 0.0, 1.0, 0.5, 0.0], "t_end": 1.0}
@@ -1117,13 +1147,13 @@ def test_form_out_of_float_range_names_the_point(capsys):
 
 def test_config_round_trips():
     sim = SimulateConfig.from_dict(PLANAR_CFG)
-    assert SimulateConfig.from_dict(sim.to_dict()) == sim
+    assert SimulateConfig.from_dict(dataclasses.asdict(sim)) == sim
     sc = ScatterConfig.from_dict(SCATTER_CFG)
-    assert ScatterConfig.from_dict(sc.to_dict()) == sc
+    assert ScatterConfig.from_dict(dataclasses.asdict(sc)) == sc
     form = FormConfig.from_dict(
         {"kind": "surface", "preset": "cubic-band", "params": {"rho": 1.0, "a1": 1.0, "a2": 2.0}}
     )
-    assert FormConfig.from_dict(form.to_dict()) == form
+    assert FormConfig.from_dict(dataclasses.asdict(form)) == form
 
 
 def test_scatter_grid_range_spec(tmp_path):

@@ -347,6 +347,19 @@ def test_error_norm_overflow_is_a_step_failure(tol):
     assert part.states == [s0.as_tuple()]
 
 
+def test_nan_error_norm_is_a_step_failure():
+    # v1 = 1e308 sends a stage's position to inf, and 0 * inf makes the error
+    # sums NaN: a NaN norm must stop the run, not pass as an error of 0
+    s0 = MonopoleState(1.0, 1.0, 0.0, 0.0, 1e308, 0.0)
+    with pytest.raises(StepFailure) as info:
+        integrate(s0, 1.0, 1e10)
+    part = info.value.trajectory
+    assert str(info.value) == "error norm is NaN at t = 0.0: a stage left the float range"
+    assert (len(part), part.n_accepted, part.n_rejected) == (1, 0, 0)
+    assert part.states == [s0.as_tuple()]
+    assert _outcome(integrate_reference, s0, 1.0, 1e10) == _outcome(integrate, s0, 1.0, 1e10)
+
+
 def _outcome(run, s0, g, t_end, **kw):
     """How a run ended ("ok" or the error's type name) and everything it
     left, as text that keeps every bit and signed zero: the samples and
