@@ -457,7 +457,9 @@ def test_type1_report_fails_on_a_nan_maximum():
     assert not HoloType1Report(math.nan, None, ok).passed
 
 
-@pytest.mark.parametrize("cart, polar, printed", [(0.0, math.nan, "nan"), (math.nan, 0.0, "nan"), (2e-6, 0.0, "2.000e-06")])
+@pytest.mark.parametrize(
+    "cart, polar, printed", [(0.0, math.nan, "nan"), (math.nan, 0.0, "nan"), (2e-6, 0.0, "2.000e-06")]
+)
 def test_conformal_jacobian_names_the_failed_residual(monkeypatch, cart, polar, printed):
     report = HoloType1Report(cart, polar, np.zeros((3, 3)))
     monkeypatch.setattr(calculus, "_type1_report", lambda F, p, m: report)
