@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import functools
 import itertools
-import json
 import math
 import os
 import sys
@@ -29,13 +28,14 @@ from .algebra import Ternary
 from .config import (
     ConfigError,
     FormConfig,
+    _json_text,
     load_config,
     write_json,
     write_manifest,
     write_scatter_csv,
     write_trajectory_csv,
 )
-from .errors import DomainError, SingularApproach, SingularNumber, StepFailure, TernionError
+from .errors import DomainError, NumericalBreakdown, SingularApproach, SingularNumber, StepFailure, TernionError
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -56,10 +56,7 @@ def _cmd_verify(args) -> int:
         write_json(args.out, [dataclasses.asdict(r) for r in results])
     if failed:
         first = failed[0]
-        print(
-            "first counterexample: "
-            + json.dumps({"check": first.name, "data": first.counterexample}, default=str)
-        )
+        print("first counterexample: " + _json_text({"check": first.name, "data": first.counterexample}))
         return 1
     return 0
 
@@ -97,9 +94,14 @@ def _check_outputs(config, out, manifest):
 
 def _simulate_run(cfg):
     if cfg.kind == "planar":
-        sol = td.planar_solution(cfg.g, cfg.m2, cfg.z0, cfg.z1)
-        s0 = td.state_from_planar(sol, cfg.z_start)
-        span = sol.t(cfg.z_stop) - sol.t(cfg.z_start)
+        try:
+            sol = td.planar_solution(cfg.g, cfg.m2, cfg.z0, cfg.z1)
+            s0 = td.state_from_planar(sol, cfg.z_start)
+            span = sol.t(cfg.z_stop) - sol.t(cfg.z_start)
+        except (ArithmeticError, ValueError) as exc:  # the closed form left the float range
+            seed = (cfg.g, cfg.m2, cfg.z0, cfg.z1, cfg.z_start, cfg.z_stop)
+            where = f"planar seed (g, m2, z0, z1, z_start, z_stop) = {seed}"
+            raise NumericalBreakdown(f"{type(exc).__name__}: {exc} at {where}") from exc
         if not span > 0.0:
             raise DomainError(
                 f"z_stop = {cfg.z_stop} must come after z_start = {cfg.z_start} on the orbit: "

@@ -46,18 +46,27 @@ class ConfigError(ValueError):
 _RETIRED_KEYS = {"seed"}
 
 
-def _take(data: dict, cls, kind: str, retired=frozenset()) -> dict:
-    """The keys of data that name fields of cls; the dataclass supplies the
-    defaults of the rest."""
-    known = fields(cls)
-    names = {f.name for f in known}
-    unknown = set(data) - names - retired
-    if unknown:
-        raise ConfigError(f"unknown {kind} config keys: {sorted(unknown)}")
-    for f in known:
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing {kind} config key: {f.name!r}")
-    return {key: value for key, value in data.items() if key in names}
+def _keys(data: dict, takes: dict, what: str):
+    """ConfigError unless data holds only keys of takes, and each key whose
+    default in takes is None."""
+    extra = sorted(set(data) - set(takes))
+    if extra:
+        raise ConfigError(f"{what} takes {sorted(takes)}, not {extra}")
+    for key, default in takes.items():
+        if default is None and key not in data:
+            raise ConfigError(f"{what} needs parameter {key!r}")
+
+
+def _take(data: dict, cls, command: str, retired=frozenset()) -> dict:
+    """data less its retired keys, checked by _keys against the fields of
+    cls, each of which maps to itself or, without a default, to None; the
+    dataclass supplies the defaults of the keys left out."""
+    data = {key: value for key, value in data.items() if key not in retired}
+    takes = {
+        f.name: None if f.default is MISSING and f.default_factory is MISSING else f for f in fields(cls)
+    }
+    _keys(data, takes, f"{command} config")
+    return data
 
 
 def _number(key: str, value, positive: bool = False):
@@ -67,6 +76,21 @@ def _number(key: str, value, positive: bool = False):
     if positive and value <= 0:
         raise ConfigError(f"{key!r} must be > 0, got {value!r}")
     return value
+
+
+def _values(values: dict, sizes: dict, positive=()):
+    """Checks each value of values with _number: a list of sizes[key]
+    numbers where sizes has the key, else one number, > 0 if its key is in
+    positive."""
+    for key, value in values.items():
+        size = sizes.get(key)
+        if size is None:
+            _number(key, value, positive=key in positive)
+        elif not isinstance(value, (list, tuple)) or len(value) != size:
+            raise ConfigError(f"{key!r} must have {size} entries, got {value!r}")
+        else:
+            for entry in value:
+                _number(key, entry)
 
 
 @dataclass(frozen=True)
@@ -90,23 +114,23 @@ class SimulateConfig:
     state: list[float] | None = None
     t_end: float | None = None
 
+    #: Per kind, the keys it takes beside g, tol and max_step, as in
+    #: FormConfig.PRESETS: a default of None marks a key the kind needs.  A
+    #: key of the other kind must be absent or null, as asdict writes it.
+    KIND_KEYS = {
+        "planar": {"m2": None, "z0": None, "z1": None, "z_start": None, "z_stop": None},
+        "state": {"state": None, "t_end": None},
+    }
+
     def __post_init__(self):
-        for key in ("g", "tol", "max_step", "m2", "z0", "z1", "z_start", "z_stop", "t_end"):
-            if getattr(self, key) is not None:
-                _number(key, getattr(self, key), positive=key in ("tol", "max_step", "t_end"))
-        if self.kind == "planar":
-            for key in ("m2", "z0", "z1", "z_start", "z_stop"):
-                if getattr(self, key) is None:
-                    raise ConfigError(f"planar simulate config needs {key!r}")
-        elif self.kind == "state":
-            if not isinstance(self.state, (list, tuple)) or len(self.state) != 6:
-                raise ConfigError("state simulate config needs a 6-component 'state'")
-            for value in self.state:
-                _number("state", value)
-            if self.t_end is None:
-                raise ConfigError("state simulate config needs 't_end'")
-        else:
+        if not isinstance(self.kind, str) or self.kind not in self.KIND_KEYS:
             raise ConfigError(f"simulate kind must be 'planar' or 'state', got {self.kind!r}")
+        given = {key: getattr(self, key) for keys in self.KIND_KEYS.values() for key in keys}
+        given = {key: value for key, value in given.items() if value is not None}
+        _keys(given, self.KIND_KEYS[self.kind], f"simulate kind {self.kind!r}")
+        if self.max_step is not None:
+            given["max_step"] = self.max_step
+        _values({"g": self.g, "tol": self.tol, **given}, {"state": 6}, ("tol", "max_step", "t_end"))
 
     @staticmethod
     def from_dict(data: dict) -> "SimulateConfig":
@@ -141,18 +165,18 @@ class ScatterConfig:
         return ScatterConfig(**got)
 
 
+#: The keys of a start/stop/num range spec, all needed.
+_RANGE = {"start": None, "stop": None, "num": None}
+
+
 def _expand_grid(spec, key) -> list[float]:
     if isinstance(spec, dict):
-        missing = {"start", "stop", "num"} - set(spec)
-        if missing:
-            raise ConfigError(f"{key} range spec needs start/stop/num, missing {sorted(missing)}")
+        _keys(spec, _RANGE, f"{key} range spec")
         num = spec["num"]
-        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
-            raise ConfigError(f"{key} num must be an integer >= 1, got {num!r}")
+        if isinstance(num, bool) or not isinstance(num, int) or num < 2:
+            raise ConfigError(f"{key} num must be an integer >= 2, got {num!r}")
         start = float(_number(f"{key} start", spec["start"]))
         stop = float(_number(f"{key} stop", spec["stop"]))
-        if num == 1:
-            return [start]
         step = (stop - start) / (num - 1)
         return [start + i * step for i in range(num)]
     if isinstance(spec, (list, tuple)):
@@ -205,22 +229,8 @@ class FormConfig:
             raise ConfigError(f"unknown {self.kind} preset {self.preset!r}; choose from {sorted(presets)}")
         if not isinstance(self.params, dict):
             raise ConfigError(f"'params' must be a JSON object, got {self.params!r}")
-        takes = presets[self.preset]
-        extra = sorted(set(self.params) - set(takes))
-        if extra:
-            raise ConfigError(f"{self.kind} preset {self.preset!r} takes {sorted(takes)}, not {extra}")
-        for key, default in takes.items():
-            if default is None and key not in self.params:
-                raise ConfigError(f"{self.kind} preset {self.preset!r} needs parameter {key!r}")
-        for key, value in self.params.items():
-            size = self.VECTOR_PARAMS.get(key)
-            if size is None:
-                _number(key, value)
-            elif not isinstance(value, (list, tuple)) or len(value) != size:
-                raise ConfigError(f"{key!r} must have {size} entries, got {value!r}")
-            else:
-                for entry in value:
-                    _number(key, entry)
+        _keys(self.params, presets[self.preset], f"{self.kind} preset {self.preset!r}")
+        _values(self.params, self.VECTOR_PARAMS)
 
     def preset_params(self) -> dict:
         """The params of the preset, its defaults filled in."""
@@ -317,10 +327,20 @@ def _write(path, text: str):
         raise
 
 
+def _json_text(doc, **options) -> str:
+    """doc as strict JSON text: a value JSON cannot hold is written as its
+    str, and so is a float that is not finite (a NaN or an infinity)."""
+    try:
+        return json.dumps(doc, default=str, allow_nan=False, **options)
+    except ValueError:  # a float that is not finite: a round trip writes it as its str
+        plain = json.loads(json.dumps(doc, default=str), parse_constant=lambda c: str(float(c)))
+        return json.dumps(plain, allow_nan=False, **options)
+
+
 def write_json(path, doc):
-    """Writes doc to path as indented, key-sorted JSON text ending in a
-    newline; a value JSON cannot hold is written as its str."""
-    _write(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    """Writes doc to path as indented, key-sorted strict JSON text ending in
+    a newline; a value JSON cannot hold is written as its str."""
+    _write(path, _json_text(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_manifest(path, config, outputs: dict, status: str, extras: dict | None = None):

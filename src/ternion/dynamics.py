@@ -678,11 +678,9 @@ class GeneralSolution(_Coefficients):
     A pole at y = -M1/M2 (the l = 0 plane) must not lie between the
     evaluation point and the base points.
 
-    The constants of the base point y0 (complex(y0, -1) and M1 + M2 y0) are
-    computed once here.  psi memoizes its base term A(y1), the
-    antiderivative at y1, on first use; every thread that fills the memo
-    stores the same value, so a solution stays safe to share.  An input that
-    is not finite raises DomainError.
+    The constants of the base point y0 (complex(y0, -1) and M1 + M2 y0) and
+    psi's base term A(y1), the antiderivative at y1, are computed once
+    here.  An input that is not finite raises DomainError.
     """
 
     def __init__(self, g: float, m0: float, m1: float, m2: float, y0: float, y1: float):
@@ -700,10 +698,11 @@ class GeneralSolution(_Coefficients):
         self.y1 = y1
         self._w0 = complex(y0, -1.0)
         self._den = m1 + m2 * y0
-        self._base_term = None
         if m2 != 0.0 and (self._den == 0.0 or (m1 + m2 * y1) / self._den <= 0.0):
             y = y1 if self._den else y0
             raise PoleOnRange(f"y = {y} and y = {y0} straddle the pole at y = {self.pole}")
+        # the checks above keep the antiderivative at y1 off the pole
+        self._base_term = self._antiderivative(y1)
 
     def v1(self, y: float) -> float:
         """Velocity component along r1 as a function of the slope y."""
@@ -760,13 +759,8 @@ class GeneralSolution(_Coefficients):
     def psi(self, y):
         """Integral of v1/g from y1 to y (closed form), at a float slope or
         elementwise on a float array of slopes: A(y) - A(y1) with A the
-        antiderivative.  A(y) is evaluated first, then A(y1) is taken from
-        the memo, which the first call fills; an A(y1) that raises is not
-        stored, so every call raises what the unmemoized psi would."""
-        at_y = self._antiderivative(y, _lib(y))
-        if self._base_term is None:
-            self._base_term = self._antiderivative(self.y1)
-        return at_y - self._base_term
+        antiderivative."""
+        return self._antiderivative(y, _lib(y)) - self._base_term
 
     def r1(self, y: float) -> float:
         p = self.psi(y)

@@ -14,7 +14,8 @@ class DomainError(TernionError):
 
 
 class NumericalBreakdown(TernionError):
-    """Finite-difference estimates disagree beyond the declared tolerance."""
+    """A closed form left the float range, or finite-difference estimates
+    disagree beyond the declared tolerance."""
 
 
 class QuadratureFailure(TernionError):

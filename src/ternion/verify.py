@@ -31,12 +31,20 @@ class CheckResult:
     counterexample: dict | None = None
 
 
-def _bound_check(name, worst, bound, counterexample=None):
+def _bound_check(name, residuals, bound, counterexample=None):
+    """The check that the residuals (an array, or one value) stay within
+    bound.  Its worst is the largest residual at its first flat index i, the
+    one a loop keeping each strictly larger residual ends with; a nan counts
+    as largest, so it fails.  A failed check carries counterexample(i)."""
+    r = np.asarray(residuals)
+    i = int(np.argmax(r))
+    worst = r.flat[i]
+    passed = bool(worst <= bound)
     return CheckResult(
         name=name,
-        passed=bool(worst <= bound),
+        passed=passed,
         detail=f"max residual {worst:.3e} (bound {bound:.1e})",
-        counterexample=None if worst <= bound else counterexample,
+        counterexample=None if passed or counterexample is None else counterexample(i),
     )
 
 
@@ -64,14 +72,6 @@ def _admissible(x) -> np.ndarray:
     return (ta.cubic_form(*x.T) > 1e-2) & (x[:, 0] + x[:, 1] + x[:, 2] > 1e-2)
 
 
-def _worst(r, counterexample):
-    """Largest residual of the array r and counterexample(i) at its first
-    flat index i: the pair a loop over r keeping each strictly larger residual
-    ends with.  A nan counts as largest, so it fails its bound."""
-    i = int(np.argmax(r))
-    return r.flat[i], counterexample(i)
-
-
 def _at(z: Ternary, i) -> tuple:
     return tuple(c[i] for c in z.components())
 
@@ -89,13 +89,12 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     p1, p2 = rng.uniform(-3, 3, size=(2000, 2)).T
     m = ta._multisines(p1, p2)
     r = abs(ta.cubic_form(*m) - 1.0)
-    worst, ce = _worst(r, lambda i: {"phi1": p1[i], "phi2": p2[i], "m": [float(v[i]) for v in m]})
-    out.append(_bound_check("cubic-identity m0^3+m1^3+m2^3-3m0m1m2=1", worst, 1e-10, ce))
+    out.append(_bound_check("cubic-identity m0^3+m1^3+m2^3-3m0m1m2=1", r, 1e-10,
+                            lambda i: {"phi1": p1[i], "phi2": p2[i], "m": [float(v[i]) for v in m]}))
 
     values = [ta.multisine(k, 0.0, 0.0) for k in range(3)]
     r = np.array([abs(values[0] - 1.0), abs(values[1]), abs(values[2])])
-    worst, ce = _worst(r, lambda k: {"k": k, "value": values[k]})
-    out.append(_bound_check("multisine-at-origin", worst, 1e-14, ce))
+    out.append(_bound_check("multisine-at-origin", r, 1e-14, lambda k: {"k": k, "value": values[k]}))
 
     x = rng.uniform(-3, 3, size=(300, 9)).T
     z, w, u = Ternary(*x[0:3]), Ternary(*x[3:6]), Ternary(*x[6:9])
@@ -107,8 +106,8 @@ def algebra_suite(seed: int) -> list[CheckResult]:
             (ta.mul(z + w, u) - (ta.mul(z, u) + ta.mul(w, u))).max_abs(),
         ]
     ) / scale
-    worst, ce = _worst(r, lambda i: {"z": _at(z, i), "w": _at(w, i), "u": _at(u, i)})
-    out.append(_bound_check("ring-laws (commutative/associative/distributive)", worst, 1e-12, ce))
+    out.append(_bound_check("ring-laws (commutative/associative/distributive)", r, 1e-12,
+                            lambda i: {"z": _at(z, i), "w": _at(w, i), "u": _at(u, i)}))
 
     x = rng.uniform(-3, 3, size=(300, 6)).T
     z, w = Ternary(*x[0:3]), Ternary(*x[3:6])
@@ -123,13 +122,12 @@ def algebra_suite(seed: int) -> list[CheckResult]:
         axis=(1, 2),
     ) / scale
     r = np.maximum.reduce([r1, r2, r3])
-    worst, ce = _worst(r, lambda i: {"z": _at(z, i), "w": _at(w, i)})
-    out.append(_bound_check("norm-multiplicativity and matrix-representation", worst, 1e-10, ce))
+    out.append(_bound_check("norm-multiplicativity and matrix-representation", r, 1e-10,
+                            lambda i: {"z": _at(z, i), "w": _at(w, i)}))
 
     z = Ternary(*_rejection_rows(rng, 500, -3.0, 3.0, _admissible).T)
     r = (ta.exp(ta.log(z)) - z).max_abs() / (1.0 + z.max_abs())
-    worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
-    out.append(_bound_check("exp-log-round-trip", worst, 1e-9, ce))
+    out.append(_bound_check("exp-log-round-trip", r, 1e-9, lambda i: {"z": _at(z, i)}))
 
     # per sample: x0 and phi on (-2, 2), then theta on [0, 0.999 period)
     x = rng.random((300, 3)).T
@@ -137,16 +135,15 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     theta = 0.0 + ta.THETA_PERIOD * 0.999 * x[2]
     w = Ternary(x0, phi + theta, phi - theta)
     r = (ta.log(ta.exp(w)) - w).max_abs() / (1.0 + w.max_abs())
-    worst, ce = _worst(r, lambda i: {"w": _at(w, i)})
-    out.append(_bound_check("log-exp-round-trip (reduced compact angle)", worst, 1e-9, ce))
+    out.append(_bound_check("log-exp-round-trip (reduced compact angle)", r, 1e-9,
+                            lambda i: {"w": _at(w, i)}))
 
     z = Ternary(*_rejection_rows(rng, 300, -3.0, 3.0, _admissible).T)
     p = ta.to_polar(z)
     r = (ta.from_polar(p) - z).max_abs() / (1.0 + z.max_abs())
     theta = p.theta
     r = np.where((0.0 <= theta) & (theta < ta.THETA_PERIOD), r, np.maximum(r, 1.0))
-    worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
-    out.append(_bound_check("polar-round-trip", worst, 1e-10, ce))
+    out.append(_bound_check("polar-round-trip", r, 1e-10, lambda i: {"z": _at(z, i)}))
 
     p1, p2, s1, s2 = rng.uniform(-2, 2, size=(300, 4)).T
     at_p, at_s = ta._multisines(p1, p2), ta._multisines(s1, s2)
@@ -154,11 +151,9 @@ def algebra_suite(seed: int) -> list[CheckResult]:
     for k, lhs in enumerate(ta._multisines(p1 + s1, p2 + s2)):
         rhs = sum(at_p[j] * at_s[(k - j) % 3] for j in range(3))
         r.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
-    worst, ce = _worst(
-        np.stack(r, axis=1),
-        lambda i: {"phi": [p1[i // 3], p2[i // 3]], "psi": [s1[i // 3], s2[i // 3]], "k": i % 3},
-    )
-    out.append(_bound_check("multisine-addition-law", worst, 1e-11, ce))
+    out.append(_bound_check("multisine-addition-law", np.stack(r, axis=1), 1e-11,
+                            lambda i: {"phi": [p1[i // 3], p2[i // 3]], "psi": [s1[i // 3], s2[i // 3]],
+                                       "k": i % 3}))
 
     p1, p2 = rng.uniform(-2, 2, size=(300, 2)).T
     m = ta._multisines(p1, p2)
@@ -174,32 +169,27 @@ def algebra_suite(seed: int) -> list[CheckResult]:
         )
         / scale
     )
-    worst, ce = _worst(r, lambda i: {"phi1": p1[i], "phi2": p2[i]})
-    out.append(_bound_check("multisine-duality-triples", worst, 1e-12, ce))
+    out.append(_bound_check("multisine-duality-triples", r, 1e-12, lambda i: {"phi1": p1[i], "phi2": p2[i]}))
 
     h = 1e-5
     p1, p2 = rng.uniform(-2, 2, size=(100, 2)).T
     m = ta._multisines(p1, p2)
     d = tc._partials(lambda c: ta._multisines(*c), (p1, p2), (h, h))
     r = [np.maximum(abs(d[k, 0] - m[(k - 1) % 3]), abs(d[k, 1] - m[(k - 2) % 3])) for k in range(3)]
-    worst, ce = _worst(
-        np.stack(r, axis=1), lambda i: {"phi1": p1[i // 3], "phi2": p2[i // 3], "k": i % 3}
-    )
-    out.append(_bound_check("multisine-derivative-shifts-index", worst, 10 * h * h, ce))
+    out.append(_bound_check("multisine-derivative-shifts-index", np.stack(r, axis=1), 10 * h * h,
+                            lambda i: {"phi1": p1[i // 3], "phi2": p2[i // 3], "k": i % 3}))
 
     z = Ternary(*rng.uniform(-3, 3, size=(300, 3)).T)
     back = ta.idempotent_reconstruct(ta.idempotent_decompose(z))
     r = (back - z).max_abs() / (1.0 + z.max_abs())
-    worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
-    worst = np.max(
-        (
-            worst,
-            (ta.mul(ta.K0, ta.E0) - ta.ZERO).max_abs(),
-            (ta.mul(ta.I_UNIT, ta.I_UNIT) + ta.E0).max_abs(),
-            (ta.mul(ta.E0, ta.I_UNIT) - ta.I_UNIT).max_abs(),
-        )
-    )
-    out.append(_bound_check("idempotent-basis-and-reconstruction", worst, 1e-14, ce))
+    basis = [
+        (ta.mul(ta.K0, ta.E0) - ta.ZERO).max_abs(),
+        (ta.mul(ta.I_UNIT, ta.I_UNIT) + ta.E0).max_abs(),
+        (ta.mul(ta.E0, ta.I_UNIT) - ta.I_UNIT).max_abs(),
+    ]
+    # the basis residuals have no sample: a failure names the z of the worst reconstruction
+    out.append(_bound_check("idempotent-basis-and-reconstruction", np.append(r, basis), 1e-14,
+                            lambda _: {"z": _at(z, int(np.argmax(r)))}))
 
     return out
 
@@ -231,8 +221,8 @@ def calculus_suite(seed: int) -> list[CheckResult]:
     )
     p = Ternary(*rng.uniform(-1.5, 1.5, size=(20, 3)).T)
     r = np.max(np.abs(tc._type1_cartesian(tc._checked_partials(poly, p))), axis=(0, 1))
-    worst, ce = _worst(r, lambda i: {"p": _at(p, i), "coeffs": [c.components() for c in coeffs]})
-    out.append(_bound_check("closedness-of-holomorphic-one-form", worst, 1e-6, ce))
+    out.append(_bound_check("closedness-of-holomorphic-one-form", r, 1e-6,
+                            lambda i: {"p": _at(p, i), "coeffs": [c.components() for c in coeffs]}))
 
     a, b = Ternary(0.5, -0.2, 0.3), Ternary(1.4, 0.9, -0.6)
     line = tc.segment(a, b)
@@ -252,7 +242,7 @@ def calculus_suite(seed: int) -> list[CheckResult]:
             "path-independence-of-holomorphic-integral",
             (v_line - v_arc).max_abs(),
             10 * tol * (1 + v_line.max_abs()),
-            {"line": v_line.components(), "arc": v_arc.components()},
+            lambda _: {"line": v_line.components(), "arc": v_arc.components()},
         )
     )
 
@@ -282,8 +272,8 @@ def calculus_suite(seed: int) -> list[CheckResult]:
             for fn, q in ((cube, cube_p), (ta.log, log_p))
         ]
     )
-    worst, ce = _worst(r, lambda i: {"p": tuple(rows[i // 3]), "component": i % 3})
-    out.append(_bound_check("laplacian-annihilates-holomorphic-components", worst, 1e-3, ce))
+    out.append(_bound_check("laplacian-annihilates-holomorphic-components", r, 1e-3,
+                            lambda i: {"p": tuple(rows[i // 3]), "component": i % 3}))
 
     got = tc.line_integral(tc.TernaryField(ta.inverse), tc.trisectrice_loop(1.0), tol=1e-12)
     expected = Ternary(0.0, 2 * math.pi / math.sqrt(3.0), -2 * math.pi / math.sqrt(3.0))
@@ -292,7 +282,7 @@ def calculus_suite(seed: int) -> list[CheckResult]:
             "trisectrice-loop-residue 2*pi*I",
             (got - expected).max_abs(),
             1e-8,
-            {"got": got.components()},
+            lambda _: {"got": got.components()},
         )
     )
 
@@ -343,35 +333,33 @@ def field_suite(seed: int) -> list[CheckResult]:
     out = []
 
     v = _frames(rng, 100)
-    worst, ce = _worst(abs(_fd_div(tf.field_h, v)), lambda i: _point(v, i))
-    out.append(_bound_check("field-divergence-free", worst, tf.EPS_DIV, ce))
+    r = abs(_fd_div(tf.field_h, v))
+    out.append(_bound_check("field-divergence-free", r, tf.EPS_DIV, lambda i: _point(v, i)))
 
     v = _frames(rng, 100)
     _, h_pot, h_rot = tf.potential_decompose(v)
     r = np.max(np.abs(h_pot + h_rot - tf.field_h(v)), axis=0)
-    worst, ce = _worst(r, lambda i: _point(v, i))
-    out.append(_bound_check("potential-plus-rotational-reconstruction", worst, 1e-9, ce))
+    out.append(_bound_check("potential-plus-rotational-reconstruction", r, 1e-9, lambda i: _point(v, i)))
 
     v = _frames(rng, 30)
-    worst, ce = _worst(abs(_fd_div(lambda u: tf.potential_decompose(u)[2], v)), lambda i: _point(v, i))
-    out.append(_bound_check("rotational-part-divergence-free", worst, tf.EPS_DIV, ce))
+    r = abs(_fd_div(lambda u: tf.potential_decompose(u)[2], v))
+    out.append(_bound_check("rotational-part-divergence-free", r, tf.EPS_DIV, lambda i: _point(v, i)))
 
     v = _frames(rng, 30)
     j = tf.current_density(v)
-    worst, ce = _worst(abs(j[1] * v.r1 + j[2] * v.r2), lambda i: _point(v, i))
-    out.append(_bound_check("current-tangential", worst, 1e-12, ce))
+    r = abs(j[1] * v.r1 + j[2] * v.r2)
+    out.append(_bound_check("current-tangential", r, 1e-12, lambda i: _point(v, i)))
 
     v = _frames(rng, 20)
     v = tf.FrameVector(abs(v.l), v.r1, v.r2)
     m = _frame_partials(tf.vector_potential, v)
     curl_a = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    worst, ce = _worst(np.max(np.abs(curl_a - tf.field_h(v)), axis=0), lambda i: _point(v, i))
-    out.append(_bound_check("vector-potential-curl-is-field (l>0)", worst, tf.EPS_DIV, ce))
+    r = np.max(np.abs(curl_a - tf.field_h(v)), axis=0)
+    out.append(_bound_check("vector-potential-curl-is-field (l>0)", r, tf.EPS_DIV, lambda i: _point(v, i)))
 
     z = tf.from_frame(_frames(rng, 50))
     r = np.max(np.abs(tf.cycle_components(tf.h_cartesian(z)) - tf.h_cartesian(tf.cycle_point(z))), axis=0)
-    worst, ce = _worst(r, lambda i: {"z": _at(z, i)})
-    out.append(_bound_check("rotation-covariance-of-cartesian-field", worst, 1e-12, ce))
+    out.append(_bound_check("rotation-covariance-of-cartesian-field", r, 1e-12, lambda i: {"z": _at(z, i)}))
 
     def hrot_cart(z):
         x = tf.from_frame(tf.FrameVector(*tf.potential_decompose(tf.to_frame(z))[2]))
@@ -401,11 +389,9 @@ def field_suite(seed: int) -> list[CheckResult]:
     expected = 2 * math.pi / math.sqrt(3.0) * math.log(a2 / a1)
     levels = (1.0, 2.0)
     got = [tc.surface_integral_2form(phi_field, tc.cubic_band_patch(rho, a1, a2), tol=1e-8) for rho in levels]
-    worst, ce = _worst(
-        np.array([abs(v.x0 - expected) / expected for v in got]),
-        lambda i: {"rho": levels[i], "got": got[i].components(), "expected": expected},
-    )
-    out.append(_bound_check("flux-law-band-integral (level-independent)", worst, 1e-6, ce))
+    r = np.array([abs(v.x0 - expected) / expected for v in got])
+    out.append(_bound_check("flux-law-band-integral (level-independent)", r, 1e-6,
+                            lambda i: {"rho": levels[i], "got": got[i].components(), "expected": expected}))
 
     return out
 
@@ -430,11 +416,8 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
 
     samples = [traj.state(i) for i in np.linspace(0, len(traj) - 1, 10).astype(int)]
     zs = [st.l / st.r1 for st in samples]
-    worst, ce = _worst(
-        np.array([abs(st.r1 - sol.r1(z)) / abs(st.r1) for st, z in zip(samples, zs)]),
-        lambda i: {"t": samples[i].t, "z": zs[i]},
-    )
-    out.append(_bound_check("planar-closed-form-vs-ode", worst, 1e-4, ce))
+    r = np.array([abs(st.r1 - sol.r1(z)) / abs(st.r1) for st, z in zip(samples, zs)])
+    out.append(_bound_check("planar-closed-form-vs-ode", r, 1e-4, lambda i: {"t": samples[i].t, "z": zs[i]}))
 
     end = traj.final_state()
     mirrored = td.MonopoleState(end.l, -end.r1, end.r2, -end.v0, end.v1, -end.v2, t=0.0)
@@ -465,11 +448,8 @@ def dynamics_suite(seed: int) -> list[CheckResult]:
         return (1.0 / ((1 + u * u) * (m1 + m2 * u)))[None]
 
     ys = (0.2, 0.5, 1.2)
-    worst, ce = _worst(
-        np.array([abs(gsol.v1(y) - g * float(tq.adaptive_quad(kernel, 0.9, y, 1e-13)[0])) for y in ys]),
-        lambda i: {"y": ys[i]},
-    )
-    out.append(_bound_check("general-velocity-vs-quadrature-oracle", worst, 1e-9, ce))
+    r = np.array([abs(gsol.v1(y) - g * float(tq.adaptive_quad(kernel, 0.9, y, 1e-13)[0])) for y in ys])
+    out.append(_bound_check("general-velocity-vs-quadrature-oracle", r, 1e-9, lambda i: {"y": ys[i]}))
 
     setup = td.ScatteringSetup(g=1.0, y1=0.0, z1=0.8, v1_inf=0.5, m1=-1.0, m2=0.9)
     res = td.scattering_map(setup)

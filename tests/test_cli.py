@@ -359,11 +359,41 @@ def test_simulate_state_out_of_float_range_exits_1(tmp_path, capsys):
     out, manifest = tmp_path / "s.csv", tmp_path / "m.json"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--manifest", str(manifest)]) == 1
     line = "StepFailure: error norm is NaN at t = 0.0: a stage left the float range"
-    assert capsys.readouterr().err == line + "\n"
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and "|dE| = nan" in captured.out
     assert len(out.read_text().splitlines()) == 2
-    doc = json.loads(manifest.read_text())
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    # E(first) is already inf, so |dE| is NaN: the manifest writes it as its
+    # str, not as a bare NaN, which is not JSON
+    doc = json.loads(manifest.read_text(), parse_constant=reject)
     assert doc["status"] == "step-failure" and doc["message"] == line
     assert doc["steps"] == {"accepted": 0, "rejected": 0}
+    assert doc["conservation"]["energy_change"] == "nan"
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [
+        ({"m2": 1e-300}, "ZeroDivisionError: float division by zero"),
+        ({"g": 1e-300}, "ZeroDivisionError: float division by zero"),
+        ({"z0": 1e-300, "z1": 2e-300, "z_start": 1.8e-300, "z_stop": 0.5e-300}, "OverflowError: "),
+    ],
+    ids=["m2-tiny", "g-tiny", "slopes-tiny"],
+)
+def test_planar_seed_out_of_float_range_names_the_seed(tmp_path, capsys, seed, error):
+    # the closed form leaves the float range: a numerical failure that names
+    # the seed, as scattering_map names (M1, M2), and writes nothing
+    cfg = {**PLANAR_CFG, **seed}
+    path, out, manifest = write_json(tmp_path / "p.json", cfg), tmp_path / "t.csv", tmp_path / "m.json"
+    assert main(["simulate", "--config", path, "--out", str(out), "--manifest", str(manifest)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("NumericalBreakdown: " + error)
+    values = tuple(cfg[key] for key in ("g", "m2", "z0", "z1", "z_start", "z_stop"))
+    assert line.endswith(f" at planar seed (g, m2, z0, z1, z_start, z_stop) = {values}")
+    assert not out.exists() and not manifest.exists()
 
 
 @pytest.mark.parametrize("z_stop", [1.8, 0.5])
@@ -421,6 +451,19 @@ def test_simulate_rerun_from_manifest_is_byte_identical(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     manifest = tmp_path / "m.json"
     assert main(["simulate", "--config", cfg, "--out", str(out1), "--manifest", str(manifest)]) == 0
+    assert main(["simulate", "--config", str(manifest), "--out", str(out2)]) == 0
+    capsys.readouterr()
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_state_manifest_with_null_planar_keys_reruns(tmp_path, capsys):
+    # asdict writes the planar keys of a state config as null into its
+    # manifest; a null key of the other kind is no error
+    cfg = write_json(tmp_path / "cfg.json", STATE_CFG)
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    manifest = tmp_path / "m.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out1), "--manifest", str(manifest)]) == 0
+    assert json.loads(manifest.read_text())["config"]["z0"] is None
     assert main(["simulate", "--config", str(manifest), "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
@@ -597,6 +640,9 @@ A1_RULE = "config error: need 0 < a1 < a2, got "
 RHO_RULE = "config error: modulus level rho must be positive, got "
 PHI_RULE = "config error: need phi_lo < phi_hi, got "
 BOX_CFG = {"kind": "volume", "preset": "box", "field_name": "one", "params": {"box": [0, 1, 0, 1, 0, 1]}}
+PLANAR_TAKES = "config error: simulate kind 'planar' takes ['m2', 'z0', 'z1', 'z_start', 'z_stop'], "
+RANGE_SPEC = {"start": -1.2, "stop": -0.8, "num": 3}
+NUM_RULE = "config error: m1_grid num must be an integer >= 2, got "
 
 
 @pytest.mark.parametrize(
@@ -710,6 +756,61 @@ BOX_CFG = {"kind": "volume", "preset": "box", "field_name": "one", "params": {"b
             [],
             "config error: box axis x1 needs lo < hi, got (2, -1)",
         ),
+        # a null value, or a key of the other simulate kind, once ended in a
+        # traceback or was dropped without a word
+        ("simulate", {**PLANAR_CFG, "g": None}, [], "config error: 'g' must be a finite number, got None"),
+        ("simulate", {**PLANAR_CFG, "tol": None}, [], "config error: 'tol' must be a finite number, got None"),
+        ("simulate", {**PLANAR_CFG, "state": "x"}, [], PLANAR_TAKES + "not ['state']"),
+        ("simulate", {**PLANAR_CFG, "t_end": 1e-3}, [], PLANAR_TAKES + "not ['t_end']"),
+        (
+            "simulate",
+            {**STATE_CFG, "z0": 1.0, "z_stop": 0.5},
+            [],
+            "config error: simulate kind 'state' takes ['state', 't_end'], not ['z0', 'z_stop']",
+        ),
+        (
+            "scatter",
+            {**SCATTER_CFG, "m1_grid": {**RANGE_SPEC, "step": 0.5}},
+            [],
+            "config error: m1_grid range spec takes ['num', 'start', 'stop'], not ['step']",
+        ),
+        (
+            "simulate",
+            {**PLANAR_CFG, "kind": "orbit"},
+            [],
+            "config error: simulate kind must be 'planar' or 'state', got 'orbit'",
+        ),
+        ("simulate", {**STATE_CFG, "state": [1.0, 2.0]}, [], "config error: 'state' must have 6 entries"),
+        ("scatter", {**SCATTER_CFG, "m1_grid": []}, [], "config error: scatter config needs non-empty m1_grid"),
+        (
+            "scatter",
+            {**SCATTER_CFG, "m1_grid": {"start": -1.2, "stop": -0.8}},
+            [],
+            "config error: m1_grid range spec needs parameter 'num'",
+        ),
+        ("scatter", {**SCATTER_CFG, "m1_grid": {**RANGE_SPEC, "num": True}}, [], NUM_RULE + "True"),
+        ("scatter", {**SCATTER_CFG, "m1_grid": {**RANGE_SPEC, "num": 2.5}}, [], NUM_RULE + "2.5"),
+        ("scatter", {**SCATTER_CFG, "m1_grid": {**RANGE_SPEC, "num": 1}}, [], NUM_RULE + "1"),
+        ("scatter", {**SCATTER_CFG, "m1_grid": 3}, [], "config error: m1_grid must be a list or a start/stop/num"),
+        (
+            "integrate-form",
+            {**LOOP_CFG, "kind": "plane"},
+            [],
+            "config error: form kind must be one of ('line', 'surface', 'volume'), got 'plane'",
+        ),
+        (
+            "integrate-form",
+            {**LOOP_CFG, "preset": "circle"},
+            [],
+            "config error: unknown line preset 'circle'; choose from ['segment', 'trisectrice-loop']",
+        ),
+        ("simulate", None, ["--config", "missing.json"], "config error: cannot read config missing.json: "),
+        (
+            "simulate",
+            {"command": "scatter", "config": SCATTER_CFG},
+            [],
+            "config error: manifest cfg.json was written by 'scatter', not 'simulate'",
+        ),
     ],
     ids=[
         "tol-zero",
@@ -749,6 +850,24 @@ BOX_CFG = {"kind": "volume", "preset": "box", "field_name": "one", "params": {"b
         "box-x0-reversed",
         "box-x2-empty",
         "box-x1-reversed-config",
+        "g-null",
+        "tol-null",
+        "planar-with-state",
+        "planar-with-t_end",
+        "state-with-planar-keys",
+        "range-with-step",
+        "simulate-kind-unknown",
+        "state-not-6-entries",
+        "grid-empty",
+        "range-missing-num",
+        "range-num-bool",
+        "range-num-not-integer",
+        "range-num-one",
+        "grid-not-list-or-range",
+        "form-kind-unknown",
+        "form-preset-unknown",
+        "config-unreadable",
+        "manifest-of-another-command",
     ],
 )
 def test_invalid_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, cfg, flags, message):

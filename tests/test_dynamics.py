@@ -804,28 +804,6 @@ def test_psi_memo_keeps_the_bits_of_a_fresh_solution():
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-@pytest.mark.parametrize("y", [0.3, np.array([0.3, 0.6])], ids=["float", "array"])
-def test_psi_memo_stores_no_raising_base_term(monkeypatch, y):
-    sol = general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1)
-    want = general_solution(1.0, 0.5, -1.0, 0.8, 0.9, 0.1).psi(y)
-    antiderivative, base_calls = dynamics.GeneralSolution._antiderivative, []
-
-    def raising_once(self, u, m=math):
-        if m is math and u == self.y1:
-            base_calls.append(u)
-            if len(base_calls) == 1:
-                raise PoleOnRange("injected")
-        return antiderivative(self, u, m)
-
-    monkeypatch.setattr(dynamics.GeneralSolution, "_antiderivative", raising_once)
-    with pytest.raises(PoleOnRange, match="injected"):
-        sol.psi(y)
-    assert sol._base_term is None
-    assert np.asarray(sol.psi(y)).tobytes() == np.asarray(want).tobytes()
-    sol.psi(y)
-    assert len(base_calls) == 2
-
-
 def _planar_times(rng, n):
     """(solution, z) pairs on turnaround branches, z between 10% and 90%
     of the way from z0 to a branch end."""
